@@ -19,7 +19,8 @@ package parcluster
 //	A1       -> BenchmarkA1RandHKPR{Sorted,Contended}
 //	A2       -> BenchmarkA2Sweep{Bucket,ThmOneSort}
 //	A3       -> BenchmarkA3BetaFraction
-//	A4       -> BenchmarkFrontierMode (sparse vs dense vs auto)
+//	A4       -> BenchmarkFrontierMode (sparse vs dense vs auto; per-round
+//	            crossover: internal/core BenchmarkFrontierModeCrossover)
 import (
 	"encoding/json"
 	"fmt"
@@ -308,7 +309,11 @@ func BenchmarkMeshNoClusters(b *testing.B) {
 // (footnote 5) and a low epsilon keep |F| + vol(F) above Ligra's direction
 // threshold for most iterations. Expected shape: dense beats sparse, auto
 // tracks the winner (see DESIGN.md ablation A4). The cross-mode determinism
-// suite in internal/core proves all three return identical clusters.
+// suite in internal/core proves all three return identical clusters. Its
+// per-round companion, BenchmarkFrontierModeCrossover in internal/core,
+// sweeps the frontier's volume from 2m/40 to 2m/2 and times a sparse-push
+// against a dense-pull round at each: the evidence for the switch point
+// (DESIGN.md §4).
 func BenchmarkFrontierMode(b *testing.B) {
 	fixtures()
 	seeds := []uint32{fixSeed}

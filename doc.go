@@ -37,8 +37,9 @@
 // modeled on the real Ligra framework's direction switching. Each
 // iteration's frontier is traversed either sparsely (an ID list with a
 // degree prefix sum — work proportional to the frontier and its incident
-// edges only) or densely (a bitmap-membership scan over the whole CSR —
-// O(n + vol(F)) with a much smaller constant per edge), and the
+// edges only) or densely (every vertex pulls its neighbours' shares in one
+// atomics-free pass over the whole CSR — O(n + 2m) with a much smaller
+// constant per edge), and the
 // residual/mass vectors likewise promote from per-iteration-sized hash
 // tables to flat arrays once their support crosses a fraction of n.
 //
@@ -49,14 +50,15 @@
 // sizable fraction of the graph, as happens with low epsilons, deep NCP
 // sweeps, or large multi-vertex seed sets — while FrontierSparse and
 // FrontierDense pin one. All modes perform the same pushes with the same
-// values: clusters and Stats are identical, only the constants change. The
+// values: clusters and Stats are identical, only the constants change.
+// Dense rounds are also deterministic to the last float bit at any worker
+// count; sparse rounds with several workers add in schedule order. The
 // lgc and lgc-serve commands expose the knob as -frontier.
 //
 // # Workspace pooling
 //
 // A dense-mode diffusion needs graph-sized scratch state: three ~16
-// bytes/vertex flat vectors plus a share array, a frontier bitmap, and
-// frontier ID buffers. Allocating these per call is fine for a one-shot
+// bytes/vertex flat vectors plus a share array and frontier ID buffers. Allocating these per call is fine for a one-shot
 // query and pure GC pressure for a batch or serving workload, so the
 // diffusions can instead borrow them from a per-graph WorkspacePool:
 //
@@ -68,8 +70,8 @@
 //	}
 //
 // Steady-state pooled runs perform zero graph-sized allocations (DESIGN.md
-// §5 records the measured numbers), results are bit-identical with and
-// without a pool, and a pool is safe for concurrent use — parallel queries
+// §5 records the measured numbers), a pool never changes what is
+// computed, and a pool is safe for concurrent use — parallel queries
 // check out distinct workspaces. Every algorithm options struct carries the
 // same Workspace field, NCP pools its inner loop automatically, and
 // lgc-serve gives every loaded graph its own pool, reporting hit/miss and
@@ -84,8 +86,8 @@
 // diffusions as bit lanes of per-vertex uint64 masks, advancing all of
 // them through one traversal per round. Each lane's floating-point work
 // is identical in value and order to its unbatched run, so per-lane
-// results are bit-identical to Nibble/PRNibble — the batch changes
-// wall clock only (11x measured on a 64-seed batch at tight epsilon;
+// results match Nibble/PRNibble (to the bit with one worker) — the batch
+// changes wall clock only (11x measured on a 64-seed batch at tight epsilon;
 // DESIGN.md §9). lgc-serve applies the same kernels automatically to
 // eligible multi-seed requests under -batch-lanes.
 //

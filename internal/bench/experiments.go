@@ -429,8 +429,8 @@ func (w *Workspace) AblationBetaFraction() error {
 // representations of the diffusion engine (DESIGN.md ablation A4) in the
 // large-frontier regime: a multi-vertex seed set (footnote 5) and a
 // tightened epsilon inflate |F| + vol(F) past Ligra's direction-heuristic
-// threshold, where the bitmap-scan edge phase and flat-array vectors should
-// beat hash tables. All modes must return identical clusters; the table
+// threshold, where the pull-direction edge phase and flat-array vectors
+// should beat hash tables. All modes must return identical clusters; the table
 // prints the per-mode wall time and the shared conductance.
 func (w *Workspace) AblationFrontierMode() error {
 	g, err := w.Graph("soc-LJ")

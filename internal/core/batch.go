@@ -15,11 +15,13 @@ package core
 // the vertex phase writes each (vertex, lane) slot exactly once, and both
 // edge traversals (ligra.EdgeApplyLanesDense/-Sparse over an ID-sorted union
 // frontier) visit sources in increasing vertex-ID order within a chunk,
-// matching ligra.EdgeApplyDense. A lane's additions are a subsequence of the
-// union traversal's in the same relative order, so per-lane results are
-// bit-identical to a FrontierDense unbatched run whenever the round's edge
-// work fits one traversal chunk (and identical clusters/Stats always — the
-// batch property suite pins both down).
+// which is the order ligra.EdgePull sums a destination's sources in. A
+// lane's additions are a subsequence of the union traversal's in the same
+// relative order, so per-lane results are bit-identical to a FrontierDense
+// unbatched run whenever the batch runs one worker or the round's edge work
+// fits one traversal chunk; the lane traversals still push with atomic adds,
+// so several workers sharing a destination add in schedule order (identical
+// clusters/Stats always — the batch property suite pins both down).
 //
 // Per-lane termination: a lane drops out of the masks naturally when its
 // next frontier filters empty (no vertex keeps its bit), or explicitly when

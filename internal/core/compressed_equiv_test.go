@@ -30,19 +30,22 @@ func compressGraph(t testing.TB, g *graph.CSR) *graph.CCSR {
 
 // TestPropertyCompressedMatchesHeap runs every push kernel over the heap
 // CSR and over the compressed encoding of the same graph and requires
-// bit-identical results: same Stats (so the same pushes in the same
-// rounds), same diffusion vectors to the last float bit, same sweep cuts.
-// The compressed CSR stores the heap CSR's edge-offset array verbatim, so
-// chunk boundaries, visit order, and the direction heuristic are shared —
-// any divergence is a decoder bug, not a scheduling artifact.
+// equivalent results (requireEquivalentRuns): same Stats (so the same pushes
+// in the same rounds), and wherever the accumulation order is fixed — one
+// worker, or pull rounds — the same diffusion vectors to the last float bit
+// and the same sweep cuts. The compressed CSR stores the heap CSR's
+// edge-offset array verbatim, so chunk boundaries, visit order, and the
+// direction heuristic are shared — any divergence there is a decoder bug,
+// not a scheduling artifact.
 func TestPropertyCompressedMatchesHeap(t *testing.T) {
+	const prEps = 1e-6
 	type kernel struct {
 		name string
 		run  func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats)
 	}
 	kernels := []kernel{
 		{"prnibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
-			return PRNibbleRun(g, []uint32{seed}, 0.05, 1e-6, OptimizedRule, 1, cfg)
+			return PRNibbleRun(g, []uint32{seed}, 0.05, prEps, OptimizedRule, 1, cfg)
 		}},
 		{"nibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
 			return NibbleRun(g, []uint32{seed}, 1e-7, 12, cfg)
@@ -66,16 +69,15 @@ func TestPropertyCompressedMatchesHeap(t *testing.T) {
 					for _, procs := range procsList {
 						label := fmt.Sprintf("%s/%s/%s/p%d", gname, k.name, mode, procs)
 						cfg := RunConfig{Procs: procs, Frontier: mode}
-						want, wantSt := k.run(heap, seed, cfg)
-						got, gotSt := k.run(comp, seed, cfg)
-						if wantSt != gotSt {
-							t.Fatalf("%s: stats %+v != %+v", label, wantSt, gotSt)
-						}
-						requireMapsIdentical(t, label, want, got)
-						if want.Len() > 0 {
-							requireSweepsIdentical(t, label,
-								SweepCutPar(heap, want, procs),
-								SweepCutPar(comp, got, procs))
+						// rand-HK-PR aggregates by sorting, in a fixed order.
+						exact := deterministicRun(cfg) || k.name == "randhk"
+						want := runKernel(func() (*sparse.Map, Stats) { return k.run(heap, seed, cfg) })
+						got := runKernel(func() (*sparse.Map, Stats) { return k.run(comp, seed, cfg) })
+						requireEquivalentRuns(t, label, comp, exact, prEps, want, got)
+						if want.vec.Len() > 0 {
+							requireEquivalentSweeps(t, label, exact,
+								SweepCutPar(heap, want.vec, procs),
+								SweepCutPar(comp, got.vec, procs))
 						}
 					}
 				}
@@ -118,7 +120,10 @@ func TestCompressedEvolvingSetMatchesHeap(t *testing.T) {
 
 // TestCompressedBatchMatchesHeap covers the bit-parallel lane traversals
 // (EdgeApplyLanes*): a multi-seed batch on the compressed graph must
-// reproduce the heap batch bit for bit, per lane.
+// reproduce the heap batch per lane — bit for bit with one worker; with
+// several, both lane traversals push with atomic adds in schedule order, so
+// lanes are held to requireEquivalentRuns' tolerance contract in either
+// frontier mode.
 func TestCompressedBatchMatchesHeap(t *testing.T) {
 	for gname, heap := range propertyGraphs(t) {
 		heap, comp := heap, compressGraph(t, heap)
@@ -129,15 +134,16 @@ func TestCompressedBatchMatchesHeap(t *testing.T) {
 				units[i] = BatchUnit{Seeds: []uint32{s}}
 			}
 			for _, mode := range []FrontierMode{FrontierSparse, FrontierDense} {
-				cfg := BatchConfig{Procs: 4, Frontier: mode}
-				wantVecs, wantSts := PRNibbleBatch(heap, units, 0.05, 1e-5, OptimizedRule, cfg)
-				gotVecs, gotSts := PRNibbleBatch(comp, units, 0.05, 1e-5, OptimizedRule, cfg)
-				for i := range units {
-					label := fmt.Sprintf("%s/%s/lane%d", gname, mode, i)
-					if wantSts[i] != gotSts[i] {
-						t.Fatalf("%s: stats %+v != %+v", label, wantSts[i], gotSts[i])
+				for _, procs := range []int{1, 4} {
+					cfg := BatchConfig{Procs: procs, Frontier: mode}
+					wantVecs, wantSts := PRNibbleBatch(heap, units, 0.05, 1e-5, OptimizedRule, cfg)
+					gotVecs, gotSts := PRNibbleBatch(comp, units, 0.05, 1e-5, OptimizedRule, cfg)
+					for i := range units {
+						label := fmt.Sprintf("%s/%s/p%d/lane%d", gname, mode, procs, i)
+						requireEquivalentRuns(t, label, comp, procs == 1, 0,
+							kernelRun{vec: wantVecs[i], st: wantSts[i]},
+							kernelRun{vec: gotVecs[i], st: gotSts[i]})
 					}
-					requireMapsIdentical(t, label, wantVecs[i], gotVecs[i])
 				}
 			}
 		})

@@ -15,27 +15,37 @@ import (
 // those algorithms repeats the same per-iteration bookkeeping — compute the
 // frontier volume, reset/reserve a scratch accumulator to the
 // |F| + vol(F) locality bound, run a vertex phase that hoists a per-source
-// share, run an edge phase that pushes the share along every frontier edge,
+// share, run an edge phase that moves the share along every frontier edge,
 // collect the touched vertices, optionally merge them into a persistent
 // vector, and filter them into the next frontier — differing only in the
 // push rule plugged into the middle. The engine owns that loop skeleton
 // once, and with it the adaptive sparse/dense decisions:
 //
-//   - Edge phase: per round, the engine picks Ligra's sparse (ID-list,
-//     degree-prefix-sum) or dense (bitmap scan over the CSR) traversal via
-//     the direction heuristic |F| + vol(F) > (n + 2m)/k, reusing one bitmap
-//     buffer across rounds. Per-source shares live in a frontier-indexed
-//     array (sparse) or a vertex-indexed array (dense) so the edge phase
-//     always reads them with one array load per edge.
+//   - Edge phase: per round, the engine picks Ligra's sparse or dense
+//     traversal via the direction heuristic |F| + vol(F) > (n + 2m)/k. A
+//     sparse round pushes: the frontier's ID list is cut edge-balanced
+//     through a degree prefix sum and every edge adds its source's share
+//     (one load from a frontier-indexed array) into the scratch with an
+//     atomic add. A dense round pulls (ligra.EdgePull): shares sit in a
+//     vertex-indexed array that is zero outside the frontier, and every
+//     vertex sums its neighbours' slots in adjacency order into a flat
+//     scratch — one writer per vertex, no atomics.
 //   - Vectors: residual/mass accumulators are adaptive (vec): they start as
 //     phase-concurrent hash tables and promote — sticky, at a phase
 //     boundary — to flat Dense arrays once their support bound crosses
-//     n/vecPromoteFrac, after which every Get/Add is an array operation.
+//     n/vecPromoteFrac (a dense round promotes its scratch regardless),
+//     after which every Get/Add is an array operation.
 //
-// Both decisions are representation-only: the same pushes run with the same
+// Both decisions are representation-only: the same pushes move the same
 // values in every mode, so clusters and Stats are identical across
 // FrontierMode settings and worker counts (the cross-mode determinism suite
-// pins this down). See DESIGN.md §4.
+// pins this down). Float bits are a narrower promise. Vertex phase, merge
+// and pull rounds have one writer per entry and a fixed addition order, so
+// a run that takes only dense rounds (FrontierDense), or runs one worker,
+// returns the same bits every time, at any worker count, on either graph
+// representation. A sparse round with several workers adds in schedule
+// order (the paper's fetch-and-add does too) and may differ in the last
+// bit from run to run. See DESIGN.md §4.
 
 // FrontierMode selects the frontier engine's representation strategy.
 type FrontierMode uint8
@@ -48,8 +58,10 @@ const (
 	// FrontierSparse pins the sparse representations: ID-list frontiers and
 	// hash-table vectors (the pre-engine behaviour).
 	FrontierSparse
-	// FrontierDense pins the dense representations: bitmap-scan edge
-	// traversal and flat array vectors from the start.
+	// FrontierDense pins the dense representations: pull-direction edge
+	// traversal and flat array vectors from the start. Every round then has
+	// a fixed addition order, so results are bit-identical at any worker
+	// count.
 	FrontierDense
 )
 
@@ -86,16 +98,19 @@ func ParseFrontierMode(s string) (FrontierMode, error) {
 // allocation — exactly the pre-workspace behaviour.
 type RunConfig struct {
 	// Procs is the worker count (<= 0 = all cores; 1 = the paper's T1
-	// sequential schedule of the parallel algorithm).
+	// sequential schedule of the parallel algorithm). Clusters and Stats do
+	// not depend on it; float bits do not either with one worker or under
+	// FrontierDense, and may differ in the last place between runs
+	// otherwise (see the file comment).
 	Procs int
 	// Frontier selects the engine's frontier representation strategy.
 	Frontier FrontierMode
 	// Workspace, when non-nil, is the pool the run borrows its graph-sized
-	// scratch state (flat vectors, share array, frontier bitmap and ID
-	// buffers) from instead of allocating per call. The pool must match the
-	// graph's vertex count; a mismatched pool is ignored (the run falls
-	// back to fresh allocation) rather than corrupting someone else's
-	// arenas. Results are bit-identical with and without a pool.
+	// scratch state (flat vectors, share array, frontier ID buffers) from
+	// instead of allocating per call. The pool must match the graph's
+	// vertex count; a mismatched pool is ignored (the run falls back to
+	// fresh allocation) rather than corrupting someone else's arenas. A
+	// pool changes where scratch memory comes from, never what is computed.
 	Workspace *workspace.Pool
 	// Result, when non-nil, is the arena the run's *result* is snapshotted
 	// into (the vecFromTable map, and — via SweepCutParInto — the sweep
@@ -103,8 +118,8 @@ type RunConfig struct {
 	// releases, the result must outlive the run: the caller owns the arena
 	// and releases it after the last read of the returned vector, so the
 	// checkout is the caller's, not the kernel's. Any pool's arena works
-	// (result state is support-sized, not graph-sized). Results are
-	// bit-identical with and without an arena.
+	// (result state is support-sized, not graph-sized). An arena changes
+	// where the result lives, never its contents.
 	Result *workspace.Result
 	// Cancel, when non-nil, is observed at round boundaries: once it fires
 	// (a deadline expired, a client went away), the run stops at the next
@@ -132,8 +147,8 @@ type Observer interface {
 	// Round reports one frontier round before its edge phase runs: the
 	// 0-based round index, the frontier size |F| (== the vertex pushes the
 	// round performs), the pushes and edges-touched vol(F) this round adds
-	// to the run's Stats, and whether the engine selected the dense
-	// (bitmap-scan) traversal.
+	// to the run's Stats, and whether the engine selected the dense (pull)
+	// traversal.
 	Round(round, frontier int, pushes, edges int64, dense bool)
 }
 
@@ -199,11 +214,23 @@ func newVec(n int, mode FrontierMode, capacity int, ws *workspace.Workspace) *ve
 // shouldPromote reports whether a support bound warrants switching the
 // backing table to a Dense array.
 func (v *vec) shouldPromote(bound int) bool {
-	if v.mode != FrontierAuto || v.n == 0 || bound <= v.n/vecPromoteFrac {
+	return v.mode == FrontierAuto && v.n != 0 && bound > v.n/vecPromoteFrac
+}
+
+// promote switches a hash backing to a borrowed Dense array (phase boundary
+// only), copying the entries over when keep is set, and reports whether it
+// did; a vector that is already dense is left alone.
+func (v *vec) promote(keep bool) bool {
+	m, isHash := v.Table.(*sparse.ConcurrentMap)
+	if !isHash {
 		return false
 	}
-	_, isHash := v.Table.(*sparse.ConcurrentMap)
-	return isHash
+	d := v.ws.Dense()
+	if keep {
+		sparse.PromoteToDenseInto(d, m)
+	}
+	v.Table = d
+	return true
 }
 
 // reset clears the vector and ensures capacity for the per-phase bound,
@@ -211,8 +238,7 @@ func (v *vec) shouldPromote(bound int) bool {
 // only). A reset-promotion discards the old entries anyway, so it installs
 // an empty borrowed Dense instead of copying them.
 func (v *vec) reset(p, bound int) {
-	if v.shouldPromote(bound) {
-		v.Table = v.ws.Dense()
+	if v.shouldPromote(bound) && v.promote(false) {
 		return
 	}
 	v.Table.Reset(p, bound)
@@ -222,8 +248,7 @@ func (v *vec) reset(p, bound int) {
 // the current entries copied over) when the resulting support bound
 // crosses the threshold (phase boundary only).
 func (v *vec) reserve(extra int) {
-	if v.shouldPromote(v.Table.Len() + extra) {
-		v.Table = sparse.PromoteToDenseInto(v.ws.Dense(), v.Table.(*sparse.ConcurrentMap))
+	if v.shouldPromote(v.Table.Len()+extra) && v.promote(true) {
 		return
 	}
 	v.Table.Reserve(extra)
@@ -232,19 +257,17 @@ func (v *vec) reserve(extra int) {
 // frontierEngine drives the shared per-round bookkeeping for one diffusion
 // run. It is not safe for concurrent use; each diffusion creates its own,
 // wired to the run's workspace, from which all graph-sized scratch (the
-// vertex-indexed share array, the frontier bitmap, the filter ID buffer) is
-// borrowed lazily — a run that never goes dense never pays for any of it.
+// vertex-indexed share array, the filter ID buffer) is borrowed lazily — a
+// run that never goes dense never pays for any of it.
 type frontierEngine struct {
-	g         graph.Graph
-	procs     int
-	mode      FrontierMode
-	st        *Stats
-	ws        *workspace.Workspace
-	obs       Observer  // per-round telemetry sink; nil = disabled
-	shares    []float64 // per-source state, frontier-indexed (sparse rounds)
-	sharesV   []float64 // per-source state, vertex-indexed (dense rounds)
-	bits      []uint64  // reused frontier-bitmap buffer (dense rounds)
-	wentDense bool      // some round took the dense path (filter-buffer policy)
+	g       graph.Graph
+	procs   int
+	mode    FrontierMode
+	st      *Stats
+	ws      *workspace.Workspace
+	obs     Observer  // per-round telemetry sink; nil = disabled
+	shares  []float64 // per-source state, frontier-indexed (sparse rounds)
+	sharesV []float64 // per-source state, vertex-indexed, zero off the frontier (dense rounds)
 }
 
 func newFrontierEngine(g graph.Graph, procs int, mode FrontierMode, st *Stats, ws *workspace.Workspace, obs Observer) *frontierEngine {
@@ -275,9 +298,11 @@ type roundSpec struct {
 	// PR-Nibble reserving its mass vector by |F|).
 	before func(size int, vol uint64)
 	// source runs once per frontier vertex (the vertex phase). It may
-	// side-effect other vectors and must return the per-edge share pushed
-	// from v; the engine stores it so the edge phase reads it with one
-	// array load per edge in either representation.
+	// side-effect other vectors — v's own entries only, which is what lets
+	// it use AddOwned — and must return the per-edge share moved from v,
+	// positive when v has neighbours (a pull round recognises a newly
+	// touched destination by its nonzero sum); the engine stores it so the
+	// edge phase reads it with one array load per edge in either direction.
 	source func(i int, v uint32) float64
 	// skipTouched suppresses the touched-key collection for rounds whose
 	// caller does not build a next frontier (e.g. HK-PR's last level).
@@ -285,10 +310,11 @@ type roundSpec struct {
 }
 
 // round runs one synchronous frontier round: stats, scratch sizing, vertex
-// phase, sparse- or dense-auto-selected edge phase (scratch.Add(dst, share)
-// per frontier edge), and the touched-key collection. It returns the
-// vertices whose scratch entries were touched this round — the candidate
-// set for the caller's merge and next-frontier filter.
+// phase, the sparse push or dense pull edge phase the heuristic selects
+// (scratch[dst] += share[src] over every frontier edge either way), and the
+// touched-key collection. It returns the vertices whose scratch entries
+// were touched this round, in unspecified order — the candidate set for the
+// caller's merge and next-frontier filter.
 func (e *frontierEngine) round(frontier ligra.VertexSubset, spec roundSpec) []uint32 {
 	size := frontier.Size()
 	vol := frontier.Volume(e.procs, e.g)
@@ -300,33 +326,37 @@ func (e *frontierEngine) round(frontier ligra.VertexSubset, spec roundSpec) []ui
 		e.obs.Round(int(e.st.Iterations)-1, size, int64(size), int64(vol), dense)
 	}
 	bound := size + int(vol)
+	scratch := spec.scratch
+	if dense {
+		// The pull pass writes a flat array with plain stores: promote now,
+		// whatever the bound says.
+		scratch.promote(spec.accumulate)
+	}
 	if spec.accumulate {
-		spec.scratch.reserve(bound)
+		scratch.reserve(bound)
 	} else {
-		spec.scratch.reset(e.procs, bound)
+		scratch.reset(e.procs, bound)
 	}
 	if spec.before != nil {
 		spec.before(size, vol)
 	}
-	scratch := spec.scratch
 	if dense {
-		e.wentDense = true
-		n := e.g.NumVertices()
 		if e.sharesV == nil {
 			e.sharesV = e.ws.Floats()
 		}
 		sharesV := e.sharesV
+		acc := scratch.Table.(*sparse.Dense)
+		// The pull pass lists what the sources add to the scratch, so they
+		// need not take turns at its touched list.
+		acc.Defer(true)
 		ligra.VertexMapIndexed(e.procs, frontier, func(i int, v uint32) {
 			sharesV[v] = spec.source(i, v)
 		})
-		if e.bits == nil {
-			e.bits = e.ws.Bits()
-		}
-		fb := frontier.WithBitmap(e.procs, n, e.bits)
-		e.bits = fb.Bits()
-		ligra.EdgeApplyDense(e.procs, e.g, fb, func(src, dst uint32) {
-			scratch.Add(dst, sharesV[src])
-		})
+		ligra.EdgePull(e.procs, e.g, sharesV, acc)
+		acc.Defer(false)
+		// Under pull a stale share is a wrong answer, not a skipped bit:
+		// leave the array zero for the next round and the next borrower.
+		ligra.VertexMap(e.procs, frontier, func(v uint32) { sharesV[v] = 0 })
 	} else {
 		e.shares = growTo(e.shares, size)
 		shares := e.shares
@@ -350,19 +380,19 @@ func (e *frontierEngine) merge(dst *vec, touched []uint32, delta *vec) {
 	dst.reserve(len(touched))
 	parallel.For(e.procs, len(touched), 512, func(i int) {
 		v := touched[i]
-		dst.Add(v, delta.Get(v))
+		dst.AddOwned(v, delta.Get(v))
 	})
 }
 
 // filter builds the next frontier: the touched vertices satisfying keep,
-// in touched order. Once a run has gone dense — or when a recycled
-// workspace already carries the buffer — the output is written into the
-// workspace's frontier ID buffer instead of a fresh allocation. The single
-// buffer alternates safely: its previous contents (the current frontier)
-// are dead by the time filter runs, and the filter input is an
-// accumulator's touched-key list, which never aliases the buffer.
+// in touched order. Once the workspace carries the frontier ID buffer — a
+// dense round paid for it, or a recycled workspace brought it along — the
+// output is written there instead of a fresh allocation. The single buffer
+// alternates safely: its previous contents (the current frontier) are dead
+// by the time filter runs, and the filter input is an accumulator's
+// touched-key list, which never aliases the buffer.
 func (e *frontierEngine) filter(touched []uint32, keep func(v uint32) bool) ligra.VertexSubset {
-	if e.wentDense || e.ws.HasIDs() {
+	if e.sharesV != nil || e.ws.HasIDs() {
 		return ligra.VertexFilterInto(e.procs, ligra.FromIDs(touched), e.ws.IDs(), keep)
 	}
 	return ligra.VertexFilter(e.procs, ligra.FromIDs(touched), keep)

@@ -273,7 +273,7 @@ func evolvingSetSteps(g graph.Graph, seed uint32, opts EvolvingSetOptions, procs
 			return res, st
 		}
 		inS.reset(procs, S.Size())
-		ligra.VertexMap(procs, S, func(v uint32) { inS.Add(v, 1) })
+		ligra.VertexMap(procs, S, func(v uint32) { inS.AddOwned(v, 1) })
 		best.update(S.IDs())
 		if opts.TargetPhi > 0 && best.phi <= opts.TargetPhi {
 			res := best.result()

@@ -141,8 +141,8 @@ func HKPRParFrom(g graph.Graph, seeds []uint32, t float64, N int, eps float64, p
 }
 
 // HKPRRun is HKPRParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool.
-// Results are bit-identical with and without a pool.
+// additionally borrow all graph-sized scratch state from a workspace pool
+// (which changes where scratch lives, never what is computed).
 func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
@@ -184,7 +184,7 @@ func hkprRelax(g graph.Graph, seeds []uint32, t float64, N int, eps float64, pro
 		before: func(size int, vol uint64) { p.reserve(size + int(vol)) },
 		source: func(_ int, v uint32) float64 {
 			rv := r.Get(v)
-			p.Add(v, rv)
+			p.AddOwned(v, rv)
 			return tOverJ * rv / float64(g.Degree(v))
 		},
 	}
@@ -204,7 +204,7 @@ func hkprRelax(g graph.Graph, seeds []uint32, t float64, N int, eps float64, pro
 				skipTouched: true,
 				source: func(_ int, v uint32) float64 {
 					rv := r.Get(v)
-					p.Add(v, rv)
+					p.AddOwned(v, rv)
 					return rv / float64(g.Degree(v))
 				},
 			})

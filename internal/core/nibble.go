@@ -91,8 +91,8 @@ func NibbleParFrom(g graph.Graph, seeds []uint32, eps float64, T, procs int, mod
 }
 
 // NibbleRun is NibbleParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool.
-// Results are bit-identical with and without a pool.
+// additionally borrow all graph-sized scratch state from a workspace pool
+// (which changes where scratch lives, never what is computed).
 func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
@@ -123,7 +123,7 @@ func nibbleWalk(g graph.Graph, seeds []uint32, eps float64, T, procs int, mode F
 	spec := roundSpec{
 		source: func(_ int, v uint32) float64 {
 			pv := p.Get(v)
-			next.Add(v, pv/2)
+			next.AddOwned(v, pv/2)
 			return pv / (2 * float64(g.Degree(v)))
 		},
 	}

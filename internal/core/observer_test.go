@@ -8,9 +8,11 @@ package core
 // decision.
 
 import (
+	"fmt"
 	"testing"
 
 	"parcluster/internal/gen"
+	"parcluster/internal/sparse"
 	"parcluster/internal/workspace"
 )
 
@@ -77,15 +79,18 @@ func TestObserverSeesEveryRound(t *testing.T) {
 func TestObserverDoesNotChangeResults(t *testing.T) {
 	g := frontierFixtures()["community"]
 	seeds := []uint32{0, 1, 2, 3}
-	base, baseSt := PRNibbleRun(g, seeds, 0.02, 1e-5, OptimizedRule, 1,
-		RunConfig{Procs: 4, Frontier: FrontierAuto})
-	vec, st := PRNibbleRun(g, seeds, 0.02, 1e-5, OptimizedRule, 1,
-		RunConfig{Procs: 4, Frontier: FrontierAuto, Observer: &recordingObserver{}})
-	if st != baseSt {
-		t.Fatalf("observed run changed stats: %+v != %+v", st, baseSt)
-	}
-	if ok, why := vectorsClose(base, vec, 0); !ok {
-		t.Fatalf("observed run changed the vector: %s", why)
+	const eps = 1e-5
+	for _, mode := range frontierModes() {
+		for _, procs := range []int{1, 4} {
+			cfg := RunConfig{Procs: procs, Frontier: mode}
+			run := func() (*sparse.Map, Stats) {
+				return PRNibbleRun(g, seeds, 0.02, eps, OptimizedRule, 1, cfg)
+			}
+			base := runKernel(run)
+			cfg.Observer = &recordingObserver{}
+			observed := runKernel(run)
+			requireEquivalentRuns(t, fmt.Sprintf("%v/p%d", mode, procs), g, deterministicRun(cfg), eps, base, observed)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 //
 // Residual updates are accumulated in a fresh per-iteration *delta* table
 // rather than a copy of r: the self-update is expressed as a negative
-// delta, making every update a commutative fetch-and-add, and the merge
+// delta, making every update a commutative addition, and the merge
 // r += delta touches only the entries written this iteration. This realizes
 // the prose semantics of §3.3 ("r' is set to r at the beginning of an
 // iteration") without copying r, preserving both mass and the per-iteration
@@ -47,8 +47,8 @@ func PRNibbleParFrom(g graph.Graph, seeds []uint32, alpha, eps float64, rule Pus
 }
 
 // PRNibbleRun is PRNibbleParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool.
-// Results are bit-identical with and without a pool.
+// additionally borrow all graph-sized scratch state from a workspace pool
+// (which changes where scratch lives, never what is computed).
 func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, beta float64, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
@@ -111,10 +111,10 @@ func prNibblePush(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRu
 		before:  func(size int, _ uint64) { p.reserve(size) },
 		source: func(_ int, v uint32) float64 {
 			rv := r.Get(v)
-			p.Add(v, pGain*rv)
+			p.AddOwned(v, pGain*rv)
 			// Self-update as a commutative delta: r[v] becomes
 			// selfKeep*rv, i.e. changes by (selfKeep-1)*rv.
-			delta.Add(v, (selfKeep-1)*rv)
+			delta.AddOwned(v, (selfKeep-1)*rv)
 			return edgeShare * rv / float64(g.Degree(v))
 		},
 	}

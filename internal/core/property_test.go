@@ -10,12 +10,14 @@ package core
 //     scratch recomputation via graph.Conductance, and the winning prefix
 //     is the argmin;
 //  2. pooled/unpooled equivalence: runs through a workspace pool and a
-//     result arena return bit-identical vectors and sweeps as fresh
-//     allocations, including when the same arena is recycled run after run;
+//     result arena return the same vectors and sweeps as fresh allocations
+//     (in the sense of requireEquivalentRuns), including when the same arena
+//     is recycled run after run;
 //  3. PR-Nibble mass conservation (§3.3): ‖p‖₁ + ‖r‖₁ <= 1 + ε at
 //     termination, for every frontier mode and procs in {1, 2, 8}.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -107,6 +109,91 @@ func requireSweepsIdentical(t *testing.T, name string, want, got SweepResult) {
 	}
 }
 
+// kernelRun is one execution of a kernel as the equivalence suites see it:
+// the returned vector and Stats and, when the kernel is PR-Nibble, its final
+// residual vector.
+type kernelRun struct {
+	vec      *sparse.Map
+	st       Stats
+	residual *sparse.Map
+}
+
+// runKernel executes run with the PR-Nibble residual sink installed.
+func runKernel(run func() (*sparse.Map, Stats)) kernelRun {
+	var k kernelRun
+	prNibbleResidualSink = func(r *sparse.Map) { k.residual = r }
+	defer func() { prNibbleResidualSink = nil }()
+	k.vec, k.st = run()
+	return k
+}
+
+// deterministicRun reports whether a run's floating-point accumulation
+// order is fixed, so that two executions must agree to the last bit: with
+// one worker everything runs in program order, and under FrontierDense every
+// round is a pull round, in which each vertex is summed by one writer in
+// adjacency order whatever the schedule. Any other configuration takes
+// sparse rounds with several workers, whose compare-and-swap accumulation
+// adds in schedule order — the paper's fetch-and-add has the same property.
+// Ordering sparse rounds is ROADMAP item 1(b) and is not done.
+func deterministicRun(cfg RunConfig) bool {
+	return cfg.Procs == 1 || cfg.Frontier == FrontierDense
+}
+
+// requireEquivalentRuns is the one oracle of the suites that run a kernel
+// twice along different paths — pooled and not, heap and .lgz, observed and
+// not — and expect the same answer. Stats must always be equal. With exact
+// set (see deterministicRun) vectors must be bit-identical. Otherwise the
+// two runs are two samples of a schedule-dependent sum and are held to what
+// the algorithm promises instead: the same support, entries within 1e-12
+// relative, and, for a PR-Nibble run that reached its fixed point with the
+// full frontier (eps > 0), mass conservation ‖p‖₁ + ‖r‖₁ = 1 and the exit
+// condition r[v] < eps·d(v) on got.
+func requireEquivalentRuns(t *testing.T, label string, g graph.Graph, exact bool, eps float64, want, got kernelRun) {
+	t.Helper()
+	if want.st != got.st {
+		t.Fatalf("%s: stats %+v != %+v", label, want.st, got.st)
+	}
+	if exact {
+		requireMapsIdentical(t, label, want.vec, got.vec)
+		return
+	}
+	if want.vec.Len() != got.vec.Len() {
+		t.Fatalf("%s: support size %d != %d", label, want.vec.Len(), got.vec.Len())
+	}
+	want.vec.ForEach(func(k uint32, v float64) {
+		gv := got.vec.Get(k)
+		if gv == 0 || math.Abs(v-gv) > 1e-12*math.Abs(v) {
+			t.Fatalf("%s: entry %d: %v vs %v", label, k, v, gv)
+		}
+	})
+	if got.residual == nil || eps <= 0 {
+		return
+	}
+	if mass := got.vec.Sum() + got.residual.Sum(); math.Abs(mass-1) > 1e-9 {
+		t.Fatalf("%s: ‖p‖₁ + ‖r‖₁ = %v, want 1", label, mass)
+	}
+	got.residual.ForEach(func(v uint32, rv float64) {
+		if d := g.Degree(v); d > 0 && rv >= eps*float64(d) {
+			t.Fatalf("%s: r[%d] = %v at exit, not below eps*d = %v", label, v, rv, eps*float64(d))
+		}
+	})
+}
+
+// requireEquivalentSweeps compares the sweep cuts of two equivalent runs:
+// exactly when the vectors are bit-identical, otherwise by the cut's size
+// and conductance, since entries an ULP apart may swap places in the order.
+func requireEquivalentSweeps(t *testing.T, label string, exact bool, want, got SweepResult) {
+	t.Helper()
+	if exact {
+		requireSweepsIdentical(t, label, want, got)
+		return
+	}
+	if len(want.Order) != len(got.Order) || math.Abs(want.Conductance-got.Conductance) > 1e-9 {
+		t.Fatalf("%s: sweep over %d vertices phi=%v, want %d vertices phi=%v",
+			label, len(got.Order), got.Conductance, len(want.Order), want.Conductance)
+	}
+}
+
 // TestPropertySweepMatchesBruteForce checks every prefix conductance the
 // parallel sweep reports against an independent O(N*m) recomputation from
 // the graph itself, plus the argmin selection and the winner's volume/cut.
@@ -150,15 +237,16 @@ func TestPropertySweepMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestPropertyPooledMatchesUnpooled checks the tentpole's core promise: the
-// pooled result path (workspace pool + recycled result arena + arena-backed
-// sweep) produces bit-identical output to fresh allocation, for every
-// algorithm that snapshots a vector, across frontier modes, and across
-// repeated runs through the same recycled arena.
+// TestPropertyPooledMatchesUnpooled checks the pooled result path's core
+// promise: a run through a workspace pool, a recycled result arena and the
+// arena-backed sweep is equivalent to one on fresh allocations, for every
+// algorithm that snapshots a vector, across frontier modes and worker
+// counts, and across repeated runs through the same recycled arena.
 func TestPropertyPooledMatchesUnpooled(t *testing.T) {
+	const prEps = 1e-6
 	algos := map[string]func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats){
 		"prnibble": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
-			return PRNibbleRun(g, []uint32{seed}, 0.05, 1e-6, OptimizedRule, 1, cfg)
+			return PRNibbleRun(g, []uint32{seed}, 0.05, prEps, OptimizedRule, 1, cfg)
 		},
 		"nibble": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
 			return NibbleRun(g, []uint32{seed}, 1e-7, 15, cfg)
@@ -179,23 +267,24 @@ func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 			defer arena.Release()
 			for algoName, run := range algos {
 				for _, mode := range modes {
-					label := algoName + "/" + mode.String()
-					want, wantSt := run(g, seed, RunConfig{Procs: 4, Frontier: mode})
-					wantSweep := SweepCutPar(g, want, 4)
-					// Two pooled runs through the same arena: the second
-					// recycles state the first left behind, which is exactly
-					// the serving steady state.
-					for round := 0; round < 2; round++ {
-						arena.Reset()
-						got, gotSt := run(g, seed, RunConfig{
-							Procs: 4, Frontier: mode, Workspace: pool, Result: arena,
-						})
-						if wantSt != gotSt {
-							t.Fatalf("%s round %d: stats %+v != %+v", label, round, wantSt, gotSt)
+					for _, procs := range []int{1, 4} {
+						label := fmt.Sprintf("%s/%s/p%d", algoName, mode, procs)
+						cfg := RunConfig{Procs: procs, Frontier: mode}
+						// rand-HK-PR aggregates by sorting, in a fixed order.
+						exact := deterministicRun(cfg) || algoName == "randhk"
+						want := runKernel(func() (*sparse.Map, Stats) { return run(g, seed, cfg) })
+						wantSweep := SweepCutPar(g, want.vec, procs)
+						// Two pooled runs through the same arena: the second
+						// recycles state the first left behind, which is
+						// exactly the serving steady state.
+						cfg.Workspace, cfg.Result = pool, arena
+						for round := 0; round < 2; round++ {
+							arena.Reset()
+							got := runKernel(func() (*sparse.Map, Stats) { return run(g, seed, cfg) })
+							requireEquivalentRuns(t, label, g, exact, prEps, want, got)
+							gotSweep := SweepCutParInto(g, got.vec, procs, arena)
+							requireEquivalentSweeps(t, label, exact, wantSweep, gotSweep)
 						}
-						requireMapsIdentical(t, label, want, got)
-						gotSweep := SweepCutParInto(g, got, 4, arena)
-						requireSweepsIdentical(t, label, wantSweep, gotSweep)
 					}
 				}
 			}

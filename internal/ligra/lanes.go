@@ -6,9 +6,10 @@ package ligra
 // frontier is the set of vertices with a nonzero mask, and one traversal of
 // it advances every lane at once — the callback receives the source's mask
 // and fans the update out to each set bit. Both traversals visit frontier
-// sources in increasing vertex-ID order within a chunk, mirroring
-// EdgeApplyDense, which is what lets a batched round reproduce the unbatched
-// dense round's floating-point addition order bit for bit.
+// sources in increasing vertex-ID order within a chunk — the order in which
+// the unbatched dense round (EdgePull) sums a destination's sources — which
+// is what lets a one-worker batched round reproduce that round's
+// floating-point addition order bit for bit.
 
 import (
 	"sort"

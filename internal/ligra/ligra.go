@@ -9,17 +9,25 @@
 // the input subset and its incident edges only (the property that makes the
 // implementations "local" in the paper's sense), at the cost of a per-call
 // degree prefix sum and per-chunk binary searches. The dense path scans the
-// whole CSR once with a bitmap membership test per vertex — O(n + vol(F))
-// with a much smaller constant per edge — which wins once the frontier's
-// incident edges are a sizable fraction of the graph. The crossover follows
-// Ligra's direction heuristic: go dense when |F| + vol(F) > (n + 2m)/k with
-// k = DenseThresholdFrac.
+// whole CSR once — a much smaller constant per edge — which wins once the
+// frontier's incident edges are a sizable fraction of the graph. The
+// crossover follows Ligra's direction heuristic: go dense when
+// |F| + vol(F) > (n + 2m)/k with k = DenseThresholdFrac.
 //
-// Both EdgeMap paths are edge-balanced, so a single high-degree vertex
+// The dense path comes in both directions. EdgeApplyDense/EdgeMapMode push,
+// for arbitrary callbacks: one bitmap membership test per vertex, then the
+// callback on each edge of a member, O(n + vol(F)). EdgePull, which the
+// diffusion engine's dense rounds use, pulls a fixed operation — sum the
+// neighbours' shares — with one writer per destination, no callback and no
+// atomics, O(n + 2m).
+//
+// All EdgeMap paths are edge-balanced, so a single high-degree vertex
 // (common in the power-law graphs the paper evaluates) cannot serialize an
-// iteration: the sparse path partitions the frontier's incident edges into
-// equal-size chunks via a prefix sum over degrees; the dense path chunks the
-// graph's edge array directly through the CSR offsets.
+// iteration by accident: the sparse path partitions the frontier's incident
+// edges into equal-size chunks via a prefix sum over degrees; the dense
+// paths chunk the graph's edge array directly through the CSR offsets
+// (EdgePull snaps its chunks to vertex boundaries, the price of its single
+// writer).
 package ligra
 
 import (
@@ -30,6 +38,7 @@ import (
 
 	"parcluster/internal/graph"
 	"parcluster/internal/parallel"
+	"parcluster/internal/sparse"
 )
 
 // decodeBufs recycles per-chunk neighbor-decode buffers. A heap CSR's
@@ -74,7 +83,14 @@ const (
 // DenseThresholdFrac is the k in Ligra's direction heuristic: the dense
 // traversal is selected when |F| + vol(F) > (n + 2m)/k. Ligra uses m/20 for
 // out-degree frontiers; with our undirected 2m edge slots and the n term
-// covering the per-vertex bitmap tests, (n + 2m)/20 is the equivalent.
+// covering the per-vertex work, (n + 2m)/20 is the equivalent.
+//
+// The value was re-measured for the pull round (BenchmarkFrontierModeCrossover
+// in internal/core; table in DESIGN.md §4): a whole engine round on the
+// soc-LJ stand-in costs a flat ~2.5–3 ms as a pull and ~1.3 ms per 1/40 of
+// 2m as a push over flat vectors with one worker, so they meet near
+// vol(F) = 2m/16; with two workers the push's contended atomic adds move the
+// meeting point below 2m/40. 20 sits between the two, so it stays.
 const DenseThresholdFrac = 20
 
 // OverDenseThreshold reports whether a frontier of the given size and
@@ -517,6 +533,64 @@ func EdgeApplyDense(p int, g graph.Graph, s VertexSubset, fn func(src, dst uint3
 				e++
 			}
 		}
+		releaseDecodeBuf(bp, buf)
+	})
+}
+
+// pullTouchBatch is how many created keys a pull chunk collects before
+// listing them with one sparse.Dense.Touch.
+const pullTouchBatch = 256
+
+// EdgePull is the dense traversal in the pull direction, the diffusion
+// engine's dense round. The graph is symmetric, so instead of every frontier
+// source pushing its share along its edges into a shared accumulator, every
+// destination v pulls: acc[v] += shares[u] for each u in N(v), in adjacency
+// (ascending vertex) order, starting from the value acc already holds for v.
+// shares is vertex-indexed and must be zero outside the frontier; a
+// frontier vertex of positive degree must carry a positive share, because a
+// destination acc did not hold before is created exactly when its pulled
+// sum is nonzero. EdgePull is also the listing pass sparse.Dense.Defer asks
+// for: keys a deferring vertex phase left pending come out listed.
+//
+// Ownership: the edge slots [0, 2m] — one past the end, so that trailing
+// zero-degree vertices and an edgeless graph have an owner too — are cut
+// into edgeMapGrain chunks, and a vertex belongs to the chunk holding its
+// first slot. Each destination thus has one writer and is summed whole, in
+// list order, by that writer: plain loads, one plain store, no atomics, and
+// a result that does not depend on p or on the schedule. The price is that a
+// hub's whole adjacency is one worker's job. Work is O(n + 2m) per call
+// whatever the frontier, which is what DenseThresholdFrac weighs against
+// the sparse push.
+//
+// A decoding representation has each list decoded into pooled scratch and
+// then summed like a heap list. Streaming the sum through
+// graph.TailWalker's per-edge callback instead measured slower (5.4 against
+// 4.8 ns/edge on the packed soc-LJ stand-in), so there is one path.
+func EdgePull(p int, g graph.Graph, shares []float64, acc *sparse.Dense) {
+	offs := g.Offsets()
+	n := g.NumVertices()
+	parallel.ForRange(p, int(g.TotalVolume())+1, edgeMapGrain, func(elo, ehi int) {
+		var created [pullTouchBatch]uint32
+		nc := 0
+		buf, bp := acquireDecodeBuf(g)
+		v := sort.Search(n, func(i int) bool { return offs[i] >= uint64(elo) })
+		for ; v < n && offs[v] < uint64(ehi); v++ {
+			s := acc.Get(uint32(v))
+			if offs[v+1] > offs[v] { // else nothing to pull: v is here only to be listed
+				buf = g.NeighborsInto(buf, uint32(v))
+				for _, u := range buf {
+					s += shares[u]
+				}
+			}
+			if acc.PutOwned(uint32(v), s) {
+				created[nc] = uint32(v)
+				if nc++; nc == len(created) {
+					acc.Touch(created[:])
+					nc = 0
+				}
+			}
+		}
+		acc.Touch(created[:nc])
 		releaseDecodeBuf(bp, buf)
 	})
 }

@@ -1,6 +1,8 @@
 package ligra
 
 import (
+	"bytes"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -348,5 +350,96 @@ func TestOverDenseThreshold(t *testing.T) {
 	// Half the clique: vol = 32*63 >> (64+4032)/20.
 	if !OverDenseThreshold(g, 32, 32*63) {
 		t.Fatal("half the clique did not cross the dense threshold")
+	}
+}
+
+// TestEdgePullMatchesPushOrder checks the pull traversal against the sum it
+// stands for, on graphs that stress its vertex-snapped ownership (a star:
+// the hub's list spans several chunks; a graph with zero-degree vertices in
+// the middle and at the end; an edgeless graph) and on both graph
+// representations: every destination ends at its carried value plus its
+// frontier neighbours' shares added in ascending order, bit for bit at every
+// worker count; exactly the destinations with a carried entry or a frontier
+// neighbour are listed, once; and an entry a deferring vertex phase left
+// pending comes out listed even where there is nothing to pull.
+func TestEdgePullMatchesPushOrder(t *testing.T) {
+	gapped := func() *graph.CSR { // isolated: 0, every 5th, and 90..99 (99 is left pending)
+		var edges []graph.Edge
+		for v := uint32(1); v < 90; v++ {
+			if w := v + 3; v%5 != 0 && w%5 != 0 && w < 90 {
+				edges = append(edges, graph.Edge{U: v, V: w})
+			}
+		}
+		return graph.FromEdges(1, 100, edges)
+	}
+	for name, heap := range map[string]*graph.CSR{
+		"star":     gen.Star(3 * edgeMapGrain),
+		"grid":     gen.Grid3D(0, 9),
+		"gapped":   gapped(),
+		"edgeless": graph.FromEdges(1, 70, nil),
+	} {
+		var buf bytes.Buffer
+		if err := graph.WriteCompressed(1, &buf, heap); err != nil {
+			t.Fatal(err)
+		}
+		packed, err := graph.NewCompressed(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := heap.NumVertices()
+		// Frontier: every third vertex. Carried entries: every seventh
+		// (listed before the round) and every eleventh (left pending by a
+		// deferring vertex phase) — whatever their degree.
+		shares := make([]float64, n)
+		for v := 0; v < n; v += 3 {
+			shares[v] = 1 / float64(v+3)
+		}
+		want := make(map[uint32]float64)
+		for v := 0; v < n; v++ {
+			s, hit := 0.0, false
+			if v%7 == 0 {
+				s, hit = s+0.5, true
+			}
+			if v%11 == 0 {
+				s, hit = s-0.25, true
+			}
+			for _, u := range heap.Neighbors(uint32(v)) {
+				if shares[u] != 0 {
+					s, hit = s+shares[u], true
+				}
+			}
+			if hit {
+				want[uint32(v)] = s
+			}
+		}
+		for rname, g := range map[string]graph.Graph{"heap": heap, "lgz": packed} {
+			for _, p := range procsUnderTest() {
+				acc := sparse.NewDense(n)
+				for v := 0; v < n; v += 7 {
+					acc.AddOwned(uint32(v), 0.5)
+				}
+				acc.Defer(true)
+				for v := 0; v < n; v += 11 {
+					acc.AddOwned(uint32(v), -0.25)
+				}
+				EdgePull(p, g, shares, acc)
+				acc.Defer(false)
+				keys := acc.Keys(p)
+				if len(keys) != len(want) {
+					t.Fatalf("%s/%s p=%d: %d destinations listed, want %d", name, rname, p, len(keys), len(want))
+				}
+				seen := make(map[uint32]bool, len(keys))
+				for _, k := range keys {
+					w, ok := want[k]
+					if !ok || seen[k] {
+						t.Fatalf("%s/%s p=%d: destination %d listed (again=%t), wanted=%t", name, rname, p, k, seen[k], ok)
+					}
+					seen[k] = true
+					if got := acc.Get(k); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s/%s p=%d: acc[%d] = %v, want %v", name, rname, p, k, got, w)
+					}
+				}
+			}
+		}
 	}
 }

@@ -23,15 +23,26 @@ import (
 // value array with a touched list. It implements Table with the same
 // phase-concurrency contract as ConcurrentMap: any number of goroutines may
 // Add/Set/Get concurrently; Reset and read-side iteration are phase
-// boundaries. Construct with NewDense; the zero value is not usable.
+// boundaries. A phase in which every key has a single accessor may use the
+// plain-store operations instead (AddOwned, PutOwned). Construct with
+// NewDense; the zero value is not usable.
 type Dense struct {
-	vals []uint64 // math.Float64bits of the value; updated with CAS loops
-	// present[k] flips 0 -> 1 exactly once per key via CAS; the winner
-	// appends k to the touched list.
-	present  []uint32
-	touched  []uint32
-	ntouched atomic.Int64
+	vals []uint64 // math.Float64bits of the value; CAS loops, or plain stores by a key's owner
+	// present[k] flips absent -> listed exactly once per key via CAS; the
+	// winner appends k to the touched list. Single-writer phases may park a
+	// key at pending in between (see Defer).
+	present   []uint32
+	touched   []uint32
+	ntouched  atomic.Int64
+	deferring bool
 }
+
+// States of a present entry.
+const (
+	absent  = 0
+	listed  = 1
+	pending = 2 // created by AddOwned while deferring; PutOwned lists it
+)
 
 // NewDense returns a dense vector over the universe [0, n).
 func NewDense(n int) *Dense {
@@ -58,15 +69,15 @@ func (d *Dense) Get(k uint32) float64 {
 }
 
 // Has reports whether k has been touched.
-func (d *Dense) Has(k uint32) bool { return atomic.LoadUint32(&d.present[k]) != 0 }
+func (d *Dense) Has(k uint32) bool { return atomic.LoadUint32(&d.present[k]) != absent }
 
 // claim marks k touched, recording it in the touched list exactly once, and
 // reports whether this call was the one that created the entry.
 func (d *Dense) claim(k uint32) (created bool) {
-	if atomic.LoadUint32(&d.present[k]) != 0 {
+	if atomic.LoadUint32(&d.present[k]) != absent {
 		return false
 	}
-	if !atomic.CompareAndSwapUint32(&d.present[k], 0, 1) {
+	if !atomic.CompareAndSwapUint32(&d.present[k], absent, listed) {
 		return false
 	}
 	d.touched[d.ntouched.Add(1)-1] = k
@@ -95,6 +106,64 @@ func (d *Dense) Set(k uint32, v float64) (created bool) {
 	return created
 }
 
+// AddOwned is Add for a phase in which the calling goroutine is the only one
+// that reads or writes k (the engine's vertex phase and merge, where every
+// key belongs to exactly one frontier or touched vertex): a plain
+// read-modify-write instead of a CAS loop. While the vector is deferring
+// (see Defer) a key it creates is marked pending instead of listed.
+func (d *Dense) AddOwned(k uint32, delta float64) {
+	if d.present[k] == absent {
+		if d.deferring {
+			d.present[k] = pending
+		} else {
+			d.present[k] = listed
+			d.touched[d.ntouched.Add(1)-1] = k
+		}
+	}
+	d.vals[k] = math.Float64bits(math.Float64frombits(d.vals[k]) + delta)
+}
+
+// Defer switches listing of the keys AddOwned creates off (on = true) or
+// back on. Listing is the one step of AddOwned that workers share — a
+// counter and the tail of the touched list — and a pull round has no use
+// for it: its PutOwned pass visits every key anyway and lists the pending
+// ones in batches. Every Defer(true) must be followed, before the next phase
+// boundary that reads the list, by such a pass over the whole universe and
+// Defer(false); ligra.EdgePull is that pass. Phase boundary only.
+func (d *Dense) Defer(on bool) { d.deferring = on }
+
+// PutOwned is the pull round's per-destination store, under AddOwned's
+// single-accessor contract: it overwrites k's value with a plain store. An
+// absent key is created only when v != 0 — a destination no frontier
+// neighbour pushed to stays absent. A key it creates, or finds pending, is
+// reported as created but not yet listed: the caller collects such keys and
+// hands them to Touch in batches, so listing costs one atomic per batch
+// instead of one per key.
+func (d *Dense) PutOwned(k uint32, v float64) (created bool) {
+	switch d.present[k] {
+	case absent:
+		if v == 0 {
+			return false
+		}
+		fallthrough
+	case pending:
+		d.present[k] = listed
+		created = true
+	}
+	d.vals[k] = math.Float64bits(v)
+	return created
+}
+
+// Touch appends keys PutOwned reported as created to the touched list. Safe
+// for concurrent callers with disjoint batches.
+func (d *Dense) Touch(keys []uint32) {
+	if len(keys) == 0 {
+		return
+	}
+	hi := d.ntouched.Add(int64(len(keys)))
+	copy(d.touched[hi-int64(len(keys)):hi], keys)
+}
+
 // Reset clears the vector in O(touched) work using p workers; the capacity
 // argument is accepted for Table compatibility and ignored (the universe is
 // fixed at n). Phase boundary only.
@@ -104,7 +173,7 @@ func (d *Dense) Reset(p, _ int) {
 	parallel.For(p, n, 2048, func(i int) {
 		k := touched[i]
 		d.vals[k] = 0
-		d.present[k] = 0
+		d.present[k] = absent
 	})
 	d.ntouched.Store(0)
 }

@@ -54,6 +54,9 @@ type Table interface {
 	// Add atomically accumulates delta into k's value and reports whether
 	// this call created the entry.
 	Add(k uint32, delta float64) (created bool)
+	// AddOwned is Add for a phase in which the calling goroutine is the only
+	// one that reads or writes k, which lets the value update skip the CAS.
+	AddOwned(k uint32, delta float64)
 	// Set atomically overwrites k's value and reports whether this call
 	// created the entry.
 	Set(k uint32, v float64) (created bool)
@@ -307,6 +310,14 @@ func (m *ConcurrentMap) Add(k uint32, delta float64) (created bool) {
 			return created
 		}
 	}
+}
+
+// AddOwned is Add for a phase in which the calling goroutine is the only one
+// that reads or writes k: the slot is still claimed with CAS (other keys
+// probe through it), but the value update is a plain read-modify-write.
+func (m *ConcurrentMap) AddOwned(k uint32, delta float64) {
+	slot, _ := m.findOrClaim(k)
+	m.vals[slot] = math.Float64bits(math.Float64frombits(m.vals[slot]) + delta)
 }
 
 // Set atomically overwrites k's value (last writer wins), creating the entry

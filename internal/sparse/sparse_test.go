@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -514,6 +515,87 @@ func TestDenseResetIsTouchedProportional(t *testing.T) {
 // TestIDMapAssignSingleProc exercises the Assign publish-wait under
 // GOMAXPROCS-constrained contention: with the Gosched in the spin loop the
 // waiters always let the claimer publish.
+// TestOwnedOpsMatchAtomicOps drives the single-accessor operations the way a
+// pull round does — each key owned by exactly one of several goroutines —
+// and checks them against the atomic ones: same values to the bit, same key
+// set, every key listed once, on both Table implementations. Run under
+// -race this also pins that owned keys never share a word.
+func TestOwnedOpsMatchAtomicOps(t *testing.T) {
+	const n, workers = 4096, 4
+	for name, mk := range map[string]func() Table{
+		"dense": func() Table { return NewDense(n) },
+		"hash":  func() Table { return NewConcurrent(n) },
+	} {
+		owned, atomicT := mk(), mk()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := uint32(w); k < n; k += workers {
+					if k%3 == 0 {
+						continue
+					}
+					for i := 1; i <= 3; i++ {
+						owned.AddOwned(k, 1/float64(i+int(k)))
+						atomicT.Add(k, 1/float64(i+int(k)))
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if owned.Len() != atomicT.Len() || len(owned.Keys(2)) != owned.Len() {
+			t.Fatalf("%s: %d keys (%d listed), want %d", name, owned.Len(), len(owned.Keys(2)), atomicT.Len())
+		}
+		atomicT.ForEach(func(k uint32, v float64) {
+			if got := owned.Get(k); math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("%s: key %d: %v, want %v", name, k, got, v)
+			}
+		})
+	}
+}
+
+// TestDenseDeferredListing pins the pull round's listing protocol: while
+// deferring, AddOwned creates keys without listing them; PutOwned then
+// reports exactly the pending keys and the nonzero-valued new ones as
+// created, leaves zero-valued absent keys absent, and overwrites listed keys
+// in place; Touch lists the created ones; Reset clears everything.
+func TestDenseDeferredListing(t *testing.T) {
+	d := NewDense(16)
+	d.AddOwned(1, 1.5) // listed at once
+	d.Defer(true)
+	d.AddOwned(1, 0.5) // already listed: stays listed
+	d.AddOwned(2, 2.5) // pending
+	if d.Len() != 1 || !d.Has(2) || d.Get(2) != 2.5 {
+		t.Fatalf("deferring AddOwned: len=%d has(2)=%t v=%v", d.Len(), d.Has(2), d.Get(2))
+	}
+	var created []uint32
+	for k, v := range map[uint32]float64{1: 2, 2: 3, 3: 0, 4: 4.5} {
+		if d.PutOwned(k, v) {
+			created = append(created, k)
+		}
+	}
+	d.Defer(false)
+	slices.Sort(created)
+	if !slices.Equal(created, []uint32{2, 4}) {
+		t.Fatalf("PutOwned created %v, want [2 4]", created)
+	}
+	d.Touch(created)
+	keys := slices.Clone(d.Keys(1))
+	slices.Sort(keys)
+	if !slices.Equal(keys, []uint32{1, 2, 4}) || d.Has(3) {
+		t.Fatalf("keys after Touch = %v, has(3)=%t; want [1 2 4], false", keys, d.Has(3))
+	}
+	if d.Get(1) != 2 || d.Get(2) != 3 || d.Get(4) != 4.5 {
+		t.Fatalf("values %v %v %v, want 2 3 4.5", d.Get(1), d.Get(2), d.Get(4))
+	}
+	d.Reset(1, 0)
+	d.AddOwned(2, 1) // listing is back on
+	if d.Len() != 1 || d.Has(1) || d.Has(4) || d.Get(2) != 1 {
+		t.Fatalf("after Reset: len=%d has(1)=%t has(4)=%t v2=%v", d.Len(), d.Has(1), d.Has(4), d.Get(2))
+	}
+}
+
 func TestIDMapAssignSingleProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := NewIDMap(256)

@@ -1,7 +1,7 @@
 // Package workspace implements the per-graph workspace pool behind the
 // diffusion hot path: recyclable arenas of the graph-sized scratch state a
 // dense-mode diffusion needs (flat sparse.Dense vectors, the vertex-indexed
-// share array, the frontier bitmap, and the frontier ID buffer).
+// share array, and the frontier ID buffer).
 //
 // The paper's implementation gets its speed from reusing graph-sized state
 // across iterations instead of reallocating it; a serving layer must extend
@@ -220,7 +220,7 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // Workspace is one diffusion's checkout of graph-sized scratch state: a
-// freelist of flat sparse.Dense vectors plus lazily-built share, bitmap and
+// freelist of flat sparse.Dense vectors plus lazily-built share and
 // frontier-ID buffers, all over a fixed universe [0, n). It is owned by a
 // single goroutine between Acquire (or New) and Release and is not safe for
 // concurrent use. Every piece is allocated on first demand, so a sparse-mode
@@ -234,8 +234,7 @@ type Workspace struct {
 	dense     []*sparse.Dense // every vector ever handed out by Dense()
 	denseUsed int             // vectors handed out since the last Release
 
-	floats []float64 // vertex-indexed share scratch (engine dense rounds)
-	bits   []uint64  // frontier bitmap buffer
+	floats []float64 // vertex-indexed share scratch (engine dense rounds); all zero between borrows
 	ids    []uint32  // frontier ID buffer (engine filter output)
 
 	sortIDs     []uint32 // β-fraction ranking buffer (frontier-ID copy)
@@ -243,7 +242,7 @@ type Workspace struct {
 
 	// First-borrow-per-checkout flags for the singleton buffers, so a
 	// recycled buffer credits BytesRecycled exactly once per run.
-	usedFloats, usedBits, usedIDs, usedSortIDs, usedSortScratch bool
+	usedFloats, usedIDs, usedSortIDs, usedSortScratch bool
 }
 
 // credit records bytes served from a recycled arena toward the pool's
@@ -287,8 +286,10 @@ func (w *Workspace) Dense() *sparse.Dense {
 }
 
 // Floats returns the workspace's vertex-indexed float64 scratch array
-// (length n), allocating it on first use. Contents are unspecified; callers
-// must write an index before reading it.
+// (length n), allocating it on first use. It is all zero when handed out and
+// the borrower must leave it all zero: the engine's pull round reads every
+// slot as a share, so it zeroes the slots of each frontier it is done with
+// instead of anyone paying an O(n) clear per checkout.
 func (w *Workspace) Floats() []float64 {
 	if w.floats == nil {
 		w.floats = make([]float64, w.n)
@@ -297,19 +298,6 @@ func (w *Workspace) Floats() []float64 {
 	}
 	w.usedFloats = true
 	return w.floats
-}
-
-// Bits returns the workspace's frontier bitmap buffer (ceil(n/64) words),
-// allocating it on first use. Contents are unspecified; the Ligra bitmap
-// builder clears it before setting bits.
-func (w *Workspace) Bits() []uint64 {
-	if w.bits == nil {
-		w.bits = make([]uint64, (w.n+63)/64)
-	} else if !w.usedBits {
-		w.credit(8 * int64(len(w.bits)))
-	}
-	w.usedBits = true
-	return w.bits
 }
 
 // IDs returns the workspace's frontier ID buffer (capacity n, length 0),
@@ -370,7 +358,6 @@ func (w *Workspace) footprint() int64 {
 		b += 16 * int64(d.Universe())
 	}
 	b += 8 * int64(len(w.floats))
-	b += 8 * int64(len(w.bits))
 	b += 4 * int64(cap(w.ids))
 	b += 4 * int64(cap(w.sortIDs))
 	b += 4 * int64(cap(w.sortScratch))
@@ -389,7 +376,7 @@ func (w *Workspace) Release(procs int) {
 		w.dense[i].Reset(procs, 0)
 	}
 	w.denseUsed = 0
-	w.usedFloats, w.usedBits, w.usedIDs = false, false, false
+	w.usedFloats, w.usedIDs = false, false
 	w.usedSortIDs, w.usedSortScratch = false, false
 	w.inUse = false
 	if w.pool != nil {

@@ -21,7 +21,9 @@ type Graph = graph.CSR
 // with OpenCompressed. Adjacency lists stay delta-gap varint encoded on
 // disk and are streamed through reusable decode buffers during traversal,
 // so graphs larger than RAM serve queries straight off the page cache.
-// Results are bit-identical to the heap CSR's.
+// Kernels visit the same edges in the same order as on the heap CSR, so a
+// run whose addition order is fixed (see FrontierMode) returns the same bits
+// on either.
 type CompressedGraph = graph.CCSR
 
 // GraphData is the read-only graph interface every algorithm accepts. Both
@@ -55,11 +57,15 @@ const (
 )
 
 // FrontierMode selects the diffusion engine's frontier representation
-// strategy: FrontierAuto switches between the sparse (ID-list, hash-table)
-// and dense (bitmap-scan, flat-array) representations per iteration using
-// Ligra's direction heuristic; the other two pin a representation. Every
-// mode returns identical clusters and Stats — the knob trades constant
-// factors only.
+// strategy: FrontierAuto switches between the sparse (ID-list push,
+// hash-table) and dense (pull over the whole CSR, flat-array)
+// representations per iteration using Ligra's direction heuristic; the other
+// two pin a representation. Every mode returns identical clusters and Stats
+// — the knob trades constant factors only. Float bits are reproducible from
+// run to run with Procs = 1, and under FrontierDense at any Procs (a pull
+// round has one writer per vertex and a fixed addition order); sparse rounds
+// with several workers accumulate in schedule order, like the paper's
+// fetch-and-add, and may differ in the last place.
 type FrontierMode = core.FrontierMode
 
 // The frontier modes.
@@ -74,14 +80,15 @@ const (
 func ParseFrontierMode(s string) (FrontierMode, error) { return core.ParseFrontierMode(s) }
 
 // WorkspacePool recycles the graph-sized scratch state of the parallel
-// diffusions (flat vectors, share arrays, frontier bitmaps and ID buffers)
+// diffusions (flat vectors, share arrays and frontier ID buffers)
 // across runs against one graph. Batch workloads — many queries against the
 // same graph — should create one pool per graph (NewWorkspacePool) and pass
 // it via the Workspace field of the algorithm options: steady-state runs
-// then perform no graph-sized allocations. Results are bit-identical with
-// and without a pool. A pool is safe for concurrent use; concurrent runs
-// simply check out distinct workspaces. See docs/ARCHITECTURE.md for the
-// ownership rules and DESIGN.md §5 for the memory model.
+// then perform no graph-sized allocations. A pool changes where scratch
+// lives, never what is computed. A pool is safe for concurrent use;
+// concurrent runs simply check out distinct workspaces. See
+// docs/ARCHITECTURE.md for the ownership rules and DESIGN.md §5 for the
+// memory model.
 type WorkspacePool = workspace.Pool
 
 // WorkspacePoolStats is a snapshot of one pool's recycling counters
@@ -104,8 +111,8 @@ func NewWorkspacePool(g GraphData) *WorkspacePool {
 // pass it via the Result field of the algorithm options, read the returned
 // vector/sweep, then Release it; everything the run returned is recycled at
 // that point and must no longer be read. An arena serves one run at a time
-// and is not safe for concurrent use. Results are bit-identical with and
-// without an arena. See DESIGN.md §6 for the memory model.
+// and is not safe for concurrent use. An arena changes where a result
+// lives, never its contents. See DESIGN.md §6 for the memory model.
 type ResultArena = workspace.Result
 
 // NewResultArena returns an unpooled result arena: borrowing behaves

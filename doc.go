@@ -129,8 +129,8 @@
 // cmd/lgc-serve/README.md for the endpoint reference with curl examples.
 //
 // The internal packages implement the substrates the paper builds on: a
-// Ligra-style frontier framework with dual sparse/dense vertex subsets,
-// lock-free concurrent hash tables and flat touched-list arrays for sparse
+// Ligra-style frontier framework with a sparse push and a dense pull edge
+// traversal, lock-free concurrent hash tables and flat touched-list arrays for sparse
 // vectors, and work-efficient parallel primitives (prefix sums, filter,
 // comparison and integer sorting). See DESIGN.md for the full system
 // inventory, the frontier-engine design (§4), and the experiment index

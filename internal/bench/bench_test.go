@@ -11,8 +11,9 @@ import (
 // TestAllExperimentsRunSmall executes every experiment end-to-end at Small
 // scale with a single repetition, verifying that the harness code paths run
 // and produce their banner plus at least some table content. This is the
-// CI guard for the reproduction harness itself; the measured numbers are
-// recorded by cmd/lgc-bench runs (see EXPERIMENTS.md).
+// CI guard for the reproduction harness itself, sized by the Small scale's
+// own parameters (paramsFor, Fig12's seed count) to about ten seconds; the
+// measured numbers come from cmd/lgc-bench runs at -scale medium or large.
 func TestAllExperimentsRunSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test is slow; skipped with -short")

@@ -268,7 +268,7 @@ func (b *laneBatch) retireCancelled(group <-chan struct{}, finish func(l int)) b
 }
 
 // snapshot copies lane l's column of bank into the unit's Result arena (or
-// a fresh map) — the batched counterpart of vecFromTableInto, dropping
+// a fresh map) — the batched counterpart of vecFromTable, dropping
 // explicit zeros the same way — and retires the lane.
 func (b *laneBatch) snapshot(l int, bank *sparse.Lanes) {
 	b.vecs[l] = vecFromLane(bank, l, b.units[l].Result)
@@ -286,12 +286,7 @@ func vecFromLane(bank *sparse.Lanes, lane int, res *workspace.Result) *sparse.Ma
 			count++
 		}
 	}
-	var out *sparse.Map
-	if res != nil {
-		out = res.Map(count)
-	} else {
-		out = sparse.NewMap(count)
-	}
+	out := res.Map(count)
 	for _, v := range touched {
 		if bank.Mask(v)&bit == 0 {
 			continue
@@ -398,7 +393,7 @@ func PRNibbleBatch(g graph.Graph, units []BatchUnit, alpha, eps float64, rule Pu
 				l := bits.TrailingZeros64(mm)
 				rv := r.Get(v, l)
 				p.Add(v, l, pGain*rv)
-				// Self-update as a commutative delta, as in prNibblePush:
+				// Self-update as a commutative delta, as in PRNibbleRun:
 				// r[v] becomes selfKeep*rv, i.e. changes by (selfKeep-1)*rv.
 				delta.Add(v, l, (selfKeep-1)*rv)
 				b.shares[base+l] = edgeShare * rv / d

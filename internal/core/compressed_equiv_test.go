@@ -76,8 +76,8 @@ func TestPropertyCompressedMatchesHeap(t *testing.T) {
 						requireEquivalentRuns(t, label, comp, exact, prEps, want, got)
 						if want.vec.Len() > 0 {
 							requireEquivalentSweeps(t, label, exact,
-								SweepCutPar(heap, want.vec, procs),
-								SweepCutPar(comp, got.vec, procs))
+								SweepCutPar(heap, want.vec, procs, nil),
+								SweepCutPar(comp, got.vec, procs, nil))
 						}
 					}
 				}

@@ -2,27 +2,29 @@
 // each in a sequential and a parallel version (§3):
 //
 //   - Nibble: the truncated lazy random walk of Spielman & Teng [44, 45]
-//     (NibbleSeq, NibblePar; §3.2, Figure 3, Theorem 2).
+//     (NibbleSeq, NibbleRun; §3.2, Figure 3, Theorem 2).
 //   - PR-Nibble: the approximate-PageRank push algorithm of Andersen, Chung
 //     & Lang [2], with both the original and the paper's optimized update
-//     rule (PRNibbleSeq, PRNibblePar; §3.3, Figures 5–6, Theorem 3), the
-//     priority-queue sequential variant, and the β-fraction parallel
-//     variant.
+//     rule (PRNibbleSeq, PRNibbleRun; §3.3, Figures 5–6, Theorem 3), the
+//     priority-queue sequential variant (PRNibbleSeqPQ), and the β-fraction
+//     parallel variant.
 //   - HK-PR: the deterministic heat kernel PageRank of Kloster & Gleich
-//     [24] (HKPRSeq, HKPRPar; §3.4, Figure 7, Theorem 4).
+//     [24] (HKPRSeq, HKPRRun; §3.4, Figure 7, Theorem 4).
 //   - rand-HK-PR: the randomized heat kernel PageRank of Chung & Simpson
-//     [10] (RandHKPRSeq, RandHKPRPar; §3.5, Theorem 5), plus the naive
-//     contended aggregation the paper reports as a negative result.
+//     [10] (RandHKPRSeq, RandHKPRRun; §3.5, Theorem 5), plus the naive
+//     contended aggregation the paper reports as a negative result
+//     (RandHKPRParContended).
 //   - Sweep cut: the rounding procedure that turns a diffusion vector into
 //     a cluster, sequential and work-efficient parallel (SweepCutSeq,
 //     SweepCutPar, SweepCutParSort; §3.1, Theorem 1).
 //   - NCP: network community profiles built from many PR-Nibble sweeps
 //     (§4, Figure 12).
 //
-// All diffusions take a seed vertex and return a sparse vector suitable for
-// a sweep cut; every parallel entry point takes a worker count procs
-// (procs <= 0 uses all cores, procs == 1 runs the parallel algorithm's
-// sequential schedule, the paper's T1).
+// Each diffusion has one parallel entry point, XRun(g, seeds, params,
+// RunConfig), and one sequential reference, XSeq(g, seeds, params); both take
+// a seed set (footnote 5 of the paper) and return a sparse vector suitable
+// for a sweep cut. A worker count <= 0 uses all cores; 1 runs the parallel
+// algorithm's sequential schedule, the paper's T1.
 package core
 
 import (
@@ -90,25 +92,14 @@ func growTo(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// vecFromTable snapshots a concurrent table (hash or dense) into a freshly
-// allocated sequential sparse map the sweep cut consumes.
-func vecFromTable(t sparse.Vector) *sparse.Map {
-	return vecFromTableInto(t, nil)
-}
-
-// vecFromTableInto is vecFromTable snapshotting into res's recycled map
-// when res is non-nil (the pooled result path; see RunConfig.Result) and a
-// fresh map otherwise. Explicit zeros are dropped either way (entries whose
-// mass cancelled exactly, e.g. a residual fully pushed out). The returned
-// map's memory belongs to the arena: it is valid until res is Reset or
-// Released.
-func vecFromTableInto(t sparse.Vector, res *workspace.Result) *sparse.Map {
-	var out *sparse.Map
-	if res != nil {
-		out = res.Map(t.Len())
-	} else {
-		out = sparse.NewMap(t.Len())
-	}
+// vecFromTable snapshots a concurrent table (hash or dense) into the
+// sequential sparse map the sweep cut consumes: res's recycled map (the
+// pooled result path; see RunConfig.Result), or a fresh one when res is nil.
+// Explicit zeros are dropped either way (entries whose mass cancelled
+// exactly, e.g. a residual fully pushed out). With an arena the returned
+// map's memory belongs to it: it is valid until res is Reset or Released.
+func vecFromTable(t sparse.Vector, res *workspace.Result) *sparse.Map {
+	out := res.Map(t.Len())
 	t.ForEach(func(k uint32, v float64) {
 		if v != 0 {
 			out.Set(k, v)

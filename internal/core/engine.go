@@ -113,7 +113,7 @@ type RunConfig struct {
 	// pool changes where scratch memory comes from, never what is computed.
 	Workspace *workspace.Pool
 	// Result, when non-nil, is the arena the run's *result* is snapshotted
-	// into (the vecFromTable map, and — via SweepCutParInto — the sweep
+	// into (the vecFromTable map, and — handed on to SweepCutPar — the sweep
 	// arrays downstream). Unlike Workspace scratch, which the run itself
 	// releases, the result must outlive the run: the caller owns the arena
 	// and releases it after the last read of the returned vector, so the

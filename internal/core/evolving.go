@@ -220,7 +220,7 @@ func evolvingSetSteps(g graph.Graph, seed uint32, opts EvolvingSetOptions, procs
 	var st Stats
 	r := rng.New(opts.Seed)
 	n := g.NumVertices()
-	S := ligra.FromVertices(seed)
+	S := ligra.FromIDs([]uint32{seed})
 	inS := newVec(n, opts.Frontier, 4, ws)
 	inS.Add(seed, 1)
 	walk := seed

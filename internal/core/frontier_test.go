@@ -50,7 +50,7 @@ func clusterOf(t *testing.T, g *graph.CSR, vec *sparse.Map) ([]uint32, float64) 
 	if vec.Len() == 0 {
 		return nil, 1
 	}
-	res := SweepCutPar(g, vec, 0)
+	res := SweepCutPar(g, vec, 0, nil)
 	return sortedU32(res.Cluster), res.Conductance
 }
 
@@ -81,11 +81,11 @@ func TestPRNibbleFrontierModeDeterminism(t *testing.T) {
 		// A multi-vertex seed set (footnote 5) inflates the frontiers into
 		// the dense regime quickly.
 		seeds := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-		base, baseSt := PRNibbleParFrom(g, seeds, 0.02, 1e-6, OptimizedRule, 1, 1, FrontierSparse)
+		base, baseSt := PRNibbleRun(g, seeds, 0.02, 1e-6, OptimizedRule, 1, RunConfig{Procs: 1, Frontier: FrontierSparse})
 		baseCluster, basePhi := clusterOf(t, g, base)
 		for _, mode := range frontierModes() {
 			for _, p := range frontierProcs() {
-				vec, st := PRNibbleParFrom(g, seeds, 0.02, 1e-6, OptimizedRule, p, 1, mode)
+				vec, st := PRNibbleRun(g, seeds, 0.02, 1e-6, OptimizedRule, 1, RunConfig{Procs: p, Frontier: mode})
 				if st != baseSt {
 					t.Fatalf("%s mode=%v p=%d: stats %+v, want %+v", name, mode, p, st, baseSt)
 				}
@@ -107,11 +107,11 @@ func TestPRNibbleFrontierModeDeterminism(t *testing.T) {
 func TestHKPRFrontierModeDeterminism(t *testing.T) {
 	for name, g := range frontierFixtures() {
 		seeds := []uint32{0, 1, 2, 3}
-		base, baseSt := HKPRParFrom(g, seeds, 4, 15, 1e-6, 1, FrontierSparse)
+		base, baseSt := HKPRRun(g, seeds, 4, 15, 1e-6, RunConfig{Procs: 1, Frontier: FrontierSparse})
 		baseCluster, basePhi := clusterOf(t, g, base)
 		for _, mode := range frontierModes() {
 			for _, p := range frontierProcs() {
-				vec, st := HKPRParFrom(g, seeds, 4, 15, 1e-6, p, mode)
+				vec, st := HKPRRun(g, seeds, 4, 15, 1e-6, RunConfig{Procs: p, Frontier: mode})
 				if st != baseSt {
 					t.Fatalf("%s mode=%v p=%d: stats %+v, want %+v", name, mode, p, st, baseSt)
 				}
@@ -155,11 +155,11 @@ func TestEvolvingSetFrontierModeDeterminism(t *testing.T) {
 func TestNibbleFrontierModeDeterminism(t *testing.T) {
 	for name, g := range frontierFixtures() {
 		seeds := []uint32{0, 1, 2, 3, 4, 5}
-		base, baseSt := NibbleParFrom(g, seeds, 1e-5, 12, 1, FrontierSparse)
+		base, baseSt := NibbleRun(g, seeds, 1e-5, 12, RunConfig{Procs: 1, Frontier: FrontierSparse})
 		baseCluster, _ := clusterOf(t, g, base)
 		for _, mode := range frontierModes() {
 			for _, p := range frontierProcs() {
-				vec, st := NibbleParFrom(g, seeds, 1e-5, 12, p, mode)
+				vec, st := NibbleRun(g, seeds, 1e-5, 12, RunConfig{Procs: p, Frontier: mode})
 				if st != baseSt {
 					t.Fatalf("%s mode=%v p=%d: stats %+v, want %+v", name, mode, p, st, baseSt)
 				}
@@ -373,13 +373,13 @@ func TestDenseRoundBitIdenticalAcrossProcs(t *testing.T) {
 			if base.vec.Len() < heap.NumVertices()/4 {
 				t.Fatalf("%s/%s: support %d: the fixture does not reach the dense regime", gname, kname, base.vec.Len())
 			}
-			baseSweep := SweepCutPar(heap, base.vec, 1)
+			baseSweep := SweepCutPar(heap, base.vec, 1, nil)
 			for rname, g := range reprs {
 				for _, procs := range frontierProcs() {
 					label := fmt.Sprintf("%s/%s/%s/p%d", gname, kname, rname, procs)
 					got := runKernel(func() (*sparse.Map, Stats) { return run(g, RunConfig{Procs: procs, Frontier: FrontierDense}) })
 					requireEquivalentRuns(t, label, g, true, 0, base, got)
-					requireSweepsIdentical(t, label, baseSweep, SweepCutPar(g, got.vec, procs))
+					requireSweepsIdentical(t, label, baseSweep, SweepCutPar(g, got.vec, procs, nil))
 				}
 			}
 		}

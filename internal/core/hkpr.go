@@ -7,7 +7,6 @@ import (
 	"parcluster/internal/ligra"
 	"parcluster/internal/parallel"
 	"parcluster/internal/sparse"
-	"parcluster/internal/workspace"
 )
 
 // hkpr.go implements the deterministic heat kernel PageRank algorithm of
@@ -54,15 +53,10 @@ func hkThreshold(t, eps float64, N int, psi []float64, d uint32, j int) float64 
 func hkKey(v uint32, j int) uint64 { return uint64(j)<<32 | uint64(v) }
 
 // HKPRSeq is the sequential HK-PR implementation: a FIFO queue of (v, j)
-// entries processed exactly as in [24]. Work: O(N^2 + N e^t / eps).
-func HKPRSeq(g graph.Graph, seed uint32, t float64, N int, eps float64) (*sparse.Map, Stats) {
-	return HKPRSeqFrom(g, []uint32{seed}, t, N, eps)
-}
-
-// HKPRSeqFrom is HKPRSeq with a multi-vertex seed set (footnote 5 of the
-// paper): the unit of level-0 residual is split evenly over the seeds, all
-// of which are enqueued.
-func HKPRSeqFrom(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*sparse.Map, Stats) {
+// entries processed exactly as in [24]. Work: O(N^2 + N e^t / eps). The
+// unit of level-0 residual is split evenly over the seed set (footnote 5 of
+// the paper), all of which is enqueued.
+func HKPRSeq(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	if N < 1 {
 		N = 1
@@ -119,59 +113,39 @@ func HKPRSeqFrom(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (
 	return p, st
 }
 
-// HKPRPar is the parallel HK-PR of Figure 7: levels are processed
+// HKPRRun is the parallel HK-PR of Figure 7: levels are processed
 // synchronously (all queue entries sharing a level value in parallel),
 // which is safe because level-j pushes only write level-j+1 residuals.
-// Theorem 4: O(N^2 + N e^t / eps) work, O(N t log(1/eps)) depth.
+// Theorem 4: O(N^2 + N e^t / eps) work, O(N t log(1/eps)) depth. The level
+// loop rides the shared frontier engine (engine.go): each level is one
+// engine round pushing tOverJ-scaled shares into the next level's residual
+// table, with the r/r' double buffer swapped between rounds. cfg sets the
+// worker count and frontier mode and can lend the run its graph-sized
+// scratch and its result map (which changes where memory lives, never what
+// is computed).
 //
 // Note: Figure 7's listing guards the normal rounds with "if j + 1 == N";
 // per the surrounding text the condition must select the *last* round, and
 // this implementation follows the text.
-func HKPRPar(g graph.Graph, seed uint32, t float64, N int, eps float64, procs int) (*sparse.Map, Stats) {
-	return HKPRParFrom(g, []uint32{seed}, t, N, eps, procs, FrontierAuto)
-}
-
-// HKPRParFrom is HKPRPar with a multi-vertex seed set and an explicit
-// frontier mode. The level loop rides the shared frontier engine
-// (engine.go): each level is one engine round pushing tOverJ-scaled shares
-// into the next level's residual table, with the r/r' double buffer
-// swapped between rounds.
-func HKPRParFrom(g graph.Graph, seeds []uint32, t float64, N int, eps float64, procs int, mode FrontierMode) (*sparse.Map, Stats) {
-	return HKPRRun(g, seeds, t, N, eps, RunConfig{Procs: procs, Frontier: mode})
-}
-
-// HKPRRun is HKPRParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool
-// (which changes where scratch lives, never what is computed).
 func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
-	ws := acquireWorkspace(cfg.Workspace, g.NumVertices())
-	vec, st := hkprRelax(g, seeds, t, N, eps, procs, cfg.Frontier, ws, cfg.Result, cfg.Cancel, cfg.Observer)
-	// Release only on the non-panicking path (see acquireWorkspace).
-	ws.Release(procs)
-	return vec, st
-}
-
-// hkprRelax is the level-synchronous coordinate-relaxation loop proper,
-// run entirely against scratch state borrowed from ws; the result is
-// snapshotted into res when one is configured.
-func hkprRelax(g graph.Graph, seeds []uint32, t float64, N int, eps float64, procs int, mode FrontierMode, ws *workspace.Workspace, res *workspace.Result, cancel <-chan struct{}, obs Observer) (*sparse.Map, Stats) {
+	n := g.NumVertices()
+	ws := acquireWorkspace(cfg.Workspace, n)
 	if N < 1 {
 		N = 1
 	}
 	var st Stats
 	psi := psiTable(t, N)
-	n := g.NumVertices()
-	r := newVec(n, mode, len(seeds), ws)
+	r := newVec(n, cfg.Frontier, len(seeds), ws)
 	w := 1 / float64(len(seeds))
 	for _, s := range seeds {
 		r.Add(s, w)
 	}
-	p := newVec(n, mode, 16, ws)
+	p := newVec(n, cfg.Frontier, 16, ws)
 	frontier := ligra.FromIDs(seeds)
-	rNext := newVec(n, mode, 4, ws)
-	eng := newFrontierEngine(g, procs, mode, &st, ws, obs)
+	rNext := newVec(n, cfg.Frontier, 4, ws)
+	eng := newFrontierEngine(g, procs, cfg.Frontier, &st, ws, cfg.Observer)
 	// Hoisted out of the loop so the steady-state rounds cost no closure
 	// allocations: the closures track r/rNext swaps and the per-round scalar
 	// through the captured variables, updated before each round. Only the
@@ -192,7 +166,7 @@ func hkprRelax(g graph.Graph, seeds []uint32, t float64, N int, eps float64, pro
 		return rNext.Get(v) >= hkThreshold(t, eps, N, psi, g.Degree(v), jn)
 	}
 	for j := 0; !frontier.IsEmpty(); j++ {
-		if cancelled(cancel) {
+		if cancelled(cfg.Cancel) {
 			break // partial vector; see RunConfig.Cancel
 		}
 		if j+1 >= N {
@@ -217,7 +191,10 @@ func hkprRelax(g graph.Graph, seeds []uint32, t float64, N int, eps float64, pro
 		frontier = eng.filter(touched, above)
 		r, rNext = rNext, r
 	}
-	out := vecFromTableInto(p, res)
+	out := vecFromTable(p, cfg.Result)
+	// Release only on the non-panicking path (see acquireWorkspace); the
+	// result was snapshotted out of the workspace first.
+	ws.Release(procs)
 	scaleMap(out, math.Exp(-t))
 	return out, st
 }

@@ -128,7 +128,7 @@ func NCP(g graph.Graph, opts NCPOptions) []NCPPoint {
 				if vec.Len() == 0 {
 					continue
 				}
-				res := SweepCutParInto(g, vec, procs, arena)
+				res := SweepCutPar(g, vec, procs, arena)
 				for i, phi := range res.PrefixConductance {
 					size := i + 1
 					if size > maxSize {

@@ -5,7 +5,6 @@ import (
 	"parcluster/internal/ligra"
 	"parcluster/internal/parallel"
 	"parcluster/internal/sparse"
-	"parcluster/internal/workspace"
 )
 
 // nibble.go implements the Nibble algorithm of Spielman and Teng [44, 45]
@@ -21,14 +20,10 @@ import (
 // on sub-threshold vertices is intentionally discarded (that is the
 // truncation). Theorem 2: O(T/eps) work and O(T log(1/eps)) depth.
 
-// NibbleSeq is the sequential Nibble implementation.
-func NibbleSeq(g graph.Graph, seed uint32, eps float64, T int) (*sparse.Map, Stats) {
-	return NibbleSeqFrom(g, []uint32{seed}, eps, T)
-}
-
-// NibbleSeqFrom is NibbleSeq with a multi-vertex seed set (footnote 5 of
-// the paper): the initial unit of mass is split evenly over the seeds.
-func NibbleSeqFrom(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Map, Stats) {
+// NibbleSeq is the sequential Nibble implementation, the reference the
+// parallel one is tested against. The initial unit of mass is split evenly
+// over the seed set (footnote 5 of the paper).
+func NibbleSeq(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	var st Stats
 	p := sparse.NewMap(len(seeds))
@@ -71,52 +66,32 @@ func NibbleSeqFrom(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.M
 	return p, st
 }
 
-// NibblePar is the parallel Nibble implementation of Figure 3: a vertexMap
+// NibbleRun is the parallel Nibble implementation of Figure 3: a vertexMap
 // sends half of each frontier vertex's mass to itself, an edgeMap spreads
 // the rest with fetch-and-add, and a filter over the touched vertices forms
-// the next frontier.
-func NibblePar(g graph.Graph, seed uint32, eps float64, T, procs int) (*sparse.Map, Stats) {
-	return NibbleParFrom(g, []uint32{seed}, eps, T, procs, FrontierAuto)
-}
-
-// NibbleParFrom is NibblePar with a multi-vertex seed set and an explicit
-// frontier mode; larger seed sets grow the frontiers and, as the paper
+// the next frontier. Larger seed sets grow the frontiers and, as the paper
 // notes, the available parallelism. The iteration skeleton — the
 // |frontier| + vol table bound (the locality guarantee: every entry of the
 // next vector is a frontier vertex or one of its neighbors), the
 // per-source share hoisting, the sparse/dense edge traversal, and the
-// threshold filter — lives in the shared frontier engine (engine.go).
-func NibbleParFrom(g graph.Graph, seeds []uint32, eps float64, T, procs int, mode FrontierMode) (*sparse.Map, Stats) {
-	return NibbleRun(g, seeds, eps, T, RunConfig{Procs: procs, Frontier: mode})
-}
-
-// NibbleRun is NibbleParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool
-// (which changes where scratch lives, never what is computed).
+// threshold filter — lives in the shared frontier engine (engine.go). cfg
+// sets the worker count and frontier mode and can lend the run its
+// graph-sized scratch and its result map (which changes where memory
+// lives, never what is computed).
 func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
-	ws := acquireWorkspace(cfg.Workspace, g.NumVertices())
-	vec, st := nibbleWalk(g, seeds, eps, T, procs, cfg.Frontier, ws, cfg.Result, cfg.Cancel, cfg.Observer)
-	// Release only on the non-panicking path (see acquireWorkspace).
-	ws.Release(procs)
-	return vec, st
-}
-
-// nibbleWalk is the truncated-walk loop proper, run entirely against
-// scratch state borrowed from ws; the result is snapshotted into res when
-// one is configured.
-func nibbleWalk(g graph.Graph, seeds []uint32, eps float64, T, procs int, mode FrontierMode, ws *workspace.Workspace, res *workspace.Result, cancel <-chan struct{}, obs Observer) (*sparse.Map, Stats) {
-	var st Stats
 	n := g.NumVertices()
-	p := newVec(n, mode, len(seeds), ws)
+	ws := acquireWorkspace(cfg.Workspace, n)
+	var st Stats
+	p := newVec(n, cfg.Frontier, len(seeds), ws)
 	w := 1 / float64(len(seeds))
 	for _, s := range seeds {
 		p.Add(s, w)
 	}
 	frontier := ligra.FromIDs(seeds)
-	next := newVec(n, mode, len(seeds), ws)
-	eng := newFrontierEngine(g, procs, mode, &st, ws, obs)
+	next := newVec(n, cfg.Frontier, len(seeds), ws)
+	eng := newFrontierEngine(g, procs, cfg.Frontier, &st, ws, cfg.Observer)
 	// Hoisted out of the loop so each round costs no closure allocations;
 	// the closures track the p/next swap through the captured variables, and
 	// only scratch (a plain field) must be re-pointed per round.
@@ -131,16 +106,20 @@ func nibbleWalk(g graph.Graph, seeds []uint32, eps float64, T, procs int, mode F
 		return next.Get(v) >= eps*float64(g.Degree(v))
 	}
 	for t := 1; t <= T; t++ {
-		if cancelled(cancel) {
+		if cancelled(cfg.Cancel) {
 			break // partial vector; see RunConfig.Cancel
 		}
 		spec.scratch = next
 		touched := eng.round(frontier, spec)
 		frontier = eng.filter(touched, above)
 		if frontier.IsEmpty() {
-			return vecFromTableInto(p, res), st
+			break // p_{t-1}, per Figure 3 lines 15–16
 		}
 		p, next = next, p
 	}
-	return vecFromTableInto(p, res), st
+	out := vecFromTable(p, cfg.Result)
+	// Release only on the non-panicking path (see acquireWorkspace); the
+	// result was snapshotted out of the workspace first.
+	ws.Release(procs)
+	return out, st
 }

@@ -47,20 +47,15 @@ func (r PushRule) coefficients(alpha float64) (pGain, edgeShare, selfKeep float6
 	}
 }
 
-// PRNibbleSeq runs sequential PR-Nibble from seed with teleportation
-// parameter alpha and threshold eps, using the given push rule. It returns
-// the PageRank vector p for the sweep cut. Work: O(1/(eps*alpha)).
+// PRNibbleSeq runs sequential PR-Nibble with teleportation parameter alpha
+// and threshold eps, using the given push rule; the initial residual is
+// split evenly over the seed set (footnote 5 of the paper). It returns the
+// PageRank vector p for the sweep cut. Work: O(1/(eps*alpha)).
 //
 // As in [2], vertices with r(v) >= eps*d(v) wait in a FIFO queue; a popped
 // vertex is pushed repeatedly until it falls below threshold (a single push
 // suffices under the optimized rule, which zeroes the residual).
-func PRNibbleSeq(g graph.Graph, seed uint32, alpha, eps float64, rule PushRule) (*sparse.Map, Stats) {
-	return PRNibbleSeqFrom(g, []uint32{seed}, alpha, eps, rule)
-}
-
-// PRNibbleSeqFrom is PRNibbleSeq with a multi-vertex seed set (footnote 5
-// of the paper): the initial residual is split evenly over the seeds.
-func PRNibbleSeqFrom(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule) (*sparse.Map, Stats) {
+func PRNibbleSeq(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	var st Stats
 	pGain, edgeShare, selfKeep := rule.coefficients(alpha)

@@ -29,55 +29,28 @@ import (
 // (engine.go), which also auto-selects the sparse or dense edge traversal
 // and vector representation per FrontierMode.
 
-// PRNibblePar runs parallel PR-Nibble from seed using procs workers.
-// beta in (0, 1] selects the β-fraction variant from the end of §3.3: each
-// iteration processes only the top β-fraction of above-threshold vertices
-// by r(v)/d(v) (beta = 1 processes all of them, the Figure 5/6 algorithm).
-func PRNibblePar(g graph.Graph, seed uint32, alpha, eps float64, rule PushRule, procs int, beta float64) (*sparse.Map, Stats) {
-	return PRNibbleParFrom(g, []uint32{seed}, alpha, eps, rule, procs, beta, FrontierAuto)
-}
-
-// PRNibbleParFrom is PRNibblePar with a multi-vertex seed set and an
-// explicit frontier mode; per the paper's footnote 5, larger seed sets
-// increase the frontier sizes at each iteration, and with them the
-// available parallelism — exactly the regime where the dense frontier
-// representation pays off.
-func PRNibbleParFrom(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, procs int, beta float64, mode FrontierMode) (*sparse.Map, Stats) {
-	return PRNibbleRun(g, seeds, alpha, eps, rule, beta, RunConfig{Procs: procs, Frontier: mode})
-}
-
-// PRNibbleRun is PRNibbleParFrom with a RunConfig, the entry point that can
-// additionally borrow all graph-sized scratch state from a workspace pool
-// (which changes where scratch lives, never what is computed).
+// PRNibbleRun runs parallel PR-Nibble from a seed set (per the paper's
+// footnote 5, larger seed sets increase the frontier sizes at each
+// iteration, and with them the available parallelism — exactly the regime
+// where the dense frontier representation pays off). beta in (0, 1) selects
+// the β-fraction variant from the end of §3.3: each iteration pushes only
+// the top β-fraction of above-threshold vertices by r(v)/d(v) and carries
+// the rest into the next iteration's frontier; any other beta pushes all of
+// them, the Figure 5/6 algorithm. cfg sets the worker count and frontier
+// mode and can lend the run its graph-sized scratch and its result map
+// (which changes where memory lives, never what is computed).
 func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, beta float64, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
-	ws := acquireWorkspace(cfg.Workspace, g.NumVertices())
-	vec, st := prNibblePush(g, seeds, alpha, eps, rule, procs, beta, cfg.Frontier, ws, cfg.Result, cfg.Cancel, cfg.Observer)
-	// Release only on the non-panicking path (see acquireWorkspace); the
-	// result vector was snapshotted out of the workspace by the body.
-	ws.Release(procs)
-	return vec, st
-}
-
-// prNibbleResidualSink, when non-nil, receives a snapshot of the final
-// residual vector r of every PR-Nibble push loop. It exists solely for the
-// property-based conformance suite, which checks the §3.3 mass-conservation
-// invariant ‖p‖₁ + ‖r‖₁ <= 1 + ε — the production path never snapshots r.
-var prNibbleResidualSink func(*sparse.Map)
-
-// prNibblePush is the PR-Nibble push loop proper, run entirely against
-// scratch state borrowed from ws; the result is snapshotted into res when
-// one is configured.
-func prNibblePush(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, procs int, beta float64, mode FrontierMode, ws *workspace.Workspace, res *workspace.Result, cancel <-chan struct{}, obs Observer) (*sparse.Map, Stats) {
+	n := g.NumVertices()
+	ws := acquireWorkspace(cfg.Workspace, n)
 	if beta <= 0 || beta > 1 {
 		beta = 1
 	}
 	var st Stats
 	pGain, edgeShare, selfKeep := rule.coefficients(alpha)
-	n := g.NumVertices()
-	p := newVec(n, mode, 16, ws)
-	r := newVec(n, mode, len(seeds), ws)
+	p := newVec(n, cfg.Frontier, 16, ws)
+	r := newVec(n, cfg.Frontier, len(seeds), ws)
 	w := 1 / float64(len(seeds))
 	for _, s := range seeds {
 		r.Add(s, w)
@@ -101,8 +74,8 @@ func prNibblePush(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRu
 			return a < b
 		}
 	}
-	delta := newVec(n, mode, 16, ws)
-	eng := newFrontierEngine(g, procs, mode, &st, ws, obs)
+	delta := newVec(n, cfg.Frontier, 16, ws)
+	eng := newFrontierEngine(g, procs, cfg.Frontier, &st, ws, cfg.Observer)
 	// The spec is loop-invariant (its closures read r/p/delta through the
 	// captured variables), so build it once: a per-round literal costs two
 	// heap-escaping closures every synchronous round.
@@ -118,41 +91,66 @@ func prNibblePush(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRu
 			return edgeShare * rv / float64(g.Degree(v))
 		},
 	}
+	var rest []uint32 // this round's ranked-out vertices (beta < 1 only)
 	for !frontier.IsEmpty() {
-		if cancelled(cancel) {
+		if cancelled(cfg.Cancel) {
 			break // partial vector; see RunConfig.Cancel
 		}
 		if beta < 1 && frontier.Size() > 1 {
-			frontier = topBetaFraction(procs, frontier, beta, ws, betaLess)
+			frontier, rest = topBetaFraction(procs, frontier, beta, ws, betaLess)
 		}
 		touched := eng.round(frontier, spec)
 		// Merge the deltas into r; only touched entries change, so the next
 		// frontier is a filter over exactly the touched keys.
 		eng.merge(r, touched, delta)
 		frontier = eng.filter(touched, above)
+		if len(rest) > 0 {
+			// A ranked-out vertex was not pushed, so it is still above the
+			// threshold. The filter found the ones a neighbour's push
+			// touched; the others join the frontier here, or nothing would
+			// look at them again and the run could end with r[v] >= eps*d(v).
+			ids := frontier.IDs()
+			for _, v := range rest {
+				if !delta.Has(v) {
+					ids = append(ids, v)
+				}
+			}
+			frontier, rest = ligra.FromIDs(ids), nil
+		}
 	}
 	if prNibbleResidualSink != nil {
-		prNibbleResidualSink(vecFromTable(r))
+		prNibbleResidualSink(vecFromTable(r, nil))
 	}
-	return vecFromTableInto(p, res), st
+	out := vecFromTable(p, cfg.Result)
+	// Release only on the non-panicking path (see acquireWorkspace); the
+	// result was snapshotted out of the workspace first.
+	ws.Release(procs)
+	return out, st
 }
 
-// topBetaFraction returns the ceil(beta*|frontier|) vertices ranked best by
-// less — largest r(v)/d(v) first, ties toward the smaller vertex ID so the
-// schedule is deterministic — implementing the β-fraction work/parallelism
-// trade-off of §3.3. The ranking buffer and the merge scratch are borrowed
-// from the workspace and the comparator is built once per run, so a
-// steady-state β-fraction round allocates nothing; the returned subset
-// aliases the buffer only until the round's filter builds the next frontier
-// from separate storage.
-func topBetaFraction(procs int, frontier ligra.VertexSubset, beta float64, ws *workspace.Workspace, less func(a, b uint32) bool) ligra.VertexSubset {
+// prNibbleResidualSink, when non-nil, receives a snapshot of the final
+// residual vector r of every PR-Nibble push loop. It exists solely for the
+// property-based conformance suite, which checks the §3.3 mass-conservation
+// invariant ‖p‖₁ + ‖r‖₁ <= 1 + ε — the production path never snapshots r.
+var prNibbleResidualSink func(*sparse.Map)
+
+// topBetaFraction splits the frontier into the ceil(beta*|frontier|)
+// vertices ranked best by less — largest r(v)/d(v) first, ties toward the
+// smaller vertex ID so the schedule is deterministic — and the ranked-out
+// rest, implementing the β-fraction work/parallelism trade-off of §3.3. The
+// ranking buffer and the merge scratch are borrowed from the workspace and
+// the comparator is built once per run, so a steady-state β-fraction round
+// allocates nothing; both halves alias the buffer, which the round's filter
+// leaves alone (it builds the next frontier in separate storage) and the
+// next ranking overwrites.
+func topBetaFraction(procs int, frontier ligra.VertexSubset, beta float64, ws *workspace.Workspace, less func(a, b uint32) bool) (kept ligra.VertexSubset, rest []uint32) {
 	src := frontier.IDs()
 	keep := int(beta*float64(len(src)) + 0.999999)
 	if keep < 1 {
 		keep = 1
 	}
 	if keep >= len(src) {
-		return frontier
+		return frontier, nil
 	}
 	ids := append(ws.SortIDs(), src...)
 	var scratch []uint32
@@ -160,5 +158,5 @@ func topBetaFraction(procs int, frontier ligra.VertexSubset, beta float64, ws *w
 		scratch = ws.SortScratch(need)
 	}
 	parallel.SortScratch(procs, ids, scratch, less)
-	return ligra.FromIDs(ids[:keep])
+	return ligra.FromIDs(ids[:keep]), ids[keep:]
 }

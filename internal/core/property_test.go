@@ -143,11 +143,11 @@ func deterministicRun(cfg RunConfig) bool {
 // twice along different paths — pooled and not, heap and .lgz, observed and
 // not — and expect the same answer. Stats must always be equal. With exact
 // set (see deterministicRun) vectors must be bit-identical. Otherwise the
-// two runs are two samples of a schedule-dependent sum and are held to what
-// the algorithm promises instead: the same support, entries within 1e-12
-// relative, and, for a PR-Nibble run that reached its fixed point with the
-// full frontier (eps > 0), mass conservation ‖p‖₁ + ‖r‖₁ = 1 and the exit
-// condition r[v] < eps·d(v) on got.
+// two runs are two samples of a schedule-dependent sum and are held to the
+// same support and entries within 1e-12 relative. Either way a PR-Nibble run
+// that reached its fixed point (eps > 0) is also held to what the algorithm
+// promises: mass conservation ‖p‖₁ + ‖r‖₁ = 1 and the exit condition
+// r[v] < eps·d(v) on got.
 func requireEquivalentRuns(t *testing.T, label string, g graph.Graph, exact bool, eps float64, want, got kernelRun) {
 	t.Helper()
 	if want.st != got.st {
@@ -155,17 +155,17 @@ func requireEquivalentRuns(t *testing.T, label string, g graph.Graph, exact bool
 	}
 	if exact {
 		requireMapsIdentical(t, label, want.vec, got.vec)
-		return
-	}
-	if want.vec.Len() != got.vec.Len() {
-		t.Fatalf("%s: support size %d != %d", label, want.vec.Len(), got.vec.Len())
-	}
-	want.vec.ForEach(func(k uint32, v float64) {
-		gv := got.vec.Get(k)
-		if gv == 0 || math.Abs(v-gv) > 1e-12*math.Abs(v) {
-			t.Fatalf("%s: entry %d: %v vs %v", label, k, v, gv)
+	} else {
+		if want.vec.Len() != got.vec.Len() {
+			t.Fatalf("%s: support size %d != %d", label, want.vec.Len(), got.vec.Len())
 		}
-	})
+		want.vec.ForEach(func(k uint32, v float64) {
+			gv := got.vec.Get(k)
+			if gv == 0 || math.Abs(v-gv) > 1e-12*math.Abs(v) {
+				t.Fatalf("%s: entry %d: %v vs %v", label, k, v, gv)
+			}
+		})
+	}
 	if got.residual == nil || eps <= 0 {
 		return
 	}
@@ -205,7 +205,7 @@ func TestPropertySweepMatchesBruteForce(t *testing.T) {
 			if vec.Len() == 0 {
 				t.Fatalf("empty diffusion vector")
 			}
-			res := SweepCutPar(g, vec, 4)
+			res := SweepCutPar(g, vec, 4, nil)
 			N := len(res.Order)
 			if N == 0 {
 				t.Fatalf("empty sweep order")
@@ -273,7 +273,7 @@ func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 						// rand-HK-PR aggregates by sorting, in a fixed order.
 						exact := deterministicRun(cfg) || algoName == "randhk"
 						want := runKernel(func() (*sparse.Map, Stats) { return run(g, seed, cfg) })
-						wantSweep := SweepCutPar(g, want.vec, procs)
+						wantSweep := SweepCutPar(g, want.vec, procs, nil)
 						// Two pooled runs through the same arena: the second
 						// recycles state the first left behind, which is
 						// exactly the serving steady state.
@@ -282,7 +282,7 @@ func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 							arena.Reset()
 							got := runKernel(func() (*sparse.Map, Stats) { return run(g, seed, cfg) })
 							requireEquivalentRuns(t, label, g, exact, prEps, want, got)
-							gotSweep := SweepCutParInto(g, got.vec, procs, arena)
+							gotSweep := SweepCutPar(g, got.vec, procs, arena)
 							requireEquivalentSweeps(t, label, exact, wantSweep, gotSweep)
 						}
 					}

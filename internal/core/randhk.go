@@ -19,7 +19,7 @@ import (
 // poorly because many walks end on the same few vertices; its remedy is to
 // collect destinations in an array, integer-sort it, and count run lengths
 // with prefix sums and filter. Both versions are implemented:
-// RandHKPRPar (sort-based, the paper's choice) and RandHKPRParContended
+// RandHKPRRun (sort-based, the paper's choice) and RandHKPRParContended
 // (the negative result, kept as ablation A1).
 //
 // Both sequential and parallel versions derive walk i's randomness from
@@ -44,15 +44,10 @@ func walkFrom(g graph.Graph, start uint32, length int, r *rng.RNG) uint32 {
 
 // RandHKPRSeq is the sequential rand-HK-PR: N walks one after another,
 // counting final vertices in a sparse map. The returned vector is the
-// empirical distribution (1/N) * counts.
-func RandHKPRSeq(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64) (*sparse.Map, Stats) {
-	return RandHKPRSeqFrom(g, []uint32{seed}, t, K, N, walkSeed)
-}
-
-// RandHKPRSeqFrom is RandHKPRSeq with a multi-vertex seed set: each walk
-// starts from a uniformly drawn seed (the seed distribution of [10] with
-// uniform mass over the set).
-func RandHKPRSeqFrom(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64) (*sparse.Map, Stats) {
+// empirical distribution (1/N) * counts. Each walk starts from a uniformly
+// drawn member of the seed set (the seed distribution of [10] with uniform
+// mass over the set).
+func RandHKPRSeq(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	var st Stats
 	tp := rng.NewTruncPoisson(t, K)
@@ -74,29 +69,22 @@ func RandHKPRSeqFrom(g graph.Graph, seeds []uint32, t float64, K, N int, walkSee
 	return p, st
 }
 
-// RandHKPRPar is the paper's parallel rand-HK-PR: all walks run in
+// RandHKPRRun is the paper's parallel rand-HK-PR: all walks run in
 // parallel storing destinations into an array A; destinations are then
 // mapped to dense IDs with a concurrent hash table, integer-sorted with the
 // parallel radix sort, and counted by detecting run boundaries with filter
 // over the sorted array — no contended atomics anywhere on the hot path.
-func RandHKPRPar(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Map, Stats) {
-	return RandHKPRParFrom(g, []uint32{seed}, t, K, N, walkSeed, procs)
-}
-
-// RandHKPRParFrom is RandHKPRPar with a multi-vertex seed set. Walk i draws
-// its start from stream Split(walkSeed, i) exactly as the sequential
-// version does, so the bit-identical-output guarantee extends to seed sets.
-func RandHKPRParFrom(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Map, Stats) {
-	return RandHKPRRun(g, seeds, t, K, N, walkSeed, RunConfig{Procs: procs})
-}
-
-// RandHKPRRun is RandHKPRParFrom with a RunConfig. Only Procs, Result and
-// Cancel are consulted: the walks need no frontier engine and no
-// graph-sized scratch, so Frontier and Workspace are ignored; Result, when
-// set, is the arena the empirical distribution is built in (see
-// RunConfig.Result for the ownership contract). Cancellation is observed
-// every 256 walks per worker; a cancelled run returns a truncated (not
-// renormalized) distribution that callers must discard.
+// Walk i draws its start from stream Split(walkSeed, i) exactly as the
+// sequential version does, so the bit-identical-output guarantee extends to
+// seed sets.
+//
+// Of cfg only Procs, Result, Cancel and Observer are consulted: the walks
+// need no frontier engine and no graph-sized scratch, so Frontier and
+// Workspace are ignored; Result, when set, is the arena the empirical
+// distribution is built in (see RunConfig.Result for the ownership
+// contract). Cancellation is observed every 256 walks per worker; a
+// cancelled run returns a truncated (not renormalized) distribution that
+// callers must discard.
 func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, cfg RunConfig) (*sparse.Map, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
@@ -148,12 +136,7 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 	starts := parallel.FilterIndex(procs, N, func(i int) bool {
 		return i == 0 || ids[i] != ids[i-1]
 	})
-	var p *sparse.Map
-	if cfg.Result != nil {
-		p = cfg.Result.Map(distinct)
-	} else {
-		p = sparse.NewMap(distinct)
-	}
+	p := cfg.Result.Map(distinct)
 	invN := 1 / float64(N)
 	for bi, start := range starts {
 		end := N
@@ -190,7 +173,7 @@ func RandHKPRParContended(g graph.Graph, seed uint32, t float64, K, N int, walkS
 	st.Pushes = int64(N)
 	st.Iterations = N
 	st.EdgesTouched = parallel.Sum(procs, steps)
-	p := vecFromTable(table)
+	p := vecFromTable(table, nil)
 	scaleMap(p, 1/float64(N))
 	return p, st
 }

@@ -65,8 +65,11 @@ func TestPRNibbleAgainstExactPageRank(t *testing.T) {
 	exact := densePageRank(g, 0, alpha)
 	for _, rule := range []PushRule{OriginalRule, OptimizedRule} {
 		for name, vec := range map[string]*sparse.Map{
-			"seq": func() *sparse.Map { v, _ := PRNibbleSeq(g, 0, alpha, eps, rule); return v }(),
-			"par": func() *sparse.Map { v, _ := PRNibblePar(g, 0, alpha, eps, rule, 4, 1); return v }(),
+			"seq": func() *sparse.Map { v, _ := PRNibbleSeq(g, []uint32{0}, alpha, eps, rule); return v }(),
+			"par": func() *sparse.Map {
+				v, _ := PRNibbleRun(g, []uint32{0}, alpha, eps, rule, 1, RunConfig{Procs: 4})
+				return v
+			}(),
 		} {
 			// ACL envelope: p underestimates pr, and the degree-normalized
 			// gap is below eps everywhere (the residual bound).
@@ -127,8 +130,8 @@ func TestHKPRAgainstDenseSeries(t *testing.T) {
 	const eps = 1e-6
 	exact := denseHeatKernel(g, 0, tt, 200)
 	for name, vec := range map[string]*sparse.Map{
-		"seq": func() *sparse.Map { v, _ := HKPRSeq(g, 0, tt, N, eps); return v }(),
-		"par": func() *sparse.Map { v, _ := HKPRPar(g, 0, tt, N, eps, 4); return v }(),
+		"seq": func() *sparse.Map { v, _ := HKPRSeq(g, []uint32{0}, tt, N, eps); return v }(),
+		"par": func() *sparse.Map { v, _ := HKPRRun(g, []uint32{0}, tt, N, eps, RunConfig{Procs: 4}); return v }(),
 	} {
 		l1 := 0.0
 		for v := 0; v < g.NumVertices(); v++ {
@@ -187,8 +190,8 @@ func TestNibbleAgainstDenseReference(t *testing.T) {
 		{"barbell", gen.Barbell(12)},
 	} {
 		want := denseNibble(tc.g, 0, 1e-4, 15)
-		vec, _ := NibbleSeq(tc.g, 0, 1e-4, 15)
-		pv, _ := NibblePar(tc.g, 0, 1e-4, 15, 4)
+		vec, _ := NibbleSeq(tc.g, []uint32{0}, 1e-4, 15)
+		pv, _ := NibbleRun(tc.g, []uint32{0}, 1e-4, 15, RunConfig{Procs: 4})
 		for v := 0; v < tc.g.NumVertices(); v++ {
 			if math.Abs(vec.Get(uint32(v))-want[v]) > 1e-12 {
 				t.Fatalf("%s: seq p[%d] = %v, dense reference %v", tc.name, v, vec.Get(uint32(v)), want[v])
@@ -208,7 +211,7 @@ func TestRandHKPRMatchesDenseDistribution(t *testing.T) {
 	const tt = 2.0
 	const K = 20
 	exact := denseHeatKernel(g, 0, tt, 60)
-	vec, _ := RandHKPRPar(g, 0, tt, K, 400000, 99, 0)
+	vec, _ := RandHKPRRun(g, []uint32{0}, tt, K, 400000, 99, RunConfig{})
 	tv := 0.0
 	for v := 0; v < g.NumVertices(); v++ {
 		tv += math.Abs(exact[v] - vec.Get(uint32(v)))

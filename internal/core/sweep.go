@@ -31,11 +31,13 @@ import (
 //
 // All three order ties (equal p[v]/d(v)) by ascending vertex ID, making the
 // sweep order — and therefore the returned cluster — identical across
-// implementations and worker counts. All three also have ...Into variants
-// that borrow every support-sized (and, for the sort-based sweep,
-// volume-sized) piece of result and scratch from a workspace.Result arena,
-// so batch ablations that run them hot allocate nothing per call
-// (DESIGN.md §7 has the measured numbers).
+// implementations and worker counts. All three take a workspace.Result arena
+// (nil = allocate fresh) and borrow every support-sized (and, for the
+// sort-based sweep, volume-sized) piece of result and scratch from it, so
+// callers that run them hot allocate nothing per call (DESIGN.md §7 has the
+// measured numbers). With an arena the returned Cluster, Order and
+// PrefixConductance slices alias it and are valid until it is Reset or
+// Released; results are bit-identical with and without one.
 
 // SweepResult is the outcome of a sweep cut.
 type SweepResult struct {
@@ -59,15 +61,10 @@ type SweepResult struct {
 // Zero-degree vertices sort first (infinite normalized mass) and can never
 // win: every prefix they head has zero volume and conductance 1. The order
 // array — and, when the parallel merge sort runs, its merge scratch — is
-// borrowed from res when one is configured, so the pooled sweep's sort
-// allocates nothing (the last per-call sweep allocation, DESIGN.md §7).
+// borrowed from res, so the pooled sweep's sort allocates nothing (the last
+// per-call sweep allocation, DESIGN.md §7).
 func sweepOrder(procs int, g graph.Graph, vec *sparse.Map, res *workspace.Result) []uint32 {
-	var order []uint32
-	if res != nil {
-		order = res.Uint32s(vec.Len())[:0]
-	} else {
-		order = make([]uint32, 0, vec.Len())
-	}
+	order := res.Uint32s(vec.Len())[:0]
 	vec.ForEach(func(v uint32, mass float64) {
 		if mass > 0 {
 			order = append(order, v)
@@ -81,7 +78,7 @@ func sweepOrder(procs int, g graph.Graph, vec *sparse.Map, res *workspace.Result
 		return vec.Get(v) / float64(d)
 	}
 	var scratch []uint32
-	if n := parallel.SortScratchLen(procs, len(order)); n > 0 && res != nil {
+	if n := parallel.SortScratchLen(procs, len(order)); n > 0 {
 		scratch = res.Uint32s(n)
 	}
 	parallel.SortScratch(procs, order, scratch, func(a, b uint32) bool {
@@ -96,17 +93,10 @@ func sweepOrder(procs int, g graph.Graph, vec *sparse.Map, res *workspace.Result
 
 func emptySweep() SweepResult { return SweepResult{Conductance: 1} }
 
-// SweepCutSeq is the sequential sweep cut.
-func SweepCutSeq(g graph.Graph, vec *sparse.Map) SweepResult {
-	return SweepCutSeqInto(g, vec, nil)
-}
-
-// SweepCutSeqInto is SweepCutSeq with the result and its scratch — the
-// sweep order, the rank table, the prefix conductances — borrowed from res
-// (nil = allocate fresh, exactly SweepCutSeq). The returned slices then
-// alias the arena and are valid until it is Reset or Released; results are
-// bit-identical with and without an arena.
-func SweepCutSeqInto(g graph.Graph, vec *sparse.Map, res *workspace.Result) SweepResult {
+// SweepCutSeq is the sequential sweep cut: one pass over the sweep order
+// maintaining the boundary incrementally. The sweep order, the rank table
+// and the prefix conductances are borrowed from res.
+func SweepCutSeq(g graph.Graph, vec *sparse.Map, res *workspace.Result) SweepResult {
 	order := sweepOrder(1, g, vec, res)
 	N := len(order)
 	if N == 0 {
@@ -115,17 +105,12 @@ func SweepCutSeqInto(g graph.Graph, vec *sparse.Map, res *workspace.Result) Swee
 	// rank+1 stored so that Get == 0 means "outside the support" — the same
 	// convention as the parallel sweeps, so the arena's one recycled hash
 	// table serves every variant.
-	var rank *sparse.ConcurrentMap
-	if res != nil {
-		rank = res.Hash(1, N)
-	} else {
-		rank = sparse.NewConcurrent(N)
-	}
+	rank := res.Hash(1, N)
 	for i, v := range order {
 		rank.Set(v, float64(i+1))
 	}
 	totalVol := g.TotalVolume()
-	prefix := resFloat64s(res, N)
+	prefix := res.Float64s(N)
 	var vol uint64
 	var cut int64
 	best, bestPhi := 0, math.Inf(1)
@@ -155,18 +140,10 @@ func SweepCutSeqInto(g graph.Graph, vec *sparse.Map, res *workspace.Result) Swee
 // SweepCutPar is the default work-efficient parallel sweep cut: crossing
 // counts per rank are obtained by accumulating +1/-1 contributions of every
 // edge with fetch-and-add into a rank-indexed array, then prefix-summing.
-func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int) SweepResult {
-	return SweepCutParInto(g, vec, procs, nil)
-}
-
-// SweepCutParInto is SweepCutPar with every support-sized piece of the
-// result and its scratch — the sweep order, the rank table, the crossing
-// counts, the prefix volumes and conductances — borrowed from res (nil =
-// allocate fresh, exactly SweepCutPar). The returned result's Cluster,
-// Order and PrefixConductance slices then alias the arena and are valid
-// until it is Reset or Released; results are bit-identical with and without
-// an arena.
-func SweepCutParInto(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Result) SweepResult {
+// Every support-sized piece of the result and its scratch — the sweep
+// order, the rank table, the crossing counts, the prefix volumes and
+// conductances — is borrowed from res.
+func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Result) SweepResult {
 	procs = parallel.ResolveProcs(procs)
 	order := sweepOrder(procs, g, vec, res)
 	N := len(order)
@@ -174,12 +151,7 @@ func SweepCutParInto(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 		return emptySweep()
 	}
 	// rank+1 stored so that Get == 0 means "outside the support".
-	var rank *sparse.ConcurrentMap
-	if res != nil {
-		rank = res.Hash(procs, N)
-	} else {
-		rank = sparse.NewConcurrent(N)
-	}
+	rank := res.Hash(procs, N)
 	parallel.For(procs, N, 1024, func(i int) {
 		rank.Set(order[i], float64(i+1))
 	})
@@ -189,9 +161,9 @@ func SweepCutParInto(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 	// paper's case (a) / case (b) split. The edge pass collects no output
 	// frontier, and its prefix-sum scratch comes from the arena too, so the
 	// pooled sweep's edge traversal allocates nothing support-sized.
-	cutDelta := resInt64s(res, N+1)
+	cutDelta := res.Int64s(N + 1)
 	ligra.EdgeApplyIndexedScratch(procs, g, ligra.FromIDs(order),
-		resUint64s(res, N), resUint64s(res, N),
+		res.Uint64s(N), res.Uint64s(N),
 		func(_ int, s, d uint32) {
 			rs := int(rank.Get(s)) - 1
 			rd := int(rank.Get(d)) - 1
@@ -205,39 +177,9 @@ func SweepCutParInto(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 				}
 			}
 		})
-	cuts := resInt64s(res, N)
+	cuts := res.Int64s(N)
 	parallel.ScanInclusive(procs, cutDelta[:N], cuts)
 	return sweepFromCuts(g, order, cuts, procs, res)
-}
-
-// resInt64s, resUint64s and resFloat64s borrow a zeroed slice from res,
-// falling back to a fresh allocation when no arena is configured.
-func resInt64s(res *workspace.Result, n int) []int64 {
-	if res != nil {
-		return res.Int64s(n)
-	}
-	return make([]int64, n)
-}
-
-func resUint64s(res *workspace.Result, n int) []uint64 {
-	if res != nil {
-		return res.Uint64s(n)
-	}
-	return make([]uint64, n)
-}
-
-func resFloat64s(res *workspace.Result, n int) []float64 {
-	if res != nil {
-		return res.Float64s(n)
-	}
-	return make([]float64, n)
-}
-
-func resInts(res *workspace.Result, n int) []int {
-	if res != nil {
-		return res.Ints(n)
-	}
-	return nil // FilterIndexInto allocates on demand
 }
 
 // SweepZPair is one (value, rank) pair of the Theorem-1 Z array, using the
@@ -284,42 +226,31 @@ func BuildSweepZ(g graph.Graph, order []uint32) []SweepZPair {
 // SweepCutParSort is the faithful Theorem 1 parallel sweep: it materializes
 // Z (two pairs per directed edge of the support), integer-sorts it by rank
 // with the parallel radix sort, prefix-sums the pair values, and reads the
-// per-rank crossing count off the last pair of each rank group.
-func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int) SweepResult {
-	return SweepCutParSortInto(g, vec, procs, nil)
-}
-
-// SweepCutParSortInto is SweepCutParSort with the result and all of its
-// scratch — the sweep order, the rank table, the Z pair array and its
-// prefix sums, the boundary index list, the per-rank crossing counts —
-// borrowed from res (nil = allocate fresh, exactly SweepCutParSort). Note
-// that Z is volume-sized (two pairs per support edge), so the arena's
-// uint64 slab grows to the sweep's edge volume and stays that size for
-// recycling; results are bit-identical with and without an arena.
-func SweepCutParSortInto(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Result) SweepResult {
+// per-rank crossing count off the last pair of each rank group. The result
+// and all of its scratch — the sweep order, the rank table, the Z pair
+// array and its prefix sums, the boundary index list, the per-rank crossing
+// counts — are borrowed from res. Z is volume-sized (two pairs per support
+// edge), so an arena's uint64 slab grows to the sweep's edge volume and
+// stays that size for recycling.
+func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Result) SweepResult {
 	procs = parallel.ResolveProcs(procs)
 	order := sweepOrder(procs, g, vec, res)
 	N := len(order)
 	if N == 0 {
 		return emptySweep()
 	}
-	var rank *sparse.ConcurrentMap
-	if res != nil {
-		rank = res.Hash(procs, N)
-	} else {
-		rank = sparse.NewConcurrent(N)
-	}
+	rank := res.Hash(procs, N)
 	parallel.For(procs, N, 1024, func(i int) {
 		rank.Set(order[i], float64(i+1))
 	})
 	// Offsets into Z: vertex at rank i contributes 2*d(v) pairs.
-	degs := resUint64s(res, N)
+	degs := res.Uint64s(N)
 	parallel.For(procs, N, 0, func(i int) { degs[i] = 2 * uint64(g.Degree(order[i])) })
-	offs := resUint64s(res, N)
+	offs := res.Uint64s(N)
 	zlen := parallel.ScanExclusive(procs, degs, offs)
 	// Pack each pair into a uint64: rank in the low 32 bits (the radix sort
 	// key), value+1 in bits 32..33 riding along.
-	z := resUint64s(res, int(zlen))
+	z := res.Uint64s(int(zlen))
 	parallel.ForRange(procs, N, 16, func(lo, hi int) {
 		var adj []uint32
 		for i := lo; i < hi; i++ {
@@ -344,21 +275,21 @@ func SweepCutParSortInto(g graph.Graph, vec *sparse.Map, procs int, res *workspa
 			}
 		}
 	})
-	parallel.RadixSortUint64Scratch(procs, z, resUint64s(res, int(zlen)), parallel.KeyBitsFor(uint64(N+1)))
+	parallel.RadixSortUint64Scratch(procs, z, res.Uint64s(int(zlen)), parallel.KeyBitsFor(uint64(N+1)))
 	// Prefix sums over the pair values.
-	vals := resInt64s(res, int(zlen))
+	vals := res.Int64s(int(zlen))
 	parallel.For(procs, int(zlen), 4096, func(i int) {
 		vals[i] = int64(z[i]>>32) - 1
 	})
-	sums := resInt64s(res, int(zlen))
+	sums := res.Int64s(int(zlen))
 	parallel.ScanInclusive(procs, vals, sums)
 	// The crossing count of S_i is the running sum at the last pair with
 	// rank i; ranks with no pairs (zero-degree vertices) inherit the
 	// previous rank's count.
-	lastIdx := parallel.FilterIndexInto(procs, int(zlen), resInts(res, int(zlen)), func(j int) bool {
+	lastIdx := parallel.FilterIndexInto(procs, int(zlen), res.Ints(int(zlen)), func(j int) bool {
 		return j+1 == int(zlen) || z[j]&0xffffffff != z[j+1]&0xffffffff
 	})
-	cuts := resInt64s(res, N)
+	cuts := res.Int64s(N)
 	for i := range cuts {
 		cuts[i] = -1
 	}
@@ -380,15 +311,15 @@ func SweepCutParSortInto(g graph.Graph, vec *sparse.Map, procs int, res *workspa
 
 // sweepFromCuts computes prefix volumes and conductances from per-prefix
 // crossing counts, selects the minimum, and assembles the result; the
-// prefix arrays are borrowed from res when one is configured.
+// prefix arrays are borrowed from res.
 func sweepFromCuts(g graph.Graph, order []uint32, cuts []int64, procs int, res *workspace.Result) SweepResult {
 	N := len(order)
-	degs := resUint64s(res, N)
+	degs := res.Uint64s(N)
 	parallel.For(procs, N, 0, func(i int) { degs[i] = uint64(g.Degree(order[i])) })
-	vols := resUint64s(res, N)
+	vols := res.Uint64s(N)
 	parallel.ScanInclusive(procs, degs, vols)
 	totalVol := g.TotalVolume()
-	prefix := resFloat64s(res, N)
+	prefix := res.Float64s(N)
 	parallel.For(procs, N, 2048, func(i int) {
 		prefix[i] = graph.ConductanceFrom(totalVol, vols[i], uint64(cuts[i]))
 	})
@@ -407,21 +338,4 @@ func finishSweep(order []uint32, prefix []float64, best int, vol, cut uint64) Sw
 		Order:             order,
 		PrefixConductance: prefix,
 	}
-}
-
-// SortPairsByScore is a convenience for tests and tools: it returns the
-// support of vec sorted by the sweep order along with the normalized
-// scores.
-func SortPairsByScore(g graph.Graph, vec *sparse.Map) ([]uint32, []float64) {
-	order := sweepOrder(1, g, vec, nil)
-	scores := make([]float64, len(order))
-	for i, v := range order {
-		d := g.Degree(v)
-		if d == 0 {
-			scores[i] = math.Inf(1)
-			continue
-		}
-		scores[i] = vec.Get(v) / float64(d)
-	}
-	return order, scores
 }

@@ -28,14 +28,15 @@ func figure1Vector() *sparse.Map {
 
 func TestSweepOrderFigure1(t *testing.T) {
 	g := gen.Figure1()
-	order, scores := SortPairsByScore(g, figure1Vector())
+	vec := figure1Vector()
+	order := sweepOrder(1, g, vec, nil)
 	if !reflect.DeepEqual(order, []uint32{0, 1, 2, 3}) {
 		t.Fatalf("order = %v, want [0 1 2 3]", order)
 	}
 	want := []float64{4, 3, 2, 1}
-	for i := range want {
-		if scores[i] != want[i] {
-			t.Fatalf("score[%d] = %v, want %v", i, scores[i], want[i])
+	for i, v := range order {
+		if score := vec.Get(v) / float64(g.Degree(v)); score != want[i] {
+			t.Fatalf("score[%d] = %v, want %v", i, score, want[i])
 		}
 	}
 }
@@ -63,7 +64,7 @@ func TestSweepExampleSection31(t *testing.T) {
 	}
 	// Crossing counts via the prefix conductances: phi_i = cut_i / min(vol_i,
 	// 16 - vol_i) with vol = [2, 4, 7, 11] gives cut = [2, 2, 1, 3].
-	res := SweepCutParSort(g, figure1Vector(), 2)
+	res := SweepCutParSort(g, figure1Vector(), 2, nil)
 	wantPhi := []float64{1, 0.5, 1.0 / 7.0, 3.0 / 5.0}
 	if len(res.PrefixConductance) != 4 {
 		t.Fatalf("prefix count = %d", len(res.PrefixConductance))
@@ -87,11 +88,11 @@ func TestSweepExampleSection31(t *testing.T) {
 func TestSweepImplementationsAgreeFigure1(t *testing.T) {
 	g := gen.Figure1()
 	vec := figure1Vector()
-	seq := SweepCutSeq(g, vec)
+	seq := SweepCutSeq(g, vec, nil)
 	for _, p := range procsUnderTest() {
 		for name, res := range map[string]SweepResult{
-			"par":     SweepCutPar(g, vec, p),
-			"parSort": SweepCutParSort(g, vec, p),
+			"par":     SweepCutPar(g, vec, p, nil),
+			"parSort": SweepCutParSort(g, vec, p, nil),
 		} {
 			if !reflect.DeepEqual(res.Cluster, seq.Cluster) {
 				t.Fatalf("p=%d %s: cluster %v vs seq %v", p, name, res.Cluster, seq.Cluster)
@@ -132,10 +133,10 @@ func TestSweepImplementationsAgreeRandom(t *testing.T) {
 			if vec.Len() == 0 {
 				continue
 			}
-			seq := SweepCutSeq(g, vec)
+			seq := SweepCutSeq(g, vec, nil)
 			for _, p := range procsUnderTest() {
-				par := SweepCutPar(g, vec, p)
-				srt := SweepCutParSort(g, vec, p)
+				par := SweepCutPar(g, vec, p, nil)
+				srt := SweepCutParSort(g, vec, p, nil)
 				if !reflect.DeepEqual(par.Cluster, seq.Cluster) || par.Conductance != seq.Conductance {
 					t.Fatalf("%s trial %d p=%d: par disagrees with seq (%v/%v vs %v/%v)",
 						name, trial, p, par.Cluster, par.Conductance, seq.Cluster, seq.Conductance)
@@ -160,7 +161,7 @@ func TestSweepEmptyVector(t *testing.T) {
 	g := gen.Figure1()
 	vec := sparse.NewMap(0)
 	for _, res := range []SweepResult{
-		SweepCutSeq(g, vec), SweepCutPar(g, vec, 2), SweepCutParSort(g, vec, 2),
+		SweepCutSeq(g, vec, nil), SweepCutPar(g, vec, 2, nil), SweepCutParSort(g, vec, 2, nil),
 	} {
 		if len(res.Cluster) != 0 || res.Conductance != 1 {
 			t.Fatalf("empty vector sweep: %+v", res)
@@ -174,7 +175,7 @@ func TestSweepIgnoresNonPositive(t *testing.T) {
 	vec.Set(0, 1)
 	vec.Set(1, 0)  // explicit zero: not part of the support
 	vec.Set(2, -1) // negative: not part of the support
-	res := SweepCutSeq(g, vec)
+	res := SweepCutSeq(g, vec, nil)
 	if len(res.Order) != 1 || res.Order[0] != 0 {
 		t.Fatalf("support = %v, want [0]", res.Order)
 	}
@@ -185,7 +186,7 @@ func TestSweepSingleVertex(t *testing.T) {
 	vec := sparse.NewMap(1)
 	vec.Set(3, 1) // D alone: cut 4, vol 4 -> phi = 1
 	for _, res := range []SweepResult{
-		SweepCutSeq(g, vec), SweepCutPar(g, vec, 2), SweepCutParSort(g, vec, 2),
+		SweepCutSeq(g, vec, nil), SweepCutPar(g, vec, 2, nil), SweepCutParSort(g, vec, 2, nil),
 	} {
 		if len(res.Cluster) != 1 || res.Cluster[0] != 3 {
 			t.Fatalf("cluster = %v", res.Cluster)
@@ -204,7 +205,7 @@ func TestSweepZeroDegreeVertexInSupport(t *testing.T) {
 	vec.Set(0, 3)
 	vec.Set(1, 3)
 	vec.Set(2, 3)
-	seq := SweepCutSeq(g, vec)
+	seq := SweepCutSeq(g, vec, nil)
 	if seq.Order[0] != 5 {
 		t.Fatalf("isolated vertex should sort first, order = %v", seq.Order)
 	}
@@ -214,8 +215,8 @@ func TestSweepZeroDegreeVertexInSupport(t *testing.T) {
 		t.Fatalf("conductance = %v", seq.Conductance)
 	}
 	for _, p := range procsUnderTest() {
-		par := SweepCutPar(g, vec, p)
-		srt := SweepCutParSort(g, vec, p)
+		par := SweepCutPar(g, vec, p, nil)
+		srt := SweepCutParSort(g, vec, p, nil)
 		if !reflect.DeepEqual(par.Cluster, seq.Cluster) || !reflect.DeepEqual(srt.Cluster, seq.Cluster) {
 			t.Fatalf("p=%d: disagreement with zero-degree support", p)
 		}
@@ -230,17 +231,17 @@ func TestSweepTieBreakDeterminism(t *testing.T) {
 	for v := uint32(0); v < 32; v++ {
 		vec.Set(v, 1)
 	}
-	want := SweepCutSeq(g, vec).Order
+	want := SweepCutSeq(g, vec, nil).Order
 	for i, v := range want {
 		if v != uint32(i) {
 			t.Fatalf("seq tie-break order wrong: %v", want)
 		}
 	}
 	for _, p := range procsUnderTest() {
-		if got := SweepCutPar(g, vec, p).Order; !reflect.DeepEqual(got, want) {
+		if got := SweepCutPar(g, vec, p, nil).Order; !reflect.DeepEqual(got, want) {
 			t.Fatalf("p=%d: par order %v", p, got)
 		}
-		if got := SweepCutParSort(g, vec, p).Order; !reflect.DeepEqual(got, want) {
+		if got := SweepCutParSort(g, vec, p, nil).Order; !reflect.DeepEqual(got, want) {
 			t.Fatalf("p=%d: parSort order %v", p, got)
 		}
 	}
@@ -258,7 +259,7 @@ func TestSweepFindsPlantedBarbellCut(t *testing.T) {
 		}
 		vec.Set(uint32(v), mass)
 	}
-	res := SweepCutSeq(g, vec)
+	res := SweepCutSeq(g, vec, nil)
 	if len(res.Cluster) != k {
 		t.Fatalf("cluster size = %d, want %d", len(res.Cluster), k)
 	}
@@ -291,9 +292,9 @@ func TestSweepPooledMatchesUnpooled(t *testing.T) {
 			pooled   func() SweepResult
 		}
 		variants := []variant{
-			{"seq", SweepCutSeq(g, vec), func() SweepResult { return SweepCutSeqInto(g, vec, arena) }},
-			{"par", SweepCutPar(g, vec, 2), func() SweepResult { return SweepCutParInto(g, vec, 2, arena) }},
-			{"parSort", SweepCutParSort(g, vec, 2), func() SweepResult { return SweepCutParSortInto(g, vec, 2, arena) }},
+			{"seq", SweepCutSeq(g, vec, nil), func() SweepResult { return SweepCutSeq(g, vec, arena) }},
+			{"par", SweepCutPar(g, vec, 2, nil), func() SweepResult { return SweepCutPar(g, vec, 2, arena) }},
+			{"parSort", SweepCutParSort(g, vec, 2, nil), func() SweepResult { return SweepCutParSort(g, vec, 2, arena) }},
 		}
 		for _, v := range variants {
 			arena.Reset()
@@ -322,9 +323,9 @@ func BenchmarkSweepPooling(b *testing.B) {
 		name string
 		run  func(arena *workspace.Result)
 	}{
-		{"seq", func(a *workspace.Result) { SweepCutSeqInto(g, vec, a) }},
-		{"par", func(a *workspace.Result) { SweepCutParInto(g, vec, 4, a) }},
-		{"parSort", func(a *workspace.Result) { SweepCutParSortInto(g, vec, 4, a) }},
+		{"seq", func(a *workspace.Result) { SweepCutSeq(g, vec, a) }},
+		{"par", func(a *workspace.Result) { SweepCutPar(g, vec, 4, a) }},
+		{"parSort", func(a *workspace.Result) { SweepCutParSort(g, vec, 4, a) }},
 	}
 	for _, v := range variants {
 		b.Run(v.name+"/unpooled", func(b *testing.B) {

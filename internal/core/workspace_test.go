@@ -19,7 +19,7 @@ func TestPooledRunsMatchUnpooled(t *testing.T) {
 	for name, g := range frontierFixtures() {
 		pool := workspace.NewPool(g.NumVertices())
 		seeds := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-		base, baseSt := PRNibbleParFrom(g, seeds, 0.02, 1e-5, OptimizedRule, 1, 1, FrontierSparse)
+		base, baseSt := PRNibbleRun(g, seeds, 0.02, 1e-5, OptimizedRule, 1, RunConfig{Procs: 1, Frontier: FrontierSparse})
 		baseCluster, basePhi := clusterOf(t, g, base)
 		for _, mode := range frontierModes() {
 			// A coarser epsilon than the mode-determinism suite (which already
@@ -69,7 +69,7 @@ func TestPooledAlgorithmsMatchUnpooled(t *testing.T) {
 	for _, mode := range frontierModes() {
 		for round := 0; round < 2; round++ {
 			nv, nst := NibbleRun(g, seeds, 1e-5, 12, cfg(mode))
-			nbase, nbaseSt := NibbleParFrom(g, seeds, 1e-5, 12, 4, mode)
+			nbase, nbaseSt := NibbleRun(g, seeds, 1e-5, 12, RunConfig{Procs: 4, Frontier: mode})
 			if nst != nbaseSt {
 				t.Fatalf("nibble mode=%v round=%d: stats %+v != %+v", mode, round, nst, nbaseSt)
 			}
@@ -77,7 +77,7 @@ func TestPooledAlgorithmsMatchUnpooled(t *testing.T) {
 				t.Fatalf("nibble mode=%v round=%d: %s", mode, round, why)
 			}
 			hv, hst := HKPRRun(g, seeds, 4, 15, 1e-6, cfg(mode))
-			hbase, hbaseSt := HKPRParFrom(g, seeds, 4, 15, 1e-6, 4, mode)
+			hbase, hbaseSt := HKPRRun(g, seeds, 4, 15, 1e-6, RunConfig{Procs: 4, Frontier: mode})
 			if hst != hbaseSt {
 				t.Fatalf("hkpr mode=%v round=%d: stats %+v != %+v", mode, round, hst, hbaseSt)
 			}
@@ -112,7 +112,7 @@ func TestConcurrentPooledQueries(t *testing.T) {
 	seeds := []uint32{0, 1, 2, 3}
 	for _, name := range graphs {
 		g := fixtures[name]
-		vec, st := PRNibbleParFrom(g, seeds, 0.02, 1e-5, OptimizedRule, 1, 1, FrontierSparse)
+		vec, st := PRNibbleRun(g, seeds, 0.02, 1e-5, OptimizedRule, 1, RunConfig{Procs: 1, Frontier: FrontierSparse})
 		cluster, _ := clusterOf(t, g, vec)
 		bases[name] = baseline{cluster: cluster, st: st}
 		pools[name] = workspace.NewPool(g.NumVertices())
@@ -184,7 +184,7 @@ func TestMismatchedPoolIsIgnored(t *testing.T) {
 	wrong := workspace.NewPool(g.NumVertices() + 1)
 	vec, st := PRNibbleRun(g, []uint32{0}, 0.02, 1e-6, OptimizedRule, 1,
 		RunConfig{Procs: 2, Frontier: FrontierDense, Workspace: wrong})
-	base, baseSt := PRNibbleParFrom(g, []uint32{0}, 0.02, 1e-6, OptimizedRule, 2, 1, FrontierDense)
+	base, baseSt := PRNibbleRun(g, []uint32{0}, 0.02, 1e-6, OptimizedRule, 1, RunConfig{Procs: 2, Frontier: FrontierDense})
 	if st != baseSt {
 		t.Fatalf("stats %+v, want %+v", st, baseSt)
 	}

@@ -4,7 +4,7 @@ package graph
 // adjacency (Shun, Dhulipala, Blelloch, DCC'15) adapted to this package's
 // on-disk needs. A .lgz file stores the familiar edge-offset array plus one
 // delta-gap varint block per adjacency list, each list (and each 128-target
-// sub-block of a long list) independently decodable, so both EdgeMap
+// sub-block of a long list) independently decodable, so both edge
 // traversal shapes work straight off the file:
 //
 //   - the sparse path decodes exactly the frontier vertices' lists;

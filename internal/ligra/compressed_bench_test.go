@@ -12,9 +12,13 @@ import (
 
 // compressed_bench_test.go: BenchmarkCompressedEdgeMap measures the cost of
 // streaming-decode traversal (.lgz) against the zero-copy heap CSR on both
-// EdgeMap regimes — the sparse ID-list path and the dense bitmap-scan path —
-// over the soc-LiveJournal stand-in. BENCH_csr.json records a measured run;
-// DESIGN.md §12 discusses the numbers.
+// push traversals — the sparse ID-list one (EdgeApplyIndexed) and the dense
+// bitmap-scan one (EdgeApplyDense) — over the soc-LiveJournal stand-in. The
+// committed trajectory of the same quantities is the harness's
+// graph.heap.scan_ns_per_edge / graph.lgz.scan_ns_per_edge,
+// ligra.sparse.ns_per_edge, ligra.dense.ns_per_edge.* and
+// graph.lgz_bytes_per_edge (BENCHMARK.json); DESIGN.md §12 discusses the
+// numbers.
 
 var (
 	csrBenchOnce   sync.Once
@@ -30,8 +34,8 @@ var (
 // csrBenchFixtures builds the stand-in, compresses it in memory, and
 // prepares one frontier per regime: a ~2-hop neighborhood around the
 // canonical seed for the sparse path, and the full vertex set for the dense
-// path (the shape EdgeMap's direction heuristic switches to once a
-// diffusion saturates).
+// path (the shape the direction heuristic switches to once a diffusion
+// saturates).
 func csrBenchFixtures(b *testing.B) {
 	csrBenchOnce.Do(func() {
 		csrBenchHeap, csrBenchErr = gen.StandIn(0, "soc-LJ", gen.Medium)
@@ -63,75 +67,71 @@ func csrBenchFixtures(b *testing.B) {
 				}
 			}
 		}
-		csrBenchSparse = FromIDs(ids).ToSparse(0)
+		csrBenchSparse = FromIDs(ids)
 
 		n := csrBenchHeap.NumVertices()
-		bits := make([]uint64, (n+63)/64)
-		for v := 0; v < n; v++ {
-			bits[v/64] |= 1 << (v % 64)
+		all := make([]uint32, n)
+		for v := range all {
+			all[v] = uint32(v)
 		}
-		csrBenchDense = FromBitmap(bits, n, n)
+		csrBenchDense = FromIDs(all).WithBitmap(0, n, nil)
 	})
 	if csrBenchErr != nil {
 		b.Fatal(csrBenchErr)
 	}
 }
 
-// edgeChecksum runs one single-proc EdgeMap round in the given mode and
-// returns an order-sensitive fold over every (src, dst) visit plus the
-// sorted output frontier. With p=1 the visit order is deterministic, so
-// equal checksums mean the compressed decoder produced the same targets in
-// the same order as the heap arrays.
-func edgeChecksum(g graph.Graph, s VertexSubset, mode Mode) (uint64, []uint32) {
+// applyEdges is one push round over s in the given regime.
+func applyEdges(p int, g graph.Graph, s VertexSubset, dense bool, fn func(src, dst uint32)) {
+	if dense {
+		EdgeApplyDense(p, g, s, fn)
+		return
+	}
+	EdgeApplyIndexed(p, g, s, func(_ int, src, dst uint32) { fn(src, dst) })
+}
+
+// edgeChecksum runs one single-proc round in the given regime and returns an
+// order-sensitive fold over every (src, dst) visit. With p=1 the visit order
+// is deterministic, so equal checksums mean the compressed decoder produced
+// the same targets in the same order as the heap arrays.
+func edgeChecksum(g graph.Graph, s VertexSubset, dense bool) uint64 {
 	var sum uint64
-	out := EdgeMapMode(1, g, s, mode, func(src, dst uint32) bool {
+	applyEdges(1, g, s, dense, func(src, dst uint32) {
 		sum = sum*31 + uint64(src)<<32 + uint64(dst)
-		return dst&7 == 0 && src < dst
 	})
-	ids := append([]uint32(nil), out.ToSparse(1).IDs()...)
-	return sum, ids
+	return sum
 }
 
 // BenchmarkCompressedEdgeMap is the tentpole measurement for DESIGN.md §12:
-// per-round EdgeMap cost on the compressed CSR versus the heap CSR, sparse
-// and dense. Before timing starts the two representations are proved
-// bit-identical on both paths (same edge visit sequence, same output
-// frontier). One benchmark op is one full EdgeMap round; bytes/op is the
-// heap CSR's 4-byte-per-target footprint for that frontier's volume, so
-// MB/s numbers are comparable across representations.
+// per-round push cost on the compressed CSR versus the heap CSR, sparse and
+// dense. Before timing starts the two representations are proved identical
+// on both paths (same edge visit sequence). One benchmark op is one full
+// round; bytes/op is the heap CSR's 4-byte-per-target footprint for that
+// frontier's volume, so MB/s numbers are comparable across representations.
 func BenchmarkCompressedEdgeMap(b *testing.B) {
 	csrBenchFixtures(b)
 	b.Logf("soc-LJ stand-in: n=%d m=%d, compression ratio vs heap CSR %.2fx",
 		csrBenchHeap.NumVertices(), csrBenchHeap.NumEdges(), csrBenchRatio)
 
 	for _, mode := range []struct {
-		name string
-		m    Mode
-		s    VertexSubset
+		name  string
+		dense bool
+		s     VertexSubset
 	}{
-		{"sparse", ForceSparse, csrBenchSparse},
-		{"dense", ForceDense, csrBenchDense},
+		{"sparse", false, csrBenchSparse},
+		{"dense", true, csrBenchDense},
 	} {
-		wantSum, wantIDs := edgeChecksum(csrBenchHeap, mode.s, mode.m)
-		gotSum, gotIDs := edgeChecksum(csrBenchComp, mode.s, mode.m)
-		if wantSum != gotSum || len(wantIDs) != len(gotIDs) {
-			b.Fatalf("%s: compressed round diverges: sum %x/%x out %d/%d",
-				mode.name, wantSum, gotSum, len(wantIDs), len(gotIDs))
-		}
-		for i := range wantIDs {
-			if wantIDs[i] != gotIDs[i] {
-				b.Fatalf("%s: output frontier member %d: %d != %d", mode.name, i, wantIDs[i], gotIDs[i])
-			}
+		if want, got := edgeChecksum(csrBenchHeap, mode.s, mode.dense), edgeChecksum(csrBenchComp, mode.s, mode.dense); want != got {
+			b.Fatalf("%s: compressed round diverges: visit checksum %x, heap %x", mode.name, got, want)
 		}
 
 		vol := int64(mode.s.Volume(0, csrBenchHeap))
 		n := csrBenchHeap.NumVertices()
-		// The diffuse flavor replays the engine's dense-round edge
-		// function verbatim (engine.go: scratch.Add(dst, sharesV[src])
-		// into the adaptive vector's Dense backing): per-vertex share
-		// array read, atomic claim + CAS accumulate into the residual
-		// vector. scratch is claimed once up front so every timed round
-		// pays the steady-state cost.
+		// The diffuse flavor is a push round's edge function over flat
+		// vectors (scratch.Add(dst, sharesV[src])): per-vertex share array
+		// read, atomic claim + CAS accumulate into the residual vector.
+		// scratch is claimed once up front so every timed round pays the
+		// steady-state cost.
 		scratch := sparse.NewDense(n)
 		sharesV := make([]float64, n)
 		for v := 0; v < n; v++ {
@@ -149,29 +149,21 @@ func BenchmarkCompressedEdgeMap(b *testing.B) {
 			// scan: the empty callback isolates pure traversal + decode
 			// cost — the compressed CSR's worst case, a lower bound no
 			// kernel ever runs at. diffuse: the per-edge work of an actual
-			// diffusion round (the engine's dense edge function), i.e.
-			// what a serving round pays per edge; the acceptance ratio is
-			// judged on this flavor.
+			// push round, i.e. what a serving round pays per edge; the
+			// acceptance ratio is judged on this flavor.
 			b.Run(mode.name+"/scan/"+repr.name, func(b *testing.B) {
 				b.SetBytes(4 * vol)
 				for i := 0; i < b.N; i++ {
-					EdgeMapMode(0, repr.g, mode.s, mode.m, func(src, dst uint32) bool {
-						return false
-					})
+					applyEdges(0, repr.g, mode.s, mode.dense, func(src, dst uint32) {})
 				}
 			})
 			b.Run(mode.name+"/diffuse/"+repr.name, func(b *testing.B) {
 				b.SetBytes(4 * vol)
-				EdgeMapMode(0, repr.g, mode.s, mode.m, func(src, dst uint32) bool {
-					scratch.Add(dst, sharesV[src])
-					return false
-				})
+				diffuse := func(src, dst uint32) { scratch.Add(dst, sharesV[src]) }
+				applyEdges(0, repr.g, mode.s, mode.dense, diffuse)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					EdgeMapMode(0, repr.g, mode.s, mode.m, func(src, dst uint32) bool {
-						scratch.Add(dst, sharesV[src])
-						return false
-					})
+					applyEdges(0, repr.g, mode.s, mode.dense, diffuse)
 				}
 			})
 		}

@@ -1,37 +1,32 @@
 // Package ligra implements the subset of the Ligra shared-memory graph
 // processing framework [41] that the paper's algorithms use (§2 "Ligra
-// Framework"): a dual-representation vertexSubset and the data-parallel
-// vertexMap and edgeMap operators.
+// Framework"): the vertexSubset and the data-parallel vertexMap and edgeMap
+// operators.
 //
-// Like the real Ligra framework, a VertexSubset has two representations — a
-// sparse ID list and a dense bitmap over [0, n) — and EdgeMap has two
-// traversal strategies to match. The sparse path does work proportional to
-// the input subset and its incident edges only (the property that makes the
-// implementations "local" in the paper's sense), at the cost of a per-call
-// degree prefix sum and per-chunk binary searches. The dense path scans the
-// whole CSR once — a much smaller constant per edge — which wins once the
-// frontier's incident edges are a sizable fraction of the graph. The
-// crossover follows Ligra's direction heuristic: go dense when
-// |F| + vol(F) > (n + 2m)/k with k = DenseThresholdFrac.
+// A VertexSubset is a list of distinct vertex IDs, and edgeMap comes as two
+// traversals. The sparse one (EdgeApplyIndexed) does work proportional to
+// the subset and its incident edges only — the property that makes the
+// implementations "local" in the paper's sense — at the cost of a per-call
+// degree prefix sum and per-chunk binary searches. The dense one (EdgePull)
+// scans the whole CSR once, a much smaller constant per edge, which wins
+// once the frontier's incident edges are a sizable fraction of the graph:
+// it pulls a fixed operation — sum the neighbours' shares — with one writer
+// per destination, no callback and no atomics, O(n + 2m). The crossover
+// follows Ligra's direction heuristic: go dense when
+// |F| + vol(F) > (n + 2m)/k with k = DenseThresholdFrac. Neither traversal
+// returns an output frontier; the diffusion engine derives the next
+// frontier from its accumulator's touched keys.
 //
-// The dense path comes in both directions. EdgeApplyDense/EdgeMapMode push,
-// for arbitrary callbacks: one bitmap membership test per vertex, then the
-// callback on each edge of a member, O(n + vol(F)). EdgePull, which the
-// diffusion engine's dense rounds use, pulls a fixed operation — sum the
-// neighbours' shares — with one writer per destination, no callback and no
-// atomics, O(n + 2m).
-//
-// All EdgeMap paths are edge-balanced, so a single high-degree vertex
-// (common in the power-law graphs the paper evaluates) cannot serialize an
-// iteration by accident: the sparse path partitions the frontier's incident
-// edges into equal-size chunks via a prefix sum over degrees; the dense
-// paths chunk the graph's edge array directly through the CSR offsets
-// (EdgePull snaps its chunks to vertex boundaries, the price of its single
-// writer).
+// Both are edge-balanced, so a single high-degree vertex (common in the
+// power-law graphs the paper evaluates) cannot serialize an iteration by
+// accident: the sparse traversal partitions the frontier's incident edges
+// into equal-size chunks via a prefix sum over degrees; the dense one chunks
+// the graph's edge array directly through the CSR offsets (snapped to
+// vertex boundaries, the price of its single writer). lanes.go holds the
+// 64-lane counterparts the batched diffusions run.
 package ligra
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,19 +62,6 @@ func releaseDecodeBuf(bp *[]uint32, last []uint32) {
 	}
 }
 
-// Mode selects an EdgeMap traversal strategy.
-type Mode uint8
-
-const (
-	// Auto picks sparse or dense per call via the Ligra direction
-	// heuristic (OverDenseThreshold).
-	Auto Mode = iota
-	// ForceSparse always uses the sparse (ID-list) traversal.
-	ForceSparse
-	// ForceDense always uses the dense (bitmap-scan) traversal.
-	ForceDense
-)
-
 // DenseThresholdFrac is the k in Ligra's direction heuristic: the dense
 // traversal is selected when |F| + vol(F) > (n + 2m)/k. Ligra uses m/20 for
 // out-degree frontiers; with our undirected 2m edge slots and the n term
@@ -99,51 +81,23 @@ func OverDenseThreshold(g graph.Graph, size int, vol uint64) bool {
 	return uint64(size)+vol > (uint64(g.NumVertices())+g.TotalVolume())/DenseThresholdFrac
 }
 
-// VertexSubset is a set of vertex IDs (Ligra's vertexSubset) in one or both
-// of two representations: a sparse ID list and a dense bitmap over the
-// vertex universe [0, n). The zero value is the empty subset. Conversion is
-// lazy — a representation is materialized only when an operation needs it
-// (ToSparse, WithBitmap) — and subsets are immutable values: conversions
-// return a new subset sharing the already-built representation.
+// VertexSubset is a set of distinct vertex IDs (Ligra's vertexSubset), held
+// as an ID list. The zero value is the empty subset, and subsets are
+// immutable values.
 type VertexSubset struct {
-	ids   []uint32 // sparse representation; may be nil if bits is set
-	bits  []uint64 // dense bitmap; may be nil
-	n     int      // universe size; meaningful when bits != nil
-	count int      // Size() when ids == nil
+	ids  []uint32
+	bits []uint64 // membership bitmap for EdgeApplyDense; nil until WithBitmap
 }
 
-// FromVertices builds a subset from explicit vertex IDs. The caller asserts
-// the IDs are distinct.
-func FromVertices(vs ...uint32) VertexSubset {
-	return VertexSubset{ids: vs}
-}
-
-// FromIDs wraps an existing distinct-ID slice without copying.
+// FromIDs wraps an existing ID slice without copying. The caller asserts the
+// IDs are distinct.
 func FromIDs(ids []uint32) VertexSubset { return VertexSubset{ids: ids} }
 
-// FromBitmap wraps a bitmap over [0, n) with the given population count,
-// without copying. The caller asserts count matches the set bits.
-func FromBitmap(bits []uint64, n, count int) VertexSubset {
-	return VertexSubset{bits: bits, n: n, count: count}
-}
-
 // Size returns the number of vertices in the subset.
-func (s VertexSubset) Size() int {
-	if s.ids != nil {
-		return len(s.ids)
-	}
-	return s.count
-}
+func (s VertexSubset) Size() int { return len(s.ids) }
 
 // IsEmpty reports whether the subset is empty.
 func (s VertexSubset) IsEmpty() bool { return s.Size() == 0 }
-
-// IsDense reports whether the subset carries a dense bitmap.
-func (s VertexSubset) IsDense() bool { return s.bits != nil }
-
-// Bits returns the underlying bitmap, or nil if none has been built. It
-// must not be modified.
-func (s VertexSubset) Bits() []uint64 { return s.bits }
 
 // Has reports whether v is in the subset: O(1) against the bitmap when one
 // is present, otherwise a linear scan of the ID list.
@@ -160,30 +114,8 @@ func (s VertexSubset) Has(v uint32) bool {
 	return false
 }
 
-// IDs returns the subset's ID slice, converting from the bitmap
-// sequentially if the sparse representation was never materialized (use
-// ToSparse for a parallel conversion). The result must not be modified.
-func (s VertexSubset) IDs() []uint32 {
-	if s.ids == nil && s.bits != nil {
-		return s.ToSparse(1).ids
-	}
-	return s.ids
-}
-
-// ToSparse returns the subset with its sparse ID list materialized (in
-// increasing vertex order), using p workers for the conversion.
-func (s VertexSubset) ToSparse(p int) VertexSubset {
-	if s.ids != nil || s.bits == nil {
-		return s
-	}
-	idx := parallel.FilterIndex(p, s.n, func(i int) bool {
-		return s.bits[i>>6]&(1<<(uint(i)&63)) != 0
-	})
-	ids := make([]uint32, len(idx))
-	parallel.For(p, len(idx), 4096, func(i int) { ids[i] = uint32(idx[i]) })
-	s.ids = ids
-	return s
-}
+// IDs returns the subset's ID slice. The result must not be modified.
+func (s VertexSubset) IDs() []uint32 { return s.ids }
 
 // setBit sets bit v of bits with a CAS loop (several writers may share a
 // word) and reports whether this call flipped it.
@@ -201,11 +133,14 @@ func setBit(bits []uint64, v uint32) bool {
 	}
 }
 
-// WithBitmap returns the subset carrying a dense bitmap over [0, n), built
-// with p workers. buf, if it has sufficient capacity, is cleared and reused
-// as the bitmap storage — callers that convert every iteration (the
-// frontier engine) pass the previous iteration's buffer to avoid
-// reallocating. Pass nil to allocate fresh.
+// WithBitmap returns the subset carrying a membership bitmap over [0, n),
+// built with p workers. buf, if it has sufficient capacity, is cleared and
+// reused as the bitmap storage; pass nil to allocate fresh.
+//
+// WithBitmap, Has's bitmap path and EdgeApplyDense (the push-direction dense
+// traversal) have no caller in the engine since dense rounds pull; they stay
+// only because benchmarks/probes.go times them as the ligra.dense.* metrics,
+// and leave with those probes (ROADMAP item 4(c)).
 func (s VertexSubset) WithBitmap(p, n int, buf []uint64) VertexSubset {
 	if s.bits != nil {
 		return s
@@ -224,100 +159,53 @@ func (s VertexSubset) WithBitmap(p, n int, buf []uint64) VertexSubset {
 		setBit(buf, ids[i])
 	})
 	s.bits = buf
-	s.n = n
-	s.count = len(ids)
 	return s
 }
 
-// popcount returns the number of set bits using p workers.
-func popcount(p int, words []uint64) int {
-	const grain = 8192
-	if len(words) < 2*grain || parallel.ResolveProcs(p) == 1 {
-		c := 0
-		for _, w := range words {
-			c += bits.OnesCount64(w)
-		}
-		return c
-	}
-	counts := make([]int, (len(words)+grain-1)/grain)
-	parallel.ForRange(p, len(words), grain, func(lo, hi int) {
-		c := 0
-		for _, w := range words[lo:hi] {
-			c += bits.OnesCount64(w)
-		}
-		counts[lo/grain] = c
-	})
-	c := 0
-	for _, v := range counts {
-		c += v
-	}
-	return c
-}
+// volumeGrain is the number of subset vertices per Volume work chunk.
+const volumeGrain = 2048
 
 // Volume returns the sum of the degrees of the subset's vertices in g,
 // computed with p workers. This is the per-iteration edge bound the
 // algorithms use to size their sparse tables and drive the sparse/dense
-// decision.
+// decision. It runs every round, so its only allocation is one partial sum
+// per chunk of volumeGrain vertices.
 func (s VertexSubset) Volume(p int, g graph.Graph) uint64 {
-	if s.ids == nil && s.bits != nil {
-		// Dense-only subset: sum degrees straight off the bitmap.
-		offs := g.Offsets()
-		words := len(s.bits)
-		const grain = 2048
-		vols := make([]uint64, (words+grain-1)/grain)
-		parallel.ForRange(p, words, grain, func(lo, hi int) {
-			var vol uint64
-			for w := lo; w < hi; w++ {
-				word := s.bits[w]
-				for word != 0 {
-					v := uint32(w<<6) + uint32(bits.TrailingZeros64(word))
-					vol += offs[v+1] - offs[v]
-					word &= word - 1
-				}
-			}
-			vols[lo/grain] = vol
-		})
-		var vol uint64
-		for _, v := range vols {
-			vol += v
-		}
-		return vol
-	}
 	n := len(s.ids)
-	if n == 0 {
-		return 0
-	}
-	if parallel.ResolveProcs(p) == 1 || n < 2048 {
+	if parallel.ResolveProcs(p) == 1 || n < volumeGrain {
 		var vol uint64
 		for _, v := range s.ids {
 			vol += uint64(g.Degree(v))
 		}
 		return vol
 	}
-	degs := make([]uint64, n)
-	parallel.For(p, n, 0, func(i int) { degs[i] = uint64(g.Degree(s.ids[i])) })
-	return parallel.Sum(p, degs)
+	vols := make([]uint64, (n+volumeGrain-1)/volumeGrain)
+	parallel.ForRange(p, n, volumeGrain, func(lo, hi int) {
+		var vol uint64
+		for _, v := range s.ids[lo:hi] {
+			vol += uint64(g.Degree(v))
+		}
+		vols[lo/volumeGrain] = vol
+	})
+	return parallel.Sum(1, vols)
 }
 
 // VertexMap applies fn to every vertex in the subset, in parallel
 // (Ligra's vertexMap). fn may side-effect shared structures and must be
 // safe for concurrent calls on distinct vertices.
 func VertexMap(p int, s VertexSubset, fn func(v uint32)) {
-	s = s.ToSparse(p)
 	parallel.For(p, len(s.ids), 512, func(i int) { fn(s.ids[i]) })
 }
 
 // VertexMapIndexed is VertexMap with the vertex's position in the subset
-// passed to fn, pairing with EdgeMapIndexed for per-source state arrays.
+// passed to fn, pairing with EdgeApplyIndexed for per-source state arrays.
 func VertexMapIndexed(p int, s VertexSubset, fn func(i int, v uint32)) {
-	s = s.ToSparse(p)
 	parallel.For(p, len(s.ids), 512, func(i int) { fn(i, s.ids[i]) })
 }
 
 // VertexFilter returns the sub-subset for which pred holds, preserving
 // order (Ligra's vertexFilter). pred must be pure or safe under concurrency.
 func VertexFilter(p int, s VertexSubset, pred func(v uint32) bool) VertexSubset {
-	s = s.ToSparse(p)
 	return VertexSubset{ids: parallel.Filter(p, s.ids, pred)}
 }
 
@@ -327,106 +215,25 @@ func VertexFilter(p int, s VertexSubset, pred func(v uint32) bool) VertexSubset 
 // an accumulator's touched-key list into a separate recycled frontier
 // buffer.
 func VertexFilterInto(p int, s VertexSubset, buf []uint32, pred func(v uint32) bool) VertexSubset {
-	s = s.ToSparse(p)
 	return VertexSubset{ids: parallel.FilterInto(p, s.ids, buf, pred)}
 }
 
-// edgeMapGrain is the number of edges per EdgeMap work chunk.
+// edgeMapGrain is the number of edges per edge-traversal work chunk.
 const edgeMapGrain = 2048
 
-// EdgeMap applies update(u, v) to every edge (u, v) with u in the subset
-// (Ligra's edgeMap), in parallel over edge-balanced chunks, and returns the
-// subset of targets v for which update returned true. This entry point
-// always uses the sparse traversal; EdgeMapMode adds the dense path and the
-// automatic switch.
+// EdgeApplyIndexed applies fn(i, u, v) to every edge (u, v) with u in the
+// subset (Ligra's edgeMap, sparse traversal), in parallel over edge-balanced
+// chunks; i is u's position in the subset. The diffusion algorithms use the
+// index to read per-source state (the pushed share, precomputed once per
+// frontier vertex in a dense array) instead of paying a sparse-table lookup
+// on every edge — the same source-value hoisting the paper's Ligra
+// implementation gets for free from its dense vertex arrays.
 //
-// update must be thread-safe: multiple frontier vertices may push to the
-// same target concurrently (the paper resolves this with fetch-and-add).
-// The returned subset contains each target at most as many times as update
-// returned true for it; the idiomatic way to get an exactly-deduplicated
-// output — used by all the clustering algorithms here — is to return the
-// "created" flag of a sparse-set Add, which is true exactly once per target.
-// Work is O(|subset| + vol(subset)) and depth is polylogarithmic, matching
-// Ligra's bounds.
-func EdgeMap(p int, g graph.Graph, s VertexSubset, update func(src, dst uint32) bool) VertexSubset {
-	return EdgeMapIndexed(p, g, s, func(_ int, src, dst uint32) bool { return update(src, dst) })
-}
-
-// EdgeMapMode is EdgeMap with an explicit traversal mode: Auto applies the
-// Ligra direction heuristic (dense when |F| + vol(F) > (n + 2m)/k), and the
-// Force modes pin a strategy. The dense path returns a bitmap-representation
-// subset (each qualifying target set exactly once); the sparse path returns
-// an ID-list subset with EdgeMap's usual multiplicity contract.
-func EdgeMapMode(p int, g graph.Graph, s VertexSubset, mode Mode, update func(src, dst uint32) bool) VertexSubset {
-	dense := mode == ForceDense
-	if mode == Auto {
-		// The volume pass is only needed when the heuristic decides.
-		dense = OverDenseThreshold(g, s.Size(), s.Volume(p, g))
-	}
-	if !dense {
-		return EdgeMap(p, g, s.ToSparse(p), update)
-	}
-	sb := s.WithBitmap(p, g.NumVertices(), nil)
-	out := make([]uint64, (g.NumVertices()+63)/64)
-	EdgeApplyDense(p, g, sb, func(src, dst uint32) {
-		if update(src, dst) {
-			setBit(out, dst)
-		}
-	})
-	return FromBitmap(out, g.NumVertices(), popcount(p, out))
-}
-
-// EdgeMapIndexed is EdgeMap with the source's position in the subset passed
-// to the update function. The diffusion algorithms use the index to read
-// per-source state (the pushed share, precomputed once per frontier vertex
-// in a dense array) instead of paying a sparse-table lookup on every edge —
-// the same source-value hoisting the paper's Ligra implementation gets for
-// free from its dense vertex arrays.
-func EdgeMapIndexed(p int, g graph.Graph, s VertexSubset, update func(srcIdx int, src, dst uint32) bool) VertexSubset {
-	s = s.ToSparse(p)
-	nf := len(s.ids)
-	if nf == 0 {
-		return VertexSubset{}
-	}
-	degs := make([]uint64, nf)
-	parallel.For(p, nf, 0, func(i int) { degs[i] = uint64(g.Degree(s.ids[i])) })
-	offs := make([]uint64, nf)
-	total := parallel.ScanExclusive(p, degs, offs)
-	if total == 0 {
-		return VertexSubset{}
-	}
-	chunks := int((total + edgeMapGrain - 1) / edgeMapGrain)
-	outs := make([][]uint32, chunks)
-	parallel.ForRange(p, int(total), edgeMapGrain, func(elo, ehi int) {
-		var out []uint32
-		buf, bp := acquireDecodeBuf(g)
-		// First frontier index whose edge range contains elo.
-		i := sort.Search(nf, func(i int) bool { return offs[i] > uint64(elo) }) - 1
-		for e := elo; e < ehi; i++ {
-			v := s.ids[i]
-			// A chunk boundary can land mid-list; NeighborsTail resumes
-			// decoding from the covering sub-block instead of the list head.
-			j := e - int(offs[i])
-			ns, start := g.NeighborsTail(buf, v, j)
-			buf = ns
-			for k := j - start; k < len(ns) && e < ehi; k++ {
-				if update(i, v, ns[k]) {
-					out = append(out, ns[k])
-				}
-				e++
-			}
-		}
-		releaseDecodeBuf(bp, buf)
-		outs[elo/edgeMapGrain] = out
-	})
-	return VertexSubset{ids: parallel.Concat(p, outs)}
-}
-
-// EdgeApplyIndexed applies fn to every edge (u, v) with u in the sparse
-// subset, edge-balanced like EdgeMapIndexed, but collects no output
-// frontier. The diffusion engine uses it when the next frontier is derived
-// from an accumulator's touched-key set instead of EdgeMap's return value,
-// saving the per-chunk output allocation and concat.
+// fn must be thread-safe: multiple frontier vertices may push to the same
+// target concurrently (the paper resolves this with fetch-and-add). No
+// output frontier is collected; callers derive the next frontier from their
+// accumulator's touched keys. Work is O(|subset| + vol(subset)) and depth is
+// polylogarithmic, matching Ligra's bounds.
 func EdgeApplyIndexed(p int, g graph.Graph, s VertexSubset, fn func(srcIdx int, src, dst uint32)) {
 	EdgeApplyIndexedScratch(p, g, s, nil, nil, fn)
 }
@@ -436,7 +243,6 @@ func EdgeApplyIndexed(p int, g graph.Graph, s VertexSubset, fn func(srcIdx int, 
 // have length >= s.Size(). The pooled sweep cut passes result-arena slices
 // here so a serving query's edge pass allocates nothing support-sized.
 func EdgeApplyIndexedScratch(p int, g graph.Graph, s VertexSubset, degs, offs []uint64, fn func(srcIdx int, src, dst uint32)) {
-	s = s.ToSparse(p)
 	nf := len(s.ids)
 	if nf == 0 {
 		return
@@ -458,9 +264,12 @@ func EdgeApplyIndexedScratch(p int, g graph.Graph, s VertexSubset, degs, offs []
 	}
 	parallel.ForRange(p, int(total), edgeMapGrain, func(elo, ehi int) {
 		buf, bp := acquireDecodeBuf(g)
+		// First frontier index whose edge range contains elo.
 		i := sort.Search(nf, func(i int) bool { return offs[i] > uint64(elo) }) - 1
 		for e := elo; e < ehi; i++ {
 			v := s.ids[i]
+			// A chunk boundary can land mid-list; NeighborsTail resumes
+			// decoding from the covering sub-block instead of the list head.
 			j := e - int(offs[i])
 			ns, start := g.NeighborsTail(buf, v, j)
 			buf = ns

@@ -2,9 +2,9 @@ package ligra
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,9 +21,9 @@ func TestVertexSubsetBasics(t *testing.T) {
 	if !empty.IsEmpty() || empty.Size() != 0 {
 		t.Fatal("zero value should be empty")
 	}
-	s := FromVertices(3, 1, 4)
+	s := FromIDs([]uint32{3, 1, 4})
 	if s.Size() != 3 || s.IsEmpty() {
-		t.Fatal("FromVertices size")
+		t.Fatal("FromIDs size")
 	}
 	if got := s.IDs(); len(got) != 3 || got[0] != 3 {
 		t.Fatal("IDs mismatch")
@@ -32,7 +32,7 @@ func TestVertexSubsetBasics(t *testing.T) {
 
 func TestVolume(t *testing.T) {
 	g := gen.Figure1()
-	s := FromVertices(0, 1, 2, 3) // degrees 2, 2, 3, 4
+	s := FromIDs([]uint32{0, 1, 2, 3}) // degrees 2, 2, 3, 4
 	for _, p := range procsUnderTest() {
 		if vol := s.Volume(p, g); vol != 11 {
 			t.Fatalf("p=%d: Volume = %d, want 11", p, vol)
@@ -55,6 +55,24 @@ func TestVolumeLarge(t *testing.T) {
 		if vol := s.Volume(p, g); vol != 30000 {
 			t.Fatalf("p=%d: Volume = %d, want 30000", p, vol)
 		}
+	}
+	// The engine calls Volume every round: at procs > 1 it may allocate per
+	// chunk of the frontier and per worker (one partial sum per chunk, the
+	// closure, the goroutines), never per frontier vertex.
+	const p = 4
+	chunks := (len(ids) + volumeGrain - 1) / volumeGrain
+	allocs := testing.AllocsPerRun(20, func() { s.Volume(p, g) })
+	if budget := float64(chunks + 3*p + 8); allocs > budget {
+		t.Fatalf("Volume of %d vertices allocates %.0f objects/op at p=%d, budget %.0f", len(ids), allocs, p, budget)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < 20; i++ {
+		s.Volume(p, g)
+	}
+	runtime.ReadMemStats(&ms1)
+	if perCall := (ms1.TotalAlloc - ms0.TotalAlloc) / 20; perCall >= uint64(8*len(ids)) {
+		t.Fatalf("Volume of %d vertices allocates %d bytes/op at p=%d: a frontier-sized temporary is back", len(ids), perCall, p)
 	}
 }
 
@@ -92,17 +110,24 @@ func TestVertexFilter(t *testing.T) {
 	}
 }
 
+// The TestEdgeMap* cases hold the sparse edgeMap traversal, EdgeApplyIndexed,
+// to ground truth; TestEdgeApplyDenseMatchesSparse then holds the push-dense
+// traversal to the sparse one on the same kinds of input.
+
 func TestEdgeMapVisitsFrontierEdgesExactly(t *testing.T) {
 	g := gen.Figure1()
 	// Frontier {C, D}: C's edges to A,B,D and D's edges to C,E,F,G.
 	for _, p := range procsUnderTest() {
 		var mu sync.Mutex
 		visited := map[[2]uint32]int{}
-		EdgeMap(p, g, FromVertices(2, 3), func(s, d uint32) bool {
+		frontier := FromIDs([]uint32{2, 3})
+		EdgeApplyIndexed(p, g, frontier, func(i int, s, d uint32) {
+			if frontier.IDs()[i] != s {
+				t.Errorf("p=%d: source %d reported at index %d", p, s, i)
+			}
 			mu.Lock()
 			visited[[2]uint32{s, d}]++
 			mu.Unlock()
-			return false
 		})
 		want := [][2]uint32{{2, 0}, {2, 1}, {2, 3}, {3, 2}, {3, 4}, {3, 5}, {3, 6}}
 		if len(visited) != len(want) {
@@ -116,72 +141,30 @@ func TestEdgeMapVisitsFrontierEdgesExactly(t *testing.T) {
 	}
 }
 
-func TestEdgeMapReturnsTrueTargets(t *testing.T) {
-	g := gen.Figure1()
-	for _, p := range procsUnderTest() {
-		out := EdgeMap(p, g, FromVertices(3), func(s, d uint32) bool { return d >= 4 })
-		got := append([]uint32(nil), out.IDs()...)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		want := []uint32{4, 5, 6}
-		if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-			t.Fatalf("p=%d: out = %v, want %v", p, got, want)
-		}
-	}
-}
-
 func TestEdgeMapEmptyFrontier(t *testing.T) {
 	g := gen.Figure1()
-	out := EdgeMap(4, g, VertexSubset{}, func(s, d uint32) bool { return true })
-	if !out.IsEmpty() {
-		t.Fatal("empty frontier produced output")
-	}
+	EdgeApplyIndexed(4, g, VertexSubset{}, func(_ int, s, d uint32) {
+		t.Errorf("empty frontier visited edge (%d, %d)", s, d)
+	})
 }
 
 func TestEdgeMapZeroDegreeFrontier(t *testing.T) {
 	// Vertices 2..4 are isolated; a frontier of isolated vertices has no
-	// incident edges and must produce an empty output.
+	// incident edges and must visit nothing.
 	gi := graph.FromEdges(1, 5, []graph.Edge{{U: 0, V: 1}})
-	out := EdgeMap(4, gi, FromVertices(3), func(s, d uint32) bool { return true })
-	if !out.IsEmpty() {
-		t.Fatal("isolated frontier produced output")
-	}
+	EdgeApplyIndexed(4, gi, FromIDs([]uint32{3}), func(_ int, s, d uint32) {
+		t.Errorf("isolated frontier visited edge (%d, %d)", s, d)
+	})
 	// Mixed frontier: only the non-isolated vertex contributes.
-	out = EdgeMap(4, gi, FromVertices(2, 0, 4), func(s, d uint32) bool { return true })
-	if out.Size() != 1 || out.IDs()[0] != 1 {
-		t.Fatalf("mixed frontier output = %v", out.IDs())
-	}
-}
-
-func TestEdgeMapDedupViaSparseCreated(t *testing.T) {
-	// The idiom every algorithm uses: update returns the created flag of a
-	// concurrent sparse Add, so each target appears exactly once even when
-	// multiple frontier vertices push to it.
-	g := gen.Clique(32) // every pair adjacent: maximal contention
-	ids := make([]uint32, 16)
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	for _, p := range procsUnderTest() {
-		table := sparse.NewConcurrent(64)
-		out := EdgeMap(p, g, FromIDs(ids), func(s, d uint32) bool {
-			return table.Add(d, 1)
-		})
-		got := append([]uint32(nil), out.IDs()...)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		// Targets are all 32 vertices (frontier vertices receive pushes from
-		// other frontier members too).
-		if len(got) != 32 {
-			t.Fatalf("p=%d: %d distinct targets, want 32 (got %v)", p, len(got), got)
+	var visits atomic.Int64
+	EdgeApplyIndexed(4, gi, FromIDs([]uint32{2, 0, 4}), func(i int, s, d uint32) {
+		if i != 1 || s != 0 || d != 1 {
+			t.Errorf("mixed frontier visited (%d, %d) from index %d, want (0, 1) from index 1", s, d, i)
 		}
-		for i, v := range got {
-			if v != uint32(i) {
-				t.Fatalf("p=%d: missing/duplicate target at %d: %v", p, i, got)
-			}
-		}
-		// Each frontier vertex pushes to 31 neighbors: total mass 16*31.
-		if total := table.Sum(p); total != 16*31 {
-			t.Fatalf("p=%d: total pushes = %v, want %d", p, total, 16*31)
-		}
+		visits.Add(1)
+	})
+	if visits.Load() != 1 {
+		t.Fatalf("mixed frontier made %d visits, want 1", visits.Load())
 	}
 }
 
@@ -192,51 +175,38 @@ func TestEdgeMapEdgeBalancedOnSkewedDegrees(t *testing.T) {
 	const leaves = 50000
 	g := gen.Star(leaves + 1)
 	for _, p := range procsUnderTest() {
-		var count atomic.Int64
-		out := EdgeMap(p, g, FromVertices(0), func(s, d uint32) bool {
-			count.Add(1)
-			return true
+		counts := make([]int32, leaves+1)
+		EdgeApplyIndexed(p, g, FromIDs([]uint32{0}), func(_ int, s, d uint32) {
+			atomic.AddInt32(&counts[d], 1)
 		})
-		if count.Load() != leaves {
-			t.Fatalf("p=%d: %d updates, want %d", p, count.Load(), leaves)
+		if counts[0] != 0 {
+			t.Fatalf("p=%d: hub pushed to itself %d times", p, counts[0])
 		}
-		if out.Size() != leaves {
-			t.Fatalf("p=%d: out size %d", p, out.Size())
+		for v := 1; v <= leaves; v++ {
+			if counts[v] != 1 {
+				t.Fatalf("p=%d: leaf %d touched %d times", p, v, counts[v])
+			}
 		}
 	}
 }
 
-// --- dual representation / dense traversal ---
+// --- membership bitmap / push-dense traversal ---
 
 func TestBitmapRoundTrip(t *testing.T) {
 	const n = 1000
 	ids := []uint32{3, 64, 65, 127, 128, 999}
 	for _, p := range procsUnderTest() {
 		s := FromIDs(ids).WithBitmap(p, n, nil)
-		if !s.IsDense() || s.Size() != len(ids) {
-			t.Fatalf("p=%d: WithBitmap lost representation or size", p)
+		if s.Size() != len(ids) || len(s.IDs()) != len(ids) {
+			t.Fatalf("p=%d: WithBitmap lost the ID list or its size", p)
 		}
 		for _, v := range ids {
 			if !s.Has(v) {
 				t.Fatalf("p=%d: Has(%d) = false", p, v)
 			}
 		}
-		if s.Has(4) || s.Has(998) {
+		if s.Has(4) || s.Has(998) || s.Has(5000) {
 			t.Fatalf("p=%d: Has reports absent vertices", p)
-		}
-		// Dense-only subset converts back to sorted sparse IDs.
-		dense := FromBitmap(s.Bits(), n, len(ids))
-		back := dense.ToSparse(p)
-		got := back.IDs()
-		if len(got) != len(ids) {
-			t.Fatalf("p=%d: round trip size %d, want %d", p, len(got), len(ids))
-		}
-		want := append([]uint32(nil), ids...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d: round trip = %v, want %v", p, got, want)
-			}
 		}
 	}
 }
@@ -246,7 +216,7 @@ func TestWithBitmapReusesBuffer(t *testing.T) {
 	buf := make([]uint64, (n+63)/64)
 	buf[0] = ^uint64(0) // stale bits must be cleared
 	s := FromIDs([]uint32{200}).WithBitmap(2, n, buf)
-	if &s.Bits()[0] != &buf[0] {
+	if &s.bits[0] != &buf[0] {
 		t.Fatal("sufficient buffer was not reused")
 	}
 	if s.Has(0) || s.Has(63) || !s.Has(200) {
@@ -254,88 +224,64 @@ func TestWithBitmapReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestVolumeDenseMatchesSparse(t *testing.T) {
-	g := gen.Grid3D(0, 12)
-	n := g.NumVertices()
-	ids := make([]uint32, 0, n/3)
-	for v := 0; v < n; v += 3 {
-		ids = append(ids, uint32(v))
-	}
-	sparseSub := FromIDs(ids)
-	denseSub := FromBitmap(sparseSub.WithBitmap(0, n, nil).Bits(), n, len(ids))
-	for _, p := range procsUnderTest() {
-		if a, b := sparseSub.Volume(p, g), denseSub.Volume(p, g); a != b {
-			t.Fatalf("p=%d: dense volume %d != sparse volume %d", p, b, a)
-		}
-	}
-}
-
 func TestEdgeApplyDenseMatchesSparse(t *testing.T) {
 	// The dense traversal must visit exactly the frontier's edges, once
-	// each, on a skewed graph (star: chunk boundaries split the hub).
+	// each, on either representation: on a skewed graph (star: chunk
+	// boundaries split the hub), on a graph whose frontier holds isolated
+	// vertices, and for the empty and the everything frontiers.
+	gapped := graph.FromEdges(1, 40, []graph.Edge{{U: 1, V: 3}, {U: 3, V: 5}, {U: 5, V: 21}, {U: 22, V: 23}})
 	graphs := map[string]*graph.CSR{
 		"figure1": gen.Figure1(),
 		"star":    gen.Star(5000),
 		"grid":    gen.Grid3D(0, 8),
+		"gapped":  gapped, // even vertices but 22 are isolated
 	}
-	for name, g := range graphs {
-		n := g.NumVertices()
-		ids := make([]uint32, 0, n/2+1)
-		for v := 0; v < n; v += 2 {
-			ids = append(ids, uint32(v))
+	for name, heap := range graphs {
+		var buf bytes.Buffer
+		if err := graph.WriteCompressed(1, &buf, heap); err != nil {
+			t.Fatal(err)
 		}
-		frontier := FromIDs(ids)
-		for _, p := range procsUnderTest() {
-			wantCounts := make([]int64, n)
-			EdgeApplyIndexed(p, g, frontier, func(_ int, _, dst uint32) {
-				atomic.AddInt64(&wantCounts[dst], 1)
-			})
-			gotCounts := make([]int64, n)
-			fb := frontier.WithBitmap(p, n, nil)
-			EdgeApplyDense(p, g, fb, func(src, dst uint32) {
-				if !fb.Has(src) {
-					t.Errorf("%s p=%d: dense scan pushed from non-member %d", name, p, src)
-				}
-				atomic.AddInt64(&gotCounts[dst], 1)
-			})
-			for v := range wantCounts {
-				if gotCounts[v] != wantCounts[v] {
-					t.Fatalf("%s p=%d: vertex %d received %d pushes, want %d",
-						name, p, v, gotCounts[v], wantCounts[v])
-				}
+		packed, err := graph.NewCompressed(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := heap.NumVertices()
+		frontiers := map[string][]uint32{"none": nil}
+		for v := 0; v < n; v++ {
+			frontiers["all"] = append(frontiers["all"], uint32(v))
+			if v%2 == 0 {
+				frontiers["even"] = append(frontiers["even"], uint32(v))
 			}
 		}
-	}
-}
-
-func TestEdgeMapModeAgreesAcrossStrategies(t *testing.T) {
-	g := gen.Grid3D(0, 10)
-	n := g.NumVertices()
-	ids := make([]uint32, 0, n/2)
-	for v := 0; v < n; v += 2 {
-		ids = append(ids, uint32(v))
-	}
-	frontier := FromIDs(ids)
-	for _, p := range procsUnderTest() {
-		collect := func(mode Mode) []uint32 {
-			table := sparse.NewConcurrent(n)
-			out := EdgeMapMode(p, g, frontier, mode, func(_, d uint32) bool {
-				return table.Add(d, 1)
-			})
-			got := append([]uint32(nil), out.ToSparse(p).IDs()...)
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			return got
-		}
-		sparseOut := collect(ForceSparse)
-		denseOut := collect(ForceDense)
-		autoOut := collect(Auto)
-		if len(sparseOut) != len(denseOut) || len(sparseOut) != len(autoOut) {
-			t.Fatalf("p=%d: output sizes differ: %d / %d / %d",
-				p, len(sparseOut), len(denseOut), len(autoOut))
-		}
-		for i := range sparseOut {
-			if sparseOut[i] != denseOut[i] || sparseOut[i] != autoOut[i] {
-				t.Fatalf("p=%d: outputs differ at %d", p, i)
+		for rname, g := range map[string]graph.Graph{"heap": heap, "lgz": packed} {
+			for fname, ids := range frontiers {
+				frontier := FromIDs(ids)
+				for _, p := range procsUnderTest() {
+					label := fmt.Sprintf("%s/%s/%s p=%d", name, rname, fname, p)
+					wantCounts := make([]int64, n)
+					var wantEdges int64
+					EdgeApplyIndexed(p, g, frontier, func(_ int, _, dst uint32) {
+						atomic.AddInt64(&wantCounts[dst], 1)
+						atomic.AddInt64(&wantEdges, 1)
+					})
+					if vol := frontier.Volume(p, g); uint64(wantEdges) != vol {
+						t.Fatalf("%s: sparse traversal visited %d edges, frontier volume is %d", label, wantEdges, vol)
+					}
+					gotCounts := make([]int64, n)
+					fb := frontier.WithBitmap(p, n, nil)
+					EdgeApplyDense(p, g, fb, func(src, dst uint32) {
+						if !fb.Has(src) {
+							t.Errorf("%s: dense scan pushed from non-member %d", label, src)
+						}
+						atomic.AddInt64(&gotCounts[dst], 1)
+					})
+					for v := range wantCounts {
+						if gotCounts[v] != wantCounts[v] {
+							t.Fatalf("%s: vertex %d received %d pushes, want %d",
+								label, v, gotCounts[v], wantCounts[v])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -405,7 +405,7 @@ func FilterIndexInto(p, n int, buf []int, pred func(i int) bool) []int {
 
 // Concat flattens parts into one slice using a scan over lengths and
 // parallel copies. It is the standard way to assemble per-worker outputs
-// (e.g. EdgeMap frontiers) without contention.
+// without contention.
 func Concat[T any](p int, parts [][]T) []T {
 	total := 0
 	offsets := make([]int, len(parts))

@@ -1145,7 +1145,7 @@ func sweepResult(g graph.Graph, seeds []uint32, procs int, arena *workspace.Resu
 	if vec.Len() == 0 {
 		return out
 	}
-	res := core.SweepCutParInto(g, vec, procs, arena)
+	res := core.SweepCutPar(g, vec, procs, arena)
 	out.Members = res.Cluster
 	out.Size = len(res.Cluster)
 	out.Conductance = res.Conductance

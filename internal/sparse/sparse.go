@@ -7,8 +7,9 @@
 // convention: reading an absent key yields 0, and updating an absent key
 // implicitly creates it. Both implementations expose Add (the paper's
 // fetch-and-add), Set, Get, and iteration; the concurrent table additionally
-// reports on Add whether the call created the entry, which EdgeMap uses to
-// deduplicate its output frontier without any graph-sized scratch array.
+// reports on Add whether the call created the entry and lists its keys,
+// which is how a diffusion round learns the vertices its edge traversal
+// touched without any graph-sized scratch array.
 //
 // The concurrent table is open-addressing with linear probing over
 // power-of-two capacity. Keys are claimed with compare-and-swap; values are
@@ -60,6 +61,8 @@ type Table interface {
 	// Set atomically overwrites k's value and reports whether this call
 	// created the entry.
 	Set(k uint32, v float64) (created bool)
+	// Has reports whether k has an entry, whatever its value.
+	Has(k uint32) bool
 	// Keys returns all present keys using p workers, in unspecified order.
 	// Must not run concurrently with writers.
 	Keys(p int) []uint32

@@ -79,6 +79,10 @@ func (s *slab[T]) reset() {
 // not be read. The service layer enforces this by copying anything it caches
 // (see internal/service cache.go) and releasing only after the response
 // write completes.
+//
+// The borrow methods (Map, Hash and the typed slices) accept a nil receiver,
+// which allocates fresh garbage-collected memory of the same shape: a kernel
+// or sweep handed no arena runs the same code as one handed an arena.
 type Result struct {
 	pool  *Pool // nil for unpooled (NewResult) results
 	inUse bool
@@ -118,6 +122,9 @@ func (r *Result) credit(bytes int64) {
 // stops allocating buckets entirely. The same map is returned every call:
 // one live snapshot per checkout.
 func (r *Result) Map(capacity int) *sparse.Map {
+	if r == nil {
+		return sparse.NewMap(capacity)
+	}
 	if r.vec == nil {
 		r.vec = sparse.NewMap(capacity)
 		return r.vec
@@ -137,6 +144,9 @@ func (r *Result) Map(capacity int) *sparse.Map {
 // hold at least capacity entries. The sweep cut uses it for its
 // support-sized rank lookup.
 func (r *Result) Hash(procs, capacity int) *sparse.ConcurrentMap {
+	if r == nil {
+		return sparse.NewConcurrent(capacity)
+	}
 	if r.rank == nil {
 		r.rank = sparse.NewConcurrent(capacity)
 		return r.rank
@@ -153,6 +163,9 @@ func (r *Result) Hash(procs, capacity int) *sparse.ConcurrentMap {
 // Uint32s returns a zeroed result-sized []uint32 of length n, sub-allocated
 // from the arena (sweep orders, cluster member lists, evolving sets).
 func (r *Result) Uint32s(n int) []uint32 {
+	if r == nil {
+		return make([]uint32, n)
+	}
 	out, reused := r.u32.alloc(n)
 	r.credit(4 * int64(reused))
 	return out
@@ -161,6 +174,9 @@ func (r *Result) Uint32s(n int) []uint32 {
 // Float64s returns a zeroed result-sized []float64 of length n, sub-allocated
 // from the arena (prefix conductances).
 func (r *Result) Float64s(n int) []float64 {
+	if r == nil {
+		return make([]float64, n)
+	}
 	out, reused := r.f64.alloc(n)
 	r.credit(8 * int64(reused))
 	return out
@@ -169,6 +185,9 @@ func (r *Result) Float64s(n int) []float64 {
 // Int64s returns a zeroed result-sized []int64 of length n, sub-allocated
 // from the arena (per-rank crossing-edge counts).
 func (r *Result) Int64s(n int) []int64 {
+	if r == nil {
+		return make([]int64, n)
+	}
 	out, reused := r.i64.alloc(n)
 	r.credit(8 * int64(reused))
 	return out
@@ -177,6 +196,9 @@ func (r *Result) Int64s(n int) []int64 {
 // Uint64s returns a zeroed result-sized []uint64 of length n, sub-allocated
 // from the arena (prefix degrees and volumes).
 func (r *Result) Uint64s(n int) []uint64 {
+	if r == nil {
+		return make([]uint64, n)
+	}
 	out, reused := r.u64.alloc(n)
 	r.credit(8 * int64(reused))
 	return out
@@ -185,6 +207,9 @@ func (r *Result) Uint64s(n int) []uint64 {
 // Ints returns a zeroed result-sized []int of length n, sub-allocated from
 // the arena (the sort-based sweep's filtered index lists).
 func (r *Result) Ints(n int) []int {
+	if r == nil {
+		return make([]int, n)
+	}
 	out, reused := r.ints.alloc(n)
 	r.credit(8 * int64(reused))
 	return out

@@ -16,12 +16,11 @@ func TestNibbleOptionDefaults(t *testing.T) {
 func TestPRNibbleOptionDefaults(t *testing.T) {
 	o := PRNibbleOptions{}
 	o.defaults()
-	if o.Alpha != 0.01 || o.Epsilon != 1e-7 || o.Rule != OptimizedRule {
+	if o.Alpha != 0.01 || o.Epsilon != 1e-7 || o.rule() != OptimizedRule {
 		t.Fatalf("PRNibble defaults = %+v", o)
 	}
 	o = PRNibbleOptions{UseOriginalRule: true}
-	o.defaults()
-	if o.Rule != OriginalRule {
+	if o.rule() != OriginalRule {
 		t.Fatal("UseOriginalRule not honored")
 	}
 }
@@ -43,23 +42,21 @@ func TestRandHKPROptionDefaults(t *testing.T) {
 }
 
 func TestRandHKPRVariantsBitIdentical(t *testing.T) {
-	// The public API exposes all three rand-HK-PR implementations; they
-	// must return bit-identical vectors for the same Seed.
+	// The public API exposes the sequential and the parallel rand-HK-PR;
+	// they must return bit-identical vectors for the same Seed. (The
+	// contended ablation is held to the same in internal/core.)
 	g := MustGenerate("caveman", map[string]int{"cliques": 6, "k": 8})
 	base := RandHKPROptions{Walks: 3000, Seed: 5}
 	seqOpt := base
 	seqOpt.Sequential = true
-	conOpt := base
-	conOpt.Contended = true
 	vPar, _ := RandHKPR(g, 0, base)
 	vSeq, _ := RandHKPR(g, 0, seqOpt)
-	vCon, _ := RandHKPR(g, 0, conOpt)
-	if vPar.Len() != vSeq.Len() || vPar.Len() != vCon.Len() {
-		t.Fatalf("support sizes differ: %d %d %d", vPar.Len(), vSeq.Len(), vCon.Len())
+	if vPar.Len() != vSeq.Len() {
+		t.Fatalf("support sizes differ: %d %d", vPar.Len(), vSeq.Len())
 	}
 	vPar.ForEach(func(k uint32, v float64) {
-		if vSeq.Get(k) != v || vCon.Get(k) != v {
-			t.Fatalf("variant mismatch at %d: %v / %v / %v", k, v, vSeq.Get(k), vCon.Get(k))
+		if vSeq.Get(k) != v {
+			t.Fatalf("variant mismatch at %d: %v / %v", k, v, vSeq.Get(k))
 		}
 	})
 }
@@ -69,15 +66,6 @@ func TestPRNibbleBetaViaAPI(t *testing.T) {
 	vec, st := PRNibble(g, 0, PRNibbleOptions{Alpha: 0.05, Epsilon: 1e-5, Beta: 0.5})
 	if vec.Len() == 0 || st.Iterations == 0 {
 		t.Fatal("beta variant returned nothing")
-	}
-}
-
-func TestPRNibblePriorityQueueViaAPI(t *testing.T) {
-	g := MustGenerate("caveman", map[string]int{"cliques": 6, "k": 8})
-	vec, _ := PRNibble(g, 0, PRNibbleOptions{Sequential: true, PriorityQueue: true})
-	res := SweepCut(g, vec, SweepOptions{})
-	if res.Conductance > 0.1 {
-		t.Fatalf("PQ variant cluster conductance %v", res.Conductance)
 	}
 }
 

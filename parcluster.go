@@ -231,37 +231,32 @@ func (o *NibbleOptions) defaults() {
 	}
 }
 
-func (o *NibbleOptions) runConfig() core.RunConfig {
-	return core.RunConfig{Procs: o.Procs, Frontier: o.Frontier, Workspace: o.Workspace, Result: o.Result, Cancel: o.Cancel}
+// runConfig assembles the execution environment the three frontier
+// diffusions' options share.
+func runConfig(procs int, mode FrontierMode, ws *WorkspacePool, res *ResultArena, cancel <-chan struct{}) core.RunConfig {
+	return core.RunConfig{Procs: procs, Frontier: mode, Workspace: ws, Result: res, Cancel: cancel}
 }
 
 // Nibble runs the Nibble diffusion (§3.2) from seed and returns the
 // truncated random-walk vector for a sweep cut.
 func Nibble(g GraphData, seed uint32, opts NibbleOptions) (*Vector, Stats) {
-	opts.defaults()
-	if opts.Sequential {
-		return core.NibbleSeq(g, seed, opts.Epsilon, opts.T)
-	}
-	return core.NibbleRun(g, []uint32{seed}, opts.Epsilon, opts.T, opts.runConfig())
+	return NibbleFrom(g, []uint32{seed}, opts)
 }
 
 // PRNibbleOptions configures PRNibble. Zero values select the paper's
 // Table 3 parameters (alpha = 0.01, eps = 1e-7, optimized rule).
 type PRNibbleOptions struct {
-	Alpha   float64  // teleportation parameter; default 0.01
-	Epsilon float64  // push threshold; default 1e-7
-	Rule    PushRule // default OptimizedRule... note zero value is OriginalRule; see defaults
+	Alpha   float64 // teleportation parameter; default 0.01
+	Epsilon float64 // push threshold; default 1e-7
 	// UseOriginalRule selects the unoptimized push of Andersen et al.
-	// (the Rule field would default ambiguously, so the flag is explicit).
+	// instead of the paper's optimized rule.
 	UseOriginalRule bool
 	// Beta in (0, 1) enables the β-fraction variant (§3.3), processing only
 	// the top β-fraction of eligible vertices per iteration. 0 or 1 = all.
 	Beta  float64
 	Procs int
-	// Sequential selects the queue-based sequential implementation;
-	// PriorityQueue additionally switches it to the priority-queue variant.
-	Sequential    bool
-	PriorityQueue bool
+	// Sequential selects the queue-based sequential implementation.
+	Sequential bool
 	// Frontier selects the parallel version's frontier representation
 	// (default FrontierAuto).
 	Frontier FrontierMode
@@ -286,28 +281,20 @@ func (o *PRNibbleOptions) defaults() {
 	if o.Epsilon <= 0 {
 		o.Epsilon = 1e-7
 	}
-	if o.UseOriginalRule {
-		o.Rule = core.OriginalRule
-	} else {
-		o.Rule = core.OptimizedRule
-	}
 }
 
-func (o *PRNibbleOptions) runConfig() core.RunConfig {
-	return core.RunConfig{Procs: o.Procs, Frontier: o.Frontier, Workspace: o.Workspace, Result: o.Result, Cancel: o.Cancel}
+// rule maps the UseOriginalRule flag to the kernel's push rule.
+func (o *PRNibbleOptions) rule() PushRule {
+	if o.UseOriginalRule {
+		return core.OriginalRule
+	}
+	return core.OptimizedRule
 }
 
 // PRNibble runs the PageRank-Nibble diffusion (§3.3) from seed and returns
 // the approximate PageRank vector for a sweep cut.
 func PRNibble(g GraphData, seed uint32, opts PRNibbleOptions) (*Vector, Stats) {
-	opts.defaults()
-	if opts.Sequential {
-		if opts.PriorityQueue {
-			return core.PRNibbleSeqPQ(g, seed, opts.Alpha, opts.Epsilon, opts.Rule)
-		}
-		return core.PRNibbleSeq(g, seed, opts.Alpha, opts.Epsilon, opts.Rule)
-	}
-	return core.PRNibbleRun(g, []uint32{seed}, opts.Alpha, opts.Epsilon, opts.Rule, opts.Beta, opts.runConfig())
+	return PRNibbleFrom(g, []uint32{seed}, opts)
 }
 
 // HKPROptions configures HKPR. Zero values select the paper's Table 3
@@ -347,18 +334,10 @@ func (o *HKPROptions) defaults() {
 	}
 }
 
-func (o *HKPROptions) runConfig() core.RunConfig {
-	return core.RunConfig{Procs: o.Procs, Frontier: o.Frontier, Workspace: o.Workspace, Result: o.Result, Cancel: o.Cancel}
-}
-
 // HKPR runs the deterministic heat kernel PageRank diffusion (§3.4) from
 // seed and returns the e^-t-scaled approximation of the heat kernel vector.
 func HKPR(g GraphData, seed uint32, opts HKPROptions) (*Vector, Stats) {
-	opts.defaults()
-	if opts.Sequential {
-		return core.HKPRSeq(g, seed, opts.T, opts.N, opts.Epsilon)
-	}
-	return core.HKPRRun(g, []uint32{seed}, opts.T, opts.N, opts.Epsilon, opts.runConfig())
+	return HKPRFrom(g, []uint32{seed}, opts)
 }
 
 // RandHKPROptions configures RandHKPR. Zero values select t = 10, K = 10,
@@ -370,10 +349,8 @@ type RandHKPROptions struct {
 	Walks int     // number of random walks; default 100000
 	Seed  uint64  // randomness seed (walk i uses stream Split(Seed, i))
 	Procs int
-	// Sequential runs walks one at a time; Contended uses the naive
-	// fetch-and-add aggregation the paper reports as a negative result.
+	// Sequential runs walks one at a time.
 	Sequential bool
-	Contended  bool
 }
 
 func (o *RandHKPROptions) defaults() {
@@ -389,18 +366,10 @@ func (o *RandHKPROptions) defaults() {
 }
 
 // RandHKPR runs the randomized heat kernel PageRank (§3.5) from seed and
-// returns the empirical distribution of walk endpoints. All three
-// implementations (sequential, parallel, contended) return bit-identical
-// vectors for the same Seed.
+// returns the empirical distribution of walk endpoints. The sequential and
+// parallel implementations return bit-identical vectors for the same Seed.
 func RandHKPR(g GraphData, seed uint32, opts RandHKPROptions) (*Vector, Stats) {
-	opts.defaults()
-	if opts.Sequential {
-		return core.RandHKPRSeq(g, seed, opts.T, opts.K, opts.Walks, opts.Seed)
-	}
-	if opts.Contended {
-		return core.RandHKPRParContended(g, seed, opts.T, opts.K, opts.Walks, opts.Seed, opts.Procs)
-	}
-	return core.RandHKPRPar(g, seed, opts.T, opts.K, opts.Walks, opts.Seed, opts.Procs)
+	return RandHKPRFrom(g, []uint32{seed}, opts)
 }
 
 // NibbleFrom, PRNibbleFrom, HKPRFrom and RandHKPRFrom are the seed-set
@@ -413,27 +382,30 @@ func RandHKPR(g GraphData, seed uint32, opts RandHKPROptions) (*Vector, Stats) {
 func NibbleFrom(g GraphData, seeds []uint32, opts NibbleOptions) (*Vector, Stats) {
 	opts.defaults()
 	if opts.Sequential {
-		return core.NibbleSeqFrom(g, seeds, opts.Epsilon, opts.T)
+		return core.NibbleSeq(g, seeds, opts.Epsilon, opts.T)
 	}
-	return core.NibbleRun(g, seeds, opts.Epsilon, opts.T, opts.runConfig())
+	return core.NibbleRun(g, seeds, opts.Epsilon, opts.T,
+		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Result, opts.Cancel))
 }
 
 // PRNibbleFrom runs PR-Nibble from a multi-vertex seed set.
 func PRNibbleFrom(g GraphData, seeds []uint32, opts PRNibbleOptions) (*Vector, Stats) {
 	opts.defaults()
 	if opts.Sequential {
-		return core.PRNibbleSeqFrom(g, seeds, opts.Alpha, opts.Epsilon, opts.Rule)
+		return core.PRNibbleSeq(g, seeds, opts.Alpha, opts.Epsilon, opts.rule())
 	}
-	return core.PRNibbleRun(g, seeds, opts.Alpha, opts.Epsilon, opts.Rule, opts.Beta, opts.runConfig())
+	return core.PRNibbleRun(g, seeds, opts.Alpha, opts.Epsilon, opts.rule(), opts.Beta,
+		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Result, opts.Cancel))
 }
 
 // HKPRFrom runs HK-PR from a multi-vertex seed set.
 func HKPRFrom(g GraphData, seeds []uint32, opts HKPROptions) (*Vector, Stats) {
 	opts.defaults()
 	if opts.Sequential {
-		return core.HKPRSeqFrom(g, seeds, opts.T, opts.N, opts.Epsilon)
+		return core.HKPRSeq(g, seeds, opts.T, opts.N, opts.Epsilon)
 	}
-	return core.HKPRRun(g, seeds, opts.T, opts.N, opts.Epsilon, opts.runConfig())
+	return core.HKPRRun(g, seeds, opts.T, opts.N, opts.Epsilon,
+		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Result, opts.Cancel))
 }
 
 // RandHKPRFrom runs rand-HK-PR from a multi-vertex seed set (each walk
@@ -441,9 +413,9 @@ func HKPRFrom(g GraphData, seeds []uint32, opts HKPROptions) (*Vector, Stats) {
 func RandHKPRFrom(g GraphData, seeds []uint32, opts RandHKPROptions) (*Vector, Stats) {
 	opts.defaults()
 	if opts.Sequential {
-		return core.RandHKPRSeqFrom(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed)
+		return core.RandHKPRSeq(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed)
 	}
-	return core.RandHKPRParFrom(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed, opts.Procs)
+	return core.RandHKPRRun(g, seeds, opts.T, opts.K, opts.Walks, opts.Seed, core.RunConfig{Procs: opts.Procs})
 }
 
 // Batched diffusions share one edge traversal between up to MaxBatchLanes
@@ -475,12 +447,12 @@ func NibbleBatch(g GraphData, units []BatchUnit, opts NibbleOptions) (vecs []*Ve
 
 // PRNibbleBatch runs up to MaxBatchLanes PR-Nibble diffusions through
 // shared traversals. Parameters come from opts exactly as for PRNibble; the
-// Sequential, PriorityQueue, Result and Beta fields are ignored (the
+// Sequential, Result and Beta fields are ignored (the
 // β-fraction variant ranks vertices across one run's frontier and has no
 // per-lane analogue — batches always process the full frontier, β = 1).
 func PRNibbleBatch(g GraphData, units []BatchUnit, opts PRNibbleOptions) (vecs []*Vector, stats []Stats) {
 	opts.defaults()
-	return core.PRNibbleBatch(g, units, opts.Alpha, opts.Epsilon, opts.Rule, core.BatchConfig{
+	return core.PRNibbleBatch(g, units, opts.Alpha, opts.Epsilon, opts.rule(), core.BatchConfig{
 		Procs: opts.Procs, Frontier: opts.Frontier, Workspace: opts.Workspace, Cancel: opts.Cancel,
 	})
 }
@@ -506,17 +478,13 @@ func EvolvingSet(g GraphData, seed uint32, opts EvolvingSetOptions, sequential b
 // SweepOptions configures SweepCut.
 type SweepOptions struct {
 	Procs int
-	// Sequential selects the standard sequential sweep; SortBased selects
-	// the faithful Theorem-1 parallel algorithm instead of the default
-	// bucket-accumulation parallel sweep. All three return identical
-	// results.
+	// Sequential selects the standard sequential sweep instead of the
+	// parallel one. Both return identical results.
 	Sequential bool
-	SortBased  bool
 	// Result, when non-nil, is the arena the selected sweep borrows its
 	// result (Cluster, Order, PrefixConductance) and scratch from; the
 	// returned slices are then valid only until the arena is Released (see
-	// ResultArena). All three variants pool through it; results are
-	// identical either way.
+	// ResultArena). Results are identical either way.
 	Result *ResultArena
 }
 
@@ -524,12 +492,9 @@ type SweepOptions struct {
 // cluster (§3.1).
 func SweepCut(g GraphData, vec *Vector, opts SweepOptions) SweepResult {
 	if opts.Sequential {
-		return core.SweepCutSeqInto(g, vec, opts.Result)
+		return core.SweepCutSeq(g, vec, opts.Result)
 	}
-	if opts.SortBased {
-		return core.SweepCutParSortInto(g, vec, opts.Procs, opts.Result)
-	}
-	return core.SweepCutParInto(g, vec, opts.Procs, opts.Result)
+	return core.SweepCutPar(g, vec, opts.Procs, opts.Result)
 }
 
 // Cluster is the end-to-end result of FindCluster.

@@ -9,12 +9,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/api.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden surface files")
 
 // exportedNames parses the non-test files of one package directory and
 // returns its exported surface: top-level funcs, types, consts and vars as
@@ -94,5 +95,69 @@ func TestKernelAPISurfaceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("exported surface of internal/core + internal/ligra drifted from %s\ngot:\n%swant:\n%s", path, got, want)
+	}
+}
+
+// exportedFields returns the exported fields of the named struct types of
+// one package directory as "dir.Type{Field}" — each one a value somebody can
+// set independently.
+func exportedFields(t *testing.T, dir string, types ...string) []string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				spec, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := spec.Type.(*ast.StructType)
+				if !ok || !slices.Contains(types, spec.Name.Name) {
+					return false
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							names = append(names, dir+"."+spec.Name.Name+"{"+id.Name+"}")
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	return names
+}
+
+// TestServiceSurfaceGolden pins the serving layer's entry points and its
+// knob count: the exported identifiers and methods of internal/service and
+// internal/sched, plus every exported field of the three config structs. A
+// new option, mode or second way into the request pipeline shows up as a
+// diff of testdata/service.golden (DESIGN.md, "Removed in PR 20"). Run with
+// -update to regenerate after an intentional change.
+func TestServiceSurfaceGolden(t *testing.T) {
+	names := append(exportedNames(t, "internal/service"), exportedNames(t, "internal/sched")...)
+	names = append(names, exportedFields(t, "internal/service", "Config", "WALConfig")...)
+	names = append(names, exportedFields(t, "internal/sched", "Config")...)
+	sort.Strings(names)
+	got := []byte(strings.Join(names, "\n") + "\n")
+	path := filepath.Join("testdata", "service.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("exported surface of internal/service + internal/sched drifted from %s\ngot:\n%swant:\n%s", path, got, want)
 	}
 }

@@ -34,8 +34,7 @@
 // visible, a restart with the same -wal-dir replays the log to the exact
 // pre-crash epoch, and each background compaction persists a checkpoint
 // that truncates the replayed prefix. -wal-fsync accepts "always", "never",
-// or a flush interval ("100ms"); -wal-segment-bytes sets the segment
-// rotation threshold.
+// or a flush interval ("100ms").
 //
 // Observability: every response carries X-Request-Id, work requests are
 // traced into a bounded ring served at /v1/trace (capacity set by
@@ -43,11 +42,10 @@
 // (-log-requests logs all of them), and -pprof-addr starts a separate
 // net/http/pprof listener kept off the service port.
 //
-// The -frontier flag sets the server-wide default frontier-representation
-// mode for diffusions ("auto", "sparse" or "dense"; auto switches per
-// iteration via Ligra's direction heuristic). Requests can override it per
-// query with params.frontier, and GET /v1/stats reports how many diffusions
-// ran under each mode. Results are identical in every mode.
+// Diffusions pick their frontier representation per iteration via Ligra's
+// direction heuristic ("auto"); a request can pin "sparse" or "dense" with
+// params.frontier, and GET /v1/stats reports how many diffusions ran under
+// each mode. Results are identical in every mode.
 //
 // Scheduling: every request passes through the class/deadline scheduler
 // (internal/sched). -class-weights sets the per-class grant weights,
@@ -75,7 +73,6 @@ import (
 	"syscall"
 	"time"
 
-	"parcluster/internal/core"
 	"parcluster/internal/graph"
 	"parcluster/internal/sched"
 	"parcluster/internal/service"
@@ -91,7 +88,6 @@ type serveConfig struct {
 	batchLanes      int
 	dynamic         bool
 	preload         string
-	frontier        string
 	classWeights    string
 	defaultDeadline time.Duration
 	maxQueue        int
@@ -100,7 +96,6 @@ type serveConfig struct {
 	maxDeltaEdges   int
 	walDir          string
 	walFsync        string
-	walSegmentBytes int64
 	slowQuery       time.Duration
 	pprofAddr       string
 	traceRing       int
@@ -118,7 +113,6 @@ func main() {
 	flag.IntVar(&cfg.batchLanes, "batch-lanes", 0, "coalesce up to this many same-params diffusions into one bit-parallel traversal (0 or 1 = off, max 64)")
 	flag.BoolVar(&cfg.dynamic, "dynamic", true, "allow generator specs as graph names in queries (capped at 64 distinct specs)")
 	flag.StringVar(&cfg.preload, "preload", "", "comma-separated graph names to load before serving")
-	flag.StringVar(&cfg.frontier, "frontier", "auto", "default frontier representation: auto, sparse, dense (requests may override)")
 	flag.StringVar(&cfg.classWeights, "class-weights", "", "scheduler class weights as interactive=16,batch=4,background=1 (partial overrides allowed)")
 	flag.DurationVar(&cfg.defaultDeadline, "default-deadline", 0, "deadline applied to requests without deadline_ms (0 = none)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "per-class admitted-request bound before 429s (0 = 256, negative = unbounded)")
@@ -127,7 +121,6 @@ func main() {
 	flag.IntVar(&cfg.maxDeltaEdges, "max-delta-edges", 0, "pending-delta count that kicks an early compaction (0 = 65536, negative = timer-only)")
 	flag.StringVar(&cfg.walDir, "wal-dir", "", "root directory for per-graph ingest write-ahead logs (empty = durability off)")
 	flag.StringVar(&cfg.walFsync, "wal-fsync", "always", "WAL fsync policy: always, never, or a flush interval like 100ms")
-	flag.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 64 MiB)")
 	flag.DurationVar(&cfg.slowQuery, "slow-query", time.Second, "log requests at Warn when they take at least this long (0 = never)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 0, "finished-trace ring capacity behind /v1/trace (0 = 256, negative = disable tracing)")
@@ -178,11 +171,7 @@ func parseClassWeights(s string) ([sched.NumClasses]int, error) {
 
 func run(cfg serveConfig) error {
 	addr, procs, maxQProcs, cacheSize := cfg.addr, cfg.procs, cfg.maxQProcs, cfg.cacheSize
-	dynamic, preload, frontier, graphs, gens := cfg.dynamic, cfg.preload, cfg.frontier, cfg.graphs, cfg.gens
-	mode, err := core.ParseFrontierMode(frontier)
-	if err != nil {
-		return fmt.Errorf("-frontier: %w", err)
-	}
+	dynamic, preload, graphs, gens := cfg.dynamic, cfg.preload, cfg.graphs, cfg.gens
 	weights, err := parseClassWeights(cfg.classWeights)
 	if err != nil {
 		return fmt.Errorf("-class-weights: %w", err)
@@ -194,10 +183,9 @@ func run(cfg serveConfig) error {
 			return fmt.Errorf("-wal-fsync: %w", err)
 		}
 		if err := reg.EnableWAL(service.WALConfig{
-			Dir:          cfg.walDir,
-			SegmentBytes: cfg.walSegmentBytes,
-			Policy:       policy,
-			Interval:     interval,
+			Dir:      cfg.walDir,
+			Policy:   policy,
+			Interval: interval,
 		}); err != nil {
 			return fmt.Errorf("-wal-dir: %w", err)
 		}
@@ -231,7 +219,6 @@ func run(cfg serveConfig) error {
 		MaxProcsPerQuery: maxQProcs,
 		CacheSize:        cacheSize,
 		BatchLanes:       cfg.batchLanes,
-		DefaultFrontier:  mode,
 		ClassWeights:     weights,
 		MaxQueue:         cfg.maxQueue,
 		DefaultDeadline:  cfg.defaultDeadline,

@@ -53,7 +53,8 @@
 // values: clusters and Stats are identical, only the constants change.
 // Dense rounds are also deterministic to the last float bit at any worker
 // count; sparse rounds with several workers add in schedule order. The
-// lgc and lgc-serve commands expose the knob as -frontier.
+// lgc command exposes the knob as -frontier; lgc-serve requests set it per
+// query with params.frontier.
 //
 // # Workspace pooling
 //

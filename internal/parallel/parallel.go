@@ -402,20 +402,3 @@ func FilterIndexInto(p, n int, buf []int, pred func(i int) bool) []int {
 	})
 	return out
 }
-
-// Concat flattens parts into one slice using a scan over lengths and
-// parallel copies. It is the standard way to assemble per-worker outputs
-// without contention.
-func Concat[T any](p int, parts [][]T) []T {
-	total := 0
-	offsets := make([]int, len(parts))
-	for i, part := range parts {
-		offsets[i] = total
-		total += len(part)
-	}
-	out := make([]T, total)
-	For(p, len(parts), 1, func(i int) {
-		copy(out[offsets[i]:], parts[i])
-	})
-	return out
-}

@@ -235,16 +235,6 @@ func TestMinIndexFuncTieBreak(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	parts := [][]int{{1, 2}, nil, {3}, {}, {4, 5, 6}}
-	want := []int{1, 2, 3, 4, 5, 6}
-	for _, p := range procsUnderTest() {
-		if got := Concat(p, parts); !reflect.DeepEqual(got, want) {
-			t.Fatalf("p=%d: Concat = %v", p, got)
-		}
-	}
-}
-
 func TestSortRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for _, n := range []int{0, 1, 2, 100, sortSeqCutoff + 17, 200000} {

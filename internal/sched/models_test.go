@@ -145,6 +145,71 @@ func TestReleaseUnitsFeedsPerUnitCost(t *testing.T) {
 	}
 }
 
+// TestAbandonTeachesNothing pins the cancelled-run contract: a grant handed
+// back with Abandon returns its tokens and in-flight accounting but leaves
+// the class EWMA, the (graph, algo) model and the completion counter exactly
+// as they were — a truncated duration is not a service time. A second
+// release of the same grant, by any spelling, still panics.
+func TestAbandonTeachesNothing(t *testing.T) {
+	s := New(Config{Tokens: 1})
+	advance := fakeClock(s)
+	runUnit(t, s, "g", "nibble", 40*time.Millisecond, advance)
+
+	tk, err := s.Admit(Interactive, "g", "nibble", time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tk.Close()
+	cancelled, err := tk.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := s.Admit(Interactive, "h", "prnibble", time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	advance(time.Millisecond) // cut short long before the 40ms the work takes
+	cancelled.Abandon()
+
+	st := s.Stats()
+	if st.Avail != 1 || len(st.GraphInFlight) != 0 {
+		t.Fatalf("tokens not returned: avail %d, in flight %v", st.Avail, st.GraphInFlight)
+	}
+	if got := st.Classes[Interactive].Completed; got != 1 {
+		t.Fatalf("Completed = %d, want 1 (the abandoned run finished nothing)", got)
+	}
+	if st.ServiceModels != 1 {
+		t.Fatalf("ServiceModels = %d, want 1", st.ServiceModels)
+	}
+	s.mu.Lock()
+	model, ewma := s.models["g|nibble"], s.classes[Interactive].ewmaUS
+	s.mu.Unlock()
+	if model != 40_000 || ewma != 40_000 {
+		t.Fatalf("model %dus, class EWMA %dus; want both still 40000", model, ewma)
+	}
+
+	// A pair whose only run was abandoned has no model at all.
+	g, err := other.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatalf("abandoned tokens not grantable: %v", err)
+	}
+	g.Abandon()
+	if got := s.Stats().ServiceModels; got != 1 {
+		t.Fatalf("ServiceModels = %d after an abandoned first run, want 1", got)
+	}
+	for name, again := range map[string]func(){"Abandon": g.Abandon, "Release": g.Release} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Abandon did not panic", name)
+				}
+			}()
+			again()
+		}()
+	}
+}
+
 // TestServiceModelCap pins the bound on model-table growth: past
 // maxServiceModels distinct (graph, algo) pairs, new pairs fall back to
 // the class EWMA instead of inserting.

@@ -491,12 +491,7 @@ func (t *Ticket) Acquire(ctx context.Context, n int) (*Grant, error) {
 		if w.granted {
 			// The grant raced the cancellation; hand the tokens straight
 			// back.
-			s.avail += n
-			s.inFlight[t.graph] -= n
-			if s.inFlight[t.graph] == 0 {
-				delete(s.inFlight, t.graph)
-			}
-			s.grantLocked()
+			s.returnTokensLocked(t.graph, n)
 			s.mu.Unlock()
 			return nil, ctx.Err()
 		}
@@ -648,47 +643,64 @@ type Grant struct {
 }
 
 // Release returns the grant's tokens and feeds the unit's service time into
-// the class EWMA and the (graph, algo) model. It must be called exactly
-// once per grant (ReleaseUnits counts as the one call).
+// the class EWMA and the (graph, algo) model. Exactly one of Release,
+// ReleaseUnits and Abandon must be called per grant, exactly once.
 func (g *Grant) Release() { g.ReleaseUnits(1) }
 
 // ReleaseUnits is Release for a grant that served units requests in one
 // run — a bit-parallel batch. The measured duration is divided by units
 // before feeding the service-time models, so a 64-lane batch teaches the
 // scheduler the per-unit cost, not the traversal cost, and the class's
-// completion counter advances by units. Must be called exactly once per
-// grant; units < 1 is treated as 1.
-func (g *Grant) ReleaseUnits(units int) {
+// completion counter advances by units. units < 1 is treated as 1.
+func (g *Grant) ReleaseUnits(units int) { g.release(max(units, 1)) }
+
+// Abandon returns the grant's tokens for a run that did not finish — its
+// context was cancelled or its deadline fired mid-kernel. The time such a
+// run held its tokens says nothing about what the work costs, so the class
+// EWMA, the (graph, algo) model and the completion counter stay untouched:
+// fed truncated durations, admission under overload would learn that work
+// is faster than it is and accept deadlines it cannot meet.
+func (g *Grant) Abandon() { g.release(0) }
+
+// release returns the grant's tokens and, when the run finished units > 0
+// units, teaches the service-time models its per-unit duration.
+func (g *Grant) release(units int) {
 	if g.done {
 		panic("sched: double release of a token grant")
 	}
 	g.done = true
-	if units < 1 {
-		units = 1
-	}
 	s := g.t.s
-	unitUS := s.now().Sub(g.started).Microseconds() / int64(units)
+	held := s.now().Sub(g.started).Microseconds()
 	s.mu.Lock()
-	cs := s.classes[g.t.class]
-	if cs.ewmaUS == 0 {
-		cs.ewmaUS = unitUS
-	} else {
-		cs.ewmaUS += (unitUS - cs.ewmaUS) / 8
+	if units > 0 {
+		unitUS := held / int64(units)
+		cs := s.classes[g.t.class]
+		if cs.ewmaUS == 0 {
+			cs.ewmaUS = unitUS
+		} else {
+			cs.ewmaUS += (unitUS - cs.ewmaUS) / 8
+		}
+		key := modelKey(g.t.graph, g.t.algo)
+		if prev, ok := s.models[key]; ok {
+			s.models[key] = prev + (unitUS-prev)/8
+		} else if len(s.models) < maxServiceModels {
+			s.models[key] = unitUS
+		}
+		cs.completed += int64(units)
 	}
-	key := modelKey(g.t.graph, g.t.algo)
-	if prev, ok := s.models[key]; ok {
-		s.models[key] = prev + (unitUS-prev)/8
-	} else if len(s.models) < maxServiceModels {
-		s.models[key] = unitUS
-	}
-	cs.completed += int64(units)
-	s.avail += g.n
-	s.inFlight[g.t.graph] -= g.n
-	if s.inFlight[g.t.graph] == 0 {
-		delete(s.inFlight, g.t.graph)
+	s.returnTokensLocked(g.t.graph, g.n)
+	s.mu.Unlock()
+}
+
+// returnTokensLocked hands n tokens granted against graph back to the pool
+// and lets the grant loop pass them on.
+func (s *Scheduler) returnTokensLocked(graph string, n int) {
+	s.avail += n
+	s.inFlight[graph] -= n
+	if s.inFlight[graph] == 0 {
+		delete(s.inFlight, graph)
 	}
 	s.grantLocked()
-	s.mu.Unlock()
 }
 
 // Close returns the ticket's admission slot. Idempotent; must be called on
@@ -752,8 +764,8 @@ type ClassStats struct {
 	Weight int
 	// Admitted / Rejected / DeadlineMissed / Completed count tickets
 	// admitted, tickets rejected at admission (queue full), deadline
-	// failures (at admission, in queue, or at unit start), and unit grants
-	// released.
+	// failures (at admission, in queue, or at unit start), and finished
+	// units (abandoned grants do not count).
 	Admitted, Rejected, DeadlineMissed, Completed int64
 	// QueueDepth is the number of currently queued unit waiters.
 	QueueDepth int

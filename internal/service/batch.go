@@ -1,26 +1,19 @@
 package service
 
 import (
-	"context"
 	"time"
 
 	"parcluster/internal/core"
-	"parcluster/internal/graph"
-	"parcluster/internal/obs"
-	"parcluster/internal/sched"
 	"parcluster/internal/sparse"
-	"parcluster/internal/workspace"
 )
 
-// This file is the engine-level batching planner: it coalesces the work
-// units of one multi-seed request into bit-parallel lane groups so that up
-// to Config.BatchLanes same-parameter diffusions share a single edge
-// traversal (core.NibbleBatch / core.PRNibbleBatch). Units the planner
-// cannot batch — other algorithms, the beta-fraction PR-Nibble variant,
-// requests that opt out with params.batching="off" — take the ordinary
-// fan-out path in openStream. Everything downstream of the kernel (sweep,
-// cache population, flight coalescing, NDJSON delivery, arena ownership) is
-// shared with the fan-out path so the two are observationally identical.
+// This file is what a request planned wider than one unit per group adds to
+// the pipeline in engine.go: the eligibility rule and the lane kernel. Up to
+// Config.BatchLanes same-parameter units of one multi-seed request share a
+// single edge traversal (core.NibbleBatch / core.PRNibbleBatch); every other
+// station — lookup, tokens, discard-if-cancelled, sweep, cache population,
+// flight coalescing, NDJSON delivery, arena ownership — is request.runGroup,
+// whatever the width, so the two are observationally identical.
 
 // batchEligible reports whether a request's units may share bit-parallel
 // traversals. Requires the engine to have lanes configured, more than one
@@ -42,187 +35,26 @@ func (e *Engine) batchEligible(rp resolved, req *ClusterRequest, nunits int) boo
 	}
 }
 
-// laneLeader is one diffusion the planner actually runs: a unit that missed
-// the cache and is the first of its key within its group. dups are
-// same-group units with the same key, served copies of the leader's result
-// exactly as flight followers would be; fl is the cross-request coalescing
-// flight this leader registered (nil when another request already owns the
-// key's flight, or when the request is NoCache).
-type laneLeader struct {
-	idx   int
-	key   string
-	fl    *flight
-	dups  []int
-	arena *workspace.Result
-}
-
-// runBatched drives a whole request through the batching planner: units are
-// taken in request order, grouped into chunks of at most batchLanes, and
-// each chunk answered by one shared traversal. It owns st.ch and closes it
-// when every unit has been delivered or failed.
-func (e *Engine) runBatched(ctx context.Context, cancel context.CancelFunc, st *ClusterStream, g graph.Graph, wsPool *workspace.Pool, ticket *sched.Ticket, req *ClusterRequest, rp resolved, keyBase string, units [][]uint32, procs int) {
-	defer close(st.ch)
-	tr := obs.FromContext(ctx)
-	for lo := 0; lo < len(units); lo += e.batchLanes {
-		hi := lo + e.batchLanes
-		if hi > len(units) {
-			hi = len(units)
-		}
-		e.runBatchGroup(ctx, cancel, st, g, wsPool, ticket, req, rp, keyBase, units, lo, hi, procs, tr)
-	}
-}
-
-// runBatchGroup answers units[lo:hi] with (at most) one shared traversal.
-// Cache hits are delivered immediately and never occupy a lane; duplicate
-// keys within the group collapse onto one lane. The group acquires its proc
-// tokens once — a batch costs the scheduler the same tokens as a single
-// unit, which is exactly the traversal-sharing win — and releases them as
-// len(pending) completed units so the scheduler's per-(graph, algo) service
-// model learns the per-unit cost, not the group cost.
-func (e *Engine) runBatchGroup(ctx context.Context, cancel context.CancelFunc, st *ClusterStream, g graph.Graph, wsPool *workspace.Pool, ticket *sched.Ticket, req *ClusterRequest, rp resolved, keyBase string, units [][]uint32, lo, hi, procs int, tr *obs.Trace) {
-	pending := make([]*laneLeader, 0, hi-lo)
-	var byKey map[string]*laneLeader
-	if !req.NoCache {
-		byKey = make(map[string]*laneLeader, hi-lo)
-	}
-	for i := lo; i < hi; i++ {
-		key := rp.key(keyBase, units[i])
-		if !req.NoCache {
-			e.cacheMu.Lock()
-			res, ok := e.cache.get(key)
-			e.cacheMu.Unlock()
-			if ok {
-				e.hits.Add(1)
-				hit := *res
-				hit.Cached = true
-				st.ch <- streamUnit{idx: i, res: trim(&hit, req.MaxMembers)}
-				continue
-			}
-			if l, ok := byKey[key]; ok {
-				l.dups = append(l.dups, i)
-				continue
-			}
-		}
-		l := &laneLeader{idx: i, key: key}
-		if !req.NoCache {
-			byKey[key] = l
-			// Register the coalescing flight so concurrent requests on the
-			// same key wait for this lane instead of re-running it. If a
-			// foreign flight already owns the key we compute our own lane
-			// anyway — waiting would stall the 63 sibling lanes on another
-			// request's schedule.
-			e.flightMu.Lock()
-			if _, busy := e.flights[key]; !busy {
-				l.fl = &flight{done: make(chan struct{})}
-				e.flights[key] = l.fl
-			}
-			e.flightMu.Unlock()
-			e.misses.Add(1)
-		}
-		pending = append(pending, l)
-	}
-	if len(pending) == 0 {
-		return
-	}
-
-	failPending := func(err error) {
-		for _, l := range pending {
-			if l.fl != nil {
-				l.fl.err = err
-				e.flightMu.Lock()
-				delete(e.flights, l.key)
-				e.flightMu.Unlock()
-				close(l.fl.done)
-			}
-			st.ch <- streamUnit{idx: l.idx, err: err}
-			for _, d := range l.dups {
-				st.ch <- streamUnit{idx: d, err: err}
-			}
-		}
-		cancel()
-	}
-
-	queueStart := time.Now()
-	grant, err := ticket.Acquire(ctx, procs)
-	e.metrics.queueWait.With(ticket.Class().String()).Observe(time.Since(queueStart))
-	if err != nil {
-		failPending(err)
-		return
-	}
-	tr.Span("queue_wait", queueStart)
-
-	bunits := make([]core.BatchUnit, len(pending))
-	for j, l := range pending {
-		l.arena = wsPool.AcquireResult()
-		bunits[j] = core.BatchUnit{Seeds: units[l.idx], Result: l.arena, Observer: kernelObserver(tr, l.idx)}
-	}
-	e.diffusions.Add(int64(len(pending)))
-	e.modeCounts[rp.frontier].Add(int64(len(pending)))
-
-	p := rp.p
-	cfg := core.BatchConfig{Procs: procs, Frontier: rp.frontier, Workspace: wsPool, Cancel: ctx.Done()}
-	var vecs []*sparse.Map
-	var sts []core.Stats
-	kernelStart := time.Now()
-	switch rp.algo {
-	case "nibble":
-		vecs, sts = core.NibbleBatch(g, bunits, p.Epsilon, p.T, cfg)
-	case "prnibble":
-		rule := core.OptimizedRule
-		if p.OriginalRule {
-			rule = core.OriginalRule
-		}
-		vecs, sts = core.PRNibbleBatch(g, bunits, p.Alpha, p.Epsilon, rule, cfg)
-	default:
-		panic("service: unbatchable algo " + rp.algo) // batchEligible gates entry
-	}
-	e.metrics.kernelDur.With(rp.algo).Observe(time.Since(kernelStart))
-	tr.Span("kernel", kernelStart)
-	grant.ReleaseUnits(len(pending))
-	if err := ctx.Err(); err != nil {
-		// Deadline or client departure mid-kernel: every lane stopped at the
-		// round boundary, so every partial result is discarded — never
-		// cached, never published to followers, never delivered.
-		for _, l := range pending {
-			l.arena.Release()
-		}
-		failPending(err)
-		return
-	}
+// runLanes is the kernel of a group planned wider than one: every lane's
+// diffusion in one shared bit-parallel traversal, under one "kernel" span.
+// It returns the per-lane vectors and statistics, in lane order.
+func (r *request) runLanes(lanes []*lane) ([]*sparse.Map, []core.Stats) {
+	e, p := r.sc.e, r.rp.p
 	e.batchGroups.Add(1)
-	e.batchLanesFilled.Add(int64(len(pending)))
-	e.batchTraversalsSaved.Add(int64(len(pending) - 1))
-
-	sweepStart := time.Now()
-	for j, l := range pending {
-		res := sweepResult(g, units[l.idx], procs, l.arena, vecs[j], sts[j])
-		var owned *ClusterResult
-		if e.cache != nil {
-			owned = detachResult(res)
-			e.cacheMu.Lock()
-			e.cache.put(l.key, owned)
-			e.cacheMu.Unlock()
-		}
-		if l.fl != nil {
-			if owned == nil {
-				owned = detachResult(res)
-			}
-			l.fl.res = owned
-			e.flightMu.Lock()
-			delete(e.flights, l.key)
-			e.flightMu.Unlock()
-			close(l.fl.done)
-		}
-		for _, d := range l.dups {
-			if owned == nil {
-				owned = detachResult(res)
-			}
-			hit := *owned
-			hit.Cached = true
-			e.hits.Add(1)
-			st.ch <- streamUnit{idx: d, res: trim(&hit, req.MaxMembers)}
-		}
-		st.ch <- streamUnit{idx: l.idx, res: trim(res, req.MaxMembers), arena: l.arena}
+	e.batchLanesFilled.Add(int64(len(lanes)))
+	e.batchTraversalsSaved.Add(int64(len(lanes) - 1))
+	bunits := make([]core.BatchUnit, len(lanes))
+	for j, l := range lanes {
+		bunits[j] = core.BatchUnit{Seeds: r.units[l.idx], Result: l.arena, Observer: kernelObserver(r.sc.tr, l.idx)}
 	}
-	tr.Span("sweep", sweepStart)
+	cfg := core.BatchConfig{Procs: r.procs, Frontier: r.rp.frontier, Workspace: r.sc.pin.Pool, Cancel: r.sc.ctx.Done()}
+	defer r.kernelDone(time.Now())
+	switch r.rp.algo {
+	case "nibble":
+		return core.NibbleBatch(r.sc.pin.G, bunits, p.Epsilon, p.T, cfg)
+	case "prnibble":
+		return core.PRNibbleBatch(r.sc.pin.G, bunits, p.Alpha, p.Epsilon, r.rp.rule(), cfg)
+	default:
+		panic("service: unbatchable algo " + r.rp.algo) // batchEligible gates entry
+	}
 }

@@ -18,51 +18,80 @@ func batchTestEngine(t *testing.T, procs, lanes int) *Engine {
 	return NewEngine(reg, Config{ProcBudget: procs, CacheSize: 64, BatchLanes: lanes})
 }
 
-// TestBatchedMatchesFanout pins the planner's core promise: a multi-seed
+// TestBatchedMatchesFanout pins the pipeline's core promise: a multi-seed
 // request answered through shared-traversal lanes is byte-identical to the
-// same request fanned out one diffusion per unit — results, statistics and
-// aggregate alike. Lane width 8 against 20 seeds forces three groups, one
-// of them partial.
+// same request run one diffusion per unit — results (Cached flags
+// included), statistics and aggregate alike. Lane width 8 against 20 seeds
+// forces three groups, one of them partial. Beyond the all-miss list, a
+// NoCache request (every unit a fresh lane, no coalescing) and a list that
+// mixes cache hits (seeds 9 and 27, warmed beforehand; seed 0 again in a
+// later group), in-group duplicates and misses walk every lookup outcome.
 func TestBatchedMatchesFanout(t *testing.T) {
+	distinct := make([]uint32, 20)
+	for i := range distinct {
+		distinct[i] = uint32(i * 9)
+	}
+	mixed := []uint32{
+		0, 9, 18, 0, 27, 36, 45, 18, // lanes 0 18 36 45; 9 27 cached; 0 18 repeated
+		54, 9, 63, 63, 72, 81, 0, 90, // lanes 54 63 72 81 90; 0 cached by the first group
+		99, 27, 108, 108, // lanes 99 108
+	}
+	cases := []struct {
+		name          string
+		warm, seeds   []uint32
+		noCache       bool
+		lanes, warmed int64 // lanes the request fills, diffusions spent warming
+	}{
+		{name: "distinct", seeds: distinct, lanes: 20},
+		{name: "no-cache", warm: []uint32{9, 27}, seeds: mixed, noCache: true, lanes: 20, warmed: 2},
+		{name: "mixed", warm: []uint32{9, 27}, seeds: mixed, lanes: 11, warmed: 2},
+	}
 	for _, algo := range []string{"prnibble", "nibble"} {
-		batched := batchTestEngine(t, 1, 8)
-		fanout := batchTestEngine(t, 1, 0)
-		seeds := make([]uint32, 20)
-		for i := range seeds {
-			seeds[i] = uint32(i * 9)
-		}
-		req := func() *ClusterRequest {
-			return &ClusterRequest{Graph: "test", Algo: algo, Seeds: append([]uint32(nil), seeds...)}
-		}
-		want, err := fanout.Cluster(context.Background(), req())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := batched.Cluster(context.Background(), req())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantJSON, _ := json.Marshal(want.Results)
-		gotJSON, _ := json.Marshal(got.Results)
-		if string(wantJSON) != string(gotJSON) {
-			t.Fatalf("%s: batched results differ from fan-out\nfanout:  %s\nbatched: %s", algo, wantJSON, gotJSON)
-		}
-		want.Aggregate.ElapsedMS, got.Aggregate.ElapsedMS = 0, 0 // wall time, the one legitimate difference
-		wantAgg, _ := json.Marshal(want.Aggregate)
-		gotAgg, _ := json.Marshal(got.Aggregate)
-		if string(wantAgg) != string(gotAgg) {
-			t.Fatalf("%s: aggregates differ\nfanout:  %s\nbatched: %s", algo, wantAgg, gotAgg)
-		}
+		for _, tc := range cases {
+			name := algo + "/" + tc.name
+			batched := batchTestEngine(t, 1, 8)
+			fanout := batchTestEngine(t, 1, 0)
+			run := func(e *Engine) *ClusterResponse {
+				for _, s := range tc.warm { // single seeds never batch
+					if _, err := e.Cluster(context.Background(), &ClusterRequest{Graph: "test", Algo: algo, Seeds: []uint32{s}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				resp, err := e.Cluster(context.Background(), &ClusterRequest{
+					Graph: "test", Algo: algo, Seeds: append([]uint32(nil), tc.seeds...), NoCache: tc.noCache,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			want, got := run(fanout), run(batched)
+			wantJSON, _ := json.Marshal(want.Results)
+			gotJSON, _ := json.Marshal(got.Results)
+			if string(wantJSON) != string(gotJSON) {
+				t.Fatalf("%s: batched results differ from fan-out\nfanout:  %s\nbatched: %s", name, wantJSON, gotJSON)
+			}
+			want.Aggregate.ElapsedMS, got.Aggregate.ElapsedMS = 0, 0 // wall time, the one legitimate difference
+			wantAgg, _ := json.Marshal(want.Aggregate)
+			gotAgg, _ := json.Marshal(got.Aggregate)
+			if string(wantAgg) != string(gotAgg) {
+				t.Fatalf("%s: aggregates differ\nfanout:  %s\nbatched: %s", name, wantAgg, gotAgg)
+			}
 
-		st := batched.Stats()
-		if st.Batch.Groups != 3 || st.Batch.LanesFilled != 20 || st.Batch.TraversalsSaved != 17 {
-			t.Fatalf("%s: batch counters = %+v, want 3 groups / 20 lanes / 17 saved", algo, st.Batch)
-		}
-		if st.Diffusions != 20 {
-			t.Fatalf("%s: diffusions = %d, want 20 (one per lane)", algo, st.Diffusions)
-		}
-		if fst := fanout.Stats(); fst.Batch.Groups != 0 || fst.Batch.LanesFilled != 0 {
-			t.Fatalf("%s: fan-out engine ran the planner: %+v", algo, fst.Batch)
+			st, fst := batched.Stats(), fanout.Stats()
+			if st.Batch.Groups != 3 || st.Batch.LanesFilled != tc.lanes || st.Batch.TraversalsSaved != tc.lanes-3 {
+				t.Fatalf("%s: batch counters = %+v, want 3 groups / %d lanes / %d saved", name, st.Batch, tc.lanes, tc.lanes-3)
+			}
+			if st.Diffusions != tc.warmed+tc.lanes {
+				t.Fatalf("%s: diffusions = %d, want %d (one per lane)", name, st.Diffusions, tc.warmed+tc.lanes)
+			}
+			if fst.Batch.Groups != 0 || fst.Batch.LanesFilled != 0 {
+				t.Fatalf("%s: fan-out engine ran the planner: %+v", name, fst.Batch)
+			}
+			if st.Diffusions != fst.Diffusions || st.CacheHits != fst.CacheHits || st.CacheMisses != fst.CacheMisses {
+				t.Fatalf("%s: counters differ: batched %d diffusions / %d hits / %d misses, fan-out %d / %d / %d", name,
+					st.Diffusions, st.CacheHits, st.CacheMisses, fst.Diffusions, fst.CacheHits, fst.CacheMisses)
+			}
 		}
 	}
 }

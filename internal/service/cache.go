@@ -1,13 +1,15 @@
 package service
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
 // lruCache is a fixed-capacity LRU map from cache key to a completed
 // cluster result. Graphs are immutable and the algorithms deterministic
 // given their parameters, so entries never go stale; eviction is purely
-// capacity-driven. The cache itself does no locking: every access —
-// including get, whose recency bump mutates the list — must hold
-// Engine.cacheMu (see Engine.runCached and Engine.Stats).
+// capacity-driven. Safe for concurrent use: every method takes the cache's
+// own lock — get included, since its recency bump mutates the list.
 //
 // Ownership rule: stored values must own all of their memory. The engine's
 // hot path hands out cluster vectors borrowed from per-graph result arenas
@@ -16,6 +18,7 @@ import "container/list"
 // alias a released workspace. The retained bytes are accounted per entry
 // and reported as cache_bytes in /v1/stats.
 type lruCache struct {
+	mu    sync.Mutex
 	max   int
 	ll    *list.List               // front = most recently used
 	items map[string]*list.Element // value: *lruEntry
@@ -49,20 +52,17 @@ func resultFootprint(key string, val *ClusterResult) int64 {
 		int64(len(key)) + entryOverhead
 }
 
-// newLRUCache returns a cache holding at most max entries; max <= 0
-// returns a nil cache, which get/put treat as disabled.
+// newLRUCache returns a cache holding at most max entries. With max <= 0
+// caching is disabled: every put evicts what it inserted, so nothing is
+// ever retained and every get misses.
 func newLRUCache(max int) *lruCache {
-	if max <= 0 {
-		return nil
-	}
 	return &lruCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 // get returns the entry for key, marking it most recently used.
 func (c *lruCache) get(key string) (*ClusterResult, bool) {
-	if c == nil {
-		return nil, false
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
@@ -74,9 +74,8 @@ func (c *lruCache) get(key string) (*ClusterResult, bool) {
 // put inserts or refreshes key, evicting the least recently used entry
 // when over capacity. val must own its memory (see detachResult).
 func (c *lruCache) put(key string, val *ClusterResult) {
-	if c == nil {
-		return
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		entry := el.Value.(*lruEntry)
@@ -98,16 +97,14 @@ func (c *lruCache) put(key string, val *ClusterResult) {
 
 // len reports the current entry count.
 func (c *lruCache) len() int {
-	if c == nil {
-		return 0
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
 // bytes reports the estimated footprint of all retained entries.
 func (c *lruCache) bytes() int64 {
-	if c == nil {
-		return 0
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.nbyte
 }

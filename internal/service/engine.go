@@ -13,7 +13,6 @@ import (
 
 	"parcluster/internal/api"
 	"parcluster/internal/core"
-	"parcluster/internal/graph"
 	"parcluster/internal/obs"
 	"parcluster/internal/sched"
 	"parcluster/internal/sparse"
@@ -61,9 +60,6 @@ type Config struct {
 	// CacheSize is the LRU result-cache capacity in entries (0 = 1024,
 	// negative = disable caching).
 	CacheSize int
-	// DefaultFrontier is the frontier-representation mode used for requests
-	// that do not set Params.Frontier (zero value = FrontierAuto).
-	DefaultFrontier core.FrontierMode
 	// BatchLanes enables bit-parallel batching of multi-seed fan-outs: up
 	// to this many same-parameter units of one request are coalesced into a
 	// single shared-traversal batched diffusion (clamped to the kernel's
@@ -107,18 +103,16 @@ type Config struct {
 // governed by the class/deadline/fairness scheduler in internal/sched.
 // Safe for concurrent use.
 type Engine struct {
-	reg             *Registry
-	sched           *sched.Scheduler
-	maxProcs        int
-	defaultFrontier core.FrontierMode
-	batchLanes      int
-
-	cacheMu sync.Mutex
-	cache   *lruCache
+	reg        *Registry
+	sched      *sched.Scheduler
+	maxProcs   int
+	batchLanes int
+	cache      *lruCache
 
 	// flights coalesces concurrent cache misses on the same key: the first
-	// arrival computes, later arrivals wait for its result instead of
-	// re-running the diffusion (same singleflight shape as Registry.loads).
+	// arrival computes, later single-unit arrivals wait for its result
+	// instead of re-running the diffusion (same singleflight shape as
+	// Registry.loads; see request.lookup for who waits and who does not).
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
@@ -200,16 +194,15 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 			DefaultDeadline: cfg.DefaultDeadline,
 			OnDeadlineMiss:  onMiss,
 		}),
-		tracer:          tracer,
-		metrics:         newEngineMetrics(),
-		maxProcs:        maxProcs,
-		defaultFrontier: cfg.DefaultFrontier,
-		batchLanes:      lanes,
-		cache:           newLRUCache(size), // nil (disabled) when size < 0
-		flights:         make(map[string]*flight),
-		maxDeltaEdges:   maxDelta,
-		compactKick:     make(chan struct{}, 1),
-		compactDone:     make(chan struct{}),
+		tracer:        tracer,
+		metrics:       newEngineMetrics(),
+		maxProcs:      maxProcs,
+		batchLanes:    lanes,
+		cache:         newLRUCache(size), // retains nothing when size < 0
+		flights:       make(map[string]*flight),
+		maxDeltaEdges: maxDelta,
+		compactKick:   make(chan struct{}, 1),
+		compactDone:   make(chan struct{}),
 	}
 	e.compactCtx, e.compactCancel = context.WithCancel(context.Background())
 	if interval > 0 {
@@ -263,18 +256,14 @@ func (e *Engine) resolveProcs(req int) int {
 
 // Stats snapshots the engine's counters.
 func (e *Engine) Stats() EngineStats {
-	e.cacheMu.Lock()
-	entries := e.cache.len()
-	cacheBytes := e.cache.bytes()
-	e.cacheMu.Unlock()
 	s := EngineStats{
 		Queries:      e.queries.Load(),
 		Errors:       e.errors.Load(),
 		InFlight:     e.inFlight.Load(),
 		CacheHits:    e.hits.Load(),
 		CacheMisses:  e.misses.Load(),
-		CacheEntries: entries,
-		CacheBytes:   cacheBytes,
+		CacheEntries: e.cache.len(),
+		CacheBytes:   e.cache.bytes(),
 		Diffusions:   e.diffusions.Load(),
 		FrontierModes: api.FrontierModeCounts{
 			Auto:   e.modeCounts[core.FrontierAuto].Load(),
@@ -326,13 +315,31 @@ func schedStats(st sched.Stats) api.SchedStats {
 	}
 }
 
-// admit resolves a request's class and deadline and performs admission
-// control against the scheduler, returning the ticket the fan-out acquires
-// its unit tokens through. The caller must Close the ticket on every path.
-// admitClass is the class used when the request names none; algo keys the
-// scheduler's per-(graph, algorithm) service-time model.
-func (e *Engine) admit(graphName, algo, class string, deadlineMS int64, admitClass sched.Class) (*sched.Ticket, error) {
-	cls := admitClass
+// scope is what an admitted request holds for as long as it runs: its
+// scheduler ticket, its pinned graph snapshot, and the context — the
+// caller's, bounded by the admission deadline — that governs its graph-load
+// wait, its token waits and its kernels. Whoever ends the request, on
+// whichever path, calls Close; each of the three is returned once however
+// often that happens.
+type scope struct {
+	e      *Engine
+	ctx    context.Context
+	cancel context.CancelFunc
+	ticket *sched.Ticket
+	pin    *PinnedGraph
+	tr     *obs.Trace // nil for untraced requests
+}
+
+// enter resolves a request's class (defaultClass when it names none) and
+// deadline, performs admission control against the scheduler, and pins the
+// graph's current epoch, recording the "admission" and "graph_load" spans.
+// algo keys the scheduler's per-(graph, algorithm) service-time model. The
+// request context governs everything after admission — including the
+// graph-load wait, so a deadline cannot be burned inside a slow first load.
+func (e *Engine) enter(ctx context.Context, graphName, algo, class string, deadlineMS int64, defaultClass sched.Class) (*scope, error) {
+	tr := obs.FromContext(ctx)
+	admitStart := time.Now()
+	cls := defaultClass
 	if class != "" {
 		var err error
 		if cls, err = sched.ParseClass(class); err != nil {
@@ -344,19 +351,64 @@ func (e *Engine) admit(graphName, algo, class string, deadlineMS int64, admitCla
 	}
 	var deadline time.Time
 	if deadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(deadlineMS) * time.Millisecond)
+		deadline = admitStart.Add(time.Duration(deadlineMS) * time.Millisecond)
 	}
-	return e.sched.Admit(cls, graphName, algo, deadline)
+	ticket, err := e.sched.Admit(cls, graphName, algo, deadline)
+	if err != nil {
+		return nil, err
+	}
+	tr.Span("admission", admitStart)
+	tr.Annotate(graphName, algo, ticket.Class().String())
+	sc := &scope{e: e, ticket: ticket, tr: tr}
+	if dl := ticket.Deadline(); !dl.IsZero() {
+		sc.ctx, sc.cancel = context.WithDeadline(ctx, dl)
+	} else {
+		sc.ctx, sc.cancel = context.WithCancel(ctx)
+	}
+	loadStart := time.Now()
+	if sc.pin, err = e.reg.Acquire(sc.ctx, graphName); err != nil {
+		sc.cancel()
+		ticket.Close()
+		return nil, err
+	}
+	tr.Span("graph_load", loadStart)
+	return sc, nil
 }
 
-// requestContext derives the context a request's kernels and token waits
-// run under: the caller's context bounded by the ticket's admission
-// deadline, if one was resolved.
-func requestContext(ctx context.Context, t *sched.Ticket) (context.Context, context.CancelFunc) {
-	if dl := t.Deadline(); !dl.IsZero() {
-		return context.WithDeadline(ctx, dl)
+// Close cancels the request context and returns the admission slot and the
+// epoch pin. Idempotent.
+func (s *scope) Close() {
+	s.cancel()
+	s.ticket.Close()
+	s.pin.Release()
+}
+
+// acquire waits for procs worker tokens through the request's ticket,
+// feeding the queue-wait histogram and the "queue_wait" span.
+func (s *scope) acquire(procs int) (*sched.Grant, error) {
+	start := time.Now()
+	grant, err := s.ticket.Acquire(s.ctx, procs)
+	s.e.metrics.queueWait.With(s.ticket.Class().String()).Observe(time.Since(start))
+	if err != nil {
+		return nil, err
 	}
-	return context.WithCancel(ctx)
+	s.tr.Span("queue_wait", start)
+	return grant, nil
+}
+
+// settle returns the tokens of a kernel run that computed units results and
+// reports whether those results may be used. A run whose context ended
+// mid-kernel (deadline, client gone) stopped at a round boundary: what it
+// produced is partial — the caller must discard it, never cache, publish or
+// serve it — and how long it ran says nothing about what the work costs, so
+// its tokens go back without teaching the scheduler's service-time models.
+func (s *scope) settle(grant *sched.Grant, units int) error {
+	if err := s.ctx.Err(); err != nil {
+		grant.Abandon()
+		return err
+	}
+	grant.ReleaseUnits(units)
+	return nil
 }
 
 // resolved holds an algorithm name plus its fully-defaulted parameters and
@@ -370,12 +422,12 @@ type resolved struct {
 }
 
 // resolveParams applies the Table 3 defaults, validates the algorithm name,
-// and resolves the frontier mode against the engine default.
-func resolveParams(algo string, p Params, defaultFrontier core.FrontierMode) (resolved, error) {
+// and parses the frontier mode (FrontierAuto when the request names none).
+func resolveParams(algo string, p Params) (resolved, error) {
 	if algo == "" {
 		algo = "prnibble"
 	}
-	frontier := defaultFrontier
+	frontier := core.FrontierAuto
 	if p.Frontier != "" {
 		var err error
 		if frontier, err = core.ParseFrontierMode(p.Frontier); err != nil {
@@ -646,12 +698,9 @@ type ClusterStream struct {
 	// (one per seed, or one for a seed-set request).
 	Units int
 
-	eng    *Engine
-	ticket *sched.Ticket
-	pin    *PinnedGraph
-	cancel context.CancelFunc
-	ch     chan streamUnit
-	start  time.Time
+	sc    *scope // the stream is the request's ticket and epoch-pin holder
+	ch    chan streamUnit
+	start time.Time
 
 	agg     Aggregate
 	sizeSum int
@@ -666,12 +715,13 @@ type ClusterStream struct {
 }
 
 // StreamCluster validates and admits a ClusterRequest and starts its
-// fan-out: one work unit per seed (or one for the whole set under
-// seed_set), distributed over at most token-budget worker goroutines, each
-// unit's tokens acquired through the request's scheduler ticket. Errors
-// before the first result — validation, admission (queue full, unmeetable
-// deadline), graph resolution — are returned here, before any response
-// bytes exist; later failures surface through the stream itself.
+// pipeline: one work unit per seed (or one for the whole set under
+// seed_set), planned into groups that each walk the stations of
+// request.runGroup, every group's tokens acquired through the request's
+// scheduler ticket. Errors before the first result — validation, admission
+// (queue full, unmeetable deadline), graph resolution — are returned here,
+// before any response bytes exist; later failures surface through the
+// stream itself.
 func (e *Engine) StreamCluster(ctx context.Context, req *ClusterRequest) (*ClusterStream, error) {
 	e.queries.Add(1)
 	e.inFlight.Add(1)
@@ -692,55 +742,29 @@ func (e *Engine) openStream(ctx context.Context, req *ClusterRequest) (*ClusterS
 	if len(req.Seeds) > maxSeedsPerRequest {
 		return nil, fmt.Errorf("%w: %d seeds exceeds the per-request maximum %d", ErrBadRequest, len(req.Seeds), maxSeedsPerRequest)
 	}
-	rp, err := resolveParams(req.Algo, req.Params, e.defaultFrontier)
+	rp, err := resolveParams(req.Algo, req.Params)
 	if err != nil {
 		return nil, err
 	}
 	if rp.algo == "evolving" && req.SeedSet && len(req.Seeds) > 1 {
 		return nil, fmt.Errorf("%w: the evolving set process starts from a single vertex; drop seed_set to run one process per seed", ErrBadRequest)
 	}
-	tr := obs.FromContext(ctx)
-	admitStart := time.Now()
-	ticket, err := e.admit(req.Graph, rp.algo, req.Class, req.DeadlineMS, sched.Interactive)
+	sc, err := e.enter(ctx, req.Graph, rp.algo, req.Class, req.DeadlineMS, sched.Interactive)
 	if err != nil {
 		return nil, err
 	}
-	tr.Span("admission", admitStart)
-	tr.Annotate(req.Graph, rp.algo, ticket.Class().String())
-	// Every error path below must return the admission slot (and the
-	// snapshot pin, once acquired). The request context (caller ctx bounded
-	// by the admission deadline) governs everything from here on —
-	// including the graph-load wait, so a deadline cannot be burned inside
-	// a slow first load.
-	runCtx, cancel := requestContext(ctx, ticket)
-	var pin *PinnedGraph
-	fail := func(err error) (*ClusterStream, error) {
-		cancel()
-		ticket.Close()
-		if pin != nil {
-			pin.Release()
-		}
-		return nil, err
-	}
-	loadStart := time.Now()
-	pin, err = e.reg.Acquire(runCtx, req.Graph)
-	if err != nil {
-		return fail(err)
-	}
-	tr.Span("graph_load", loadStart)
 	// The pinned snapshot is the whole request's world: every unit runs
 	// against this epoch's CSR, and the epoch qualifies every cache key, so
 	// entries computed at older epochs can never answer this request.
-	g, wsPool := pin.G, pin.Pool
-	keyBase := epochKey(req.Graph, pin.Epoch)
+	g := sc.pin.G
 	n := g.NumVertices()
 	for _, s := range req.Seeds {
 		// Compare in uint64: int(s) can wrap negative on 32-bit platforms.
 		if uint64(s) >= uint64(n) {
-			return fail(fmt.Errorf("%w: seed vertex %d out of range [0,%d)", ErrBadRequest, s, n))
+			sc.Close()
+			return nil, fmt.Errorf("%w: seed vertex %d out of range [0,%d)", ErrBadRequest, s, n)
 		}
 	}
-	procs := e.resolveProcs(req.Procs)
 
 	var units [][]uint32
 	if req.SeedSet {
@@ -760,13 +784,10 @@ func (e *Engine) openStream(ctx context.Context, req *ClusterRequest) (*ClusterS
 		Graph:    req.Graph,
 		Vertices: n,
 		Edges:    g.NumEdges(),
-		Epoch:    pin.Epoch,
+		Epoch:    sc.pin.Epoch,
 		Algo:     rp.algo,
 		Units:    len(units),
-		eng:      e,
-		ticket:   ticket,
-		pin:      pin,
-		cancel:   cancel,
+		sc:       sc,
 		// Buffered to the batch size so workers never block on the
 		// consumer: a slow client cannot pin worker goroutines, and error
 		// drains see every unit without deadlock.
@@ -775,24 +796,47 @@ func (e *Engine) openStream(ctx context.Context, req *ClusterRequest) (*ClusterS
 		agg:     Aggregate{Queries: len(units), BestConductance: 2},
 		bestIdx: len(units),
 	}
-
-	// Eligible multi-unit requests take the bit-parallel lane path: one
-	// planner goroutine groups the units into shared traversals instead of
-	// fanning one diffusion per worker.
+	r := &request{
+		sc: sc, st: st, req: req, rp: rp,
+		keyBase: epochKey(req.Graph, sc.pin.Epoch),
+		units:   units,
+		procs:   e.resolveProcs(req.Procs),
+		width:   1,
+	}
 	if e.batchEligible(rp, req, len(units)) {
-		go e.runBatched(runCtx, cancel, st, g, wsPool, ticket, req, rp, keyBase, units, procs)
-		return st, nil
+		r.width = e.batchLanes
 	}
+	r.start()
+	return st, nil
+}
 
-	// Fan the units over a bounded set of workers: wide enough to keep the
-	// token budget saturated with single-proc units, but not one goroutine
-	// per seed — a large batch must not burn a stack per unit.
-	workers := e.sched.Tokens()
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers < 1 {
-		workers = 1
+// request is one admitted ClusterRequest on its way through the pipeline:
+// what every group of its units needs to walk the stations of runGroup.
+type request struct {
+	sc      *scope
+	st      *ClusterStream // results and failures go to st.ch
+	req     *ClusterRequest
+	rp      resolved
+	keyBase string // epoch-qualified graph fragment of every cache key
+	units   [][]uint32
+	procs   int
+	// width is the number of consecutive units planned into one group: 1
+	// runs each unit through its algorithm's own kernel, more shares one
+	// bit-parallel traversal among the group's units (see batchEligible).
+	width int
+}
+
+// start plans the request's units into groups of r.width, in request
+// order, and starts the workers that run them; the last worker out closes
+// the stream's channel. A lane workspace is n × 64 floats, so a request
+// keeps one alive at a time: its lane groups run back to back on one
+// goroutine. Width-1 groups fan over enough workers to keep the token
+// budget saturated with single-proc units, but never one goroutine per seed
+// — a large batch must not burn a stack per unit.
+func (r *request) start() {
+	workers := 1
+	if r.width == 1 {
+		workers = min(r.sc.e.sched.Tokens(), len(r.units))
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -801,28 +845,18 @@ func (e *Engine) openStream(ctx context.Context, req *ClusterRequest) (*ClusterS
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(units) {
+				lo := (int(next.Add(1)) - 1) * r.width
+				if lo >= len(r.units) {
 					return
 				}
-				res, arena, err := e.runCached(runCtx, g, wsPool, ticket, keyBase, i, units[i], rp, procs, req.NoCache)
-				if err != nil {
-					st.ch <- streamUnit{idx: i, err: err}
-					// Stop the rest of the batch promptly: queued units fail
-					// at the token gate, running kernels cancel at their
-					// next round.
-					cancel()
-					continue
-				}
-				st.ch <- streamUnit{idx: i, res: trim(res, req.MaxMembers), arena: arena}
+				r.runGroup(lo, min(lo+r.width, len(r.units)))
 			}
 		}()
 	}
 	go func() {
 		wg.Wait()
-		close(st.ch)
+		close(r.st.ch)
 	}()
-	return st, nil
 }
 
 // Next blocks for the next completed unit and returns its request index,
@@ -875,15 +909,8 @@ func (st *ClusterStream) Aggregate() Aggregate {
 // release closures run. Idempotent; safe after exhaustion.
 func (st *ClusterStream) Close() {
 	if !st.done {
-		st.done = true
-		st.cancel()
-		for u := range st.ch {
-			if u.arena != nil {
-				u.arena.Release()
-			}
-		}
+		st.abort(nil)
 	}
-	st.finish(st.err)
 }
 
 // abort is the terminal error path: cancel the rest of the batch, wait for
@@ -893,7 +920,7 @@ func (st *ClusterStream) Close() {
 // the ctx.Canceled its cancellation inflicted on its neighbors.
 func (st *ClusterStream) abort(err error) {
 	st.done = true
-	st.cancel()
+	st.sc.cancel()
 	for u := range st.ch {
 		if u.err != nil {
 			if errors.Is(err, context.Canceled) && !errors.Is(u.err, context.Canceled) {
@@ -931,18 +958,17 @@ func (st *ClusterStream) account(idx int, r *ClusterResult) {
 // scheduler ticket exactly once.
 func (st *ClusterStream) finish(err error) {
 	st.finished.Do(func() {
-		st.cancel()
-		st.ticket.Close()
-		st.pin.Release() // the stream is the request's epoch pin holder
+		e := st.sc.e
+		st.sc.Close()
 		if err != nil {
-			st.eng.errors.Add(1)
+			e.errors.Add(1)
 		} else {
-			st.eng.latencyUS.Add(time.Since(st.start).Microseconds())
-			st.eng.completed.Add(1)
+			e.latencyUS.Add(time.Since(st.start).Microseconds())
+			e.completed.Add(1)
 		}
-		st.eng.inFlight.Add(-1)
-		st.eng.metrics.requestDur.
-			With(st.Algo, st.ticket.Class().String(), outcomeLabel(err)).
+		e.inFlight.Add(-1)
+		e.metrics.requestDur.
+			With(st.Algo, st.sc.ticket.Class().String(), outcomeLabel(err)).
 			Observe(time.Since(st.start))
 	})
 }
@@ -967,191 +993,255 @@ type flight struct {
 	err  error
 }
 
-// runCached answers one unit from the cache or runs it, acquiring the
-// unit's worker tokens through the request's scheduler ticket around the
-// actual computation. Concurrent misses on the same key coalesce into one
-// computation; NoCache requests bypass both the cache and the coalescing
-// (they demand a fresh run) but still store their result.
-//
-// A non-nil returned arena backs the result's Members slice and is owned by
-// the caller (released after the response is written). Cache hits and
-// flight followers return owned memory and a nil arena: only the goroutine
-// that actually ran the diffusion holds borrowed memory.
-func (e *Engine) runCached(ctx context.Context, g graph.Graph, wsPool *workspace.Pool, ticket *sched.Ticket, keyBase string, unit int, seeds []uint32, rp resolved, procs int, noCache bool) (*ClusterResult, *workspace.Result, error) {
-	key := rp.key(keyBase, seeds)
-	if noCache {
-		res, _, arena, err := e.compute(ctx, g, wsPool, ticket, key, unit, seeds, rp, procs)
-		return res, arena, err
-	}
-	for {
-		e.cacheMu.Lock()
-		res, ok := e.cache.get(key)
-		e.cacheMu.Unlock()
-		if ok {
-			e.hits.Add(1)
-			hit := *res // callers get a copy; the cached value stays immutable
-			hit.Cached = true
-			return &hit, nil, nil
-		}
-		e.flightMu.Lock()
-		if f, ok := e.flights[key]; ok {
-			e.flightMu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil {
-					// The leader failed (e.g. its context was cancelled while
-					// queueing); retry from the top rather than inheriting an
-					// error that belongs to another request.
-					continue
-				}
-				e.hits.Add(1) // served without re-running the diffusion
-				hit := *f.res
-				hit.Cached = true
-				return &hit, nil, nil
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		e.flights[key] = f
-		e.flightMu.Unlock()
-		e.misses.Add(1) // only lookups that happened count toward the hit rate
-
-		res, owned, arena, err := e.compute(ctx, g, wsPool, ticket, key, unit, seeds, rp, procs)
-		if err == nil {
-			// Followers may outlive this unit's arena (it is released once
-			// our response is written), so the flight publishes an owned
-			// copy — the same one the cache stored (made here when caching
-			// is off and compute skipped it).
-			if owned == nil {
-				owned = detachResult(res)
-			}
-			f.res = owned
-		}
-		f.err = err
-		e.flightMu.Lock()
-		delete(e.flights, key)
-		e.flightMu.Unlock()
-		close(f.done)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, arena, nil
-	}
+// lane is one diffusion a group runs: a unit that missed the cache and is
+// the first of its key within the group. dups are later units of the group
+// with the same key, served copies of this lane's result exactly as flight
+// followers are; fl is the flight this lane leads (nil for a NoCache
+// request, or when another request already leads the key). arena, borrowed
+// after the token gate, backs the result's Members slice and passes to the
+// stream's consumer with it.
+type lane struct {
+	idx   int
+	key   string
+	fl    *flight
+	dups  []int
+	arena *workspace.Result
 }
 
-// compute runs one diffusion under the scheduler and stores an owned copy
-// of the result in the cache (copy-on-store: the cache must never alias an
-// arena that is released when the response write finishes — see cache.go).
-// The workspace and result arena are borrowed after the token gate: a
-// request cancelled or deadline-failed while queueing never checks anything
-// out. A run whose context expires mid-kernel stops at the next round
-// boundary; its partial result is discarded (never cached, never served)
-// and its arena recycled before the error returns. The returned arena backs
-// the returned (borrowed) result and is owned by the caller; owned is the
-// cache's detached copy, nil when caching is disabled.
-func (e *Engine) compute(ctx context.Context, g graph.Graph, wsPool *workspace.Pool, ticket *sched.Ticket, key string, unit int, seeds []uint32, rp resolved, procs int) (res, owned *ClusterResult, arena *workspace.Result, err error) {
-	tr := obs.FromContext(ctx)
-	queueStart := time.Now()
-	grant, err := ticket.Acquire(ctx, procs)
-	e.metrics.queueWait.With(ticket.Class().String()).Observe(time.Since(queueStart))
+// runGroup answers units[lo:hi] by walking the pipeline's stations once:
+// lookup, tokens, kernel, discard-if-cancelled, publish. A group costs the
+// scheduler the same tokens whatever its width — which is exactly the
+// traversal-sharing win of a lane group — and returns them as len(lanes)
+// completed units, so the per-(graph, algo) service model learns the
+// per-unit cost, not the group cost.
+func (r *request) runGroup(lo, hi int) {
+	sc := r.sc
+	e := sc.e
+	var lanes []*lane
+	for i := lo; i < hi; i++ {
+		// The key is formatted here, not inside lookup: fmt's float path is
+		// the deepest call a worker's fresh goroutine stack sees, and under
+		// lookup's frame it costs every request one more stack growth.
+		key := r.rp.key(r.keyBase, r.units[i])
+		if l := r.lookup(i, key, lanes); l != nil {
+			lanes = append(lanes, l)
+		}
+	}
+	if len(lanes) == 0 {
+		return
+	}
+	grant, err := sc.acquire(r.procs)
 	if err != nil {
-		return nil, nil, nil, err
+		r.fail(lanes, err)
+		return
 	}
-	tr.Span("queue_wait", queueStart)
-	arena = wsPool.AcquireResult()
-	res = e.runUnit(g, wsPool, arena, seeds, rp, procs, ctx.Done(), tr, unit)
-	grant.Release()
-	if err := ctx.Err(); err != nil {
-		// The deadline fired (or the client vanished) mid-run: the kernel
-		// stopped at a round boundary and res is partial. Discard it and
-		// recycle the arena — a partial answer must never reach the cache,
-		// the flight followers, or the client.
-		arena.Release()
-		return nil, nil, nil, err
+	// Scratch is borrowed after the token gate: a request cancelled or
+	// deadline-failed while queueing never checks anything out.
+	for _, l := range lanes {
+		l.arena = sc.pin.Pool.AcquireResult()
 	}
-	if e.cache != nil {
-		owned = detachResult(res)
-		e.cacheMu.Lock()
-		e.cache.put(key, owned)
-		e.cacheMu.Unlock()
-	}
-	return res, owned, arena, nil
-}
-
-// runUnit executes one diffusion + sweep (or evolving set run), borrowing
-// graph-sized scratch state from the graph's workspace pool and snapshotting
-// the result into arena. cancel (a context's Done channel) stops the kernel
-// at its next round boundary; the partial result is the caller's to discard.
-// tr (nil for untraced requests) receives the unit's kernel and sweep spans
-// plus the kernels' per-round events under the given unit index.
-func (e *Engine) runUnit(g graph.Graph, wsPool *workspace.Pool, arena *workspace.Result, seeds []uint32, rp resolved, procs int, cancel <-chan struct{}, tr *obs.Trace, unit int) *ClusterResult {
-	e.diffusions.Add(1)
-	if rp.algo != "randhk" {
+	e.diffusions.Add(int64(len(lanes)))
+	if r.rp.algo != "randhk" {
 		// rand-HK-PR aggregates walk endpoints and never touches the
 		// frontier engine, so it does not count toward the mode stats.
-		e.modeCounts[rp.frontier].Add(1)
+		e.modeCounts[r.rp.frontier].Add(int64(len(lanes)))
 	}
-	p := rp.p
+	var result func(j int) *ClusterResult // lane j's answer, borrowed from its arena
+	if r.width == 1 {
+		res := r.runUnit(lanes[0])
+		result = func(int) *ClusterResult { return res }
+	} else {
+		// Each lane is swept as it is published, after the tokens are back:
+		// the first result reaches the client one sweep after the shared
+		// traversal, and a cancelled group sweeps nothing.
+		vecs, sts := r.runLanes(lanes)
+		result = func(j int) *ClusterResult { return r.sweep(lanes[j], vecs[j], sts[j]) }
+	}
+	if err := sc.settle(grant, len(lanes)); err != nil {
+		r.fail(lanes, err)
+		return
+	}
+	for j, l := range lanes {
+		res := result(j)
+		// The cache, flight followers and in-group duplicates can all
+		// outlive this lane's arena (it is recycled once our response is
+		// written), so they share one owned copy (see cache.go).
+		owned := detachResult(res)
+		e.cache.put(l.key, owned)
+		e.land(l, owned, nil)
+		for _, d := range l.dups {
+			r.serve(d, owned)
+		}
+		r.st.ch <- streamUnit{idx: l.idx, res: trim(res, r.req.MaxMembers), arena: l.arena}
+	}
+}
+
+// lookup is the first station for unit i, whose cache key is key: it answers
+// the unit without running it — from the cache, or by attaching it to the lane (of lanes, the
+// group's lanes so far) that already runs its key — or returns the lane to
+// run it in. A NoCache request demands a fresh run and bypasses all of it
+// (its result is still stored). Concurrent misses on one key coalesce
+// through the engine's flights: the first arrival leads, and a width-1
+// group that finds the key in flight elsewhere waits for the leader's
+// result. A wider group never does — blocking would stall its sibling lanes
+// on another request's schedule — so it runs the key in a lane of its own.
+func (r *request) lookup(i int, key string, lanes []*lane) *lane {
+	e := r.sc.e
+	if r.req.NoCache {
+		return &lane{idx: i, key: key}
+	}
+	for {
+		if res, ok := e.cache.get(key); ok {
+			r.serve(i, res)
+			return nil
+		}
+		for _, first := range lanes {
+			if first.key == key {
+				first.dups = append(first.dups, i)
+				return nil
+			}
+		}
+		var lead *flight
+		e.flightMu.Lock()
+		f, busy := e.flights[key]
+		if !busy {
+			lead = &flight{done: make(chan struct{})}
+			e.flights[key] = lead
+		}
+		e.flightMu.Unlock()
+		if !busy || r.width > 1 {
+			e.misses.Add(1) // only lookups that lead to a run count as misses
+			return &lane{idx: i, key: key, fl: lead}
+		}
+		select {
+		case <-f.done:
+			if f.err == nil {
+				r.serve(i, f.res)
+				return nil
+			}
+			// The leader failed (e.g. its context was cancelled while
+			// queueing); retry from the top rather than inheriting an error
+			// that belongs to another request.
+		case <-r.sc.ctx.Done():
+			r.st.ch <- streamUnit{idx: i, err: r.sc.ctx.Err()}
+			return nil
+		}
+	}
+}
+
+// serve answers unit i with a copy of a result another run produced — the
+// cache's, a flight leader's, or the lane of an earlier unit of the same
+// group. res owns its memory and stays immutable; the copy is marked Cached
+// and counts as a hit (it was served without re-running the diffusion).
+func (r *request) serve(i int, res *ClusterResult) {
+	r.sc.e.hits.Add(1)
+	hit := *res
+	hit.Cached = true
+	r.st.ch <- streamUnit{idx: i, res: trim(&hit, r.req.MaxMembers)}
+}
+
+// fail ends a group that cannot finish — it was refused its tokens, or its
+// kernel was cancelled mid-run: borrowed arenas are recycled, every flight
+// lands with the error, every unit riding on the group receives it, and the
+// rest of the request is stopped promptly — queued groups fail at the token
+// gate, running kernels cancel at their next round.
+func (r *request) fail(lanes []*lane, err error) {
+	for _, l := range lanes {
+		if l.arena != nil {
+			l.arena.Release()
+		}
+		r.sc.e.land(l, nil, err)
+		r.st.ch <- streamUnit{idx: l.idx, err: err}
+		for _, d := range l.dups {
+			r.st.ch <- streamUnit{idx: d, err: err}
+		}
+	}
+	r.sc.cancel()
+}
+
+// land ends the flight lane l led, if it led one: followers wake to res,
+// which must own its memory, or to err.
+func (e *Engine) land(l *lane, res *ClusterResult, err error) {
+	if l.fl == nil {
+		return
+	}
+	l.fl.res, l.fl.err = res, err
+	e.flightMu.Lock()
+	delete(e.flights, l.key)
+	e.flightMu.Unlock()
+	close(l.fl.done)
+}
+
+// runUnit is the width-1 kernel: one diffusion + sweep (or evolving set
+// run) for lane l, borrowing graph-sized scratch state from the graph's
+// workspace pool and snapshotting the result into the lane's arena. The
+// request context stops the kernel at its next round boundary; the partial
+// result is the caller's to discard. A traced request receives the "kernel"
+// and "sweep" spans plus the kernel's per-round events under the unit's
+// index.
+func (r *request) runUnit(l *lane) *ClusterResult {
+	g, p, seeds := r.sc.pin.G, r.rp.p, r.units[l.idx]
+	cfg := core.RunConfig{
+		Procs: r.procs, Frontier: r.rp.frontier, Workspace: r.sc.pin.Pool,
+		Result: l.arena, Cancel: r.sc.ctx.Done(), Observer: kernelObserver(r.sc.tr, l.idx),
+	}
 	kernelStart := time.Now()
-	if rp.algo == "evolving" {
+	var vec *sparse.Map
+	var st core.Stats
+	switch r.rp.algo {
+	case "evolving":
 		res, st := core.EvolvingSetPar(g, seeds[0], core.EvolvingSetOptions{
 			MaxIter: p.MaxIter, TargetPhi: p.TargetPhi, GrowOnly: p.GrowOnly,
-			Seed: p.WalkSeed, Procs: procs, Frontier: rp.frontier,
-			Workspace: wsPool, Result: arena, Cancel: cancel,
-			Observer: kernelObserver(tr, unit),
+			Seed: p.WalkSeed, Procs: cfg.Procs, Frontier: cfg.Frontier,
+			Workspace: cfg.Workspace, Result: cfg.Result, Cancel: cfg.Cancel,
+			Observer: cfg.Observer,
 		})
-		e.metrics.kernelDur.With(rp.algo).Observe(time.Since(kernelStart))
-		tr.Span("kernel", kernelStart)
+		r.kernelDone(kernelStart)
 		return &ClusterResult{
 			Seeds: seeds, Members: res.Set, Size: len(res.Set),
 			Conductance: res.Conductance, Volume: res.Volume, Cut: res.Cut, Stats: st,
 		}
-	}
-	var vec *sparse.Map
-	var st core.Stats
-	cfg := core.RunConfig{
-		Procs: procs, Frontier: rp.frontier, Workspace: wsPool,
-		Result: arena, Cancel: cancel, Observer: kernelObserver(tr, unit),
-	}
-	switch rp.algo {
 	case "nibble":
 		vec, st = core.NibbleRun(g, seeds, p.Epsilon, p.T, cfg)
 	case "prnibble":
-		rule := core.OptimizedRule
-		if p.OriginalRule {
-			rule = core.OriginalRule
-		}
-		vec, st = core.PRNibbleRun(g, seeds, p.Alpha, p.Epsilon, rule, p.Beta, cfg)
+		vec, st = core.PRNibbleRun(g, seeds, p.Alpha, p.Epsilon, r.rp.rule(), p.Beta, cfg)
 	case "hkpr":
 		vec, st = core.HKPRRun(g, seeds, p.HeatT, p.N, p.Epsilon, cfg)
 	case "randhk":
 		vec, st = core.RandHKPRRun(g, seeds, p.HeatT, p.K, p.Walks, p.WalkSeed, cfg)
 	default:
-		panic("service: unreachable algo " + rp.algo) // resolveParams validated
+		panic("service: unreachable algo " + r.rp.algo) // resolveParams validated
 	}
-	e.metrics.kernelDur.With(rp.algo).Observe(time.Since(kernelStart))
-	tr.Span("kernel", kernelStart)
-	sweepStart := time.Now()
-	out := sweepResult(g, seeds, procs, arena, vec, st)
-	tr.Span("sweep", sweepStart)
-	return out
+	r.kernelDone(kernelStart)
+	return r.sweep(l, vec, st)
 }
 
-// sweepResult rounds a diffusion vector into a ClusterResult whose Members
-// slice is borrowed from arena.
-func sweepResult(g graph.Graph, seeds []uint32, procs int, arena *workspace.Result, vec *sparse.Map, st core.Stats) *ClusterResult {
-	out := &ClusterResult{Seeds: seeds, Stats: st, Conductance: 1}
-	if vec.Len() == 0 {
-		return out
+// kernelDone records a kernel run that began at start in the per-algorithm
+// histogram and as the trace's "kernel" span.
+func (r *request) kernelDone(start time.Time) {
+	r.sc.e.metrics.kernelDur.With(r.rp.algo).Observe(time.Since(start))
+	r.sc.tr.Span("kernel", start)
+}
+
+// rule is the PR-Nibble push rule the request asked for.
+func (rp resolved) rule() core.PushRule {
+	if rp.p.OriginalRule {
+		return core.OriginalRule
 	}
-	res := core.SweepCutPar(g, vec, procs, arena)
-	out.Members = res.Cluster
-	out.Size = len(res.Cluster)
-	out.Conductance = res.Conductance
-	out.Volume = res.Volume
-	out.Cut = res.Cut
-	return out
+	return core.OptimizedRule
+}
+
+// sweep rounds lane l's diffusion vector into a ClusterResult whose Members
+// slice is borrowed from the lane's arena, under a "sweep" span. (An empty
+// vector sweeps to the empty cluster at conductance 1.)
+func (r *request) sweep(l *lane, vec *sparse.Map, st core.Stats) *ClusterResult {
+	start := time.Now()
+	res := core.SweepCutPar(r.sc.pin.G, vec, r.procs, l.arena)
+	r.sc.tr.Span("sweep", start)
+	return &ClusterResult{
+		Seeds: r.units[l.idx], Members: res.Cluster, Size: len(res.Cluster),
+		Conductance: res.Conductance, Volume: res.Volume, Cut: res.Cut, Stats: st,
+	}
 }
 
 // trim copies res into a response entry, truncating the member list to
@@ -1199,51 +1289,31 @@ func (e *Engine) ncp(ctx context.Context, req *NCPRequest) (resp *NCPResponse, e
 		}
 	}
 	// NCP profiles default to the batch class: they are many-diffusion
-	// scans, not interactive probes.
-	tr := obs.FromContext(ctx)
-	admitStart := time.Now()
-	ticket, err := e.admit(req.Graph, "ncp", req.Class, req.DeadlineMS, sched.Batch)
+	// scans, not interactive probes. The scope pins one epoch, so every
+	// probe runs against the same edge set even under concurrent ingestion.
+	start := time.Now()
+	sc, err := e.enter(ctx, req.Graph, "ncp", req.Class, req.DeadlineMS, sched.Batch)
 	if err != nil {
 		return nil, err
 	}
-	defer ticket.Close()
-	tr.Span("admission", admitStart)
-	tr.Annotate(req.Graph, "ncp", ticket.Class().String())
-	defer func(start time.Time) {
+	defer sc.Close()
+	defer func() {
 		e.metrics.requestDur.
-			With("ncp", ticket.Class().String(), outcomeLabel(err)).
+			With("ncp", sc.ticket.Class().String(), outcomeLabel(err)).
 			Observe(time.Since(start))
-	}(admitStart)
-	// The admission deadline bounds the graph-load wait too.
-	runCtx, cancel := requestContext(ctx, ticket)
-	defer cancel()
-	loadStart := time.Now()
-	// An NCP is a many-diffusion scan; pin one epoch so every probe runs
-	// against the same edge set even under concurrent ingestion.
-	pin, err := e.reg.Acquire(runCtx, req.Graph)
-	if err != nil {
-		return nil, err
-	}
-	defer pin.Release()
-	g, wsPool := pin.G, pin.Pool
-	tr.Span("graph_load", loadStart)
+	}()
+	g := sc.pin.G
 	for _, s := range req.SeedVertices {
 		if uint64(s) >= uint64(g.NumVertices()) {
 			return nil, fmt.Errorf("%w: seed vertex %d out of range [0,%d)", ErrBadRequest, s, g.NumVertices())
 		}
 	}
 	procs := e.resolveProcs(req.Procs)
-	queueStart := time.Now()
-	grant, err := ticket.Acquire(runCtx, procs)
-	e.metrics.queueWait.With(ticket.Class().String()).Observe(time.Since(queueStart))
+	grant, err := sc.acquire(procs)
 	if err != nil {
 		return nil, err
 	}
-	defer grant.Release()
-	tr.Span("queue_wait", queueStart)
-
 	kernelStart := time.Now()
-	defer func(start time.Time) { tr.Span("kernel", start) }(kernelStart)
 	points := core.NCP(g, core.NCPOptions{
 		Seeds:        req.Seeds,
 		SeedVertices: req.SeedVertices,
@@ -1252,12 +1322,13 @@ func (e *Engine) ncp(ctx context.Context, req *NCPRequest) (resp *NCPResponse, e
 		MaxSize:      req.MaxSize,
 		Procs:        procs,
 		Seed:         req.RNGSeed,
-		Cancel:       runCtx.Done(),
-		Workspace:    wsPool,
+		Cancel:       sc.ctx.Done(),
+		Workspace:    sc.pin.Pool,
 	})
-	if err := runCtx.Err(); err != nil {
-		// The client went away (or the deadline fired) mid-profile; don't
-		// return a partial answer as if it were complete.
+	sc.tr.Span("kernel", kernelStart)
+	// The whole profile is one unit to the scheduler. A profile cut short
+	// (client gone, deadline) is not returned as if it were complete.
+	if err := sc.settle(grant, 1); err != nil {
 		return nil, err
 	}
 	if req.Envelope {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"parcluster/internal/core"
 )
 
 // testEngine builds an engine over a small caveman graph (16 cliques of
@@ -387,19 +385,5 @@ func TestEngineFrontierModes(t *testing.T) {
 		Graph: "test", Seeds: []uint32{0}, Params: Params{Frontier: "bitmap"},
 	}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("invalid frontier mode error = %v, want ErrBadRequest", err)
-	}
-}
-
-func TestEngineDefaultFrontierConfig(t *testing.T) {
-	reg := NewRegistry(2, false)
-	if err := reg.RegisterSpec("test", "caveman:cliques=16,k=12"); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(reg, Config{ProcBudget: 2, CacheSize: 8, DefaultFrontier: core.FrontierDense})
-	if _, err := e.Cluster(context.Background(), &ClusterRequest{Graph: "test", Seeds: []uint32{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.FrontierModes.Dense != 1 || s.FrontierModes.Auto != 0 {
-		t.Fatalf("server default mode not honored: %+v", s.FrontierModes)
 	}
 }

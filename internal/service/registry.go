@@ -157,9 +157,6 @@ func (p *PinnedGraph) Release() { p.once.Do(p.release) }
 type WALConfig struct {
 	// Dir is the root directory for the per-graph logs.
 	Dir string
-	// SegmentBytes is the log segment rotation threshold (<= 0 = the wal
-	// package default).
-	SegmentBytes int64
 	// Policy and Interval select the fsync policy (see wal.ParseSyncPolicy).
 	Policy   wal.SyncPolicy
 	Interval time.Duration
@@ -420,9 +417,8 @@ func (r *Registry) resolve(ctx context.Context, name string) (*load, error) {
 // canonicalized batches in the same order.
 func (r *Registry) loadDurable(l *load, name string, src Source, cfg *WALConfig) error {
 	lg, err := wal.Open(graphWALDir(cfg.Dir, name), wal.Options{
-		SegmentBytes: cfg.SegmentBytes,
-		Policy:       cfg.Policy,
-		Interval:     cfg.Interval,
+		Policy:   cfg.Policy,
+		Interval: cfg.Interval,
 	})
 	if err != nil {
 		return err

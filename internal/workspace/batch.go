@@ -56,7 +56,7 @@ func (b *BatchWorkspace) Universe() int { return b.n }
 // batch-tier counter (no-op for unpooled workspaces).
 func (b *BatchWorkspace) credit(bytes int64) {
 	if b.pool != nil {
-		b.pool.batchRecycled.Add(bytes)
+		b.pool.batches.recycled.Add(bytes)
 	}
 }
 
@@ -160,47 +160,19 @@ func (b *BatchWorkspace) Release(procs int) {
 	b.usedShares = false
 	b.inUse = false
 	if b.pool != nil {
-		b.pool.putBatch(b)
+		b.pool.batches.put(b)
 	}
 }
 
 // AcquireBatch checks a BatchWorkspace out of the pool, reusing a released
 // one when available and allocating an empty one otherwise. The caller owns
-// the result until Release. Storage mirrors the other two tiers: a single
-// hot slot for the steady state, a sync.Pool behind it for concurrency
-// overflow.
+// the result until Release.
 func (p *Pool) AcquireBatch() *BatchWorkspace {
-	p.batchAcquires.Add(1)
-	p.batchMu.Lock()
-	b := p.batchHot
-	p.batchHot = nil
-	p.batchMu.Unlock()
-	if b == nil {
-		if v := p.batchOverflow.Get(); v != nil {
-			b = v.(*BatchWorkspace)
-		}
-	}
-	if b != nil {
-		p.batchHits.Add(1)
-		b.inUse = true
+	b := p.batches.get(func() *BatchWorkspace {
+		b := NewBatch(p.n)
+		b.pool = p
 		return b
-	}
-	p.batchMisses.Add(1)
-	b = NewBatch(p.n)
-	b.pool = p
+	})
+	b.inUse = true
 	return b
-}
-
-// putBatch returns a reset batch workspace to storage: the hot slot if
-// free, the sync.Pool otherwise.
-func (p *Pool) putBatch(b *BatchWorkspace) {
-	p.batchReleases.Add(1)
-	p.batchMu.Lock()
-	if p.batchHot == nil {
-		p.batchHot = b
-		p.batchMu.Unlock()
-		return
-	}
-	p.batchMu.Unlock()
-	p.batchOverflow.Put(b)
 }

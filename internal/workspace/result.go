@@ -112,7 +112,7 @@ func NewResult() *Result {
 // result-arena counter (no-op for unpooled results).
 func (r *Result) credit(bytes int64) {
 	if r.pool != nil && bytes > 0 {
-		r.pool.resultRecycled.Add(bytes)
+		r.pool.results.recycled.Add(bytes)
 	}
 }
 
@@ -241,46 +241,19 @@ func (r *Result) Release() {
 	r.Reset()
 	r.inUse = false
 	if r.pool != nil {
-		r.pool.putResult(r)
+		r.pool.results.put(r)
 	}
 }
 
 // AcquireResult checks a result arena out of the pool, reusing a released
 // one when available and allocating an empty one otherwise. The caller owns
-// the result until Release. Arenas are stored like Workspaces: a single hot
-// slot for the steady state, a sync.Pool behind it for concurrency overflow.
+// the result until Release.
 func (p *Pool) AcquireResult() *Result {
-	p.resultAcquires.Add(1)
-	p.resultMu.Lock()
-	r := p.resultHot
-	p.resultHot = nil
-	p.resultMu.Unlock()
-	if r == nil {
-		if v := p.resultOverflow.Get(); v != nil {
-			r = v.(*Result)
-		}
-	}
-	if r != nil {
-		p.resultHits.Add(1)
-		r.inUse = true
+	r := p.results.get(func() *Result {
+		r := NewResult()
+		r.pool = p
 		return r
-	}
-	p.resultMisses.Add(1)
-	r = NewResult()
-	r.pool = p
+	})
+	r.inUse = true
 	return r
-}
-
-// putResult returns a reset arena to storage: the hot slot if free, the
-// sync.Pool otherwise.
-func (p *Pool) putResult(r *Result) {
-	p.resultReleases.Add(1)
-	p.resultMu.Lock()
-	if p.resultHot == nil {
-		p.resultHot = r
-		p.resultMu.Unlock()
-		return
-	}
-	p.resultMu.Unlock()
-	p.resultOverflow.Put(r)
 }

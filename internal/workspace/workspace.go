@@ -48,52 +48,67 @@ import (
 // pool. The zero value is not usable; construct with NewPool. All methods
 // are safe for concurrent use.
 //
-// Storage is two-tier: a single-slot LIFO "hot" workspace under a mutex,
-// with a sync.Pool behind it for concurrency overflow. The hot slot makes
-// the single-client steady state deterministic (release, acquire, get the
-// same arena back — sync.Pool alone gives no such guarantee and the race
-// detector deliberately randomizes it) and keeps one warmed-up arena
-// resident per graph; everything past the first concurrent checkout lives
-// in the sync.Pool, so idle excess is dropped by the GC under memory
-// pressure instead of pinning graph-sized arrays forever.
+// The three arena kinds live in three separate stores so none can starve
+// another: a burst of slow response writes (result arenas are held until
+// the client reads the body) must not drain the diffusion scratch, and
+// lane-striped batch scratch, an order of magnitude heavier than a
+// Workspace, must neither evict the per-run arenas nor be pinned by them.
 type Pool struct {
-	n int
+	n       int
+	scratch store[Workspace]      // Acquire
+	results store[Result]         // AcquireResult (result.go)
+	batches store[BatchWorkspace] // AcquireBatch (batch.go)
+}
 
+// store is the two-tier recycling store behind each arena kind: a
+// single-slot LIFO "hot" arena under a mutex, with a sync.Pool behind it
+// for concurrency overflow. The hot slot makes the single-client steady
+// state deterministic (release, acquire, get the same arena back —
+// sync.Pool alone gives no such guarantee and the race detector
+// deliberately randomizes it) and keeps one warmed-up arena resident per
+// graph; everything past the first concurrent checkout lives in the
+// sync.Pool, so idle excess is dropped by the GC under memory pressure
+// instead of pinning graph-sized arrays forever.
+type store[T any] struct {
 	mu       sync.Mutex
-	hot      *Workspace // single-slot LIFO fast path; nil when checked out
+	hot      *T // nil when checked out
 	overflow sync.Pool
 
-	acquires atomic.Int64
-	hits     atomic.Int64
-	misses   atomic.Int64
-	releases atomic.Int64
-	recycled atomic.Int64 // bytes of graph-sized arrays served from the pool
+	acquires, hits, misses, releases atomic.Int64
+	recycled                         atomic.Int64 // bytes served from recycled arenas
+}
 
-	// Result arenas (result.go) use the same two-tier storage, kept separate
-	// so a burst of slow response writes (arenas held until the client reads
-	// the body) cannot starve the diffusion scratch pool or vice versa.
-	resultMu       sync.Mutex
-	resultHot      *Result // single-slot LIFO fast path; nil when checked out
-	resultOverflow sync.Pool
+// get checks an arena out, reusing a released one when available and
+// building an empty one with fresh otherwise.
+func (s *store[T]) get(fresh func() *T) *T {
+	s.acquires.Add(1)
+	s.mu.Lock()
+	x := s.hot
+	s.hot = nil
+	s.mu.Unlock()
+	if x == nil {
+		x, _ = s.overflow.Get().(*T)
+	}
+	if x != nil {
+		s.hits.Add(1)
+		return x
+	}
+	s.misses.Add(1)
+	return fresh()
+}
 
-	resultAcquires atomic.Int64
-	resultHits     atomic.Int64
-	resultMisses   atomic.Int64
-	resultReleases atomic.Int64
-	resultRecycled atomic.Int64 // result-sized bytes served from recycled arenas
-
-	// Batch workspaces (batch.go) are a third two-tier store: lane-striped
-	// scratch is an order of magnitude heavier than a Workspace, so it must
-	// neither evict the per-run arenas nor be pinned by them.
-	batchMu       sync.Mutex
-	batchHot      *BatchWorkspace // single-slot LIFO fast path; nil when checked out
-	batchOverflow sync.Pool
-
-	batchAcquires atomic.Int64
-	batchHits     atomic.Int64
-	batchMisses   atomic.Int64
-	batchReleases atomic.Int64
-	batchRecycled atomic.Int64 // lane-striped bytes served from recycled arenas
+// put returns a reset arena to storage: the hot slot if free, the sync.Pool
+// otherwise.
+func (s *store[T]) put(x *T) {
+	s.releases.Add(1)
+	s.mu.Lock()
+	if s.hot == nil {
+		s.hot = x
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	s.overflow.Put(x)
 }
 
 // NewPool returns an empty workspace pool for graphs with n vertices.
@@ -111,39 +126,13 @@ func (p *Pool) Universe() int { return p.n }
 // available and allocating an empty one otherwise. The caller owns the
 // result until Release.
 func (p *Pool) Acquire() *Workspace {
-	p.acquires.Add(1)
-	p.mu.Lock()
-	w := p.hot
-	p.hot = nil
-	p.mu.Unlock()
-	if w == nil {
-		if v := p.overflow.Get(); v != nil {
-			w = v.(*Workspace)
-		}
-	}
-	if w != nil {
-		p.hits.Add(1)
-		w.inUse = true
+	w := p.scratch.get(func() *Workspace {
+		w := New(p.n)
+		w.pool = p
 		return w
-	}
-	p.misses.Add(1)
-	w = New(p.n)
-	w.pool = p
+	})
+	w.inUse = true
 	return w
-}
-
-// put returns a reset workspace to storage: the hot slot if free, the
-// sync.Pool otherwise.
-func (p *Pool) put(w *Workspace) {
-	p.releases.Add(1)
-	p.mu.Lock()
-	if p.hot == nil {
-		p.hot = w
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	p.overflow.Put(w)
 }
 
 // PoolStats is a point-in-time snapshot of one pool's counters.
@@ -201,21 +190,21 @@ type PoolStats struct {
 func (p *Pool) Stats() PoolStats {
 	return PoolStats{
 		Universe:            p.n,
-		Acquires:            p.acquires.Load(),
-		Hits:                p.hits.Load(),
-		Misses:              p.misses.Load(),
-		Releases:            p.releases.Load(),
-		BytesRecycled:       p.recycled.Load(),
-		ResultAcquires:      p.resultAcquires.Load(),
-		ResultHits:          p.resultHits.Load(),
-		ResultMisses:        p.resultMisses.Load(),
-		ResultReleases:      p.resultReleases.Load(),
-		ResultBytesRecycled: p.resultRecycled.Load(),
-		BatchAcquires:       p.batchAcquires.Load(),
-		BatchHits:           p.batchHits.Load(),
-		BatchMisses:         p.batchMisses.Load(),
-		BatchReleases:       p.batchReleases.Load(),
-		BatchBytesRecycled:  p.batchRecycled.Load(),
+		Acquires:            p.scratch.acquires.Load(),
+		Hits:                p.scratch.hits.Load(),
+		Misses:              p.scratch.misses.Load(),
+		Releases:            p.scratch.releases.Load(),
+		BytesRecycled:       p.scratch.recycled.Load(),
+		ResultAcquires:      p.results.acquires.Load(),
+		ResultHits:          p.results.hits.Load(),
+		ResultMisses:        p.results.misses.Load(),
+		ResultReleases:      p.results.releases.Load(),
+		ResultBytesRecycled: p.results.recycled.Load(),
+		BatchAcquires:       p.batches.acquires.Load(),
+		BatchHits:           p.batches.hits.Load(),
+		BatchMisses:         p.batches.misses.Load(),
+		BatchReleases:       p.batches.releases.Load(),
+		BatchBytesRecycled:  p.batches.recycled.Load(),
 	}
 }
 
@@ -249,7 +238,7 @@ type Workspace struct {
 // BytesRecycled counter (no-op for unpooled workspaces).
 func (w *Workspace) credit(bytes int64) {
 	if w.pool != nil {
-		w.pool.recycled.Add(bytes)
+		w.pool.scratch.recycled.Add(bytes)
 	}
 }
 
@@ -380,6 +369,6 @@ func (w *Workspace) Release(procs int) {
 	w.usedSortIDs, w.usedSortScratch = false, false
 	w.inUse = false
 	if w.pool != nil {
-		w.pool.put(w)
+		w.pool.scratch.put(w)
 	}
 }

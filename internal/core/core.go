@@ -85,9 +85,9 @@ func normalizeSeeds(g graph.Graph, seeds []uint32) []uint32 {
 // growTo returns s extended (reallocating if needed) to length n; contents
 // are unspecified. Used for per-iteration scratch arrays that should not
 // reallocate every round.
-func growTo(s []float64, n int) []float64 {
+func growTo[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n, n+n/2)
+		return make([]T, n, n+n/2)
 	}
 	return s[:n]
 }

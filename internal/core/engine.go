@@ -16,36 +16,45 @@ import (
 // frontier volume, reset/reserve a scratch accumulator to the
 // |F| + vol(F) locality bound, run a vertex phase that hoists a per-source
 // share, run an edge phase that moves the share along every frontier edge,
-// collect the touched vertices, optionally merge them into a persistent
-// vector, and filter them into the next frontier — differing only in the
-// push rule plugged into the middle. The engine owns that loop skeleton
-// once, and with it the adaptive sparse/dense decisions:
+// then walk what the round touched, optionally merging it into a persistent
+// vector, and keep what passes the threshold as the next frontier —
+// differing only in the push rule plugged into the middle. The engine owns
+// that loop skeleton once (round, then advance), and with it the adaptive
+// decisions:
 //
 //   - Edge phase: per round, the engine picks Ligra's sparse or dense
 //     traversal via the direction heuristic |F| + vol(F) > (n + 2m)/k. A
 //     sparse round pushes: the frontier's ID list is cut edge-balanced
 //     through a degree prefix sum and every edge adds its source's share
-//     (one load from a frontier-indexed array) into the scratch with an
-//     atomic add. A dense round pulls (ligra.EdgePull): shares sit in a
-//     vertex-indexed array that is zero outside the frontier, and every
-//     vertex sums its neighbours' slots in adjacency order into a flat
-//     scratch — one writer per vertex, no atomics.
+//     (one load from a frontier-indexed array) into the scratch. A dense
+//     round pulls (ligra.EdgePull): shares sit in a vertex-indexed array
+//     that is zero outside the frontier, and every vertex sums its
+//     neighbours' slots in adjacency order into a flat scratch — one writer
+//     per vertex, no atomics.
+//   - Workers: a sparse round of at most one traversal chunk of edges, and
+//     every round of a one-worker run, is run by a single goroutine, which
+//     adds with plain stores and merges and filters in one pass; only a
+//     round that several workers really share pays for atomic adds and
+//     per-phase fan-out.
 //   - Vectors: residual/mass accumulators are adaptive (vec): they start as
 //     phase-concurrent hash tables and promote — sticky, at a phase
 //     boundary — to flat Dense arrays once their support bound crosses
 //     n/vecPromoteFrac (a dense round promotes its scratch regardless),
-//     after which every Get/Add is an array operation.
+//     after which every Get/Add is an array operation. Either kind lists
+//     its entries, so nothing a round does costs a table's capacity.
 //
-// Both decisions are representation-only: the same pushes move the same
+// All three decisions are representation-only: the same pushes move the same
 // values in every mode, so clusters and Stats are identical across
 // FrontierMode settings and worker counts (the cross-mode determinism suite
 // pins this down). Float bits are a narrower promise. Vertex phase, merge
-// and pull rounds have one writer per entry and a fixed addition order, so
-// a run that takes only dense rounds (FrontierDense), or runs one worker,
-// returns the same bits every time, at any worker count, on either graph
-// representation. A sparse round with several workers adds in schedule
-// order (the paper's fetch-and-add does too) and may differ in the last
-// bit from run to run. See DESIGN.md §4.
+// and pull rounds have one writer per entry and a fixed addition order, and
+// a single writer's scratch lists its entries — the next frontier — in the
+// order it created them, whatever the table's capacity; so a run that takes
+// only dense rounds (FrontierDense), or runs one worker, returns the same
+// bits every time, at any worker count, on either graph representation,
+// from fresh or recycled scratch. A sparse round that several workers share
+// adds in schedule order (the paper's fetch-and-add does too) and may differ
+// in the last bit from run to run. See DESIGN.md §4.
 
 // FrontierMode selects the frontier engine's representation strategy.
 type FrontierMode uint8
@@ -256,22 +265,27 @@ func (v *vec) reserve(extra int) {
 
 // frontierEngine drives the shared per-round bookkeeping for one diffusion
 // run. It is not safe for concurrent use; each diffusion creates its own,
-// wired to the run's workspace, from which all graph-sized scratch (the
-// vertex-indexed share array, the filter ID buffer) is borrowed lazily — a
-// run that never goes dense never pays for any of it.
+// wired to the run's workspace, from which all scratch is borrowed: the
+// frontier-sized arrays of the sparse rounds (ws.Local) and, lazily, the
+// graph-sized ones of the dense rounds (vertex-indexed shares, ID buffer) —
+// a run that never goes dense never pays for those.
 type frontierEngine struct {
 	g       graph.Graph
 	procs   int
 	mode    FrontierMode
 	st      *Stats
 	ws      *workspace.Workspace
-	obs     Observer  // per-round telemetry sink; nil = disabled
-	shares  []float64 // per-source state, frontier-indexed (sparse rounds)
-	sharesV []float64 // per-source state, vertex-indexed, zero off the frontier (dense rounds)
+	obs     Observer         // per-round telemetry sink; nil = disabled
+	local   *workspace.Local // frontier-indexed shares and degree offsets, next-frontier IDs
+	sharesV []float64        // per-source state, vertex-indexed, zero off the frontier (dense rounds)
+	// p is the worker count of the round in progress: procs, or 1 for a round
+	// too small to share (serialRoundEdges). With p == 1 one goroutine runs
+	// every phase, and the engine's own use the tables' plain-store operations.
+	p int
 }
 
 func newFrontierEngine(g graph.Graph, procs int, mode FrontierMode, st *Stats, ws *workspace.Workspace, obs Observer) *frontierEngine {
-	return &frontierEngine{g: g, procs: procs, mode: mode, st: st, ws: ws, obs: obs}
+	return &frontierEngine{g: g, procs: procs, mode: mode, st: st, ws: ws, obs: obs, local: ws.Local()}
 }
 
 // useDense resolves the engine's mode to a per-round traversal decision.
@@ -304,20 +318,26 @@ type roundSpec struct {
 	// touched destination by its nonzero sum); the engine stores it so the
 	// edge phase reads it with one array load per edge in either direction.
 	source func(i int, v uint32) float64
-	// skipTouched suppresses the touched-key collection for rounds whose
-	// caller does not build a next frontier (e.g. HK-PR's last level).
-	skipTouched bool
 }
 
+// serialRoundEdges is the edge work up to which a sparse round runs on one
+// goroutine whatever the worker count: it is ligra's edge chunk, so the
+// traversal would not have been split anyway, and a frontier this small
+// offers its other phases no parallelism either (the paper's own remark) —
+// only goroutine start-up and atomics nobody contends for.
+const serialRoundEdges = 2048
+
 // round runs one synchronous frontier round: stats, scratch sizing, vertex
-// phase, the sparse push or dense pull edge phase the heuristic selects
-// (scratch[dst] += share[src] over every frontier edge either way), and the
-// touched-key collection. It returns the vertices whose scratch entries
-// were touched this round, in unspecified order — the candidate set for the
-// caller's merge and next-frontier filter.
-func (e *frontierEngine) round(frontier ligra.VertexSubset, spec roundSpec) []uint32 {
+// phase, and the sparse push or dense pull edge phase the heuristic selects
+// (scratch[dst] += share[src] over every frontier edge either way). The
+// frontier's degrees are read once, into the offsets that give the round its
+// volume and the push its edge-balanced chunks. What the round touched is
+// in the scratch afterwards; advance turns it into the next frontier.
+func (e *frontierEngine) round(frontier ligra.VertexSubset, spec roundSpec) {
 	size := frontier.Size()
-	vol := frontier.Volume(e.procs, e.g)
+	e.local.Offs = growTo(e.local.Offs, size+1)
+	offs := e.local.Offs
+	vol := graph.DegreeOffsets(e.procs, e.g, frontier.IDs(), offs)
 	e.st.Pushes += int64(size)
 	e.st.EdgesTouched += int64(vol)
 	e.st.Iterations++
@@ -325,6 +345,11 @@ func (e *frontierEngine) round(frontier ligra.VertexSubset, spec roundSpec) []ui
 	if e.obs != nil {
 		e.obs.Round(int(e.st.Iterations)-1, size, int64(size), int64(vol), dense)
 	}
+	e.p = e.procs
+	if !dense && vol <= serialRoundEdges {
+		e.p = 1
+	}
+	p := e.p
 	bound := size + int(vol)
 	scratch := spec.scratch
 	if dense {
@@ -335,7 +360,7 @@ func (e *frontierEngine) round(frontier ligra.VertexSubset, spec roundSpec) []ui
 	if spec.accumulate {
 		scratch.reserve(bound)
 	} else {
-		scratch.reset(e.procs, bound)
+		scratch.reset(p, bound)
 	}
 	if spec.before != nil {
 		spec.before(size, vol)
@@ -349,51 +374,73 @@ func (e *frontierEngine) round(frontier ligra.VertexSubset, spec roundSpec) []ui
 		// The pull pass lists what the sources add to the scratch, so they
 		// need not take turns at its touched list.
 		acc.Defer(true)
-		ligra.VertexMapIndexed(e.procs, frontier, func(i int, v uint32) {
+		ligra.VertexMapIndexed(p, frontier, func(i int, v uint32) {
 			sharesV[v] = spec.source(i, v)
 		})
-		ligra.EdgePull(e.procs, e.g, sharesV, acc)
+		ligra.EdgePull(p, e.g, sharesV, acc)
 		acc.Defer(false)
 		// Under pull a stale share is a wrong answer, not a skipped bit:
 		// leave the array zero for the next round and the next borrower.
-		ligra.VertexMap(e.procs, frontier, func(v uint32) { sharesV[v] = 0 })
-	} else {
-		e.shares = growTo(e.shares, size)
-		shares := e.shares
-		ligra.VertexMapIndexed(e.procs, frontier, func(i int, v uint32) {
-			shares[i] = spec.source(i, v)
-		})
-		ligra.EdgeApplyIndexed(e.procs, e.g, frontier, func(i int, _, dst uint32) {
-			scratch.Add(dst, shares[i])
-		})
+		ligra.VertexMap(p, frontier, func(v uint32) { sharesV[v] = 0 })
+		return
 	}
-	if spec.skipTouched {
-		return nil
-	}
-	return scratch.Keys(e.procs)
-}
-
-// merge folds a round's delta entries into a persistent vector:
-// dst[v] += delta[v] for every touched v. Only touched entries change, so
-// the caller's next frontier is a filter over exactly the touched keys.
-func (e *frontierEngine) merge(dst *vec, touched []uint32, delta *vec) {
-	dst.reserve(len(touched))
-	parallel.For(e.procs, len(touched), 512, func(i int) {
-		v := touched[i]
-		dst.AddOwned(v, delta.Get(v))
+	e.local.Shares = growTo(e.local.Shares, size)
+	shares := e.local.Shares
+	ligra.VertexMapIndexed(p, frontier, func(i int, v uint32) {
+		shares[i] = spec.source(i, v)
 	})
+	push := func(i int, _, dst uint32) { scratch.Add(dst, shares[i]) }
+	if p == 1 {
+		push = func(i int, _, dst uint32) { scratch.AddSerial(dst, shares[i]) }
+	}
+	ligra.EdgeApplyIndexedScratch(p, e.g, frontier, offs, push)
 }
 
-// filter builds the next frontier: the touched vertices satisfying keep,
-// in touched order. Once the workspace carries the frontier ID buffer — a
-// dense round paid for it, or a recycled workspace brought it along — the
-// output is written there instead of a fresh allocation. The single buffer
-// alternates safely: its previous contents (the current frontier) are dead
-// by the time filter runs, and the filter input is an accumulator's
-// touched-key list, which never aliases the buffer.
-func (e *frontierEngine) filter(touched []uint32, keep func(v uint32) bool) ligra.VertexSubset {
+// advance ends a round: every vertex the round touched — the entries of its
+// scratch — is folded into the persistent vector into (into[v] += scratch[v];
+// nil skips the merge) and kept for the next frontier when keep says so of
+// its value there (or, without a merge, in the scratch). Only touched
+// entries changed, so these are the only candidates. One goroutine does it
+// all in a single pass over the scratch, in the order the entries were
+// created; several workers merge first and filter second, because a
+// parallel filter evaluates its predicate twice.
+//
+// The frontier goes to recycled storage: the workspace's graph-sized ID
+// buffer once something has paid for it (a dense round, an earlier run),
+// its frontier-sized one otherwise. Either alternates safely with the
+// current frontier, dead by now, and never aliases the scratch's key list.
+func (e *frontierEngine) advance(scratch, into *vec, keep func(v uint32, x float64) bool) ligra.VertexSubset {
+	n := scratch.Len()
+	var ids []uint32
 	if e.sharesV != nil || e.ws.HasIDs() {
-		return ligra.VertexFilterInto(e.procs, ligra.FromIDs(touched), e.ws.IDs(), keep)
+		ids = e.ws.IDs()
+	} else {
+		e.local.IDs = growTo(e.local.IDs, n)
+		ids = e.local.IDs[:0]
 	}
-	return ligra.VertexFilter(e.procs, ligra.FromIDs(touched), keep)
+	if into != nil {
+		into.reserve(n)
+	}
+	if e.p == 1 {
+		scratch.ForEach(func(v uint32, x float64) {
+			if into != nil {
+				x = into.AddSerial(v, x)
+			}
+			if keep(v, x) {
+				ids = append(ids, v)
+			}
+		})
+		return ligra.FromIDs(ids)
+	}
+	touched := scratch.Keys(e.p)
+	vals := scratch
+	if into != nil {
+		parallel.For(e.p, n, 512, func(i int) {
+			into.AddOwned(touched[i], scratch.Get(touched[i]))
+		})
+		vals = into
+	}
+	return ligra.VertexFilterInto(e.p, ligra.FromIDs(touched), ids, func(v uint32) bool {
+		return keep(v, vals.Get(v))
+	})
 }

@@ -233,7 +233,7 @@ func evolvingSetSteps(g graph.Graph, seed uint32, opts EvolvingSetOptions, procs
 		if cancelled(opts.Cancel) {
 			break // best set so far; see EvolvingSetOptions.Cancel
 		}
-		touched := eng.round(S, roundSpec{
+		eng.round(S, roundSpec{
 			scratch: counts,
 			source:  func(int, uint32) float64 { return 1 },
 		})
@@ -247,14 +247,14 @@ func evolvingSetSteps(g graph.Graph, seed uint32, opts EvolvingSetOptions, procs
 		// count (the engine round's touched set). Membership and counts are
 		// exact integers, so the comparison below matches the sequential
 		// version bit for bit, in every frontier mode.
-		qAbove := func(v uint32) bool {
-			q := counts.Get(v) / (2 * float64(g.Degree(v)))
+		qAbove := func(v uint32, count float64) bool {
+			q := count / (2 * float64(g.Degree(v)))
 			if inS.Get(v) != 0 {
 				q += 0.5
 			}
 			return q >= u
 		}
-		nextMembers := eng.filter(touched, qAbove)
+		nextMembers := eng.advance(counts, nil, qAbove)
 		// Members with no incident S-edge (possible only for isolated
 		// oddities) would be missed by the counts table; S's vertices all
 		// have Q >= 1/2 contribution checked through candidates because
@@ -262,7 +262,7 @@ func evolvingSetSteps(g graph.Graph, seed uint32, opts EvolvingSetOptions, procs
 		// neighbors only if a neighbor is in S. Handle the general case by
 		// also filtering S itself and merging without duplicates.
 		extra := ligra.VertexFilter(procs, S, func(v uint32) bool {
-			return counts.Get(v) == 0 && qAbove(v)
+			return counts.Get(v) == 0 && qAbove(v, 0)
 		})
 		merged := append(append([]uint32{}, nextMembers.IDs()...), extra.IDs()...)
 		S = ligra.FromIDs(merged)

@@ -253,7 +253,7 @@ func TestParseFrontierMode(t *testing.T) {
 
 // BenchmarkFrontierModeCrossover is the evidence behind
 // ligra.DenseThresholdFrac: one PR-Nibble-shaped engine round (reset, vertex
-// phase, edge phase, touched, merge, filter) over a frontier whose volume is
+// phase, edge phase, merge and filter) over a frontier whose volume is
 // a given fraction of 2m, run as a sparse push and as a dense pull, both over
 // flat Dense vectors — the choice auto mode faces once its vectors have
 // promoted. The frontier is a BFS ball, the shape a diffusion's frontier
@@ -299,12 +299,11 @@ func BenchmarkFrontierModeCrossover(b *testing.B) {
 						delta.AddOwned(v, -0.25)
 						return 0.5 / float64(g.Degree(v))
 					}}
-					keep := func(v uint32) bool { return r.Get(v) >= 1e-3*float64(g.Degree(v)) }
+					keep := func(v uint32, rv float64) bool { return rv >= 1e-3*float64(g.Degree(v)) }
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						touched := eng.round(frontier, spec)
-						eng.merge(r, touched, delta)
-						eng.filter(touched, keep)
+						eng.round(frontier, spec)
+						eng.advance(delta, r, keep)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(vol), "ns/edge")
 				})

@@ -162,8 +162,8 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 			return tOverJ * rv / float64(g.Degree(v))
 		},
 	}
-	above := func(v uint32) bool {
-		return rNext.Get(v) >= hkThreshold(t, eps, N, psi, g.Degree(v), jn)
+	above := func(v uint32, rv float64) bool {
+		return rv >= hkThreshold(t, eps, N, psi, g.Degree(v), jn)
 	}
 	for j := 0; !frontier.IsEmpty(); j++ {
 		if cancelled(cfg.Cancel) {
@@ -173,9 +173,8 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 			// Last round: spread the remaining residual into p directly,
 			// accumulating on top of the earlier levels' mass.
 			eng.round(frontier, roundSpec{
-				scratch:     p,
-				accumulate:  true,
-				skipTouched: true,
+				scratch:    p,
+				accumulate: true,
 				source: func(_ int, v uint32) float64 {
 					rv := r.Get(v)
 					p.AddOwned(v, rv)
@@ -186,9 +185,9 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 		}
 		tOverJ = t / float64(j+1)
 		spec.scratch = rNext
-		touched := eng.round(frontier, spec)
+		eng.round(frontier, spec)
 		jn = j + 1
-		frontier = eng.filter(touched, above)
+		frontier = eng.advance(rNext, nil, above)
 		r, rNext = rNext, r
 	}
 	out := vecFromTable(p, cfg.Result)

@@ -102,16 +102,16 @@ func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig)
 			return pv / (2 * float64(g.Degree(v)))
 		},
 	}
-	above := func(v uint32) bool {
-		return next.Get(v) >= eps*float64(g.Degree(v))
+	above := func(v uint32, pv float64) bool {
+		return pv >= eps*float64(g.Degree(v))
 	}
 	for t := 1; t <= T; t++ {
 		if cancelled(cfg.Cancel) {
 			break // partial vector; see RunConfig.Cancel
 		}
 		spec.scratch = next
-		touched := eng.round(frontier, spec)
-		frontier = eng.filter(touched, above)
+		eng.round(frontier, spec)
+		frontier = eng.advance(next, nil, above)
 		if frontier.IsEmpty() {
 			break // p_{t-1}, per Figure 3 lines 15–16
 		}

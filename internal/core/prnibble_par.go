@@ -25,7 +25,8 @@ import (
 // locality bound. See DESIGN.md §1 note 1.
 //
 // The iteration skeleton (volume bound, delta reset, share hoisting, edge
-// push, delta merge, threshold filter) lives in the shared frontier engine
+// push, delta merge and threshold filter in one pass) lives in the shared
+// frontier engine
 // (engine.go), which also auto-selects the sparse or dense edge traversal
 // and vector representation per FrontierMode.
 
@@ -55,11 +56,17 @@ func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRul
 	for _, s := range seeds {
 		r.Add(s, w)
 	}
-	above := func(v uint32) bool {
+	// above is the push condition on a residual rv = r[v]. Most touched
+	// vertices hold less than eps, the threshold of a degree-1 vertex, and
+	// are turned away without a look at the graph.
+	above := func(v uint32, rv float64) bool {
+		if rv < eps {
+			return false
+		}
 		d := g.Degree(v)
-		return d > 0 && r.Get(v) >= eps*float64(d)
+		return d > 0 && rv >= eps*float64(d)
 	}
-	frontier := ligra.VertexFilter(procs, ligra.FromIDs(seeds), above)
+	frontier := ligra.VertexFilter(procs, ligra.FromIDs(seeds), func(v uint32) bool { return above(v, r.Get(v)) })
 	// The β-fraction comparator is loop-invariant (it reads r through the
 	// captured variable); building it once keeps the per-round ranking free
 	// of the closure allocations the generic sort would otherwise force.
@@ -99,11 +106,10 @@ func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRul
 		if beta < 1 && frontier.Size() > 1 {
 			frontier, rest = topBetaFraction(procs, frontier, beta, ws, betaLess)
 		}
-		touched := eng.round(frontier, spec)
+		eng.round(frontier, spec)
 		// Merge the deltas into r; only touched entries change, so the next
 		// frontier is a filter over exactly the touched keys.
-		eng.merge(r, touched, delta)
-		frontier = eng.filter(touched, above)
+		frontier = eng.advance(delta, r, above)
 		if len(rest) > 0 {
 			// A ranked-out vertex was not pushed, so it is still above the
 			// threshold. The filter found the ones a neighbour's push

@@ -72,7 +72,7 @@ func firstSeed(t *testing.T, g *graph.CSR) uint32 {
 
 // requireMapsIdentical asserts two sparse vectors carry the same keys with
 // bit-identical float values.
-func requireMapsIdentical(t *testing.T, name string, want, got *sparse.Map) {
+func requireMapsIdentical(t testing.TB, name string, want, got *sparse.Map) {
 	t.Helper()
 	if want.Len() != got.Len() {
 		t.Fatalf("%s: support size %d != %d", name, want.Len(), got.Len())
@@ -86,7 +86,7 @@ func requireMapsIdentical(t *testing.T, name string, want, got *sparse.Map) {
 }
 
 // requireSweepsIdentical asserts two sweep results are exactly equal.
-func requireSweepsIdentical(t *testing.T, name string, want, got SweepResult) {
+func requireSweepsIdentical(t testing.TB, name string, want, got SweepResult) {
 	t.Helper()
 	if math.Float64bits(want.Conductance) != math.Float64bits(got.Conductance) ||
 		want.Volume != got.Volume || want.Cut != got.Cut {
@@ -148,7 +148,7 @@ func deterministicRun(cfg RunConfig) bool {
 // that reached its fixed point (eps > 0) is also held to what the algorithm
 // promises: mass conservation ‖p‖₁ + ‖r‖₁ = 1 and the exit condition
 // r[v] < eps·d(v) on got.
-func requireEquivalentRuns(t *testing.T, label string, g graph.Graph, exact bool, eps float64, want, got kernelRun) {
+func requireEquivalentRuns(t testing.TB, label string, g graph.Graph, exact bool, eps float64, want, got kernelRun) {
 	t.Helper()
 	if want.st != got.st {
 		t.Fatalf("%s: stats %+v != %+v", label, want.st, got.st)

@@ -59,35 +59,36 @@ type SweepResult struct {
 // non-increasing p[v]/d(v), breaking ties by ascending vertex ID (a total
 // order, so every implementation produces the same permutation).
 // Zero-degree vertices sort first (infinite normalized mass) and can never
-// win: every prefix they head has zero volume and conductance 1. The order
-// array — and, when the parallel merge sort runs, its merge scratch — is
-// borrowed from res, so the pooled sweep's sort allocates nothing (the last
-// per-call sweep allocation, DESIGN.md §7).
+// win: every prefix they head has zero volume and conductance 1. Each score
+// is computed once, and what is sorted is (score, vertex) pairs, so a
+// comparison reads two pairs and nothing else. The pairs, the order array
+// and — when the parallel merge sort runs — its merge scratch are borrowed
+// from res, so the pooled sweep's sort allocates nothing (DESIGN.md §6).
 func sweepOrder(procs int, g graph.Graph, vec *sparse.Map, res *workspace.Result) []uint32 {
-	order := res.Uint32s(vec.Len())[:0]
+	pairs := res.Scored(vec.Len())[:0]
 	vec.ForEach(func(v uint32, mass float64) {
 		if mass > 0 {
-			order = append(order, v)
+			score := math.Inf(1)
+			if d := g.Degree(v); d > 0 {
+				score = mass / float64(d)
+			}
+			pairs = append(pairs, workspace.Scored{Score: score, ID: v})
 		}
 	})
-	score := func(v uint32) float64 {
-		d := g.Degree(v)
-		if d == 0 {
-			return math.Inf(1)
-		}
-		return vec.Get(v) / float64(d)
+	var scratch []workspace.Scored
+	if n := parallel.SortScratchLen(procs, len(pairs)); n > 0 {
+		scratch = res.Scored(n)
 	}
-	var scratch []uint32
-	if n := parallel.SortScratchLen(procs, len(order)); n > 0 {
-		scratch = res.Uint32s(n)
-	}
-	parallel.SortScratch(procs, order, scratch, func(a, b uint32) bool {
-		sa, sb := score(a), score(b)
-		if sa != sb {
-			return sa > sb
+	parallel.SortScratch(procs, pairs, scratch, func(a, b workspace.Scored) bool {
+		if a.Score != b.Score {
+			return a.Score > b.Score
 		}
-		return a < b
+		return a.ID < b.ID
 	})
+	order := res.Uint32s(len(pairs))
+	for i, p := range pairs {
+		order[i] = p.ID
+	}
 	return order
 }
 
@@ -107,7 +108,7 @@ func SweepCutSeq(g graph.Graph, vec *sparse.Map, res *workspace.Result) SweepRes
 	// table serves every variant.
 	rank := res.Hash(1, N)
 	for i, v := range order {
-		rank.Set(v, float64(i+1))
+		rank.AddSerial(v, float64(i+1))
 	}
 	totalVol := g.TotalVolume()
 	prefix := res.Float64s(N)
@@ -158,28 +159,36 @@ func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Resul
 	// Per-edge contributions. Each undirected edge inside the support is
 	// visited twice; only the visit from the lower-ranked endpoint
 	// contributes (+1 at its rank, -1 at the partner's), matching the
-	// paper's case (a) / case (b) split. The edge pass collects no output
-	// frontier, and its prefix-sum scratch comes from the arena too, so the
-	// pooled sweep's edge traversal allocates nothing support-sized.
+	// paper's case (a) / case (b) split. The source's rank is its index in
+	// the order, so only the destination is looked up. The edge pass
+	// collects no output frontier, and the degree offsets it chunks by — the
+	// prefix volumes, one slot on — come from the arena too, so the pooled
+	// sweep's edge traversal allocates nothing support-sized.
+	offs := res.Uint64s(N + 1)
+	graph.DegreeOffsets(procs, g, order, offs)
 	cutDelta := res.Int64s(N + 1)
-	ligra.EdgeApplyIndexedScratch(procs, g, ligra.FromIDs(order),
-		res.Uint64s(N), res.Uint64s(N),
-		func(_ int, s, d uint32) {
-			rs := int(rank.Get(s)) - 1
+	ligra.EdgeApplyIndexedScratch(procs, g, ligra.FromIDs(order), offs,
+		func(rs int, _, d uint32) {
 			rd := int(rank.Get(d)) - 1
 			if rd < 0 {
 				rd = N // outside the support: rank N+1 in the paper's terms
 			}
-			if rs < rd {
-				atomic.AddInt64(&cutDelta[rs], 1)
-				if rd < N {
-					atomic.AddInt64(&cutDelta[rd], -1)
-				}
+			if rs >= rd {
+				return
+			}
+			if procs == 1 {
+				cutDelta[rs]++
+				cutDelta[rd]-- // slot N takes the edges that leave the support
+				return
+			}
+			atomic.AddInt64(&cutDelta[rs], 1)
+			if rd < N {
+				atomic.AddInt64(&cutDelta[rd], -1)
 			}
 		})
 	cuts := res.Int64s(N)
 	parallel.ScanInclusive(procs, cutDelta[:N], cuts)
-	return sweepFromCuts(g, order, cuts, procs, res)
+	return sweepFromCuts(g, order, offs[1:], cuts, procs, res)
 }
 
 // SweepZPair is one (value, rank) pair of the Theorem-1 Z array, using the
@@ -244,10 +253,8 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 		rank.Set(order[i], float64(i+1))
 	})
 	// Offsets into Z: vertex at rank i contributes 2*d(v) pairs.
-	degs := res.Uint64s(N)
-	parallel.For(procs, N, 0, func(i int) { degs[i] = 2 * uint64(g.Degree(order[i])) })
-	offs := res.Uint64s(N)
-	zlen := parallel.ScanExclusive(procs, degs, offs)
+	offs := res.Uint64s(N + 1)
+	zlen := 2 * graph.DegreeOffsets(procs, g, order, offs)
 	// Pack each pair into a uint64: rank in the low 32 bits (the radix sort
 	// key), value+1 in bits 32..33 riding along.
 	z := res.Uint64s(int(zlen))
@@ -256,7 +263,7 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 		for i := lo; i < hi; i++ {
 			v := order[i]
 			rv := uint64(i + 1)
-			o := offs[i]
+			o := 2 * offs[i]
 			ns := g.NeighborsInto(adj, v)
 			adj = ns
 			for _, w := range ns {
@@ -306,18 +313,14 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 		}
 		prev = cuts[i]
 	}
-	return sweepFromCuts(g, order, cuts, procs, res)
+	return sweepFromCuts(g, order, offs[1:], cuts, procs, res)
 }
 
-// sweepFromCuts computes prefix volumes and conductances from per-prefix
+// sweepFromCuts computes prefix conductances from per-prefix volumes and
 // crossing counts, selects the minimum, and assembles the result; the
-// prefix arrays are borrowed from res.
-func sweepFromCuts(g graph.Graph, order []uint32, cuts []int64, procs int, res *workspace.Result) SweepResult {
+// conductance array is borrowed from res.
+func sweepFromCuts(g graph.Graph, order []uint32, vols []uint64, cuts []int64, procs int, res *workspace.Result) SweepResult {
 	N := len(order)
-	degs := res.Uint64s(N)
-	parallel.For(procs, N, 0, func(i int) { degs[i] = uint64(g.Degree(order[i])) })
-	vols := res.Uint64s(N)
-	parallel.ScanInclusive(procs, degs, vols)
 	totalVol := g.TotalVolume()
 	prefix := res.Float64s(N)
 	parallel.For(procs, N, 2048, func(i int) {

@@ -370,6 +370,19 @@ func volumeOf(g Graph, S []uint32) uint64 {
 	return vol
 }
 
+// DegreeOffsets writes the exclusive prefix sums of the degrees of ids into
+// offs[:len(ids)] and their total, vol(ids), into offs[len(ids)], which it
+// also returns; offs must have room for len(ids)+1 entries. The sparse edge
+// traversal cuts a frontier's edges into chunks along these offsets, and
+// whoever needs the volume or the prefix volumes as well (the diffusion
+// round, the sweep cut) computes them once with p workers and hands them on.
+func DegreeOffsets(p int, g Graph, ids []uint32, offs []uint64) uint64 {
+	offs[0] = 0
+	tail := offs[1 : len(ids)+1]
+	parallel.For(p, len(ids), 0, func(i int) { tail[i] = uint64(g.Degree(ids[i])) })
+	return parallel.ScanInclusive(p, tail, tail)
+}
+
 func boundaryOf(g Graph, S []uint32) uint64 {
 	in := make(map[uint32]bool, len(S))
 	for _, v := range S {

@@ -6,8 +6,8 @@
 // A VertexSubset is a list of distinct vertex IDs, and edgeMap comes as two
 // traversals. The sparse one (EdgeApplyIndexed) does work proportional to
 // the subset and its incident edges only — the property that makes the
-// implementations "local" in the paper's sense — at the cost of a per-call
-// degree prefix sum and per-chunk binary searches. The dense one (EdgePull)
+// implementations "local" in the paper's sense — at the cost of a degree
+// prefix sum per frontier and per-chunk binary searches. The dense one (EdgePull)
 // scans the whole CSR once, a much smaller constant per edge, which wins
 // once the frontier's incident edges are a sizable fraction of the graph:
 // it pulls a fixed operation — sum the neighbours' shares — with one writer
@@ -235,30 +235,19 @@ const edgeMapGrain = 2048
 // accumulator's touched keys. Work is O(|subset| + vol(subset)) and depth is
 // polylogarithmic, matching Ligra's bounds.
 func EdgeApplyIndexed(p int, g graph.Graph, s VertexSubset, fn func(srcIdx int, src, dst uint32)) {
-	EdgeApplyIndexedScratch(p, g, s, nil, nil, fn)
+	offs := make([]uint64, len(s.ids)+1)
+	graph.DegreeOffsets(p, g, s.ids, offs)
+	EdgeApplyIndexedScratch(p, g, s, offs, fn)
 }
 
-// EdgeApplyIndexedScratch is EdgeApplyIndexed with caller-provided
-// prefix-sum scratch: degs and offs must each be nil (allocate fresh) or
-// have length >= s.Size(). The pooled sweep cut passes result-arena slices
-// here so a serving query's edge pass allocates nothing support-sized.
-func EdgeApplyIndexedScratch(p int, g graph.Graph, s VertexSubset, degs, offs []uint64, fn func(srcIdx int, src, dst uint32)) {
+// EdgeApplyIndexedScratch is EdgeApplyIndexed for callers that already hold
+// graph.DegreeOffsets of the subset (length s.Size()+1) — the diffusion
+// round needs the frontier's volume before it traverses, the sweep cut needs
+// the prefix volumes after — so the degrees are read once per round and a
+// serving query's edge pass allocates nothing.
+func EdgeApplyIndexedScratch(p int, g graph.Graph, s VertexSubset, offs []uint64, fn func(srcIdx int, src, dst uint32)) {
 	nf := len(s.ids)
-	if nf == 0 {
-		return
-	}
-	if degs == nil {
-		degs = make([]uint64, nf)
-	} else {
-		degs = degs[:nf]
-	}
-	parallel.For(p, nf, 0, func(i int) { degs[i] = uint64(g.Degree(s.ids[i])) })
-	if offs == nil {
-		offs = make([]uint64, nf)
-	} else {
-		offs = offs[:nf]
-	}
-	total := parallel.ScanExclusive(p, degs, offs)
+	total := offs[nf]
 	if total == 0 {
 		return
 	}

@@ -123,6 +123,13 @@ func (d *Dense) AddOwned(k uint32, delta float64) {
 	d.vals[k] = math.Float64bits(math.Float64frombits(d.vals[k]) + delta)
 }
 
+// AddSerial is AddOwned returning k's new value: the only step of AddOwned
+// that is not already a plain load or store is the touched-list counter.
+func (d *Dense) AddSerial(k uint32, delta float64) float64 {
+	d.AddOwned(k, delta)
+	return math.Float64frombits(d.vals[k])
+}
+
 // Defer switches listing of the keys AddOwned creates off (on = true) or
 // back on. Listing is the one step of AddOwned that workers share — a
 // counter and the tail of the touched list — and a pull round has no use

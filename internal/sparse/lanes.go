@@ -161,15 +161,30 @@ func (l *Lanes) TouchSerial(v uint32, lanes uint64) {
 // next Reset. Must not run concurrently with writers.
 func (l *Lanes) Touched() []uint32 { return l.touched[:l.ntouched.Load()] }
 
-// Reset clears every touched vertex's 64 slots and mask in O(touched) work
-// using p workers. Phase boundary only.
+// laneClearWalk is the popcount up to which Reset zeroes a vertex's lanes
+// one by one instead of clearing its whole 512-byte row; see Reset.
+const laneClearWalk = 8
+
+// Reset clears every touched vertex's mask and the slots of the lanes in it
+// — the only ones a writer can have dirtied, since every write is paired
+// with a Touch of its lane — in O(touched) work using p workers. A batch of
+// seeds far apart leaves a touched vertex with one or two live lanes, and
+// walking those bits touches one or two of the row's eight cache lines; from
+// about eight lanes up the row is mostly dirty and one clear of the whole of
+// it is cheaper than the walk (BenchmarkLanesReset). Phase boundary only.
 func (l *Lanes) Reset(p int) {
 	n := int(l.ntouched.Load())
 	touched := l.touched[:n]
 	parallel.For(p, n, 256, func(i int) {
 		v := touched[i]
 		row := l.vals[int(v)<<6 : int(v)<<6+LaneStride]
-		clear(row)
+		if m := l.mask[v]; bits.OnesCount64(m) <= laneClearWalk {
+			for ; m != 0; m &= m - 1 {
+				row[bits.TrailingZeros64(m)] = 0
+			}
+		} else {
+			clear(row)
+		}
 		l.mask[v] = 0
 	})
 	l.ntouched.Store(0)

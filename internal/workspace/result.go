@@ -94,11 +94,12 @@ type Result struct {
 
 	rank *sparse.ConcurrentMap // recycled sweep rank table
 
-	u32  slab[uint32]
-	f64  slab[float64]
-	i64  slab[int64]
-	u64  slab[uint64]
-	ints slab[int]
+	u32    slab[uint32]
+	scored slab[Scored]
+	f64    slab[float64]
+	i64    slab[int64]
+	u64    slab[uint64]
+	ints   slab[int]
 }
 
 // NewResult returns an unpooled result arena — the allocation behaviour
@@ -171,6 +172,24 @@ func (r *Result) Uint32s(n int) []uint32 {
 	return out
 }
 
+// Scored is a vertex with its sweep score p[v]/d(v): what the sweep cut
+// sorts, so that a comparison needs no lookup.
+type Scored struct {
+	Score float64
+	ID    uint32
+}
+
+// Scored returns a zeroed result-sized []Scored of length n, sub-allocated
+// from the arena (the sweep's sort input and merge scratch).
+func (r *Result) Scored(n int) []Scored {
+	if r == nil {
+		return make([]Scored, n)
+	}
+	out, reused := r.scored.alloc(n)
+	r.credit(16 * int64(reused))
+	return out
+}
+
 // Float64s returns a zeroed result-sized []float64 of length n, sub-allocated
 // from the arena (prefix conductances).
 func (r *Result) Float64s(n int) []float64 {
@@ -224,6 +243,7 @@ func (r *Result) Reset() {
 		r.vec.Clear()
 	}
 	r.u32.reset()
+	r.scored.reset()
 	r.f64.reset()
 	r.i64.reset()
 	r.u64.reset()

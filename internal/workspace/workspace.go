@@ -1,7 +1,8 @@
 // Package workspace implements the per-graph workspace pool behind the
 // diffusion hot path: recyclable arenas of the graph-sized scratch state a
 // dense-mode diffusion needs (flat sparse.Dense vectors, the vertex-indexed
-// share array, and the frontier ID buffer).
+// share array, and the frontier ID buffer), plus the frontier-sized scratch
+// of the sparse rounds.
 //
 // The paper's implementation gets its speed from reusing graph-sized state
 // across iterations instead of reallocating it; a serving layer must extend
@@ -208,13 +209,13 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// Workspace is one diffusion's checkout of graph-sized scratch state: a
+// Workspace is one diffusion's checkout of scratch state: graph-sized — a
 // freelist of flat sparse.Dense vectors plus lazily-built share and
-// frontier-ID buffers, all over a fixed universe [0, n). It is owned by a
+// frontier-ID buffers, all over a fixed universe [0, n) — and the
+// frontier-sized scratch of the sparse rounds (Local). It is owned by a
 // single goroutine between Acquire (or New) and Release and is not safe for
 // concurrent use. Every piece is allocated on first demand, so a sparse-mode
-// run through a Workspace costs nothing graph-sized — exactly like the
-// pre-workspace code.
+// run through a Workspace costs nothing graph-sized.
 type Workspace struct {
 	n     int
 	pool  *Pool // nil for unpooled (New) workspaces; Release then just resets
@@ -222,6 +223,8 @@ type Workspace struct {
 
 	dense     []*sparse.Dense // every vector ever handed out by Dense()
 	denseUsed int             // vectors handed out since the last Release
+
+	local Local
 
 	floats []float64 // vertex-indexed share scratch (engine dense rounds); all zero between borrows
 	ids    []uint32  // frontier ID buffer (engine filter output)
@@ -273,6 +276,19 @@ func (w *Workspace) Dense() *sparse.Dense {
 	w.denseUsed++
 	return d
 }
+
+// Local is the frontier-sized scratch of the sparse rounds: the per-source
+// shares, the frontier's degree offsets and the next frontier's IDs. The
+// borrower grows the slices in place, and what it grew stays with the
+// workspace for the next run; contents are unspecified.
+type Local struct {
+	Shares []float64
+	Offs   []uint64
+	IDs    []uint32
+}
+
+// Local returns the workspace's frontier-sized scratch.
+func (w *Workspace) Local() *Local { return &w.local }
 
 // Floats returns the workspace's vertex-indexed float64 scratch array
 // (length n), allocating it on first use. It is all zero when handed out and

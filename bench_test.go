@@ -487,17 +487,15 @@ func BenchmarkBatchedDiffusion(b *testing.B) {
 // BenchmarkResultPath measures the steady-state allocation profile of the
 // *result* path of one dense serving query — the vecFromTable snapshot, the
 // sweep cut, and the JSON response encoding — with the diffusion scratch
-// pooled in both variants (the PR 3 state of the world):
+// pooled in both variants:
 //
-//   - unpooled-buffered: fresh snapshot map and sweep arrays per query,
-//     response marshalled through encoding/json (the pre-arena path).
-//   - pooled-streamed: snapshot and sweep borrowed from a recycled result
-//     arena, response streamed through api.WriteClusterResponse (the
-//     lgc-serve hot path).
+//   - unpooled: fresh snapshot map and sweep arrays per query.
+//   - pooled: snapshot and sweep borrowed from a recycled result
+//     arena (the lgc-serve kernel path).
 //
-// The two variants return byte-identical responses (the conformance and
-// property suites pin this); only the allocation behaviour differs.
-// Before/after numbers are recorded in DESIGN.md §6.
+// Both encode the response with encoding/json; only the allocation
+// behaviour of the snapshot and the sweep differs. Numbers are recorded in
+// DESIGN.md §6.
 func BenchmarkResultPath(b *testing.B) {
 	fixtures()
 	seeds := []uint32{fixSeed}
@@ -521,7 +519,7 @@ func BenchmarkResultPath(b *testing.B) {
 				MeanSize: float64(len(sw.Cluster)), TotalPushes: st.Pushes, TotalEdges: st.EdgesTouched},
 		}
 	}
-	b.Run("unpooled-buffered", func(b *testing.B) {
+	b.Run("unpooled", func(b *testing.B) {
 		cfg := core.RunConfig{Frontier: core.FrontierDense, Workspace: pool}
 		core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg) // warm scratch pool
 		b.ReportAllocs()
@@ -534,7 +532,7 @@ func BenchmarkResultPath(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pooled-streamed", func(b *testing.B) {
+	b.Run("pooled", func(b *testing.B) {
 		arena := pool.AcquireResult()
 		defer arena.Release()
 		cfg := core.RunConfig{Frontier: core.FrontierDense, Workspace: pool, Result: arena}
@@ -546,7 +544,7 @@ func BenchmarkResultPath(b *testing.B) {
 			arena.Reset()
 			vec, st := core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg)
 			sw := core.SweepCutPar(fixSocial, vec, cfg.Procs, arena)
-			if err := api.WriteClusterResponse(io.Discard, response(vec, sw, st)); err != nil {
+			if err := json.NewEncoder(io.Discard).Encode(response(vec, sw, st)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -252,17 +252,18 @@ type WorkspaceStats struct {
 	// pressure avoided.
 	BytesRecycled int64 `json:"bytes_recycled"`
 	// ResultAcquires counts result-arena checkouts across all pools
-	// (ResultHits + ResultMisses). A result arena holds a finished query's
+	// (ResultHits + ResultMisses). A result arena holds a query's
 	// support-sized output (snapshot map, sweep arrays, member list) from
-	// the kernel through the streamed response write.
+	// the token grant until the answer is published.
 	ResultAcquires int64 `json:"result_acquires"`
 	// ResultHits counts result-arena checkouts served by recycling.
 	ResultHits int64 `json:"result_hits"`
 	// ResultMisses counts result-arena checkouts that allocated fresh.
 	ResultMisses int64 `json:"result_misses"`
 	// ResultReleases counts result arenas returned to their pool. The gap
-	// ResultAcquires - ResultReleases is the number of responses currently
-	// being written; a gap that grows without bound is a leak.
+	// ResultAcquires - ResultReleases is the number of lanes currently
+	// running, one arena each, and 0 at rest; a gap left open at rest is a
+	// leak.
 	ResultReleases int64 `json:"result_releases"`
 	// ResultBytesRecycled totals the result-sized bytes served from
 	// recycled arenas instead of the allocator.

@@ -1,9 +1,9 @@
 // ndjson.go implements the NDJSON (newline-delimited JSON) framing of the
 // streaming batch path: POST /v1/cluster/stream and the Accept:
-// application/x-ndjson negotiation on POST /v1/cluster. Where the buffered
-// encoder (stream.go) writes one JSON document holding every result, the
-// NDJSON framing writes one JSON record per line, flushed as each batch
-// unit *completes* — a 10^4-seed batch delivers its first cluster after the
+// application/x-ndjson negotiation on POST /v1/cluster. Where POST
+// /v1/cluster writes one JSON document holding every result, the NDJSON
+// framing writes one JSON record per line, flushed as each batch unit
+// *completes* — a 10^4-seed batch delivers its first cluster after the
 // first diffusion, not after the last.
 //
 // Framing (each record is a single line, '\n'-terminated):
@@ -13,63 +13,60 @@
 //	{"aggregate":{...}}                                                trailer (success)
 //	{"error":"..."}                                                    terminal error record
 //
-// Result lines are byte-identical to the corresponding element of the
-// buffered encoder's "results" array (the golden-file and equivalence
-// suites in ndjson_test.go pin this), so a client can parse either framing
-// with one record decoder. Record types are distinguished by their key
-// sets: result records carry "seeds", the header carries "results", the
-// trailer "aggregate", the error record "error". A stream that ends without
-// a trailer or error record was cut by a disconnect and must be treated as
-// truncated.
+// Every record is one encoding/json Encode call, so a result line is
+// byte-identical to the same element of a ClusterResponse's "results"
+// array (the golden file in testdata/ndjson.golden pins the framing) and a
+// client can parse either framing with one record decoder. Record types
+// are distinguished by their key sets: result records carry "seeds", the
+// header carries "results", the trailer "aggregate", the error record
+// "error". A stream that ends without a trailer or error record was cut by
+// a disconnect and must be treated as truncated.
 package api
 
-import "io"
+import (
+	"encoding/json"
+	"io"
+)
+
+// ErrorResponse is the body of every error answer of the service, and the
+// terminal error record of an NDJSON stream.
+type ErrorResponse struct {
+	Error string `json:"error"`
+}
+
+// streamHeader is the NDJSON header record.
+type streamHeader struct {
+	Graph    string `json:"graph"`
+	Vertices int    `json:"vertices"`
+	Edges    uint64 `json:"edges"`
+	Epoch    uint64 `json:"epoch"`
+	Algo     string `json:"algo"`
+	Results  int    `json:"results"`
+}
+
+// streamTrailer is the NDJSON success trailer record.
+type streamTrailer struct {
+	Aggregate *Aggregate `json:"aggregate"`
+}
 
 // WriteClusterStreamHeader writes the NDJSON header record announcing the
 // batch: the graph's identity (including the pinned epoch every unit of the
 // stream runs at) and the number of result records (units) the stream will
 // carry on success.
 func WriteClusterStreamHeader(w io.Writer, graph string, vertices int, edges uint64, epoch uint64, algo string, units int) error {
-	jw := newJSONWriter(w)
-	jw.objOpen()
-	jw.key("graph")
-	jw.string(graph)
-	jw.key("vertices")
-	jw.int64(int64(vertices))
-	jw.key("edges")
-	jw.uint64(edges)
-	jw.key("epoch")
-	jw.uint64(epoch)
-	jw.key("algo")
-	jw.string(algo)
-	jw.key("results")
-	jw.int64(int64(units))
-	jw.objClose()
-	jw.raw("\n")
-	return jw.flush()
+	return json.NewEncoder(w).Encode(streamHeader{graph, vertices, edges, epoch, algo, units})
 }
 
 // WriteClusterResultLine writes one completed unit as a single NDJSON
-// record, byte-identical (newline aside) to the same ClusterResult inside
-// the buffered encoder's "results" array. Slices inside r may alias a
-// result arena; the caller releases it only after this returns.
+// record.
 func WriteClusterResultLine(w io.Writer, r *ClusterResult) error {
-	jw := newJSONWriter(w)
-	jw.clusterResult(r)
-	jw.raw("\n")
-	return jw.flush()
+	return json.NewEncoder(w).Encode(r)
 }
 
 // WriteClusterStreamTrailer writes the terminal success record carrying the
 // batch aggregate.
 func WriteClusterStreamTrailer(w io.Writer, a *Aggregate) error {
-	jw := newJSONWriter(w)
-	jw.objOpen()
-	jw.key("aggregate")
-	jw.aggregate(a)
-	jw.objClose()
-	jw.raw("\n")
-	return jw.flush()
+	return json.NewEncoder(w).Encode(streamTrailer{a})
 }
 
 // WriteStreamError writes the terminal error record of an NDJSON stream: a
@@ -77,11 +74,5 @@ func WriteClusterStreamTrailer(w io.Writer, a *Aggregate) error {
 // error) still ends with a well-formed line telling the client why, instead
 // of a silently truncated stream.
 func WriteStreamError(w io.Writer, msg string) error {
-	jw := newJSONWriter(w)
-	jw.objOpen()
-	jw.key("error")
-	jw.string(msg)
-	jw.objClose()
-	jw.raw("\n")
-	return jw.flush()
+	return json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
 }

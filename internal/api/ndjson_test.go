@@ -63,7 +63,8 @@ func goldenStream(w *bytes.Buffer) error {
 
 // TestNDJSONGoldenFraming pins the framing byte for byte against the
 // committed golden file: every record on its own line, result lines in the
-// buffered encoder's exact format, the trailing error record's shape. Run
+// format of a ClusterResponse's results array, the trailing error record's
+// shape. Run
 // with -update to regenerate after an intentional format change.
 func TestNDJSONGoldenFraming(t *testing.T) {
 	var buf bytes.Buffer
@@ -103,33 +104,6 @@ func TestNDJSONGoldenFraming(t *testing.T) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&errRec); err != nil || errRec.Error == "" {
 		t.Fatalf("terminal error record malformed: %v\n%s", err, lines[len(lines)-1])
-	}
-}
-
-// TestResultLineMatchesEncodingJSON pins the per-line payload contract: a
-// result record is byte-identical (newline aside) to encoding/json's
-// encoding of the same ClusterResult — and therefore to the element the
-// buffered encoder would emit inside its results array.
-func TestResultLineMatchesEncodingJSON(t *testing.T) {
-	cases := []ClusterResult{
-		{Seeds: []uint32{7}, Members: []uint32{7, 8}, Size: 2, Conductance: 0.5, Volume: 9, Cut: 1},
-		{Seeds: nil, Members: nil, Conductance: 1},
-		{Seeds: []uint32{1, 2, 3}, Members: []uint32{}, Truncated: true, Conductance: 2.5e-22},
-		{Seeds: []uint32{0}, Members: []uint32{0}, Size: 1, Conductance: 1e21, Cached: true,
-			Stats: core.Stats{Pushes: -1, Iterations: 3, EdgesTouched: 1 << 40}},
-	}
-	for i, r := range cases {
-		var line bytes.Buffer
-		if err := WriteClusterResultLine(&line, &r); err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(&r); err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if !bytes.Equal(line.Bytes(), want.Bytes()) {
-			t.Fatalf("case %d: result line differs from encoding/json\ngot  %q\nwant %q", i, line.Bytes(), want.Bytes())
-		}
 	}
 }
 

@@ -203,11 +203,9 @@ func TestBatchCancelledStream(t *testing.T) {
 	}
 	cancel()
 	for {
-		_, _, release, ok := st.Next()
-		if !ok {
+		if _, _, ok := st.Next(); !ok {
 			break
 		}
-		release()
 	}
 	st.Close()
 	if err := st.Err(); err != nil && !errors.Is(err, context.Canceled) {

@@ -11,12 +11,13 @@ import (
 // capacity-driven. Safe for concurrent use: every method takes the cache's
 // own lock — get included, since its recency bump mutates the list.
 //
-// Ownership rule: stored values must own all of their memory. The engine's
-// hot path hands out cluster vectors borrowed from per-graph result arenas
-// that are recycled the moment the response write finishes, so anything
-// cached is detached first (detachResult) — a cached response can never
-// alias a released workspace. The retained bytes are accounted per entry
-// and reported as cache_bytes in /v1/stats.
+// Ownership rule: stored values own all of their memory and are never
+// written. The kernels answer into per-graph result arenas that go back to
+// their pool as soon as the answer is published, so the engine detaches
+// each answer once (detachResult) and that one copy is what the cache
+// stores, flight followers receive and the requester reads — a cached
+// response can never alias a recycled arena. The retained bytes are
+// accounted per entry and reported as cache_bytes in /v1/stats.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int
@@ -32,9 +33,8 @@ type lruEntry struct {
 
 // detachResult returns a copy of res that owns all of its memory: the
 // Members slice — the only result field the engine ever borrows from a
-// result arena — is copied out. Every cache store goes through this
-// (copy-on-store), as does the singleflight value shared with waiters,
-// since both can outlive the arena backing the original.
+// result arena — is copied out. It is the one copy of a computed result,
+// made before its arena is released.
 func detachResult(res *ClusterResult) *ClusterResult {
 	out := *res
 	if res.Members != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"parcluster/internal/gen"
@@ -93,9 +94,9 @@ func TestLRUByteAccounting(t *testing.T) {
 	}
 }
 
-// TestDetachResult pins copy-on-store: the detached copy shares no member
-// memory with the original, so a cached entry can never alias a result
-// arena that is released when the response write completes.
+// TestDetachResult pins the one copy: the detached result shares no member
+// memory with the original, so nothing that reads it can alias the result
+// arena released right after the copy is made.
 func TestDetachResult(t *testing.T) {
 	orig := &ClusterResult{Seeds: []uint32{1}, Members: []uint32{10, 20, 30}, Size: 3}
 	dup := detachResult(orig)
@@ -113,9 +114,9 @@ func TestDetachResult(t *testing.T) {
 }
 
 // TestCachedResponseSurvivesArenaRecycling is the end-to-end copy-on-store
-// check: answer a query (borrowed), release its arena, run unrelated
-// queries that recycle the same arena memory, then re-read the first
-// answer from the cache — it must be unchanged.
+// check: answer a query, run unrelated queries that recycle the same arena
+// memory, then re-read the first answer from the cache — both the first
+// response and the cached one must be unchanged.
 func TestCachedResponseSurvivesArenaRecycling(t *testing.T) {
 	g := gen.SBM(1, []int{64, 64}, 10, 2, 9)
 	reg := NewRegistry(1, false)
@@ -124,42 +125,36 @@ func TestCachedResponseSurvivesArenaRecycling(t *testing.T) {
 	ctx := context.Background()
 
 	req := &ClusterRequest{Graph: "g", Seeds: []uint32{0}, Params: Params{Alpha: 0.05, Epsilon: 0.0001}}
-	resp1, release, err := eng.ClusterBorrowed(ctx, req)
+	resp1, err := eng.Cluster(ctx, req)
 	if err != nil {
 		t.Fatalf("first query: %v", err)
 	}
 	want := append([]uint32(nil), resp1.Results[0].Members...)
-	release() // arena back in the pool; resp1.Results[0].Members is now dead
 
 	// Churn the pool with different queries so the recycled arena memory is
 	// overwritten.
 	for i := uint32(64); i < 72; i++ {
-		r, rel, err := eng.ClusterBorrowed(ctx, &ClusterRequest{
+		if _, err := eng.Cluster(ctx, &ClusterRequest{
 			Graph: "g", Seeds: []uint32{i}, NoCache: true,
 			Params: Params{Alpha: 0.05, Epsilon: 0.0001},
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatalf("churn query %d: %v", i, err)
 		}
-		_ = r
-		rel()
+	}
+	if ws := eng.Stats().Workspace; ws.ResultHits == 0 {
+		t.Fatalf("the churn never recycled an arena: %+v", ws)
 	}
 
-	resp2, release2, err := eng.ClusterBorrowed(ctx, req)
+	resp2, err := eng.Cluster(ctx, req)
 	if err != nil {
 		t.Fatalf("cached re-read: %v", err)
 	}
-	defer release2()
 	if !resp2.Results[0].Cached {
 		t.Fatal("second identical query was not served from the cache")
 	}
-	got := resp2.Results[0].Members
-	if len(got) != len(want) {
-		t.Fatalf("cached members length changed: %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cached members[%d] = %d, want %d — cache aliased recycled arena memory", i, got[i], want[i])
+	for name, got := range map[string][]uint32{"first": resp1.Results[0].Members, "cached": resp2.Results[0].Members} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s response members changed to %v, want %v — a result aliased recycled arena memory", name, got, want)
 		}
 	}
 }

@@ -595,59 +595,31 @@ func (r resolved) key(keyBase string, seeds []uint32) string {
 	return b.String()
 }
 
-// Cluster answers a ClusterRequest with a response that owns all of its
-// memory: every borrowed slice is detached (copied) and the arenas are
-// recycled before it returns. Use ClusterBorrowed on the serving hot path,
-// where the response is immediately serialized and the copies are waste.
+// Cluster answers a ClusterRequest with the whole batch gathered: it
+// consumes a ClusterStream (see StreamCluster) to completion, assembling the
+// per-unit results in request order. The context bounds graph-load waits
+// and scheduler queueing, and — together with the request's deadline —
+// cancels in-flight kernels at their next round boundary. The response owns
+// its memory, but its Members slices are shared with the result cache:
+// callers read them and never write them.
 func (e *Engine) Cluster(ctx context.Context, req *ClusterRequest) (*ClusterResponse, error) {
-	resp, release, err := e.ClusterBorrowed(ctx, req)
+	st, err := e.StreamCluster(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	for i := range resp.Results {
-		resp.Results[i].Members = append([]uint32(nil), resp.Results[i].Members...)
-	}
-	release()
-	return resp, nil
-}
-
-// ClusterBorrowed answers a ClusterRequest with the whole batch gathered:
-// it consumes a ClusterStream (see StreamCluster) to completion, assembling
-// the per-unit results in request order. The context bounds graph-load
-// waits and scheduler queueing, and — together with the request's deadline
-// — cancels in-flight kernels at their next round boundary.
-//
-// The response's per-result Members slices may borrow memory from the
-// graph's result-arena pool. The caller must call release — exactly once,
-// on every path, including after a failed or abandoned response write —
-// after the last read of the response; release is idempotent and recycles
-// the arenas. On error the arenas are already released and release is nil.
-func (e *Engine) ClusterBorrowed(ctx context.Context, req *ClusterRequest) (*ClusterResponse, func(), error) {
-	st, err := e.StreamCluster(ctx, req)
-	if err != nil {
-		return nil, nil, err
-	}
 	defer st.Close()
 	results := make([]ClusterResult, st.Units)
-	releases := make([]func(), 0, st.Units)
-	releaseAll := func() {
-		for _, r := range releases {
-			r()
-		}
-	}
 	for {
-		idx, res, release, ok := st.Next()
+		idx, res, ok := st.Next()
 		if !ok {
 			break
 		}
 		results[idx] = *res
-		releases = append(releases, release)
 	}
 	if err := st.Err(); err != nil {
-		releaseAll()
-		return nil, nil, err
+		return nil, err
 	}
-	resp := &ClusterResponse{
+	return &ClusterResponse{
 		Graph:     st.Graph,
 		Vertices:  st.Vertices,
 		Edges:     st.Edges,
@@ -655,10 +627,7 @@ func (e *Engine) ClusterBorrowed(ctx context.Context, req *ClusterRequest) (*Clu
 		Algo:      st.Algo,
 		Results:   results,
 		Aggregate: st.Aggregate(),
-	}
-	var once sync.Once
-	release := func() { once.Do(releaseAll) }
-	return resp, release, nil
+	}, nil
 }
 
 // Request-size bounds: a single request must not be able to monopolize the
@@ -673,10 +642,9 @@ const (
 // streamUnit is one completed (or failed) work unit in flight between the
 // fan-out workers and the stream's consumer.
 type streamUnit struct {
-	idx   int
-	res   ClusterResult
-	arena *workspace.Result
-	err   error
+	idx int
+	res ClusterResult
+	err error
 }
 
 // ClusterStream is an in-progress batched query whose per-unit results are
@@ -859,29 +827,26 @@ func (r *request) start() {
 	}()
 }
 
-// Next blocks for the next completed unit and returns its request index,
-// the result, and a release closure the caller must invoke (idempotent)
-// after its last read of the result — for the HTTP layer, after the
-// result's NDJSON line is written. ok is false once the stream is
-// exhausted or failed; check Err afterwards. On a unit failure the stream
-// cancels the remaining work, releases every undelivered arena, and
+// Next blocks for the next completed unit and returns its request index
+// and result, which owns its memory (shared with the result cache; see
+// Cluster). ok is false once the stream is exhausted or failed; check Err
+// afterwards. On a unit failure the stream cancels the remaining work and
 // records the root-cause error.
-func (st *ClusterStream) Next() (idx int, res *ClusterResult, release func(), ok bool) {
+func (st *ClusterStream) Next() (idx int, res *ClusterResult, ok bool) {
 	if st.done {
-		return 0, nil, nil, false
+		return 0, nil, false
 	}
 	for u := range st.ch {
 		if u.err != nil {
 			st.abort(u.err)
-			return 0, nil, nil, false
+			return 0, nil, false
 		}
 		st.account(u.idx, &u.res)
-		out := u.res
-		return u.idx, &out, releaseOnce(u.arena), true
+		return u.idx, &u.res, true
 	}
 	st.done = true
 	st.finish(nil)
-	return 0, nil, nil, false
+	return 0, nil, false
 }
 
 // Err returns the stream's terminal error, if any. Valid once Next has
@@ -903,10 +868,9 @@ func (st *ClusterStream) Aggregate() Aggregate {
 	return agg
 }
 
-// Close abandons the stream: outstanding work is cancelled, undelivered
-// arenas are released, and the request's admission slot returns to the
-// scheduler. Results already handed out by Next stay valid until their own
-// release closures run. Idempotent; safe after exhaustion.
+// Close abandons the stream: outstanding work is cancelled and the
+// request's admission slot returns to the scheduler. Results already handed
+// out by Next stay valid. Idempotent; safe after exhaustion.
 func (st *ClusterStream) Close() {
 	if !st.done {
 		st.abort(nil)
@@ -915,21 +879,15 @@ func (st *ClusterStream) Close() {
 
 // abort is the terminal error path: cancel the rest of the batch, wait for
 // the workers to drain (cancelled units fail fast at the token gate;
-// running kernels stop at their next round), release every undelivered
-// arena, and keep the most informative error — a unit's own failure beats
-// the ctx.Canceled its cancellation inflicted on its neighbors.
+// running kernels stop at their next round), and keep the most informative
+// error — a unit's own failure beats the ctx.Canceled its cancellation
+// inflicted on its neighbors.
 func (st *ClusterStream) abort(err error) {
 	st.done = true
 	st.sc.cancel()
 	for u := range st.ch {
-		if u.err != nil {
-			if errors.Is(err, context.Canceled) && !errors.Is(u.err, context.Canceled) {
-				err = u.err
-			}
-			continue
-		}
-		if u.arena != nil {
-			u.arena.Release()
+		if u.err != nil && errors.Is(err, context.Canceled) && !errors.Is(u.err, context.Canceled) {
+			err = u.err
 		}
 	}
 	st.err = err
@@ -973,19 +931,6 @@ func (st *ClusterStream) finish(err error) {
 	})
 }
 
-// releaseOnce wraps an arena (nil for cache hits) in an idempotent release
-// closure.
-func releaseOnce(arena *workspace.Result) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			if arena != nil {
-				arena.Release()
-			}
-		})
-	}
-}
-
 // flight is one in-progress computation of a cache key.
 type flight struct {
 	done chan struct{}
@@ -998,8 +943,8 @@ type flight struct {
 // with the same key, served copies of this lane's result exactly as flight
 // followers are; fl is the flight this lane leads (nil for a NoCache
 // request, or when another request already leads the key). arena, borrowed
-// after the token gate, backs the result's Members slice and passes to the
-// stream's consumer with it.
+// after the token gate, backs the kernel's answer until runGroup detaches
+// it.
 type lane struct {
 	idx   int
 	key   string
@@ -1046,7 +991,7 @@ func (r *request) runGroup(lo, hi int) {
 		// frontier engine, so it does not count toward the mode stats.
 		e.modeCounts[r.rp.frontier].Add(int64(len(lanes)))
 	}
-	var result func(j int) *ClusterResult // lane j's answer, borrowed from its arena
+	var result func(j int) *ClusterResult // lane j's answer, in its arena
 	if r.width == 1 {
 		res := r.runUnit(lanes[0])
 		result = func(int) *ClusterResult { return res }
@@ -1062,17 +1007,18 @@ func (r *request) runGroup(lo, hi int) {
 		return
 	}
 	for j, l := range lanes {
-		res := result(j)
-		// The cache, flight followers and in-group duplicates can all
-		// outlive this lane's arena (it is recycled once our response is
-		// written), so they share one owned copy (see cache.go).
-		owned := detachResult(res)
+		// One owned copy of the lane's answer serves every consumer — the
+		// requester, the cache, flight followers and in-group duplicates —
+		// so the arena goes back to its pool before the unit is published:
+		// no arena outlives its unit (see cache.go).
+		owned := detachResult(result(j))
+		l.arena.Release()
 		e.cache.put(l.key, owned)
 		e.land(l, owned, nil)
 		for _, d := range l.dups {
 			r.serve(d, owned)
 		}
-		r.st.ch <- streamUnit{idx: l.idx, res: trim(res, r.req.MaxMembers), arena: l.arena}
+		r.st.ch <- streamUnit{idx: l.idx, res: trim(owned, r.req.MaxMembers)}
 	}
 }
 

@@ -60,10 +60,9 @@ func fuzzIngestServer() *Server {
 
 // FuzzClusterRequest throws arbitrary bytes at the full /v1/cluster path:
 // JSON decoding, parameter validation, dispatch into the diffusion kernels,
-// and the streaming response encoder. The handler must never panic, every
-// non-200 must carry a JSON error body, and every 200 body must round-trip
-// through encoding/json back to the exact bytes the streaming encoder
-// produced (the two encoders agree on canonical form).
+// and the response encoding. The handler must never panic, every non-200
+// must carry a JSON error body, and every 200 body must round-trip through
+// encoding/json back to the exact bytes served.
 func FuzzClusterRequest(f *testing.F) {
 	f.Add([]byte(`{"graph":"g","seeds":[0]}`))
 	f.Add([]byte(`{"graph":"g","algo":"nibble","seeds":[0,8],"params":{"epsilon":1e-7,"t":10}}`))
@@ -105,23 +104,15 @@ func requireJSONAnswer(t *testing.T, rec *httptest.ResponseRecorder, body []byte
 	if err := dec.Decode(&resp); err != nil {
 		t.Fatalf("200 body does not decode into ClusterResponse: %v\nbody: %q", err, rec.Body.Bytes())
 	}
-	// Round-trip: decoding the streamed body and re-encoding it — with the
-	// stdlib encoder and with the streaming encoder — must reproduce the
-	// exact served bytes. This pins that the stream is canonical JSON and
-	// that the two encoders cannot drift apart on any reachable response.
+	// Round-trip: decoding the served body and re-encoding it must reproduce
+	// the exact served bytes — the body is canonical encoding/json output,
+	// newline included, on every reachable response.
 	var stdlib bytes.Buffer
 	if err := json.NewEncoder(&stdlib).Encode(&resp); err != nil {
 		t.Fatalf("re-encoding decoded response: %v", err)
 	}
 	if !bytes.Equal(stdlib.Bytes(), rec.Body.Bytes()) {
 		t.Fatalf("served body is not canonical\nserved  %q\nre-enc %q", rec.Body.Bytes(), stdlib.Bytes())
-	}
-	var streamed bytes.Buffer
-	if err := api.WriteClusterResponse(&streamed, &resp); err != nil {
-		t.Fatalf("streaming re-encode: %v", err)
-	}
-	if !bytes.Equal(streamed.Bytes(), rec.Body.Bytes()) {
-		t.Fatalf("streaming re-encode diverges\nserved %q\nstream %q", rec.Body.Bytes(), streamed.Bytes())
 	}
 }
 

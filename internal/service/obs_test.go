@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -257,5 +258,40 @@ func TestStreamFlushHistogram(t *testing.T) {
 	}
 	if got := eng.metrics.flushDur.With().Count(); got != 3 {
 		t.Fatalf("flush observations = %d, want one per result line", got)
+	}
+}
+
+// TestServerTimingCarriesEncode pins that single-document answers are
+// encoded before their header goes out: the Server-Timing header of a
+// traced POST /v1/cluster and POST /v1/ncp names the "encode" span.
+func TestServerTimingCarriesEncode(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for path, body := range map[string]string{
+		"/v1/cluster": `{"graph":"test","seeds":[0,12]}`,
+		"/v1/ncp":     `{"graph":"test","seeds":2,"alphas":[0.05],"epsilons":[0.0001],"rng_seed":1}`,
+	} {
+		resp, got := postJSON(t, ts.URL+path, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status = %d, body = %s", path, resp.StatusCode, got)
+		}
+		if timing := resp.Header.Get(api.HeaderServerTiming); !strings.Contains(timing, "encode;dur=") {
+			t.Errorf("%s: Server-Timing missing encode: %q", path, timing)
+		}
+	}
+}
+
+// TestWriteBodyRefusesNonFinite pins the error contract of the body
+// encoder: a value encoding/json refuses (a non-finite float) is answered
+// with a 500 JSON error body, never a 200 with a truncated document.
+func TestWriteBodyRefusesNonFinite(t *testing.T) {
+	s := &Server{Logf: func(string, ...any) {}}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		rec := httptest.NewRecorder()
+		s.writeBody(rec, httptest.NewRequest(http.MethodPost, "/v1/ncp", nil), &NCPResponse{ElapsedMS: bad})
+		var e api.ErrorResponse
+		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+			!strings.Contains(e.Error, "unsupported value") {
+			t.Fatalf("ElapsedMS %v: status %d, body %q; want a 500 unsupported-value error", bad, rec.Code, rec.Body.Bytes())
+		}
 	}
 }

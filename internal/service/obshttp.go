@@ -250,7 +250,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 1 {
-			s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "limit must be a positive integer"})
+			s.writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "limit must be a positive integer"})
 			return
 		}
 		limit = n
@@ -272,12 +272,12 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	if id == "" || strings.Contains(id, "/") {
-		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "trace id must be a single path element"})
+		s.writeJSON(w, http.StatusNotFound, api.ErrorResponse{Error: "trace id must be a single path element"})
 		return
 	}
 	snap, ok := s.eng.tracer.Get(id)
 	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no trace with id " + id + " (evicted, unfinished, or never taken)"})
+		s.writeJSON(w, http.StatusNotFound, api.ErrorResponse{Error: "no trace with id " + id + " (evicted, unfinished, or never taken)"})
 		return
 	}
 	s.writeJSON(w, http.StatusOK, snap)

@@ -66,11 +66,9 @@ func TestCancelledRunsDoNotTeachScheduler(t *testing.T) {
 		eventually(t, tc.name+" kernel start", func() bool { return e.diffusions.Load() == want })
 		cancel()
 		for {
-			_, _, release, ok := st.Next()
-			if !ok {
+			if _, _, ok := st.Next(); !ok {
 				break
 			}
-			release()
 		}
 		st.Close()
 		if !errors.Is(st.Err(), context.Canceled) {

@@ -285,25 +285,17 @@ var closedChan = func() chan struct{} {
 // necessary. Concurrent calls for the same unloaded name perform one load
 // between them. The context only bounds this caller's wait — an in-flight
 // load itself is never abandoned, since another waiter may still want it.
+// The returned CSR is one immutable epoch snapshot; callers that must hold a
+// single epoch (or its workspace pool) across a whole request use Acquire.
 func (r *Registry) Get(ctx context.Context, name string) (graph.Graph, error) {
-	g, _, err := r.GetWithWorkspace(ctx, name)
-	return g, err
-}
-
-// GetWithWorkspace is Get returning, alongside the graph, the workspace
-// pool the registry owns for its universe — the pool diffusions against
-// this graph should borrow their graph-sized scratch state from. The
-// returned CSR is one immutable epoch snapshot; callers that must hold a
-// single epoch across a whole request (and report which) use Acquire.
-func (r *Registry) GetWithWorkspace(ctx context.Context, name string) (graph.Graph, *workspace.Pool, error) {
 	pin, err := r.Acquire(ctx, name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// The CSR and pool outlive the pin (both are immutable / registry-owned);
-	// only epoch accounting needs the pin held, and this caller reports none.
-	defer pin.Release()
-	return pin.G, pin.Pool, nil
+	// The CSR outlives the pin (it is immutable); only epoch and pool
+	// accounting need the pin held, and this caller holds neither.
+	pin.Release()
+	return pin.G, nil
 }
 
 // Acquire resolves name and pins its current epoch snapshot: the returned

@@ -237,7 +237,7 @@ func TestBufferedDeadlineReturns504(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", resp.StatusCode, data)
 	}
-	var eb errorBody
+	var eb api.ErrorResponse
 	if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
 		t.Fatalf("no structured error body: %s", data)
 	}

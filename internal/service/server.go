@@ -52,11 +52,11 @@ const maxBodyBytes = 8 << 20
 // class's admission bound is hit, 503 while draining, and 504 for missed
 // deadlines. Build one with NewServer and mount it as an http.Handler.
 //
-// Cluster and NCP bodies are streamed through internal/api's encoders
-// straight from pooled result memory (byte-identical to a buffered
-// encoding/json marshal); the borrowed arenas are released when the write
-// completes or the client disconnects. The NDJSON paths go further and
-// release each unit's arena as soon as its line is flushed.
+// Every body is encoded with encoding/json. Cluster and NCP answers are
+// marshalled whole before the header goes out, so their Server-Timing
+// carries the "encode" span; the NDJSON paths encode and flush one record
+// per completed unit. A result owns its memory by the time it leaves the
+// engine, so no handler has anything to release.
 type Server struct {
 	eng     *Engine
 	mux     *http.ServeMux
@@ -262,10 +262,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // writeError maps engine and scheduler errors to HTTP statuses.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusInternalServerError
@@ -306,7 +302,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 	// Strip the sentinel prefix; the status code already carries it.
 	msg := strings.TrimPrefix(err.Error(), ErrBadRequest.Error()+": ")
-	s.writeJSON(w, status, errorBody{Error: msg})
+	s.writeJSON(w, status, api.ErrorResponse{Error: msg})
 }
 
 // retryAfterSeconds renders a backoff hint as whole seconds >= 1, the
@@ -323,7 +319,7 @@ func retryAfterSeconds(d time.Duration) int {
 func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
 		w.Header().Set("Allow", method)
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "method " + r.Method + " not allowed"})
+		s.writeJSON(w, http.StatusMethodNotAllowed, api.ErrorResponse{Error: "method " + r.Method + " not allowed"})
 		return false
 	}
 	return true
@@ -359,26 +355,33 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.streamCluster(w, r, &req)
 		return
 	}
-	resp, release, err := s.eng.ClusterBorrowed(r.Context(), &req)
+	resp, err := s.eng.Cluster(r.Context(), &req)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	// The response borrows result-arena memory; stream it straight to the
-	// client and recycle the arenas afterwards. The deferred release runs
-	// on every exit — a completed write, a mid-stream client disconnect, or
-	// a panicking ResponseWriter — so arenas cannot leak to slow or
-	// vanishing clients.
-	defer release()
+	s.writeBody(w, r, resp)
+}
+
+// writeBody answers a work request with one JSON document. The body is
+// marshalled before the header goes out, so the "encode" span reaches
+// Server-Timing and a value encoding/json refuses (a non-finite float) is a
+// 500 error, not a 200 with a truncated body.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, v any) {
 	encStart := time.Now()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if err := api.WriteClusterResponse(w, resp); err != nil {
-		// Almost always the client going away mid-body; the status is sent,
-		// so all we can do is log and drop the connection.
-		s.logf("lgc-serve: streaming cluster response: %v", err)
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.writeError(w, r, err)
+		return
 	}
 	obs.FromContext(r.Context()).Span("encode", encStart)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(append(body, '\n')); err != nil {
+		// Almost always the client going away mid-body; the status is sent,
+		// so all we can do is log and drop the connection.
+		s.logf("lgc-serve: writing %s response: %v", r.URL.Path, err)
+	}
 }
 
 func (s *Server) handleClusterStream(w http.ResponseWriter, r *http.Request) {
@@ -394,20 +397,19 @@ func (s *Server) handleClusterStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamCluster answers a ClusterRequest with the NDJSON framing: a header
-// record, one result record per unit flushed as it completes (its arena
-// released line by line), and a terminal aggregate or error record. Errors
-// before the header — validation, admission, graph resolution — still come
-// back as plain JSON error bodies with real status codes; once the header
-// is on the wire, failures become the stream's terminal error record.
+// record, one result record per unit flushed as it completes, and a
+// terminal aggregate or error record. Errors before the header —
+// validation, admission, graph resolution — still come back as plain JSON
+// error bodies with real status codes; once the header is on the wire,
+// failures become the stream's terminal error record.
 func (s *Server) streamCluster(w http.ResponseWriter, r *http.Request, req *ClusterRequest) {
 	st, err := s.eng.StreamCluster(r.Context(), req)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	// Close runs on every exit: it cancels outstanding work, releases every
-	// undelivered arena, and returns the admission slot — a client that
-	// disconnects mid-stream leaks nothing.
+	// Close runs on every exit: it cancels outstanding work and returns the
+	// admission slot — a client that disconnects mid-stream leaks nothing.
 	defer st.Close()
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
@@ -423,14 +425,12 @@ func (s *Server) streamCluster(w http.ResponseWriter, r *http.Request, req *Clus
 	}
 	flush()
 	for {
-		_, res, release, ok := st.Next()
+		_, res, ok := st.Next()
 		if !ok {
 			break
 		}
 		lineStart := time.Now()
-		err := api.WriteClusterResultLine(w, res)
-		release() // the line is encoded; recycle the arena now
-		if err != nil {
+		if err := api.WriteClusterResultLine(w, res); err != nil {
 			// Client gone mid-stream; nothing more to say to it.
 			s.logf("lgc-serve: ndjson result line: %v", err)
 			return
@@ -469,11 +469,7 @@ func (s *Server) handleNCP(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if err := api.WriteNCPResponse(w, resp); err != nil {
-		s.logf("lgc-serve: streaming ncp response: %v", err)
-	}
+	s.writeBody(w, r, resp)
 }
 
 // handleGraphSub routes the per-graph subtree: /v1/graphs/{name}/edges is
@@ -484,7 +480,7 @@ func (s *Server) handleGraphSub(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/graphs/")
 	name, op, ok := strings.Cut(rest, "/")
 	if !ok || name == "" || op != "edges" {
-		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown path " + r.URL.Path})
+		s.writeJSON(w, http.StatusNotFound, api.ErrorResponse{Error: "unknown path " + r.URL.Path})
 		return
 	}
 	if !s.requireMethod(w, r, http.MethodPost) {

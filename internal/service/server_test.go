@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"parcluster/internal/api"
 )
 
 // newTestServer stands up the full HTTP stack over a small caveman graph.
@@ -87,7 +89,7 @@ func TestServerClusterErrors(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d (body %s)", tc.name, resp.StatusCode, tc.status, body)
 			continue
 		}
-		var eb errorBody
+		var eb api.ErrorResponse
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: error body = %s", tc.name, body)
 		}

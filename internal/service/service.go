@@ -38,9 +38,12 @@
 // together); with SeedSet the whole list instead seeds a single diffusion
 // (footnote 5 of the paper). The batch path is a streaming pipeline
 // (Engine.StreamCluster): each unit's result is delivered — and, on the
-// NDJSON endpoints, encoded, flushed, and its arena recycled — as the unit
-// completes, so a 10^4-seed batch emits its first cluster after the first
-// diffusion instead of the last.
+// NDJSON endpoints, encoded and flushed — as the unit completes, so a
+// 10^4-seed batch emits its first cluster after the first diffusion
+// instead of the last. A result owns its memory once it leaves the
+// pipeline: the one copy made out of the unit's result arena serves the
+// requester and the cache alike, and the arena is back in its pool before
+// the unit is published.
 package service
 
 import "errors"

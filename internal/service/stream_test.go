@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,12 +32,11 @@ func streamTestServer(t *testing.T) (*httptest.Server, *Engine, *Server) {
 	return ts, eng, srv
 }
 
-// TestStreamedBodyMatchesBufferedMarshal proves the streamed /v1/cluster
-// and /v1/ncp bodies are byte-identical to what the old buffered
-// json.Encoder path would have produced for the same response value:
-// decoding the streamed body and re-marshalling it with encoding/json must
-// reproduce the body exactly (encoding/json is canonical — Marshal of an
-// Unmarshal fixpoint — so any deviation in the stream would survive the
+// TestStreamedBodyMatchesBufferedMarshal proves the /v1/cluster and /v1/ncp
+// bodies are exactly what json.Encoder produces for the same response
+// value: decoding the served body and re-marshalling it with encoding/json
+// must reproduce the body exactly (encoding/json is canonical — Marshal of
+// an Unmarshal fixpoint — so any deviation in the body would survive the
 // round trip and show up here).
 func TestStreamedBodyMatchesBufferedMarshal(t *testing.T) {
 	ts, _, _ := streamTestServer(t)
@@ -114,8 +114,8 @@ func waitForArenaDrain(t *testing.T, eng *Engine) api.WorkspaceStats {
 }
 
 // TestStreamReleasesArenasOnCompletion pins the no-leak invariant on the
-// happy path: after a batch of successful streamed responses, every result
-// arena is back in its pool and the recycling counters show reuse.
+// happy path: after a batch of successful responses, every result arena is
+// back in its pool and the recycling counters show reuse.
 func TestStreamReleasesArenasOnCompletion(t *testing.T) {
 	ts, eng, _ := streamTestServer(t)
 	for i := 0; i < 8; i++ {
@@ -171,14 +171,14 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 
 // TestStreamReleasesArenasOnClientDisconnect is the mid-stream disconnect
 // test: a client that requests a multi-megabyte response and vanishes after
-// the first few kilobytes must not leak the borrowed result arenas — the
-// handler's deferred release runs when the write fails.
+// the first few kilobytes must not leak result arenas — the pipeline
+// returned each one before its unit reached the handler.
 func TestStreamReleasesArenasOnClientDisconnect(t *testing.T) {
 	_, eng, srv := streamTestServer(t)
 	var logMu sync.Mutex
 	var streamErrors int
 	srv.Logf = func(format string, args ...any) {
-		if strings.Contains(format, "streaming") || strings.Contains(format, "ndjson") {
+		if strings.Contains(format, "writing") || strings.Contains(format, "ndjson") {
 			logMu.Lock()
 			streamErrors++
 			logMu.Unlock()
@@ -186,8 +186,7 @@ func TestStreamReleasesArenasOnClientDisconnect(t *testing.T) {
 	}
 	// Many HK-PR units (cheap: 10 Taylor levels each) whose sweeps each
 	// list a community-sized cluster push the response well past the
-	// failing writer's 32 KiB horizon, so the write fails mid-body with
-	// arenas checked out.
+	// failing writer's 32 KiB horizon, so the write fails mid-body.
 	seeds := make([]string, 192)
 	for i := range seeds {
 		seeds[i] = fmt.Sprintf("%d", i*16)
@@ -198,8 +197,8 @@ func TestStreamReleasesArenasOnClientDisconnect(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		req := httptest.NewRequest(http.MethodPost, "/v1/cluster", strings.NewReader(reqBody))
 		if round == 2 {
-			// One round through the NDJSON framing: the per-line release
-			// path must be as leak-free as the buffered one.
+			// One round through the NDJSON framing, which fails between
+			// lines with units still undelivered.
 			req.Header.Set("Accept", "application/x-ndjson")
 		}
 		srv.ServeHTTP(&failingWriter{limit: 32 << 10}, req)
@@ -213,5 +212,80 @@ func TestStreamReleasesArenasOnClientDisconnect(t *testing.T) {
 	logMu.Unlock()
 	if errs == 0 {
 		t.Fatalf("no handler ever observed a failed response write; the disconnect path was not exercised")
+	}
+}
+
+// TestFinishedStreamHoldsNoArena pins that a result arena lives from the
+// token grant to publish: once every unit of a stream is published — before
+// the consumer has read a single one — every arena is back in its pool. The
+// results read out afterwards are byte-identical to a fresh Cluster answer,
+// and to the cached answer but for its cached flag.
+func TestFinishedStreamHoldsNoArena(t *testing.T) {
+	seeds := make([]uint32, 24)
+	for i := range seeds {
+		seeds[i] = uint32(i * 7)
+	}
+	for _, tc := range []struct {
+		name  string
+		lanes int
+	}{{"width-1", 0}, {"64-lane", 64}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := batchTestEngine(t, 1, tc.lanes)
+			ctx := context.Background()
+			req := &ClusterRequest{Graph: "test", Seeds: seeds}
+			st, err := e.StreamCluster(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			eventually(t, "every unit published", func() bool { return len(st.ch) == st.Units })
+			if ws := e.Stats().Workspace; ws.ResultAcquires == 0 || ws.ResultReleases != ws.ResultAcquires {
+				t.Fatalf("finished stream holds arenas: acquires=%d releases=%d", ws.ResultAcquires, ws.ResultReleases)
+			}
+			streamed := make([]ClusterResult, st.Units)
+			for {
+				idx, res, ok := st.Next()
+				if !ok {
+					break
+				}
+				streamed[idx] = *res
+			}
+			if err := st.Err(); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := e.Cluster(ctx, &ClusterRequest{Graph: "test", Seeds: seeds, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, err := e.Cluster(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range streamed {
+				hit := cached.Results[i]
+				if !hit.Cached {
+					t.Fatalf("unit %d of the repeated request was not a cache hit", i)
+				}
+				hit.Cached = false
+				requireSameJSON(t, fmt.Sprintf("unit %d fresh", i), fresh.Results[i], want)
+				requireSameJSON(t, fmt.Sprintf("unit %d cached", i), hit, want)
+			}
+		})
+	}
+}
+
+// requireSameJSON fails unless got and want encode to the same bytes.
+func requireSameJSON(t *testing.T, what string, got, want ClusterResult) {
+	t.Helper()
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%s differs from the streamed result\ngot  %s\nwant %s", what, g, w)
 	}
 }

@@ -5,12 +5,11 @@ package workspace
 // scratch a diffusion needs while it runs and is released the moment the run
 // finishes; a Result recycles the support-sized state a finished query still
 // needs while its answer is consumed — the vecFromTable snapshot map, the
-// sweep order and prefix-conductance arrays, and the cluster member list the
-// HTTP layer streams to the client. Its lifetime therefore extends past the
-// kernel, through the service engine, to the response writer: whoever
-// serializes the answer releases the arena after the last byte is written
-// (or the client disconnects). See docs/ARCHITECTURE.md for the full
-// ownership story.
+// sweep order and prefix-conductance arrays, and the cluster member list.
+// Its lifetime therefore extends past the kernel to whoever consumes the
+// answer: the service engine copies the member list out and releases the
+// arena before it publishes the result. See docs/ARCHITECTURE.md for the
+// full ownership story.
 //
 // Unlike a Workspace, a Result is not bound to one vertex universe: every
 // piece is sized by the support of the query that borrows it, so arenas from
@@ -252,8 +251,7 @@ func (r *Result) Reset() {
 
 // Release invalidates all handed-out memory and returns the arena to its
 // pool. It must be called exactly once per checkout, after the last read of
-// borrowed memory (for a served query: after the response write completes or
-// the client disconnects).
+// borrowed memory (for a served query: once the answer is copied out).
 func (r *Result) Release() {
 	if !r.inUse {
 		panic("workspace: Release of a result arena that is not checked out")

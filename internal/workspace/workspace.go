@@ -50,8 +50,9 @@ import (
 // are safe for concurrent use.
 //
 // The three arena kinds live in three separate stores so none can starve
-// another: a burst of slow response writes (result arenas are held until
-// the client reads the body) must not drain the diffusion scratch, and
+// another: result arenas outlive the kernel (they are held through the
+// sweep until the answer is copied out) and must not drain the diffusion
+// scratch, and
 // lane-striped batch scratch, an order of magnitude heavier than a
 // Workspace, must neither evict the per-run arenas nor be pinned by them.
 type Pool struct {
@@ -164,8 +165,8 @@ type PoolStats struct {
 	ResultMisses int64 `json:"result_misses"`
 	// ResultReleases counts result arenas returned to the pool. A healthy
 	// server keeps ResultReleases tracking ResultAcquires: the gap is the
-	// number of responses currently being written (a growing gap means a
-	// leak — a handler path that skipped Release).
+	// number of results being computed (a gap left open at rest means a
+	// leak — a path that skipped Release).
 	ResultReleases int64 `json:"result_releases"`
 	// ResultBytesRecycled totals the result-sized bytes (snapshot map
 	// payloads, sweep arrays, member lists) served from recycled arenas

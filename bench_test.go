@@ -210,14 +210,14 @@ func BenchmarkFig9Speedup(b *testing.B) {
 func BenchmarkFig10SweepSeq(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutSeq(fixSocial, fixNibbleV, nil)
+		core.SweepCutSeq(fixSocial, fixNibbleV)
 	}
 }
 
 func BenchmarkFig10SweepPar(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutPar(fixSocial, fixNibbleV, 0, nil)
+		core.SweepCutPar(fixSocial, fixNibbleV, 0)
 	}
 }
 
@@ -230,7 +230,7 @@ func BenchmarkFig11SweepVolume(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("support=%d", vec.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.SweepCutPar(fixSocial, vec, 0, nil)
+				core.SweepCutPar(fixSocial, vec, 0)
 			}
 		})
 	}
@@ -270,14 +270,14 @@ func BenchmarkA1RandHKPRContended(b *testing.B) {
 func BenchmarkA2SweepBucket(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutPar(fixSocial, fixNibbleV, 0, nil)
+		core.SweepCutPar(fixSocial, fixNibbleV, 0)
 	}
 }
 
 func BenchmarkA2SweepThmOneSort(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutParSort(fixSocial, fixNibbleV, 0, nil)
+		core.SweepCutParSort(fixSocial, fixNibbleV, 0)
 	}
 }
 
@@ -484,18 +484,11 @@ func BenchmarkBatchedDiffusion(b *testing.B) {
 
 // --- Result path: snapshot + sweep + response encoding -------------------
 
-// BenchmarkResultPath measures the steady-state allocation profile of the
-// *result* path of one dense serving query — the vecFromTable snapshot, the
-// sweep cut, and the JSON response encoding — with the diffusion scratch
-// pooled in both variants:
-//
-//   - unpooled: fresh snapshot map and sweep arrays per query.
-//   - pooled: snapshot and sweep borrowed from a recycled result
-//     arena (the lgc-serve kernel path).
-//
-// Both encode the response with encoding/json; only the allocation
-// behaviour of the snapshot and the sweep differs. Numbers are recorded in
-// DESIGN.md §6.
+// BenchmarkResultPath measures the allocation profile of the *result* path
+// of one dense serving query — the vecFromTable snapshot, the sweep cut, and
+// the JSON response encoding — with the diffusion scratch pooled, as
+// lgc-serve runs it. The snapshot map and the sweep arrays are owned
+// allocations made per query. Numbers are recorded in DESIGN.md §6.
 func BenchmarkResultPath(b *testing.B) {
 	fixtures()
 	seeds := []uint32{fixSeed}
@@ -519,36 +512,15 @@ func BenchmarkResultPath(b *testing.B) {
 				MeanSize: float64(len(sw.Cluster)), TotalPushes: st.Pushes, TotalEdges: st.EdgesTouched},
 		}
 	}
-	b.Run("unpooled", func(b *testing.B) {
-		cfg := core.RunConfig{Frontier: core.FrontierDense, Workspace: pool}
-		core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg) // warm scratch pool
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			vec, st := core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg)
-			sw := core.SweepCutPar(fixSocial, vec, cfg.Procs, nil)
-			if err := json.NewEncoder(io.Discard).Encode(response(vec, sw, st)); err != nil {
-				b.Fatal(err)
-			}
+	cfg := core.RunConfig{Frontier: core.FrontierDense, Workspace: pool}
+	core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg) // warm scratch pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vec, st := core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg)
+		sw := core.SweepCutPar(fixSocial, vec, cfg.Procs)
+		if err := json.NewEncoder(io.Discard).Encode(response(vec, sw, st)); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		arena := pool.AcquireResult()
-		defer arena.Release()
-		cfg := core.RunConfig{Frontier: core.FrontierDense, Workspace: pool, Result: arena}
-		core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg) // warm both pools
-		before := pool.Stats().ResultBytesRecycled
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			arena.Reset()
-			vec, st := core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg)
-			sw := core.SweepCutPar(fixSocial, vec, cfg.Procs, arena)
-			if err := json.NewEncoder(io.Discard).Encode(response(vec, sw, st)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		recycled := pool.Stats().ResultBytesRecycled - before
-		b.ReportMetric(float64(recycled)/float64(b.N), "recycled-B/op")
-	})
+	}
 }

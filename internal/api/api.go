@@ -251,22 +251,15 @@ type WorkspaceStats struct {
 	// borrowed from recycled arenas instead of the allocator — the GC
 	// pressure avoided.
 	BytesRecycled int64 `json:"bytes_recycled"`
-	// ResultAcquires counts result-arena checkouts across all pools
-	// (ResultHits + ResultMisses). A result arena holds a query's
-	// support-sized output (snapshot map, sweep arrays, member list) from
-	// the token grant until the answer is published.
-	ResultAcquires int64 `json:"result_acquires"`
-	// ResultHits counts result-arena checkouts served by recycling.
-	ResultHits int64 `json:"result_hits"`
-	// ResultMisses counts result-arena checkouts that allocated fresh.
-	ResultMisses int64 `json:"result_misses"`
-	// ResultReleases counts result arenas returned to their pool. The gap
-	// ResultAcquires - ResultReleases is the number of lanes currently
-	// running, one arena each, and 0 at rest; a gap left open at rest is a
-	// leak.
-	ResultReleases int64 `json:"result_releases"`
-	// ResultBytesRecycled totals the result-sized bytes served from
-	// recycled arenas instead of the allocator.
+	// The five Result* fields are always 0: a result is an owned
+	// allocation, not a checkout of a pooled arena, so there is nothing to
+	// count. They stay on the wire only because the benchmark harness
+	// (benchmarks/servetrace.go) still reads them, and are removed together
+	// with those reads by the next benchmark change.
+	ResultAcquires      int64 `json:"result_acquires"`
+	ResultHits          int64 `json:"result_hits"`
+	ResultMisses        int64 `json:"result_misses"`
+	ResultReleases      int64 `json:"result_releases"`
 	ResultBytesRecycled int64 `json:"result_bytes_recycled"`
 	// BatchAcquires counts batch-workspace checkouts across all pools
 	// (BatchHits + BatchMisses). A batch workspace carries the lane-striped
@@ -295,11 +288,6 @@ func (w *WorkspaceStats) Add(o WorkspaceStats) {
 	w.Misses += o.Misses
 	w.Releases += o.Releases
 	w.BytesRecycled += o.BytesRecycled
-	w.ResultAcquires += o.ResultAcquires
-	w.ResultHits += o.ResultHits
-	w.ResultMisses += o.ResultMisses
-	w.ResultReleases += o.ResultReleases
-	w.ResultBytesRecycled += o.ResultBytesRecycled
 	w.BatchAcquires += o.BatchAcquires
 	w.BatchHits += o.BatchHits
 	w.BatchMisses += o.BatchMisses
@@ -480,8 +468,8 @@ type EngineStats struct {
 	CacheEntries int   `json:"cache_entries"`
 	// CacheBytes is the approximate heap footprint of the result cache's
 	// retained cluster vectors (member + seed payloads). Cached entries are
-	// always owned copies — never borrowed arena memory — so this is real
-	// retention, bounded by the cache's entry capacity.
+	// always exact-size owned copies, so this is real retention, bounded by
+	// the cache's entry capacity.
 	CacheBytes    int64              `json:"cache_bytes"`
 	Diffusions    int64              `json:"diffusions"`
 	FrontierModes FrontierModeCounts `json:"frontier_modes"`

@@ -135,9 +135,9 @@ func (w *Workspace) Table3() error {
 		if err != nil {
 			return err
 		}
-		tSeq := w.timeIt(func() { core.SweepCutSeq(g, vec, nil) })
-		t1 := w.timeIt(func() { core.SweepCutPar(g, vec, 1, nil) })
-		tp := w.timeIt(func() { core.SweepCutPar(g, vec, w.cfg.Procs, nil) })
+		tSeq := w.timeIt(func() { core.SweepCutSeq(g, vec) })
+		t1 := w.timeIt(func() { core.SweepCutPar(g, vec, 1) })
+		tp := w.timeIt(func() { core.SweepCutPar(g, vec, w.cfg.Procs) })
 		w.printf("%-16s %-10s %10s %10s %10s %8.1fx  (support %d)\n",
 			name, "sweep", seconds(tSeq), seconds(t1), seconds(tp), t1.Seconds()/tp.Seconds(), vec.Len())
 	}
@@ -179,7 +179,7 @@ func (w *Workspace) Fig8() error {
 	w.header("fig8", "parameter sensitivity on "+largestGraph)
 
 	sweepPhi := func(vec *sparse.Map) float64 {
-		return core.SweepCutPar(g, vec, w.cfg.Procs, nil).Conductance
+		return core.SweepCutPar(g, vec, w.cfg.Procs).Conductance
 	}
 
 	w.printf("\n(a,b) Nibble: rows T, columns eps (time s | conductance)\n")
@@ -288,14 +288,14 @@ func (w *Workspace) Fig10() error {
 	seed, _ := w.Seed(largestGraph)
 	// A gentler epsilon grows the support, the regime Figure 10 studies.
 	vec, _ := core.NibbleRun(g, []uint32{seed}, w.params.NibbleEps/10, w.params.NibbleT, core.RunConfig{Procs: w.cfg.Procs})
-	res := core.SweepCutPar(g, vec, w.cfg.Procs, nil)
+	res := core.SweepCutPar(g, vec, w.cfg.Procs)
 	w.header("fig10", "sweep cut time vs cores on "+largestGraph)
 	w.printf("input: support=%d volume=%d\n", vec.Len(), g.Volume(res.Order))
-	tSeq := w.timeIt(func() { core.SweepCutSeq(g, vec, nil) })
+	tSeq := w.timeIt(func() { core.SweepCutSeq(g, vec) })
 	w.printf("sequential sweep: %s s\n", seconds(tSeq))
 	w.printf("%8s %12s %9s\n", "cores", "par (s)", "vs seq")
 	for _, p := range w.procGrid() {
-		d := w.timeIt(func() { core.SweepCutPar(g, vec, p, nil) })
+		d := w.timeIt(func() { core.SweepCutPar(g, vec, p) })
 		w.printf("%8d %12s %8.2fx\n", p, seconds(d), tSeq.Seconds()/d.Seconds())
 	}
 	w.printf("expected shape: parallel slower on 1 core, overtakes sequential within a few cores\n")
@@ -318,9 +318,9 @@ func (w *Workspace) Fig11() error {
 		if vec.Len() == 0 {
 			continue
 		}
-		res := core.SweepCutPar(g, vec, w.cfg.Procs, nil)
+		res := core.SweepCutPar(g, vec, w.cfg.Procs)
 		vol := g.Volume(res.Order)
-		d := w.timeIt(func() { core.SweepCutPar(g, vec, w.cfg.Procs, nil) })
+		d := w.timeIt(func() { core.SweepCutPar(g, vec, w.cfg.Procs) })
 		w.printf("%12d %14d %12s\n", vec.Len(), vol, seconds(d))
 	}
 	w.printf("expected shape: time ~linear in volume\n")
@@ -396,12 +396,12 @@ func (w *Workspace) AblationSweepStrategy() error {
 	w.header("A2", "parallel sweep strategies (support "+itoa(vec.Len())+")")
 	w.printf("%8s %14s %14s\n", "cores", "bucket (s)", "Thm-1 sort (s)")
 	for _, p := range w.procGrid() {
-		tB := w.timeIt(func() { core.SweepCutPar(g, vec, p, nil) })
-		tS := w.timeIt(func() { core.SweepCutParSort(g, vec, p, nil) })
+		tB := w.timeIt(func() { core.SweepCutPar(g, vec, p) })
+		tS := w.timeIt(func() { core.SweepCutParSort(g, vec, p) })
 		w.printf("%8d %14s %14s\n", p, seconds(tB), seconds(tS))
 	}
-	a := core.SweepCutPar(g, vec, w.cfg.Procs, nil)
-	b := core.SweepCutParSort(g, vec, w.cfg.Procs, nil)
+	a := core.SweepCutPar(g, vec, w.cfg.Procs)
+	b := core.SweepCutParSort(g, vec, w.cfg.Procs)
 	w.printf("results identical: %v (phi %.6f vs %.6f)\n",
 		a.Conductance == b.Conductance && len(a.Cluster) == len(b.Cluster),
 		a.Conductance, b.Conductance)
@@ -425,7 +425,7 @@ func (w *Workspace) AblationBetaFraction() error {
 		d := w.timeIt(func() {
 			vec, st = core.PRNibbleRun(g, []uint32{seed}, pr.PRAlpha, pr.PREps, core.OptimizedRule, beta, core.RunConfig{Procs: w.cfg.Procs})
 		})
-		phi := core.SweepCutPar(g, vec, w.cfg.Procs, nil).Conductance
+		phi := core.SweepCutPar(g, vec, w.cfg.Procs).Conductance
 		w.printf("%8.2f %12s %12d %12d %10.4f\n", beta, seconds(d), st.Pushes, st.Iterations, phi)
 	}
 	w.printf("expected shape: smaller beta -> fewer pushes per round, more rounds; quality similar\n")
@@ -466,7 +466,7 @@ func (w *Workspace) AblationFrontierMode() error {
 		d := w.timeIt(func() {
 			vec, st = core.PRNibbleRun(g, seeds, pr.PRAlpha, eps, core.OptimizedRule, 1, core.RunConfig{Procs: w.cfg.Procs, Frontier: mode})
 		})
-		res := core.SweepCutPar(g, vec, w.cfg.Procs, nil)
+		res := core.SweepCutPar(g, vec, w.cfg.Procs)
 		w.printf("%8s %12s %12d %12d %10.4f\n", mode, seconds(d), st.Pushes, st.Iterations, res.Conductance)
 		if i == 0 {
 			basePhi, baseSize = res.Conductance, len(res.Cluster)

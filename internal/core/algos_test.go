@@ -121,7 +121,7 @@ func TestNibbleFindsBarbellCluster(t *testing.T) {
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
 		vec, _ := NibbleRun(g, []uint32{3}, 1e-7, 30, RunConfig{Procs: p})
-		res := SweepCutPar(g, vec, p, nil)
+		res := SweepCutPar(g, vec, p)
 		if len(res.Cluster) != k {
 			t.Fatalf("p=%d: cluster size %d, want %d", p, len(res.Cluster), k)
 		}
@@ -199,8 +199,8 @@ func TestPRNibbleRulesFindSameCluster(t *testing.T) {
 	g := gen.Barbell(20)
 	vo, _ := PRNibbleSeq(g, []uint32{2}, 0.05, 1e-7, OriginalRule)
 	vp, _ := PRNibbleSeq(g, []uint32{2}, 0.05, 1e-7, OptimizedRule)
-	ro := SweepCutSeq(g, vo, nil)
-	rp := SweepCutSeq(g, vp, nil)
+	ro := SweepCutSeq(g, vo)
+	rp := SweepCutSeq(g, vp)
 	if math.Abs(ro.Conductance-rp.Conductance) > 1e-9 {
 		t.Fatalf("conductances differ: %v vs %v", ro.Conductance, rp.Conductance)
 	}
@@ -223,8 +223,8 @@ func TestPRNibblePQVariantAgrees(t *testing.T) {
 	g := gen.Caveman(8, 8)
 	v1, _ := PRNibbleSeq(g, []uint32{0}, 0.05, 1e-6, OptimizedRule)
 	v2, _ := PRNibbleSeqPQ(g, 0, 0.05, 1e-6, OptimizedRule)
-	r1 := SweepCutSeq(g, v1, nil)
-	r2 := SweepCutSeq(g, v2, nil)
+	r1 := SweepCutSeq(g, v1)
+	r2 := SweepCutSeq(g, v2)
 	// Push order changes the approximation slightly (the paper only claims
 	// the PQ variant "did not help much"); both must still find a
 	// low-conductance cluster around the seed's clique.
@@ -246,8 +246,8 @@ func TestPRNibbleBetaFraction(t *testing.T) {
 	if sum <= 0 || sum > 1+1e-9 {
 		t.Fatalf("beta vector mass %v", sum)
 	}
-	rFull := SweepCutSeq(g, vFull, nil)
-	rBeta := SweepCutSeq(g, vBeta, nil)
+	rFull := SweepCutSeq(g, vFull)
+	rBeta := SweepCutSeq(g, vBeta)
 	if rBeta.Conductance > 3*rFull.Conductance+0.05 {
 		t.Fatalf("beta cluster much worse: %v vs %v", rBeta.Conductance, rFull.Conductance)
 	}
@@ -258,7 +258,7 @@ func TestPRNibbleParFindsBarbell(t *testing.T) {
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
 		vec, _ := PRNibbleRun(g, []uint32{0}, 0.01, 1e-7, OptimizedRule, 1, RunConfig{Procs: p})
-		res := SweepCutPar(g, vec, p, nil)
+		res := SweepCutPar(g, vec, p)
 		if len(res.Cluster) != k || res.Cut != 1 {
 			t.Fatalf("p=%d: cluster size %d cut %d", p, len(res.Cluster), res.Cut)
 		}
@@ -366,7 +366,7 @@ func TestHKPRFindsBarbell(t *testing.T) {
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
 		vec, _ := HKPRRun(g, []uint32{0}, 10, 20, 1e-7, RunConfig{Procs: p})
-		res := SweepCutPar(g, vec, p, nil)
+		res := SweepCutPar(g, vec, p)
 		if len(res.Cluster) != k || res.Cut != 1 {
 			t.Fatalf("p=%d: cluster size %d cut %d", p, len(res.Cluster), res.Cut)
 		}
@@ -443,7 +443,7 @@ func TestRandHKPRFindsBarbell(t *testing.T) {
 	k := 25
 	g := gen.Barbell(k)
 	vec, _ := RandHKPRRun(g, []uint32{0}, 10, 15, 20000, 3, RunConfig{})
-	res := SweepCutPar(g, vec, 0, nil)
+	res := SweepCutPar(g, vec, 0)
 	// The randomized method is noisier; require the planted cut be found
 	// with the bridge as the only crossing edge.
 	if res.Cut != 1 || len(res.Cluster) != k {
@@ -482,13 +482,13 @@ func TestAllAlgorithmsAgreeOnBarbell(t *testing.T) {
 	}
 	var results []result
 	nv, _ := NibbleRun(g, []uint32{0}, 1e-7, 30, RunConfig{})
-	results = append(results, result{"nibble", SweepCutPar(g, nv, 0, nil)})
+	results = append(results, result{"nibble", SweepCutPar(g, nv, 0)})
 	pv, _ := PRNibbleRun(g, []uint32{0}, 0.01, 1e-7, OptimizedRule, 1, RunConfig{})
-	results = append(results, result{"prnibble", SweepCutPar(g, pv, 0, nil)})
+	results = append(results, result{"prnibble", SweepCutPar(g, pv, 0)})
 	hv, _ := HKPRRun(g, []uint32{0}, 10, 20, 1e-7, RunConfig{})
-	results = append(results, result{"hkpr", SweepCutPar(g, hv, 0, nil)})
+	results = append(results, result{"hkpr", SweepCutPar(g, hv, 0)})
 	rv, _ := RandHKPRRun(g, []uint32{0}, 10, 15, 20000, 5, RunConfig{})
-	results = append(results, result{"randhk", SweepCutPar(g, rv, 0, nil)})
+	results = append(results, result{"randhk", SweepCutPar(g, rv, 0)})
 	for _, r := range results {
 		if len(r.res.Cluster) != k {
 			t.Errorf("%s: cluster size %d, want %d", r.name, len(r.res.Cluster), k)
@@ -515,7 +515,7 @@ func TestAllAlgorithmsFindPlantedSBMBlock(t *testing.T) {
 	}
 	check := func(name string, vec *sparse.Map) {
 		t.Helper()
-		res := SweepCutPar(g, vec, 0, nil)
+		res := SweepCutPar(g, vec, 0)
 		in, out := inBlock(res.Cluster)
 		if in < 300 || out > 40 {
 			t.Errorf("%s: recovered %d in-block, %d out-of-block (size %d, phi %.3f)",

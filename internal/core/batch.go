@@ -25,8 +25,8 @@ package core
 //
 // Per-lane termination: a lane drops out of the masks naturally when its
 // next frontier filters empty (no vertex keeps its bit), or explicitly when
-// its cancel channel fires; its result is snapshotted into its own unit's
-// Result arena at that moment and siblings are unaffected. Per-lane Stats
+// its cancel channel fires; its result is snapshotted into a fresh map at
+// that moment and siblings are unaffected. Per-lane Stats
 // and Observer events are derived from the lane's share of the union
 // frontier each round, so telemetry matches the unbatched runs too.
 
@@ -50,9 +50,6 @@ type BatchUnit struct {
 	// Seeds is the unit's seed set (normalized like every kernel's: an empty
 	// or out-of-range set panics, duplicates are dropped).
 	Seeds []uint32
-	// Result, when non-nil, is the arena this lane's vector is snapshotted
-	// into at termination; the caller owns it (see RunConfig.Result).
-	Result *workspace.Result
 	// Cancel, when non-nil, retires this lane at the next round boundary
 	// once it fires: the lane's partial vector is snapshotted and the
 	// remaining lanes run on unaffected.
@@ -267,17 +264,17 @@ func (b *laneBatch) retireCancelled(group <-chan struct{}, finish func(l int)) b
 	return b.running == 0
 }
 
-// snapshot copies lane l's column of bank into the unit's Result arena (or
-// a fresh map) — the batched counterpart of vecFromTable, dropping
-// explicit zeros the same way — and retires the lane.
+// snapshot copies lane l's column of bank into a fresh map — the batched
+// counterpart of vecFromTable, dropping explicit zeros the same way — and
+// retires the lane.
 func (b *laneBatch) snapshot(l int, bank *sparse.Lanes) {
-	b.vecs[l] = vecFromLane(bank, l, b.units[l].Result)
+	b.vecs[l] = vecFromLane(bank, l)
 	b.running &^= uint64(1) << l
 }
 
-// vecFromLane snapshots one lane of a Lanes bank into a sparse.Map drawn
-// from res (nil res allocates fresh).
-func vecFromLane(bank *sparse.Lanes, lane int, res *workspace.Result) *sparse.Map {
+// vecFromLane snapshots one lane of a Lanes bank into a fresh, pre-sized
+// sparse.Map the caller owns.
+func vecFromLane(bank *sparse.Lanes, lane int) *sparse.Map {
 	bit := uint64(1) << lane
 	touched := bank.Touched()
 	count := 0
@@ -286,7 +283,7 @@ func vecFromLane(bank *sparse.Lanes, lane int, res *workspace.Result) *sparse.Ma
 			count++
 		}
 	}
-	out := res.Map(count)
+	out := sparse.NewMap(count)
 	for _, v := range touched {
 		if bank.Mask(v)&bit == 0 {
 			continue
@@ -331,7 +328,7 @@ func PRNibbleBatch(g graph.Graph, units []BatchUnit, alpha, eps float64, rule Pu
 	// finish retires one lane: residual sink (test-only), then snapshot p.
 	finish := func(l int) {
 		if prNibbleBatchResidualSink != nil {
-			prNibbleBatchResidualSink(l, vecFromLane(r, l, nil))
+			prNibbleBatchResidualSink(l, vecFromLane(r, l))
 		}
 		b.snapshot(l, p)
 	}

@@ -58,12 +58,9 @@ func TestTopBetaFractionZeroAllocs(t *testing.T) {
 func TestBetaRunPooledAllocBudget(t *testing.T) {
 	g := gen.Caveman(12, 8)
 	pool := workspace.NewPool(g.NumVertices())
-	arena := pool.AcquireResult()
-	defer arena.Release()
 	rec := &recordingObserver{}
-	cfg := RunConfig{Procs: 1, Frontier: FrontierDense, Workspace: pool, Result: arena, Observer: rec}
+	cfg := RunConfig{Procs: 1, Frontier: FrontierDense, Workspace: pool, Observer: rec}
 	run := func() {
-		arena.Reset()
 		PRNibbleRun(g, []uint32{0}, 0.05, 1e-6, OptimizedRule, 0.5, cfg)
 	}
 	run() // warm the pool (and count rounds via the observer)

@@ -32,7 +32,6 @@ import (
 
 	"parcluster/internal/graph"
 	"parcluster/internal/sparse"
-	"parcluster/internal/workspace"
 )
 
 // Stats reports the work counters the paper's evaluation tables rely on.
@@ -92,14 +91,13 @@ func growTo[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// vecFromTable snapshots a concurrent table (hash or dense) into the
-// sequential sparse map the sweep cut consumes: res's recycled map (the
-// pooled result path; see RunConfig.Result), or a fresh one when res is nil.
-// Explicit zeros are dropped either way (entries whose mass cancelled
-// exactly, e.g. a residual fully pushed out). With an arena the returned
-// map's memory belongs to it: it is valid until res is Reset or Released.
-func vecFromTable(t sparse.Vector, res *workspace.Result) *sparse.Map {
-	out := res.Map(t.Len())
+// vecFromTable snapshots a concurrent table (hash or dense) into a fresh,
+// pre-sized sequential map — the one the sweep cut consumes and the caller
+// owns, so it outlives the workspace the table is borrowed from. Explicit
+// zeros are dropped (entries whose mass cancelled exactly, e.g. a residual
+// fully pushed out).
+func vecFromTable(t sparse.Vector) *sparse.Map {
+	out := sparse.NewMap(t.Len())
 	t.ForEach(func(k uint32, v float64) {
 		if v != 0 {
 			out.Set(k, v)

@@ -121,15 +121,6 @@ type RunConfig struct {
 	// fresh allocation) rather than corrupting someone else's arenas. A
 	// pool changes where scratch memory comes from, never what is computed.
 	Workspace *workspace.Pool
-	// Result, when non-nil, is the arena the run's *result* is snapshotted
-	// into (the vecFromTable map, and — handed on to SweepCutPar — the sweep
-	// arrays downstream). Unlike Workspace scratch, which the run itself
-	// releases, the result must outlive the run: the caller owns the arena
-	// and releases it after the last read of the returned vector, so the
-	// checkout is the caller's, not the kernel's. Any pool's arena works
-	// (result state is support-sized, not graph-sized). An arena changes
-	// where the result lives, never its contents.
-	Result *workspace.Result
 	// Cancel, when non-nil, is observed at round boundaries: once it fires
 	// (a deadline expired, a client went away), the run stops at the next
 	// synchronous round and returns the partial vector computed so far —

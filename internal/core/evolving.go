@@ -57,11 +57,6 @@ type EvolvingSetOptions struct {
 	// graph-sized scratch state from (see core.RunConfig.Workspace). The
 	// trajectory is identical with and without a pool.
 	Workspace *workspace.Pool
-	// Result, when non-nil, is the arena the parallel version copies the
-	// returned Set into, so the caller can recycle the member list after the
-	// response is written (see core.RunConfig.Result for the ownership
-	// contract). The trajectory is identical with and without an arena.
-	Result *workspace.Result
 	// Cancel, when non-nil, stops the parallel version at the next
 	// evolution step once it fires; the best set seen so far is returned
 	// (see core.RunConfig.Cancel for the partial-result contract).
@@ -206,11 +201,6 @@ func EvolvingSetPar(g graph.Graph, seed uint32, opts EvolvingSetOptions) (Evolvi
 	res, st := evolvingSetSteps(g, seed, opts, procs, ws)
 	// Release only on the non-panicking path (see acquireWorkspace).
 	ws.Release(procs)
-	if opts.Result != nil && len(res.Set) > 0 {
-		set := opts.Result.Uint32s(len(res.Set))
-		copy(set, res.Set)
-		res.Set = set
-	}
 	return res, st
 }
 

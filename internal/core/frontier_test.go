@@ -50,7 +50,7 @@ func clusterOf(t *testing.T, g *graph.CSR, vec *sparse.Map) ([]uint32, float64) 
 	if vec.Len() == 0 {
 		return nil, 1
 	}
-	res := SweepCutPar(g, vec, 0, nil)
+	res := SweepCutPar(g, vec, 0)
 	return sortedU32(res.Cluster), res.Conductance
 }
 
@@ -372,13 +372,13 @@ func TestDenseRoundBitIdenticalAcrossProcs(t *testing.T) {
 			if base.vec.Len() < heap.NumVertices()/4 {
 				t.Fatalf("%s/%s: support %d: the fixture does not reach the dense regime", gname, kname, base.vec.Len())
 			}
-			baseSweep := SweepCutPar(heap, base.vec, 1, nil)
+			baseSweep := SweepCutPar(heap, base.vec, 1)
 			for rname, g := range reprs {
 				for _, procs := range frontierProcs() {
 					label := fmt.Sprintf("%s/%s/%s/p%d", gname, kname, rname, procs)
 					got := runKernel(func() (*sparse.Map, Stats) { return run(g, RunConfig{Procs: procs, Frontier: FrontierDense}) })
 					requireEquivalentRuns(t, label, g, true, 0, base, got)
-					requireSweepsIdentical(t, label, baseSweep, SweepCutPar(g, got.vec, procs, nil))
+					requireSweepsIdentical(t, label, baseSweep, SweepCutPar(g, got.vec, procs))
 				}
 			}
 		}

@@ -190,7 +190,7 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 		frontier = eng.advance(rNext, nil, above)
 		r, rNext = rNext, r
 	}
-	out := vecFromTable(p, cfg.Result)
+	out := vecFromTable(p)
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)

@@ -16,8 +16,8 @@ import (
 
 // local_bench_test.go is the inner loop for the local regime, the one the
 // serve-* workloads of benchmarks/ live in: the soc-LJ stand-in at the
-// harness's size and parameters, one worker, pooled workspace and result
-// arena, uniformly random seeds. One op is one query.
+// harness's size and parameters, one worker, pooled workspace, uniformly
+// random seeds. One op is one query.
 //
 //	go test -run '^$' -bench 'LocalQuery|LocalSweep/local/par/procs=1' -benchtime 640x ./internal/core
 
@@ -51,7 +51,7 @@ func localBenchGraph() (*graph.CSR, []uint32) {
 }
 
 // requireLocalAnswers is the pre-timing check: every query, run the way the
-// benchmark times it (one worker, recycled workspace and arena), is held to
+// benchmark times it (one worker, recycled workspace), is held to
 // requireEquivalentRuns against a run on fresh allocations — bit-identical,
 // mass-conserving, below the push threshold at exit — and to the sequential
 // reference: both vectors under-approximate the same PageRank vector by less
@@ -63,7 +63,6 @@ func requireLocalAnswers(b *testing.B, g *graph.CSR, seeds []uint32, cfg RunConf
 		want := runKernel(func() (*sparse.Map, Stats) {
 			return PRNibbleRun(g, seed, localAlpha, localEps, OptimizedRule, 1, RunConfig{Procs: 1})
 		})
-		cfg.Result.Reset()
 		got := runKernel(func() (*sparse.Map, Stats) {
 			return PRNibbleRun(g, seed, localAlpha, localEps, OptimizedRule, 1, cfg)
 		})
@@ -83,16 +82,12 @@ func requireLocalAnswers(b *testing.B, g *graph.CSR, seeds []uint32, cfg RunConf
 // what it costs per edge it touches.
 func BenchmarkLocalQuery(b *testing.B) {
 	g, seeds := localBenchGraph()
-	pool := workspace.NewPool(g.NumVertices())
-	arena := pool.AcquireResult()
-	defer arena.Release()
-	cfg := RunConfig{Procs: 1, Workspace: pool, Result: arena}
+	cfg := RunConfig{Procs: 1, Workspace: workspace.NewPool(g.NumVertices())}
 	requireLocalAnswers(b, g, seeds, cfg)
 	var edges int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arena.Reset()
 		_, st := PRNibbleRun(g, seeds[i%len(seeds):][:1], localAlpha, localEps, OptimizedRule, 1, cfg)
 		edges += st.EdgesTouched
 	}
@@ -119,31 +114,28 @@ func BenchmarkLocalSweep(b *testing.B) {
 		g    *graph.CSR
 		vecs []*sparse.Map
 	}{{"local", g, local}, {"global", gg, []*sparse.Map{global}}} {
-		arena := workspace.NewResult()
 		vols := make([]uint64, len(in.vecs))
 		for i, vec := range in.vecs {
-			want := SweepCutSeq(in.g, vec, nil)
-			requireSweepsIdentical(b, in.name, want, SweepCutPar(in.g, vec, 1, arena))
-			requireSweepsIdentical(b, in.name, want, SweepCutParSort(in.g, vec, 0, arena))
+			want := SweepCutSeq(in.g, vec)
+			requireSweepsIdentical(b, in.name, want, SweepCutPar(in.g, vec, 1))
+			requireSweepsIdentical(b, in.name, want, SweepCutParSort(in.g, vec, 0))
 			vols[i] = in.g.Volume(want.Order)
-			arena.Reset()
 		}
 		for _, sw := range []struct {
 			name  string
 			procs int
 			run   func(vec *sparse.Map)
 		}{
-			{"par", 1, func(vec *sparse.Map) { SweepCutPar(in.g, vec, 1, arena) }},
-			{"seq", 1, func(vec *sparse.Map) { SweepCutSeq(in.g, vec, arena) }},
-			{"parSort", 1, func(vec *sparse.Map) { SweepCutParSort(in.g, vec, 1, arena) }},
-			{"par", 0, func(vec *sparse.Map) { SweepCutPar(in.g, vec, 0, arena) }},
-			{"parSort", 0, func(vec *sparse.Map) { SweepCutParSort(in.g, vec, 0, arena) }},
+			{"par", 1, func(vec *sparse.Map) { SweepCutPar(in.g, vec, 1) }},
+			{"seq", 1, func(vec *sparse.Map) { SweepCutSeq(in.g, vec) }},
+			{"parSort", 1, func(vec *sparse.Map) { SweepCutParSort(in.g, vec, 1) }},
+			{"par", 0, func(vec *sparse.Map) { SweepCutPar(in.g, vec, 0) }},
+			{"parSort", 0, func(vec *sparse.Map) { SweepCutParSort(in.g, vec, 0) }},
 		} {
 			b.Run(fmt.Sprintf("%s/%s/procs=%d", in.name, sw.name, parallel.ResolveProcs(sw.procs)), func(b *testing.B) {
 				var edges uint64
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					arena.Reset()
 					sw.run(in.vecs[i%len(in.vecs)])
 					edges += vols[i%len(vols)]
 				}

@@ -79,15 +79,12 @@ func TestLocalityOracle(t *testing.T) {
 		t.Fatalf("embedding: n=%d 2m=%d from n=%d 2m=%d", big.NumVertices(), big.TotalVolume(), small.NumVertices(), small.TotalVolume())
 	}
 	type universe struct {
-		g     *graph.CSR
-		pool  *workspace.Pool
-		arena *workspace.Result
+		g    *graph.CSR
+		pool *workspace.Pool
 	}
 	us := []universe{{g: small}, {g: big}}
 	for i := range us {
 		us[i].pool = workspace.NewPool(us[i].g.NumVertices())
-		us[i].arena = us[i].pool.AcquireResult()
-		defer us[i].arena.Release()
 	}
 	for name, kernel := range localityKernels {
 		for _, seed := range []uint32{3, 200, 777} {
@@ -99,26 +96,16 @@ func TestLocalityOracle(t *testing.T) {
 				var bytes [2]uint64
 				for i, u := range us {
 					cfg := RunConfig{Procs: 1, Frontier: FrontierSparse}
-					var arena *workspace.Result
 					if pooled {
-						cfg.Workspace, cfg.Result, arena = u.pool, u.arena, u.arena
+						cfg.Workspace = u.pool
 					}
 					query := func() kernelRun {
-						if pooled {
-							arena.Reset()
-						}
 						return runKernel(func() (*sparse.Map, Stats) { return kernel(u.g, seed, cfg) })
 					}
 					runs[i] = query()
-					sweeps[i] = SweepCutPar(u.g, runs[i].vec, 1, arena)
-					// Copy what the comparison below reads out of the arena the
-					// measured runs are about to recycle.
-					sweeps[i].Order = append([]uint32(nil), sweeps[i].Order...)
-					sweeps[i].Cluster = sweeps[i].Order[:len(sweeps[i].Cluster)]
-					sweeps[i].PrefixConductance = append([]float64(nil), sweeps[i].PrefixConductance...)
-					runs[i].vec = runs[i].vec.Clone()
+					sweeps[i] = SweepCutPar(u.g, runs[i].vec, 1)
 					allocs[i], bytes[i] = allocsAndBytes(func() {
-						SweepCutPar(u.g, query().vec, 1, arena)
+						SweepCutPar(u.g, query().vec, 1)
 					})
 				}
 				if vol := small.Volume(sweeps[0].Order); 2*vol >= small.TotalVolume() {
@@ -137,28 +124,23 @@ func TestLocalityOracle(t *testing.T) {
 
 // TestRecycledStateDoesNotChangeBits pins the contract that replaced
 // hash-slot order: with one worker a result's bits do not depend on what the
-// workspace, the arena or a table in them held before — here a larger query
-// from elsewhere in the graph, which leaves every recycled buffer and the
-// arena's rank table at a different capacity than a fresh one would have.
+// workspace or a table in it held before — here a larger query from
+// elsewhere in the graph, which leaves every recycled buffer at a different
+// capacity than a fresh one would have.
 func TestRecycledStateDoesNotChangeBits(t *testing.T) {
 	g := gen.CommunityGraph(1, 5000, 12, 6, 50, 200, 2.5, 23)
 	pool := workspace.NewPool(g.NumVertices())
-	arena := pool.AcquireResult()
-	defer arena.Release()
 	for _, mode := range []FrontierMode{FrontierAuto, FrontierSparse} {
 		for name, kernel := range localityKernels {
 			label := fmt.Sprintf("%s/%s", name, mode)
 			cfg := RunConfig{Procs: 1, Frontier: mode}
 			want := runKernel(func() (*sparse.Map, Stats) { return kernel(g, 9, cfg) })
-			wantSweep := SweepCutPar(g, want.vec, 1, nil)
-			cfg.Workspace, cfg.Result = pool, arena
-			arena.Reset()
-			warm, _ := PRNibbleRun(g, []uint32{4000}, 0.01, 1e-6, OptimizedRule, 1, cfg)
-			SweepCutPar(g, warm, 1, arena)
-			arena.Reset()
+			wantSweep := SweepCutPar(g, want.vec, 1)
+			cfg.Workspace = pool
+			PRNibbleRun(g, []uint32{4000}, 0.01, 1e-6, OptimizedRule, 1, cfg)
 			got := runKernel(func() (*sparse.Map, Stats) { return kernel(g, 9, cfg) })
 			requireEquivalentRuns(t, label, g, true, 0, want, got)
-			requireSweepsIdentical(t, label, wantSweep, SweepCutPar(g, got.vec, 1, arena))
+			requireSweepsIdentical(t, label, wantSweep, SweepCutPar(g, got.vec, 1))
 		}
 	}
 }

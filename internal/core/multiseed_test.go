@@ -104,7 +104,7 @@ func TestMultiSeedRecoversUnionOfCommunities(t *testing.T) {
 	g := gen.Caveman(12, 8) // cliques of 8: IDs [0,8), [8,16), ...
 	seeds := []uint32{1, 9} // adjacent cliques in the ring
 	vec, _ := PRNibbleRun(g, seeds, 0.05, 1e-6, OptimizedRule, 1, RunConfig{})
-	res := SweepCutPar(g, vec, 0, nil)
+	res := SweepCutPar(g, vec, 0)
 	if res.Conductance > 0.1 {
 		t.Fatalf("multi-seed cluster conductance %v", res.Conductance)
 	}

@@ -152,8 +152,8 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 							requireMapsIdentical(t, label, want, got)
 							if want.Len() > 0 {
 								requireSweepsIdentical(t, label,
-									SweepCutPar(rebuilt, want, procs, nil),
-									SweepCutPar(overlay, got, procs, nil))
+									SweepCutPar(rebuilt, want, procs),
+									SweepCutPar(overlay, got, procs))
 							}
 						}
 					}

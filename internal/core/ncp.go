@@ -88,12 +88,6 @@ func NCP(g graph.Graph, opts NCPOptions) []NCPPoint {
 	if pool == nil || pool.Universe() != n {
 		pool = workspace.NewPool(n)
 	}
-	// One result arena serves the whole profile: each inner run snapshots
-	// and sweeps into it, reads its prefix conductances, and recycles it in
-	// place for the next run. Released on both (non-panicking) return paths
-	// below — like the workspace, an arena abandoned by a panic is left to
-	// the GC rather than recycled.
-	arena := pool.AcquireResult()
 	runs := opts.Seeds
 	if len(opts.SeedVertices) > 0 {
 		runs = len(opts.SeedVertices)
@@ -102,7 +96,6 @@ func NCP(g graph.Graph, opts NCPOptions) []NCPPoint {
 		if opts.Cancel != nil {
 			select {
 			case <-opts.Cancel:
-				arena.Release()
 				return finishNCP(best)
 			default:
 			}
@@ -122,13 +115,12 @@ func NCP(g graph.Graph, opts NCPOptions) []NCPPoint {
 		}
 		for _, alpha := range opts.Alphas {
 			for _, eps := range opts.Epsilons {
-				arena.Reset()
 				vec, _ := PRNibbleRun(g, []uint32{seed}, alpha, eps, OptimizedRule, 1,
-					RunConfig{Procs: procs, Workspace: pool, Result: arena})
+					RunConfig{Procs: procs, Workspace: pool})
 				if vec.Len() == 0 {
 					continue
 				}
-				res := SweepCutPar(g, vec, procs, arena)
+				res := SweepCutPar(g, vec, procs)
 				for i, phi := range res.PrefixConductance {
 					size := i + 1
 					if size > maxSize {
@@ -141,7 +133,6 @@ func NCP(g graph.Graph, opts NCPOptions) []NCPPoint {
 			}
 		}
 	}
-	arena.Release()
 	return finishNCP(best)
 }
 

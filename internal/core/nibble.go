@@ -117,7 +117,7 @@ func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig)
 		}
 		p, next = next, p
 	}
-	out := vecFromTable(p, cfg.Result)
+	out := vecFromTable(p)
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)

@@ -109,20 +109,17 @@ func TestRandHKObserverEmitsSummaryEvent(t *testing.T) {
 }
 
 // TestNilObserverZeroAllocs is the hook's cost contract: on the pooled
-// dense steady-state path (workspace pool + result arena warm, sequential
-// schedule) the Observer hook adds zero heap allocations per run — a run
-// with the cheapest enabled observer allocates exactly what a nil-observer
-// run does, so a fortiori the nil check itself costs untraced production
-// requests nothing.
+// dense steady-state path (workspace pool warm, sequential schedule) the
+// Observer hook adds zero heap allocations per run — a run with the
+// cheapest enabled observer allocates exactly what a nil-observer run does,
+// so a fortiori the nil check itself costs untraced production requests
+// nothing.
 func TestNilObserverZeroAllocs(t *testing.T) {
 	g := gen.Caveman(12, 8)
 	pool := workspace.NewPool(g.NumVertices())
-	arena := pool.AcquireResult()
-	defer arena.Release()
 	run := func(obs Observer) func() {
-		cfg := RunConfig{Procs: 1, Frontier: FrontierDense, Workspace: pool, Result: arena, Observer: obs}
+		cfg := RunConfig{Procs: 1, Frontier: FrontierDense, Workspace: pool, Observer: obs}
 		return func() {
-			arena.Reset()
 			PRNibbleRun(g, []uint32{0}, 0.05, 1e-6, OptimizedRule, 1, cfg)
 		}
 	}
@@ -137,8 +134,7 @@ func TestNilObserverZeroAllocs(t *testing.T) {
 	// reintroduced per-push or per-vertex allocation — orders of magnitude
 	// past any per-round constant on this fixture — still fails loudly.
 	rec := &recordingObserver{}
-	cfg := RunConfig{Procs: 1, Frontier: FrontierDense, Workspace: pool, Result: arena, Observer: rec}
-	arena.Reset()
+	cfg := RunConfig{Procs: 1, Frontier: FrontierDense, Workspace: pool, Observer: rec}
 	PRNibbleRun(g, []uint32{0}, 0.05, 1e-6, OptimizedRule, 1, cfg)
 	if budget := float64(24*len(rec.events) + 64); base > budget {
 		t.Fatalf("nil-observer pooled dense run allocates %.1f objects/op over %d rounds (budget %.0f)",
@@ -153,8 +149,6 @@ func TestNilObserverZeroAllocs(t *testing.T) {
 func BenchmarkObserverOverhead(b *testing.B) {
 	g := gen.CommunityGraph(1, 5000, 12, 6, 50, 200, 2.5, 23)
 	pool := workspace.NewPool(g.NumVertices())
-	arena := pool.AcquireResult()
-	defer arena.Release()
 	for _, bc := range []struct {
 		name string
 		obs  Observer
@@ -163,10 +157,9 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		{"noop", noopObserver{}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := RunConfig{Procs: 1, Frontier: FrontierDense, Workspace: pool, Result: arena, Observer: bc.obs}
+			cfg := RunConfig{Procs: 1, Frontier: FrontierDense, Workspace: pool, Observer: bc.obs}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				arena.Reset()
 				PRNibbleRun(g, []uint32{0}, 0.05, 1e-6, OptimizedRule, 1, cfg)
 			}
 		})

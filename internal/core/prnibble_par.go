@@ -125,9 +125,9 @@ func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRul
 		}
 	}
 	if prNibbleResidualSink != nil {
-		prNibbleResidualSink(vecFromTable(r, nil))
+		prNibbleResidualSink(vecFromTable(r))
 	}
-	out := vecFromTable(p, cfg.Result)
+	out := vecFromTable(p)
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)

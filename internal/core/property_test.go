@@ -9,10 +9,10 @@ package core
 //     prefix conductance reported by the parallel sweep equals a from-
 //     scratch recomputation via graph.Conductance, and the winning prefix
 //     is the argmin;
-//  2. pooled/unpooled equivalence: runs through a workspace pool and a
-//     result arena return the same vectors and sweeps as fresh allocations
-//     (in the sense of requireEquivalentRuns), including when the same arena
-//     is recycled run after run;
+//  2. pooled/unpooled equivalence: runs through a workspace pool return the
+//     same vectors and sweeps as fresh allocations (in the sense of
+//     requireEquivalentRuns), including when the same pool is recycled run
+//     after run;
 //  3. PR-Nibble mass conservation (§3.3): ‖p‖₁ + ‖r‖₁ <= 1 + ε at
 //     termination, for every frontier mode and procs in {1, 2, 8}.
 
@@ -205,7 +205,7 @@ func TestPropertySweepMatchesBruteForce(t *testing.T) {
 			if vec.Len() == 0 {
 				t.Fatalf("empty diffusion vector")
 			}
-			res := SweepCutPar(g, vec, 4, nil)
+			res := SweepCutPar(g, vec, 4)
 			N := len(res.Order)
 			if N == 0 {
 				t.Fatalf("empty sweep order")
@@ -237,11 +237,11 @@ func TestPropertySweepMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestPropertyPooledMatchesUnpooled checks the pooled result path's core
-// promise: a run through a workspace pool, a recycled result arena and the
-// arena-backed sweep is equivalent to one on fresh allocations, for every
-// algorithm that snapshots a vector, across frontier modes and worker
-// counts, and across repeated runs through the same recycled arena.
+// TestPropertyPooledMatchesUnpooled checks the pooled path's core promise: a
+// run through a workspace pool, and its sweep, is equivalent to one on fresh
+// allocations, for every algorithm that snapshots a vector, across frontier
+// modes and worker counts, and across repeated runs through the same
+// recycled pool.
 func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 	const prEps = 1e-6
 	algos := map[string]func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats){
@@ -263,8 +263,6 @@ func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			seed := firstSeed(t, g)
 			pool := workspace.NewPool(g.NumVertices())
-			arena := pool.AcquireResult()
-			defer arena.Release()
 			for algoName, run := range algos {
 				for _, mode := range modes {
 					for _, procs := range []int{1, 4} {
@@ -273,16 +271,15 @@ func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 						// rand-HK-PR aggregates by sorting, in a fixed order.
 						exact := deterministicRun(cfg) || algoName == "randhk"
 						want := runKernel(func() (*sparse.Map, Stats) { return run(g, seed, cfg) })
-						wantSweep := SweepCutPar(g, want.vec, procs, nil)
-						// Two pooled runs through the same arena: the second
+						wantSweep := SweepCutPar(g, want.vec, procs)
+						// Two pooled runs through the same pool: the second
 						// recycles state the first left behind, which is
 						// exactly the serving steady state.
-						cfg.Workspace, cfg.Result = pool, arena
+						cfg.Workspace = pool
 						for round := 0; round < 2; round++ {
-							arena.Reset()
 							got := runKernel(func() (*sparse.Map, Stats) { return run(g, seed, cfg) })
 							requireEquivalentRuns(t, label, g, exact, prEps, want, got)
-							gotSweep := SweepCutPar(g, got.vec, procs, arena)
+							gotSweep := SweepCutPar(g, got.vec, procs)
 							requireEquivalentSweeps(t, label, exact, wantSweep, gotSweep)
 						}
 					}

@@ -78,11 +78,9 @@ func RandHKPRSeq(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 // sequential version does, so the bit-identical-output guarantee extends to
 // seed sets.
 //
-// Of cfg only Procs, Result, Cancel and Observer are consulted: the walks
-// need no frontier engine and no graph-sized scratch, so Frontier and
-// Workspace are ignored; Result, when set, is the arena the empirical
-// distribution is built in (see RunConfig.Result for the ownership
-// contract). Cancellation is observed every 256 walks per worker; a
+// Of cfg only Procs, Cancel and Observer are consulted: the walks need no
+// frontier engine and no graph-sized scratch, so Frontier and Workspace are
+// ignored. Cancellation is observed every 256 walks per worker; a
 // cancelled run returns a truncated (not renormalized) distribution that
 // callers must discard.
 func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, cfg RunConfig) (*sparse.Map, Stats) {
@@ -136,7 +134,7 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 	starts := parallel.FilterIndex(procs, N, func(i int) bool {
 		return i == 0 || ids[i] != ids[i-1]
 	})
-	p := cfg.Result.Map(distinct)
+	p := sparse.NewMap(distinct)
 	invN := 1 / float64(N)
 	for bi, start := range starts {
 		end := N
@@ -173,7 +171,7 @@ func RandHKPRParContended(g graph.Graph, seed uint32, t float64, K, N int, walkS
 	st.Pushes = int64(N)
 	st.Iterations = N
 	st.EdgesTouched = parallel.Sum(procs, steps)
-	p := vecFromTable(table, nil)
+	p := vecFromTable(table)
 	scaleMap(p, 1/float64(N))
 	return p, st
 }

@@ -8,7 +8,6 @@ import (
 	"parcluster/internal/ligra"
 	"parcluster/internal/parallel"
 	"parcluster/internal/sparse"
-	"parcluster/internal/workspace"
 )
 
 // sweep.go implements the sweep cut rounding procedure (§3.1): sort the
@@ -31,13 +30,10 @@ import (
 //
 // All three order ties (equal p[v]/d(v)) by ascending vertex ID, making the
 // sweep order — and therefore the returned cluster — identical across
-// implementations and worker counts. All three take a workspace.Result arena
-// (nil = allocate fresh) and borrow every support-sized (and, for the
-// sort-based sweep, volume-sized) piece of result and scratch from it, so
-// callers that run them hot allocate nothing per call (DESIGN.md §7 has the
-// measured numbers). With an arena the returned Cluster, Order and
-// PrefixConductance slices alias it and are valid until it is Reset or
-// Released; results are bit-identical with and without one.
+// implementations and worker counts. Every piece of a sweep's result and
+// scratch is support-sized (volume-sized for the sort-based sweep's Z) and
+// allocated per call; the returned Cluster, Order and PrefixConductance
+// belong to the caller (DESIGN.md §6).
 
 // SweepResult is the outcome of a sweep cut.
 type SweepResult struct {
@@ -61,57 +57,60 @@ type SweepResult struct {
 // Zero-degree vertices sort first (infinite normalized mass) and can never
 // win: every prefix they head has zero volume and conductance 1. Each score
 // is computed once, and what is sorted is (score, vertex) pairs, so a
-// comparison reads two pairs and nothing else. The pairs, the order array
-// and — when the parallel merge sort runs — its merge scratch are borrowed
-// from res, so the pooled sweep's sort allocates nothing (DESIGN.md §6).
-func sweepOrder(procs int, g graph.Graph, vec *sparse.Map, res *workspace.Result) []uint32 {
-	pairs := res.Scored(vec.Len())[:0]
+// comparison reads two pairs and nothing else.
+func sweepOrder(procs int, g graph.Graph, vec *sparse.Map) []uint32 {
+	pairs := make([]scored, 0, vec.Len())
 	vec.ForEach(func(v uint32, mass float64) {
 		if mass > 0 {
 			score := math.Inf(1)
 			if d := g.Degree(v); d > 0 {
 				score = mass / float64(d)
 			}
-			pairs = append(pairs, workspace.Scored{Score: score, ID: v})
+			pairs = append(pairs, scored{score: score, id: v})
 		}
 	})
-	var scratch []workspace.Scored
+	var scratch []scored
 	if n := parallel.SortScratchLen(procs, len(pairs)); n > 0 {
-		scratch = res.Scored(n)
+		scratch = make([]scored, n)
 	}
-	parallel.SortScratch(procs, pairs, scratch, func(a, b workspace.Scored) bool {
-		if a.Score != b.Score {
-			return a.Score > b.Score
+	parallel.SortScratch(procs, pairs, scratch, func(a, b scored) bool {
+		if a.score != b.score {
+			return a.score > b.score
 		}
-		return a.ID < b.ID
+		return a.id < b.id
 	})
-	order := res.Uint32s(len(pairs))
+	order := make([]uint32, len(pairs))
 	for i, p := range pairs {
-		order[i] = p.ID
+		order[i] = p.id
 	}
 	return order
+}
+
+// scored is a vertex with its sweep score p[v]/d(v): what sweepOrder sorts,
+// so that a comparison needs no lookup.
+type scored struct {
+	score float64
+	id    uint32
 }
 
 func emptySweep() SweepResult { return SweepResult{Conductance: 1} }
 
 // SweepCutSeq is the sequential sweep cut: one pass over the sweep order
-// maintaining the boundary incrementally. The sweep order, the rank table
-// and the prefix conductances are borrowed from res.
-func SweepCutSeq(g graph.Graph, vec *sparse.Map, res *workspace.Result) SweepResult {
-	order := sweepOrder(1, g, vec, res)
+// maintaining the boundary incrementally.
+func SweepCutSeq(g graph.Graph, vec *sparse.Map) SweepResult {
+	order := sweepOrder(1, g, vec)
 	N := len(order)
 	if N == 0 {
 		return emptySweep()
 	}
 	// rank+1 stored so that Get == 0 means "outside the support" — the same
-	// convention as the parallel sweeps, so the arena's one recycled hash
-	// table serves every variant.
-	rank := res.Hash(1, N)
+	// convention as the parallel sweeps.
+	rank := sparse.NewConcurrent(N)
 	for i, v := range order {
 		rank.AddSerial(v, float64(i+1))
 	}
 	totalVol := g.TotalVolume()
-	prefix := res.Float64s(N)
+	prefix := make([]float64, N)
 	var vol uint64
 	var cut int64
 	best, bestPhi := 0, math.Inf(1)
@@ -141,18 +140,15 @@ func SweepCutSeq(g graph.Graph, vec *sparse.Map, res *workspace.Result) SweepRes
 // SweepCutPar is the default work-efficient parallel sweep cut: crossing
 // counts per rank are obtained by accumulating +1/-1 contributions of every
 // edge with fetch-and-add into a rank-indexed array, then prefix-summing.
-// Every support-sized piece of the result and its scratch — the sweep
-// order, the rank table, the crossing counts, the prefix volumes and
-// conductances — is borrowed from res.
-func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Result) SweepResult {
+func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int) SweepResult {
 	procs = parallel.ResolveProcs(procs)
-	order := sweepOrder(procs, g, vec, res)
+	order := sweepOrder(procs, g, vec)
 	N := len(order)
 	if N == 0 {
 		return emptySweep()
 	}
 	// rank+1 stored so that Get == 0 means "outside the support".
-	rank := res.Hash(procs, N)
+	rank := sparse.NewConcurrent(N)
 	parallel.For(procs, N, 1024, func(i int) {
 		rank.Set(order[i], float64(i+1))
 	})
@@ -161,12 +157,11 @@ func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Resul
 	// contributes (+1 at its rank, -1 at the partner's), matching the
 	// paper's case (a) / case (b) split. The source's rank is its index in
 	// the order, so only the destination is looked up. The edge pass
-	// collects no output frontier, and the degree offsets it chunks by — the
-	// prefix volumes, one slot on — come from the arena too, so the pooled
-	// sweep's edge traversal allocates nothing support-sized.
-	offs := res.Uint64s(N + 1)
+	// collects no output frontier, and the degree offsets it chunks by are
+	// the prefix volumes, one slot on.
+	offs := make([]uint64, N+1)
 	graph.DegreeOffsets(procs, g, order, offs)
-	cutDelta := res.Int64s(N + 1)
+	cutDelta := make([]int64, N+1)
 	ligra.EdgeApplyIndexedScratch(procs, g, ligra.FromIDs(order), offs,
 		func(rs int, _, d uint32) {
 			rd := int(rank.Get(d)) - 1
@@ -186,9 +181,9 @@ func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Resul
 				atomic.AddInt64(&cutDelta[rd], -1)
 			}
 		})
-	cuts := res.Int64s(N)
+	cuts := make([]int64, N)
 	parallel.ScanInclusive(procs, cutDelta[:N], cuts)
-	return sweepFromCuts(g, order, offs[1:], cuts, procs, res)
+	return sweepFromCuts(g, order, offs[1:], cuts, procs)
 }
 
 // SweepZPair is one (value, rank) pair of the Theorem-1 Z array, using the
@@ -235,29 +230,25 @@ func BuildSweepZ(g graph.Graph, order []uint32) []SweepZPair {
 // SweepCutParSort is the faithful Theorem 1 parallel sweep: it materializes
 // Z (two pairs per directed edge of the support), integer-sorts it by rank
 // with the parallel radix sort, prefix-sums the pair values, and reads the
-// per-rank crossing count off the last pair of each rank group. The result
-// and all of its scratch — the sweep order, the rank table, the Z pair
-// array and its prefix sums, the boundary index list, the per-rank crossing
-// counts — are borrowed from res. Z is volume-sized (two pairs per support
-// edge), so an arena's uint64 slab grows to the sweep's edge volume and
-// stays that size for recycling.
-func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int, res *workspace.Result) SweepResult {
+// per-rank crossing count off the last pair of each rank group. Z is
+// volume-sized: two pairs per support edge.
+func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int) SweepResult {
 	procs = parallel.ResolveProcs(procs)
-	order := sweepOrder(procs, g, vec, res)
+	order := sweepOrder(procs, g, vec)
 	N := len(order)
 	if N == 0 {
 		return emptySweep()
 	}
-	rank := res.Hash(procs, N)
+	rank := sparse.NewConcurrent(N)
 	parallel.For(procs, N, 1024, func(i int) {
 		rank.Set(order[i], float64(i+1))
 	})
 	// Offsets into Z: vertex at rank i contributes 2*d(v) pairs.
-	offs := res.Uint64s(N + 1)
+	offs := make([]uint64, N+1)
 	zlen := 2 * graph.DegreeOffsets(procs, g, order, offs)
 	// Pack each pair into a uint64: rank in the low 32 bits (the radix sort
 	// key), value+1 in bits 32..33 riding along.
-	z := res.Uint64s(int(zlen))
+	z := make([]uint64, zlen)
 	parallel.ForRange(procs, N, 16, func(lo, hi int) {
 		var adj []uint32
 		for i := lo; i < hi; i++ {
@@ -282,21 +273,21 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 			}
 		}
 	})
-	parallel.RadixSortUint64Scratch(procs, z, res.Uint64s(int(zlen)), parallel.KeyBitsFor(uint64(N+1)))
+	parallel.RadixSortUint64Scratch(procs, z, make([]uint64, zlen), parallel.KeyBitsFor(uint64(N+1)))
 	// Prefix sums over the pair values.
-	vals := res.Int64s(int(zlen))
+	vals := make([]int64, zlen)
 	parallel.For(procs, int(zlen), 4096, func(i int) {
 		vals[i] = int64(z[i]>>32) - 1
 	})
-	sums := res.Int64s(int(zlen))
+	sums := make([]int64, zlen)
 	parallel.ScanInclusive(procs, vals, sums)
 	// The crossing count of S_i is the running sum at the last pair with
 	// rank i; ranks with no pairs (zero-degree vertices) inherit the
 	// previous rank's count.
-	lastIdx := parallel.FilterIndexInto(procs, int(zlen), res.Ints(int(zlen)), func(j int) bool {
+	lastIdx := parallel.FilterIndexInto(procs, int(zlen), make([]int, zlen), func(j int) bool {
 		return j+1 == int(zlen) || z[j]&0xffffffff != z[j+1]&0xffffffff
 	})
-	cuts := res.Int64s(N)
+	cuts := make([]int64, N)
 	for i := range cuts {
 		cuts[i] = -1
 	}
@@ -313,16 +304,15 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int, res *workspace.R
 		}
 		prev = cuts[i]
 	}
-	return sweepFromCuts(g, order, offs[1:], cuts, procs, res)
+	return sweepFromCuts(g, order, offs[1:], cuts, procs)
 }
 
 // sweepFromCuts computes prefix conductances from per-prefix volumes and
-// crossing counts, selects the minimum, and assembles the result; the
-// conductance array is borrowed from res.
-func sweepFromCuts(g graph.Graph, order []uint32, vols []uint64, cuts []int64, procs int, res *workspace.Result) SweepResult {
+// crossing counts, selects the minimum, and assembles the result.
+func sweepFromCuts(g graph.Graph, order []uint32, vols []uint64, cuts []int64, procs int) SweepResult {
 	N := len(order)
 	totalVol := g.TotalVolume()
-	prefix := res.Float64s(N)
+	prefix := make([]float64, N)
 	parallel.For(procs, N, 2048, func(i int) {
 		prefix[i] = graph.ConductanceFrom(totalVol, vols[i], uint64(cuts[i]))
 	})

@@ -8,7 +8,6 @@ import (
 
 	"parcluster/internal/graph"
 	"parcluster/internal/sparse"
-	"parcluster/internal/workspace"
 )
 
 // tiedSweepInput builds the degenerate case the sweep's total order has to
@@ -85,8 +84,7 @@ func TestSweepOrderUnderTies(t *testing.T) {
 		if zeroDeg == 0 || len(want) < tc.n/2 {
 			t.Fatalf("n=%d: fixture has %d zero-degree entries in a support of %d", tc.n, zeroDeg, len(want))
 		}
-		arena := workspace.NewResult()
-		ref := SweepCutSeq(g, vec, nil)
+		ref := SweepCutSeq(g, vec)
 		if len(ref.Order) != len(want) {
 			t.Fatalf("n=%d: order has %d vertices, want %d", tc.n, len(ref.Order), len(want))
 		}
@@ -114,14 +112,9 @@ func TestSweepOrderUnderTies(t *testing.T) {
 			}
 		}
 		for _, procs := range []int{1, 2, 8} {
-			for _, a := range []*workspace.Result{nil, arena} {
-				if a != nil {
-					a.Reset()
-				}
-				label := fmt.Sprintf("n=%d/procs=%d/arena=%t", tc.n, procs, a != nil)
-				requireSweepsIdentical(t, label+"/par", ref, SweepCutPar(g, vec, procs, a))
-				requireSweepsIdentical(t, label+"/parSort", ref, SweepCutParSort(g, vec, procs, a))
-			}
+			label := fmt.Sprintf("n=%d/procs=%d", tc.n, procs)
+			requireSweepsIdentical(t, label+"/par", ref, SweepCutPar(g, vec, procs))
+			requireSweepsIdentical(t, label+"/parSort", ref, SweepCutParSort(g, vec, procs))
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"parcluster/internal/gen"
 	"parcluster/internal/graph"
 	"parcluster/internal/sparse"
-	"parcluster/internal/workspace"
 )
 
 func procsUnderTest() []int { return []int{1, 3, runtime.GOMAXPROCS(0)} }
@@ -29,7 +28,7 @@ func figure1Vector() *sparse.Map {
 func TestSweepOrderFigure1(t *testing.T) {
 	g := gen.Figure1()
 	vec := figure1Vector()
-	order := sweepOrder(1, g, vec, nil)
+	order := sweepOrder(1, g, vec)
 	if !reflect.DeepEqual(order, []uint32{0, 1, 2, 3}) {
 		t.Fatalf("order = %v, want [0 1 2 3]", order)
 	}
@@ -64,7 +63,7 @@ func TestSweepExampleSection31(t *testing.T) {
 	}
 	// Crossing counts via the prefix conductances: phi_i = cut_i / min(vol_i,
 	// 16 - vol_i) with vol = [2, 4, 7, 11] gives cut = [2, 2, 1, 3].
-	res := SweepCutParSort(g, figure1Vector(), 2, nil)
+	res := SweepCutParSort(g, figure1Vector(), 2)
 	wantPhi := []float64{1, 0.5, 1.0 / 7.0, 3.0 / 5.0}
 	if len(res.PrefixConductance) != 4 {
 		t.Fatalf("prefix count = %d", len(res.PrefixConductance))
@@ -88,11 +87,11 @@ func TestSweepExampleSection31(t *testing.T) {
 func TestSweepImplementationsAgreeFigure1(t *testing.T) {
 	g := gen.Figure1()
 	vec := figure1Vector()
-	seq := SweepCutSeq(g, vec, nil)
+	seq := SweepCutSeq(g, vec)
 	for _, p := range procsUnderTest() {
 		for name, res := range map[string]SweepResult{
-			"par":     SweepCutPar(g, vec, p, nil),
-			"parSort": SweepCutParSort(g, vec, p, nil),
+			"par":     SweepCutPar(g, vec, p),
+			"parSort": SweepCutParSort(g, vec, p),
 		} {
 			if !reflect.DeepEqual(res.Cluster, seq.Cluster) {
 				t.Fatalf("p=%d %s: cluster %v vs seq %v", p, name, res.Cluster, seq.Cluster)
@@ -133,10 +132,10 @@ func TestSweepImplementationsAgreeRandom(t *testing.T) {
 			if vec.Len() == 0 {
 				continue
 			}
-			seq := SweepCutSeq(g, vec, nil)
+			seq := SweepCutSeq(g, vec)
 			for _, p := range procsUnderTest() {
-				par := SweepCutPar(g, vec, p, nil)
-				srt := SweepCutParSort(g, vec, p, nil)
+				par := SweepCutPar(g, vec, p)
+				srt := SweepCutParSort(g, vec, p)
 				if !reflect.DeepEqual(par.Cluster, seq.Cluster) || par.Conductance != seq.Conductance {
 					t.Fatalf("%s trial %d p=%d: par disagrees with seq (%v/%v vs %v/%v)",
 						name, trial, p, par.Cluster, par.Conductance, seq.Cluster, seq.Conductance)
@@ -161,7 +160,7 @@ func TestSweepEmptyVector(t *testing.T) {
 	g := gen.Figure1()
 	vec := sparse.NewMap(0)
 	for _, res := range []SweepResult{
-		SweepCutSeq(g, vec, nil), SweepCutPar(g, vec, 2, nil), SweepCutParSort(g, vec, 2, nil),
+		SweepCutSeq(g, vec), SweepCutPar(g, vec, 2), SweepCutParSort(g, vec, 2),
 	} {
 		if len(res.Cluster) != 0 || res.Conductance != 1 {
 			t.Fatalf("empty vector sweep: %+v", res)
@@ -175,7 +174,7 @@ func TestSweepIgnoresNonPositive(t *testing.T) {
 	vec.Set(0, 1)
 	vec.Set(1, 0)  // explicit zero: not part of the support
 	vec.Set(2, -1) // negative: not part of the support
-	res := SweepCutSeq(g, vec, nil)
+	res := SweepCutSeq(g, vec)
 	if len(res.Order) != 1 || res.Order[0] != 0 {
 		t.Fatalf("support = %v, want [0]", res.Order)
 	}
@@ -186,7 +185,7 @@ func TestSweepSingleVertex(t *testing.T) {
 	vec := sparse.NewMap(1)
 	vec.Set(3, 1) // D alone: cut 4, vol 4 -> phi = 1
 	for _, res := range []SweepResult{
-		SweepCutSeq(g, vec, nil), SweepCutPar(g, vec, 2, nil), SweepCutParSort(g, vec, 2, nil),
+		SweepCutSeq(g, vec), SweepCutPar(g, vec, 2), SweepCutParSort(g, vec, 2),
 	} {
 		if len(res.Cluster) != 1 || res.Cluster[0] != 3 {
 			t.Fatalf("cluster = %v", res.Cluster)
@@ -205,7 +204,7 @@ func TestSweepZeroDegreeVertexInSupport(t *testing.T) {
 	vec.Set(0, 3)
 	vec.Set(1, 3)
 	vec.Set(2, 3)
-	seq := SweepCutSeq(g, vec, nil)
+	seq := SweepCutSeq(g, vec)
 	if seq.Order[0] != 5 {
 		t.Fatalf("isolated vertex should sort first, order = %v", seq.Order)
 	}
@@ -215,8 +214,8 @@ func TestSweepZeroDegreeVertexInSupport(t *testing.T) {
 		t.Fatalf("conductance = %v", seq.Conductance)
 	}
 	for _, p := range procsUnderTest() {
-		par := SweepCutPar(g, vec, p, nil)
-		srt := SweepCutParSort(g, vec, p, nil)
+		par := SweepCutPar(g, vec, p)
+		srt := SweepCutParSort(g, vec, p)
 		if !reflect.DeepEqual(par.Cluster, seq.Cluster) || !reflect.DeepEqual(srt.Cluster, seq.Cluster) {
 			t.Fatalf("p=%d: disagreement with zero-degree support", p)
 		}
@@ -231,17 +230,17 @@ func TestSweepTieBreakDeterminism(t *testing.T) {
 	for v := uint32(0); v < 32; v++ {
 		vec.Set(v, 1)
 	}
-	want := SweepCutSeq(g, vec, nil).Order
+	want := SweepCutSeq(g, vec).Order
 	for i, v := range want {
 		if v != uint32(i) {
 			t.Fatalf("seq tie-break order wrong: %v", want)
 		}
 	}
 	for _, p := range procsUnderTest() {
-		if got := SweepCutPar(g, vec, p, nil).Order; !reflect.DeepEqual(got, want) {
+		if got := SweepCutPar(g, vec, p).Order; !reflect.DeepEqual(got, want) {
 			t.Fatalf("p=%d: par order %v", p, got)
 		}
-		if got := SweepCutParSort(g, vec, p, nil).Order; !reflect.DeepEqual(got, want) {
+		if got := SweepCutParSort(g, vec, p).Order; !reflect.DeepEqual(got, want) {
 			t.Fatalf("p=%d: parSort order %v", p, got)
 		}
 	}
@@ -259,7 +258,7 @@ func TestSweepFindsPlantedBarbellCut(t *testing.T) {
 		}
 		vec.Set(uint32(v), mass)
 	}
-	res := SweepCutSeq(g, vec, nil)
+	res := SweepCutSeq(g, vec)
 	if len(res.Cluster) != k {
 		t.Fatalf("cluster size = %d, want %d", len(res.Cluster), k)
 	}
@@ -273,74 +272,49 @@ func TestSweepFindsPlantedBarbellCut(t *testing.T) {
 	}
 }
 
-// TestSweepPooledMatchesUnpooled pins the pooled==unpooled bit-identity of
-// all three sweep variants: recycling one arena across many sweeps (Reset
-// between runs, as NCP and batch ablations do) must change nothing about
-// the returned cluster, conductances, or sweep order.
+// TestSweepPooledMatchesUnpooled pins that every sweep variant returns
+// memory its caller owns and keeps no state between calls. (The name dates
+// from the recycled result arena the sweeps once borrowed from.) Each
+// variant's result on one vector is kept while the variants sweep seven
+// differently sized supports, then the same vector is swept again: the kept
+// result must be unchanged and the second sweep bit-identical to it.
 func TestSweepPooledMatchesUnpooled(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	g := gen.Caveman(12, 8)
-	arena := workspace.NewResult()
-	for trial := 0; trial < 8; trial++ {
-		vec := randomVector(g, 0.3, rnd)
-		if vec.Len() == 0 {
-			continue
-		}
-		type variant struct {
-			name     string
-			unpooled SweepResult
-			pooled   func() SweepResult
-		}
-		variants := []variant{
-			{"seq", SweepCutSeq(g, vec, nil), func() SweepResult { return SweepCutSeq(g, vec, arena) }},
-			{"par", SweepCutPar(g, vec, 2, nil), func() SweepResult { return SweepCutPar(g, vec, 2, arena) }},
-			{"parSort", SweepCutParSort(g, vec, 2, nil), func() SweepResult { return SweepCutParSort(g, vec, 2, arena) }},
-		}
-		for _, v := range variants {
-			arena.Reset()
-			pooled := v.pooled()
-			if !reflect.DeepEqual(pooled.Cluster, v.unpooled.Cluster) ||
-				pooled.Conductance != v.unpooled.Conductance ||
-				pooled.Volume != v.unpooled.Volume || pooled.Cut != v.unpooled.Cut {
-				t.Fatalf("trial %d %s: pooled result differs from unpooled", trial, v.name)
-			}
-			if !reflect.DeepEqual(pooled.Order, v.unpooled.Order) ||
-				!reflect.DeepEqual(pooled.PrefixConductance, v.unpooled.PrefixConductance) {
-				t.Fatalf("trial %d %s: pooled order/prefix differ from unpooled", trial, v.name)
-			}
-		}
-	}
-}
-
-// BenchmarkSweepPooling measures the per-call allocation profile of each
-// sweep variant with and without a recycled result arena — the before/after
-// table in DESIGN.md §7. Run with -benchmem.
-func BenchmarkSweepPooling(b *testing.B) {
-	rnd := rand.New(rand.NewSource(3))
-	g := gen.RandLocal(1, 20000, 8, 3)
-	vec := randomVector(g, 0.25, rnd)
 	variants := []struct {
-		name string
-		run  func(arena *workspace.Result)
+		name  string
+		sweep func(vec *sparse.Map) SweepResult
 	}{
-		{"seq", func(a *workspace.Result) { SweepCutSeq(g, vec, a) }},
-		{"par", func(a *workspace.Result) { SweepCutPar(g, vec, 4, a) }},
-		{"parSort", func(a *workspace.Result) { SweepCutParSort(g, vec, 4, a) }},
+		{"seq", func(vec *sparse.Map) SweepResult { return SweepCutSeq(g, vec) }},
+		{"par", func(vec *sparse.Map) SweepResult { return SweepCutPar(g, vec, 2) }},
+		{"parSort", func(vec *sparse.Map) SweepResult { return SweepCutParSort(g, vec, 2) }},
 	}
-	for _, v := range variants {
-		b.Run(v.name+"/unpooled", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				v.run(nil)
-			}
-		})
-		b.Run(v.name+"/pooled", func(b *testing.B) {
-			arena := workspace.NewResult()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				arena.Reset()
-				v.run(arena)
-			}
-		})
+	vec := randomVector(g, 0.3, rnd)
+	kept := make([]SweepResult, len(variants))
+	snap := make([]SweepResult, len(variants))
+	for i, v := range variants {
+		kept[i] = v.sweep(vec)
+		snap[i] = SweepResult{
+			Cluster:           append([]uint32(nil), kept[i].Cluster...),
+			Conductance:       kept[i].Conductance,
+			Volume:            kept[i].Volume,
+			Cut:               kept[i].Cut,
+			Order:             append([]uint32(nil), kept[i].Order...),
+			PrefixConductance: append([]float64(nil), kept[i].PrefixConductance...),
+		}
+	}
+	for trial := 0; trial < 7; trial++ {
+		other := randomVector(g, 0.1+0.1*float64(trial), rnd)
+		for _, v := range variants {
+			v.sweep(other)
+		}
+	}
+	for i, v := range variants {
+		if !reflect.DeepEqual(kept[i], snap[i]) {
+			t.Fatalf("%s: a later sweep overwrote a result the caller holds", v.name)
+		}
+		if again := v.sweep(vec); !reflect.DeepEqual(again, snap[i]) {
+			t.Fatalf("%s: sweeping the same vector again gave a different result", v.name)
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // Config.BatchLanes same-parameter units of one multi-seed request share a
 // single edge traversal (core.NibbleBatch / core.PRNibbleBatch); every other
 // station — lookup, tokens, discard-if-cancelled, sweep, cache population,
-// flight coalescing, NDJSON delivery, arena ownership — is request.runGroup,
-// whatever the width, so the two are observationally identical.
+// flight coalescing, NDJSON delivery — is request.runGroup, whatever the
+// width, so the two are observationally identical.
 
 // batchEligible reports whether a request's units may share bit-parallel
 // traversals. Requires the engine to have lanes configured, more than one
@@ -45,7 +45,7 @@ func (r *request) runLanes(lanes []*lane) ([]*sparse.Map, []core.Stats) {
 	e.batchTraversalsSaved.Add(int64(len(lanes) - 1))
 	bunits := make([]core.BatchUnit, len(lanes))
 	for j, l := range lanes {
-		bunits[j] = core.BatchUnit{Seeds: r.units[l.idx], Result: l.arena, Observer: kernelObserver(r.sc.tr, l.idx)}
+		bunits[j] = core.BatchUnit{Seeds: r.units[l.idx], Observer: kernelObserver(r.sc.tr, l.idx)}
 	}
 	cfg := core.BatchConfig{Procs: r.procs, Frontier: r.rp.frontier, Workspace: r.sc.pin.Pool, Cancel: r.sc.ctx.Done()}
 	defer r.kernelDone(time.Now())

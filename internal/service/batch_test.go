@@ -188,8 +188,7 @@ func TestBatchDuplicateSeedsShareLane(t *testing.T) {
 }
 
 // TestBatchCancelledStream exercises the planner's failure path: a stream
-// cancelled by its consumer must fail or complete cleanly (arenas released,
-// channel closed) and leave the engine healthy for the next request.
+// cancelled by its consumer must fail or complete cleanly (channel closed) and leave the engine healthy for the next request.
 func TestBatchCancelledStream(t *testing.T) {
 	e := batchTestEngine(t, 4, 64)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -12,12 +12,13 @@ import (
 // own lock — get included, since its recency bump mutates the list.
 //
 // Ownership rule: stored values own all of their memory and are never
-// written. The kernels answer into per-graph result arenas that go back to
-// their pool as soon as the answer is published, so the engine detaches
-// each answer once (detachResult) and that one copy is what the cache
-// stores, flight followers receive and the requester reads — a cached
-// response can never alias a recycled arena. The retained bytes are
-// accounted per entry and reported as cache_bytes in /v1/stats.
+// written. A result is owned from the moment it is computed, but its
+// member list is the head of the sweep order — a slice over the query's
+// whole support. The engine therefore copies each answer once
+// (detachResult), and that exact-size copy is what the cache stores, flight
+// followers receive and the requester reads, so an entry retains its
+// members and nothing behind them. The retained bytes are accounted per
+// entry and reported as cache_bytes in /v1/stats.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int
@@ -31,14 +32,15 @@ type lruEntry struct {
 	val *ClusterResult
 }
 
-// detachResult returns a copy of res that owns all of its memory: the
-// Members slice — the only result field the engine ever borrows from a
-// result arena — is copied out. It is the one copy of a computed result,
-// made before its arena is released.
+// detachResult returns a copy of res whose Members slice has exactly its
+// length as capacity, so whoever keeps the copy does not keep alive the
+// sweep order (or evolving-set buffer) the members were cut from. It is the
+// one copy of a computed result. nil members stay nil.
 func detachResult(res *ClusterResult) *ClusterResult {
 	out := *res
 	if res.Members != nil {
-		out.Members = append([]uint32(nil), res.Members...)
+		out.Members = make([]uint32, len(res.Members))
+		copy(out.Members, res.Members)
 	}
 	return &out
 }

@@ -95,15 +95,19 @@ func TestLRUByteAccounting(t *testing.T) {
 }
 
 // TestDetachResult pins the one copy: the detached result shares no member
-// memory with the original, so nothing that reads it can alias the result
-// arena released right after the copy is made.
+// memory with the original — a head of the sweep order, whose tail it must
+// not keep alive — and is exactly as long as its member list.
 func TestDetachResult(t *testing.T) {
-	orig := &ClusterResult{Seeds: []uint32{1}, Members: []uint32{10, 20, 30}, Size: 3}
+	order := []uint32{10, 20, 30, 40, 50}
+	orig := &ClusterResult{Seeds: []uint32{1}, Members: order[:3], Size: 3}
 	dup := detachResult(orig)
 	if &dup.Members[0] == &orig.Members[0] {
 		t.Fatal("detached copy aliases the original member slice")
 	}
-	orig.Members[0] = 99 // simulate the arena being recycled
+	if cap(dup.Members) != len(dup.Members) {
+		t.Fatalf("detached copy has cap %d for %d members", cap(dup.Members), len(dup.Members))
+	}
+	orig.Members[0] = 99 // the original is not the copy's to keep
 	if dup.Members[0] != 10 {
 		t.Fatalf("detached copy changed with the original: %d", dup.Members[0])
 	}
@@ -114,9 +118,9 @@ func TestDetachResult(t *testing.T) {
 }
 
 // TestCachedResponseSurvivesArenaRecycling is the end-to-end copy-on-store
-// check: answer a query, run unrelated queries that recycle the same arena
-// memory, then re-read the first answer from the cache — both the first
-// response and the cached one must be unchanged.
+// check: answer a query, run unrelated queries that recycle the graph's
+// workspace pool, then re-read the first answer from the cache — both the
+// first response and the cached one must be unchanged.
 func TestCachedResponseSurvivesArenaRecycling(t *testing.T) {
 	g := gen.SBM(1, []int{64, 64}, 10, 2, 9)
 	reg := NewRegistry(1, false)
@@ -131,7 +135,7 @@ func TestCachedResponseSurvivesArenaRecycling(t *testing.T) {
 	}
 	want := append([]uint32(nil), resp1.Results[0].Members...)
 
-	// Churn the pool with different queries so the recycled arena memory is
+	// Churn the pool with different queries so recycled scratch memory is
 	// overwritten.
 	for i := uint32(64); i < 72; i++ {
 		if _, err := eng.Cluster(ctx, &ClusterRequest{
@@ -140,9 +144,6 @@ func TestCachedResponseSurvivesArenaRecycling(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("churn query %d: %v", i, err)
 		}
-	}
-	if ws := eng.Stats().Workspace; ws.ResultHits == 0 {
-		t.Fatalf("the churn never recycled an arena: %+v", ws)
 	}
 
 	resp2, err := eng.Cluster(ctx, req)
@@ -154,7 +155,52 @@ func TestCachedResponseSurvivesArenaRecycling(t *testing.T) {
 	}
 	for name, got := range map[string][]uint32{"first": resp1.Results[0].Members, "cached": resp2.Results[0].Members} {
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s response members changed to %v, want %v — a result aliased recycled arena memory", name, got, want)
+			t.Fatalf("%s response members changed to %v, want %v — a result aliased recycled memory", name, got, want)
 		}
+	}
+}
+
+// TestCachedEntryOwnsExactlyItsMembers pins what detachResult buys the
+// cache: after a miss, every cached result's member list is an exact-size
+// copy — not the head of a sweep order or of an evolving-set buffer with
+// the rest of the support behind it — so cache_bytes, which counts members
+// only, is the real retention. Width-1 units, 64-lane groups and the
+// evolving set (which cuts no sweep) all publish through the same copy.
+func TestCachedEntryOwnsExactlyItsMembers(t *testing.T) {
+	e := batchTestEngine(t, 1, 64)
+	ctx := context.Background()
+	seeds := make([]uint32, 12)
+	for i := range seeds {
+		seeds[i] = uint32(i * 13)
+	}
+	for _, req := range []*ClusterRequest{
+		{Graph: "test", Seeds: seeds[:1]},
+		{Graph: "test", Seeds: seeds},
+		{Graph: "test", Seeds: seeds[:3], Algo: "evolving"},
+	} {
+		if _, err := e.Cluster(ctx, req); err != nil {
+			t.Fatalf("%s: %v", req.Algo, err)
+		}
+	}
+	e.cache.mu.Lock()
+	var entries int
+	var want int64
+	for key, el := range e.cache.items {
+		val := el.Value.(*lruEntry).val
+		if len(val.Members) == 0 {
+			t.Fatalf("entry %q has no members", key)
+		}
+		if cap(val.Members) != len(val.Members) {
+			t.Errorf("entry %q holds %d members in a slice of cap %d", key, len(val.Members), cap(val.Members))
+		}
+		entries++
+		want += resultFootprint(key, val)
+	}
+	e.cache.mu.Unlock()
+	if entries != 1+len(seeds)-1+3 {
+		t.Fatalf("cache holds %d entries, want %d", entries, 1+len(seeds)-1+3)
+	}
+	if got := e.Stats().CacheBytes; got != want {
+		t.Fatalf("cache_bytes = %d, want the entries' footprint %d", got, want)
 	}
 }

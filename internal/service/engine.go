@@ -16,7 +16,6 @@ import (
 	"parcluster/internal/obs"
 	"parcluster/internal/sched"
 	"parcluster/internal/sparse"
-	"parcluster/internal/workspace"
 )
 
 // The wire types live in internal/api so that clients (including the root
@@ -942,15 +941,12 @@ type flight struct {
 // the first of its key within the group. dups are later units of the group
 // with the same key, served copies of this lane's result exactly as flight
 // followers are; fl is the flight this lane leads (nil for a NoCache
-// request, or when another request already leads the key). arena, borrowed
-// after the token gate, backs the kernel's answer until runGroup detaches
-// it.
+// request, or when another request already leads the key).
 type lane struct {
-	idx   int
-	key   string
-	fl    *flight
-	dups  []int
-	arena *workspace.Result
+	idx  int
+	key  string
+	fl   *flight
+	dups []int
 }
 
 // runGroup answers units[lo:hi] by walking the pipeline's stations once:
@@ -980,18 +976,13 @@ func (r *request) runGroup(lo, hi int) {
 		r.fail(lanes, err)
 		return
 	}
-	// Scratch is borrowed after the token gate: a request cancelled or
-	// deadline-failed while queueing never checks anything out.
-	for _, l := range lanes {
-		l.arena = sc.pin.Pool.AcquireResult()
-	}
 	e.diffusions.Add(int64(len(lanes)))
 	if r.rp.algo != "randhk" {
 		// rand-HK-PR aggregates walk endpoints and never touches the
 		// frontier engine, so it does not count toward the mode stats.
 		e.modeCounts[r.rp.frontier].Add(int64(len(lanes)))
 	}
-	var result func(j int) *ClusterResult // lane j's answer, in its arena
+	var result func(j int) *ClusterResult // lane j's answer
 	if r.width == 1 {
 		res := r.runUnit(lanes[0])
 		result = func(int) *ClusterResult { return res }
@@ -1007,12 +998,10 @@ func (r *request) runGroup(lo, hi int) {
 		return
 	}
 	for j, l := range lanes {
-		// One owned copy of the lane's answer serves every consumer — the
-		// requester, the cache, flight followers and in-group duplicates —
-		// so the arena goes back to its pool before the unit is published:
-		// no arena outlives its unit (see cache.go).
+		// One exact-size copy of the lane's answer serves every consumer —
+		// the requester, the cache, flight followers and in-group duplicates
+		// (see cache.go).
 		owned := detachResult(result(j))
-		l.arena.Release()
 		e.cache.put(l.key, owned)
 		e.land(l, owned, nil)
 		for _, d := range l.dups {
@@ -1087,15 +1076,12 @@ func (r *request) serve(i int, res *ClusterResult) {
 }
 
 // fail ends a group that cannot finish — it was refused its tokens, or its
-// kernel was cancelled mid-run: borrowed arenas are recycled, every flight
-// lands with the error, every unit riding on the group receives it, and the
-// rest of the request is stopped promptly — queued groups fail at the token
-// gate, running kernels cancel at their next round.
+// kernel was cancelled mid-run: every flight lands with the error, every
+// unit riding on the group receives it, and the rest of the request is
+// stopped promptly — queued groups fail at the token gate, running kernels
+// cancel at their next round.
 func (r *request) fail(lanes []*lane, err error) {
 	for _, l := range lanes {
-		if l.arena != nil {
-			l.arena.Release()
-		}
 		r.sc.e.land(l, nil, err)
 		r.st.ch <- streamUnit{idx: l.idx, err: err}
 		for _, d := range l.dups {
@@ -1120,7 +1106,7 @@ func (e *Engine) land(l *lane, res *ClusterResult, err error) {
 
 // runUnit is the width-1 kernel: one diffusion + sweep (or evolving set
 // run) for lane l, borrowing graph-sized scratch state from the graph's
-// workspace pool and snapshotting the result into the lane's arena. The
+// workspace pool. The
 // request context stops the kernel at its next round boundary; the partial
 // result is the caller's to discard. A traced request receives the "kernel"
 // and "sweep" spans plus the kernel's per-round events under the unit's
@@ -1129,7 +1115,7 @@ func (r *request) runUnit(l *lane) *ClusterResult {
 	g, p, seeds := r.sc.pin.G, r.rp.p, r.units[l.idx]
 	cfg := core.RunConfig{
 		Procs: r.procs, Frontier: r.rp.frontier, Workspace: r.sc.pin.Pool,
-		Result: l.arena, Cancel: r.sc.ctx.Done(), Observer: kernelObserver(r.sc.tr, l.idx),
+		Cancel: r.sc.ctx.Done(), Observer: kernelObserver(r.sc.tr, l.idx),
 	}
 	kernelStart := time.Now()
 	var vec *sparse.Map
@@ -1139,7 +1125,7 @@ func (r *request) runUnit(l *lane) *ClusterResult {
 		res, st := core.EvolvingSetPar(g, seeds[0], core.EvolvingSetOptions{
 			MaxIter: p.MaxIter, TargetPhi: p.TargetPhi, GrowOnly: p.GrowOnly,
 			Seed: p.WalkSeed, Procs: cfg.Procs, Frontier: cfg.Frontier,
-			Workspace: cfg.Workspace, Result: cfg.Result, Cancel: cfg.Cancel,
+			Workspace: cfg.Workspace, Cancel: cfg.Cancel,
 			Observer: cfg.Observer,
 		})
 		r.kernelDone(kernelStart)
@@ -1177,12 +1163,13 @@ func (rp resolved) rule() core.PushRule {
 	return core.OptimizedRule
 }
 
-// sweep rounds lane l's diffusion vector into a ClusterResult whose Members
-// slice is borrowed from the lane's arena, under a "sweep" span. (An empty
-// vector sweeps to the empty cluster at conductance 1.)
+// sweep rounds lane l's diffusion vector into a ClusterResult, under a
+// "sweep" span. Its Members slice is the head of the sweep order, which
+// detachResult copies out. (An empty vector sweeps to the empty cluster at
+// conductance 1.)
 func (r *request) sweep(l *lane, vec *sparse.Map, st core.Stats) *ClusterResult {
 	start := time.Now()
-	res := core.SweepCutPar(r.sc.pin.G, vec, r.procs, l.arena)
+	res := core.SweepCutPar(r.sc.pin.G, vec, r.procs)
 	r.sc.tr.Span("sweep", start)
 	return &ClusterResult{
 		Seeds: r.units[l.idx], Members: res.Cluster, Size: len(res.Cluster),

@@ -551,22 +551,17 @@ func (r *Registry) WorkspaceStats() api.WorkspaceStats {
 	for _, p := range pools {
 		s := p.Stats()
 		out.Add(api.WorkspaceStats{
-			Pools:               1,
-			Acquires:            s.Acquires,
-			Hits:                s.Hits,
-			Misses:              s.Misses,
-			Releases:            s.Releases,
-			BytesRecycled:       s.BytesRecycled,
-			ResultAcquires:      s.ResultAcquires,
-			ResultHits:          s.ResultHits,
-			ResultMisses:        s.ResultMisses,
-			ResultReleases:      s.ResultReleases,
-			ResultBytesRecycled: s.ResultBytesRecycled,
-			BatchAcquires:       s.BatchAcquires,
-			BatchHits:           s.BatchHits,
-			BatchMisses:         s.BatchMisses,
-			BatchReleases:       s.BatchReleases,
-			BatchBytesRecycled:  s.BatchBytesRecycled,
+			Pools:              1,
+			Acquires:           s.Acquires,
+			Hits:               s.Hits,
+			Misses:             s.Misses,
+			Releases:           s.Releases,
+			BytesRecycled:      s.BytesRecycled,
+			BatchAcquires:      s.BatchAcquires,
+			BatchHits:          s.BatchHits,
+			BatchMisses:        s.BatchMisses,
+			BatchReleases:      s.BatchReleases,
+			BatchBytesRecycled: s.BatchBytesRecycled,
 		})
 	}
 	return out

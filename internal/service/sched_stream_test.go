@@ -3,7 +3,7 @@ package service
 // sched_stream_test.go covers the scheduler-driven request pipeline end to
 // end over HTTP: NDJSON framing and its byte-level equivalence to the
 // buffered encoder, streaming delivery before the batch finishes, deadline
-// cancellation semantics (terminal error records, no arena leaks),
+// cancellation semantics (terminal error records, the deadline counter),
 // queue-depth backpressure, graceful drain, and the scheduler counters in
 // /v1/stats.
 
@@ -194,8 +194,7 @@ func TestStreamDeliversResultsBeforeBatchFinishes(t *testing.T) {
 
 // TestStreamDeadlineMidBatch pins the cancellation semantics of the
 // acceptance criteria: a deadline expiring mid-batch ends the NDJSON stream
-// with a terminal error record, releases every arena, and bumps the
-// scheduler's deadline counter.
+// with a terminal error record and bumps the scheduler's deadline counter.
 func TestStreamDeadlineMidBatch(t *testing.T) {
 	ts, eng, _ := schedTestServer(t, Config{ProcBudget: 1, CacheSize: -1})
 	body := fmt.Sprintf(
@@ -218,18 +217,15 @@ func TestStreamDeadlineMidBatch(t *testing.T) {
 	if !strings.Contains(errRec.Error, "deadline") {
 		t.Fatalf("terminal error %q does not mention the deadline", errRec.Error)
 	}
-	waitForArenaDrain(t, eng)
-	st := eng.Stats().Sched
-	if st.Interactive.DeadlineMissed == 0 {
-		t.Fatalf("deadline_missed not counted: %+v", st.Interactive)
-	}
+	eventually(t, "deadline_missed counted", func() bool {
+		return eng.Stats().Sched.Interactive.DeadlineMissed > 0
+	})
 }
 
 // TestBufferedDeadlineReturns504 checks the buffered endpoint's structured
-// deadline error: expired work is a 504 with an error body, and no arena
-// leaks.
+// deadline error: expired work is a 504 with an error body.
 func TestBufferedDeadlineReturns504(t *testing.T) {
-	ts, eng, _ := schedTestServer(t, Config{ProcBudget: 1, CacheSize: -1})
+	ts, _, _ := schedTestServer(t, Config{ProcBudget: 1, CacheSize: -1})
 	body := fmt.Sprintf(
 		`{"graph":"g","algo":"randhk","seeds":[0,12,24,36],"no_cache":true,"deadline_ms":100,"params":{"walks":%d}}`,
 		slowUnitWalks)
@@ -241,7 +237,6 @@ func TestBufferedDeadlineReturns504(t *testing.T) {
 	if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
 		t.Fatalf("no structured error body: %s", data)
 	}
-	waitForArenaDrain(t, eng)
 	// An already-expired deadline is rejected at admission, before any work.
 	resp, data = postJSON(t, ts.URL+"/v1/cluster", `{"graph":"g","seeds":[0],"deadline_ms":1,"no_cache":true,"algo":"randhk","params":{"walks":10000000}}`)
 	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusOK {

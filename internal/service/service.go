@@ -40,10 +40,10 @@
 // (Engine.StreamCluster): each unit's result is delivered — and, on the
 // NDJSON endpoints, encoded and flushed — as the unit completes, so a
 // 10^4-seed batch emits its first cluster after the first diffusion
-// instead of the last. A result owns its memory once it leaves the
-// pipeline: the one copy made out of the unit's result arena serves the
-// requester and the cache alike, and the arena is back in its pool before
-// the unit is published.
+// instead of the last. A result is owned from the moment it is computed:
+// the kernel and the sweep allocate it, and the one exact-size copy of its
+// members (detachResult) serves the requester, the cache and any follower
+// alike.
 package service
 
 import "errors"

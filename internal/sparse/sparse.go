@@ -139,11 +139,6 @@ func (m *Map) Delete(k uint32) { delete(m.m, k) }
 // Len returns the number of entries.
 func (m *Map) Len() int { return len(m.m) }
 
-// Clear removes all entries while keeping the map's storage, so a recycled
-// Map (see internal/workspace's result arena) refills without re-growing
-// its buckets.
-func (m *Map) Clear() { clear(m.m) }
-
 // ForEach calls fn for every entry, in unspecified order.
 func (m *Map) ForEach(fn func(k uint32, v float64)) {
 	for k, v := range m.m {
@@ -388,13 +383,6 @@ func (m *ConcurrentMap) Reset(p, capacity int) {
 		}
 	})
 	m.n = 0
-}
-
-// ReusableFor reports whether Reset(p, capacity) would reuse the table's
-// current allocation rather than reallocating — the recycling-accounting
-// hook for pooled tables (see internal/workspace's result arena).
-func (m *ConcurrentMap) ReusableFor(capacity int) bool {
-	return tableSize(capacity) <= len(m.keys)
 }
 
 // Reserve grows the table (rehashing existing entries, which keep their

@@ -6,10 +6,9 @@ package workspace
 // sparse.Lanes banks for the residual/mass/delta vectors, a lane-striped
 // share slab, per-vertex lane-mask arrays, and union-frontier ID buffers —
 // and at ~0.5 KB/vertex per lane bank it is far too heavy to allocate per
-// batch. BatchWorkspaces are pooled beside the Workspace and Result tiers
-// with the same two-tier hot-slot + sync.Pool storage and the same strict
-// single-ownership contract: Acquire, run one batch, Release on the
-// non-panicking path only.
+// batch. BatchWorkspaces are pooled beside the Workspace tier with the same
+// two-tier hot-slot + sync.Pool storage and the same strict single-ownership
+// contract: Acquire, run one batch, Release on the non-panicking path only.
 
 import (
 	"parcluster/internal/sparse"

@@ -22,8 +22,7 @@
 //     concurrency comes from many goroutines holding *different* workspaces
 //     checked out of the same Pool.
 //   - The owner must Release exactly once, after the last read of any
-//     borrowed memory (diffusion results are snapshotted into independent
-//     sparse.Map values first). Release resets every borrowed piece —
+//     borrowed memory. Release resets every borrowed piece —
 //     O(touched), not O(n) — and returns the Workspace to its Pool.
 //   - On panic, the owner must NOT Release: a Workspace abandoned
 //     mid-phase may hold a half-claimed Dense entry whose reset would be
@@ -31,6 +30,12 @@
 //     let the GC reclaim the arena. A cancelled query (context expiry while
 //     queueing) never acquires a workspace at all — acquisition happens
 //     after the proc-pool gate.
+//
+// Nothing a run returns comes from a Pool. A kernel snapshots its answer
+// into a fresh sparse.Map and a sweep allocates its order and prefix
+// arrays: both are support-sized, pointer-free and owned by the caller from
+// the moment they are computed, so they outlive the Release that recycles
+// the graph-sized scratch behind them.
 //
 // A Pool keeps at most one idle workspace resident (the hot slot); any
 // overflow created by concurrent checkouts sits in a sync.Pool behind it,
@@ -49,16 +54,12 @@ import (
 // pool. The zero value is not usable; construct with NewPool. All methods
 // are safe for concurrent use.
 //
-// The three arena kinds live in three separate stores so none can starve
-// another: result arenas outlive the kernel (they are held through the
-// sweep until the answer is copied out) and must not drain the diffusion
-// scratch, and
-// lane-striped batch scratch, an order of magnitude heavier than a
-// Workspace, must neither evict the per-run arenas nor be pinned by them.
+// The two arena kinds live in two separate stores so neither can starve
+// the other: lane-striped batch scratch, an order of magnitude heavier than
+// a Workspace, must neither evict the per-run arenas nor be pinned by them.
 type Pool struct {
 	n       int
 	scratch store[Workspace]      // Acquire
-	results store[Result]         // AcquireResult (result.go)
 	batches store[BatchWorkspace] // AcquireBatch (batch.go)
 }
 
@@ -157,22 +158,6 @@ type PoolStats struct {
 	// query) does not inflate the number.
 	BytesRecycled int64 `json:"bytes_recycled"`
 
-	// ResultAcquires counts AcquireResult calls (ResultHits + ResultMisses).
-	ResultAcquires int64 `json:"result_acquires"`
-	// ResultHits counts result-arena acquisitions served by recycling.
-	ResultHits int64 `json:"result_hits"`
-	// ResultMisses counts result-arena acquisitions that allocated fresh.
-	ResultMisses int64 `json:"result_misses"`
-	// ResultReleases counts result arenas returned to the pool. A healthy
-	// server keeps ResultReleases tracking ResultAcquires: the gap is the
-	// number of results being computed (a gap left open at rest means a
-	// leak — a path that skipped Release).
-	ResultReleases int64 `json:"result_releases"`
-	// ResultBytesRecycled totals the result-sized bytes (snapshot map
-	// payloads, sweep arrays, member lists) served from recycled arenas
-	// instead of the allocator.
-	ResultBytesRecycled int64 `json:"result_bytes_recycled"`
-
 	// BatchAcquires counts AcquireBatch calls (BatchHits + BatchMisses).
 	BatchAcquires int64 `json:"batch_acquires"`
 	// BatchHits counts batch-workspace acquisitions served by recycling.
@@ -191,22 +176,17 @@ type PoolStats struct {
 // Stats snapshots the pool's counters.
 func (p *Pool) Stats() PoolStats {
 	return PoolStats{
-		Universe:            p.n,
-		Acquires:            p.scratch.acquires.Load(),
-		Hits:                p.scratch.hits.Load(),
-		Misses:              p.scratch.misses.Load(),
-		Releases:            p.scratch.releases.Load(),
-		BytesRecycled:       p.scratch.recycled.Load(),
-		ResultAcquires:      p.results.acquires.Load(),
-		ResultHits:          p.results.hits.Load(),
-		ResultMisses:        p.results.misses.Load(),
-		ResultReleases:      p.results.releases.Load(),
-		ResultBytesRecycled: p.results.recycled.Load(),
-		BatchAcquires:       p.batches.acquires.Load(),
-		BatchHits:           p.batches.hits.Load(),
-		BatchMisses:         p.batches.misses.Load(),
-		BatchReleases:       p.batches.releases.Load(),
-		BatchBytesRecycled:  p.batches.recycled.Load(),
+		Universe:           p.n,
+		Acquires:           p.scratch.acquires.Load(),
+		Hits:               p.scratch.hits.Load(),
+		Misses:             p.scratch.misses.Load(),
+		Releases:           p.scratch.releases.Load(),
+		BytesRecycled:      p.scratch.recycled.Load(),
+		BatchAcquires:      p.batches.acquires.Load(),
+		BatchHits:          p.batches.hits.Load(),
+		BatchMisses:        p.batches.misses.Load(),
+		BatchReleases:      p.batches.releases.Load(),
+		BatchBytesRecycled: p.batches.recycled.Load(),
 	}
 }
 

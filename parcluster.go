@@ -103,25 +103,6 @@ func NewWorkspacePool(g GraphData) *WorkspacePool {
 	return workspace.NewPool(g.NumVertices())
 }
 
-// ResultArena recycles the *result-sized* memory of a run — the returned
-// diffusion vector's map and, via SweepOptions.Result, the sweep's order,
-// member and conductance arrays — across queries, the counterpart of WorkspacePool for
-// state that must outlive the run that produced it. Check one out with
-// WorkspacePool.AcquireResult (or workspace.NewResult for an unpooled one),
-// pass it via the Result field of the algorithm options, read the returned
-// vector/sweep, then Release it; everything the run returned is recycled at
-// that point and must no longer be read. An arena serves one run at a time
-// and is not safe for concurrent use. An arena changes where a result
-// lives, never its contents. See DESIGN.md §6 for the memory model.
-type ResultArena = workspace.Result
-
-// NewResultArena returns an unpooled result arena: borrowing behaves
-// identically, but Release returns the memory to the GC instead of a pool.
-// Steady-state callers should prefer WorkspacePool.AcquireResult.
-func NewResultArena() *ResultArena {
-	return workspace.NewResult()
-}
-
 // NCPPoint is one point of a network community profile.
 type NCPPoint = core.NCPPoint
 
@@ -212,10 +193,6 @@ type NibbleOptions struct {
 	// graph-sized scratch state from a per-graph pool instead of allocating
 	// per call (see WorkspacePool). Results are identical either way.
 	Workspace *WorkspacePool
-	// Result, when non-nil, is the arena the parallel version snapshots the
-	// returned vector into; the vector is then valid only until the arena
-	// is Released (see ResultArena). Results are identical either way.
-	Result *ResultArena
 	// Cancel, when non-nil, stops the parallel version at the next round
 	// boundary once it fires (pass a context's Done channel); the partial
 	// vector computed so far is returned and is the caller's to discard.
@@ -233,8 +210,8 @@ func (o *NibbleOptions) defaults() {
 
 // runConfig assembles the execution environment the three frontier
 // diffusions' options share.
-func runConfig(procs int, mode FrontierMode, ws *WorkspacePool, res *ResultArena, cancel <-chan struct{}) core.RunConfig {
-	return core.RunConfig{Procs: procs, Frontier: mode, Workspace: ws, Result: res, Cancel: cancel}
+func runConfig(procs int, mode FrontierMode, ws *WorkspacePool, cancel <-chan struct{}) core.RunConfig {
+	return core.RunConfig{Procs: procs, Frontier: mode, Workspace: ws, Cancel: cancel}
 }
 
 // Nibble runs the Nibble diffusion (§3.2) from seed and returns the
@@ -264,10 +241,6 @@ type PRNibbleOptions struct {
 	// graph-sized scratch state from a per-graph pool instead of allocating
 	// per call (see WorkspacePool). Results are identical either way.
 	Workspace *WorkspacePool
-	// Result, when non-nil, is the arena the parallel version snapshots the
-	// returned vector into; the vector is then valid only until the arena
-	// is Released (see ResultArena). Results are identical either way.
-	Result *ResultArena
 	// Cancel, when non-nil, stops the parallel version at the next round
 	// boundary once it fires; the partial vector is the caller's to
 	// discard.
@@ -312,10 +285,6 @@ type HKPROptions struct {
 	// graph-sized scratch state from a per-graph pool instead of allocating
 	// per call (see WorkspacePool). Results are identical either way.
 	Workspace *WorkspacePool
-	// Result, when non-nil, is the arena the parallel version snapshots the
-	// returned vector into; the vector is then valid only until the arena
-	// is Released (see ResultArena). Results are identical either way.
-	Result *ResultArena
 	// Cancel, when non-nil, stops the parallel version at the next level
 	// boundary once it fires; the partial vector is the caller's to
 	// discard.
@@ -385,7 +354,7 @@ func NibbleFrom(g GraphData, seeds []uint32, opts NibbleOptions) (*Vector, Stats
 		return core.NibbleSeq(g, seeds, opts.Epsilon, opts.T)
 	}
 	return core.NibbleRun(g, seeds, opts.Epsilon, opts.T,
-		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Result, opts.Cancel))
+		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Cancel))
 }
 
 // PRNibbleFrom runs PR-Nibble from a multi-vertex seed set.
@@ -395,7 +364,7 @@ func PRNibbleFrom(g GraphData, seeds []uint32, opts PRNibbleOptions) (*Vector, S
 		return core.PRNibbleSeq(g, seeds, opts.Alpha, opts.Epsilon, opts.rule())
 	}
 	return core.PRNibbleRun(g, seeds, opts.Alpha, opts.Epsilon, opts.rule(), opts.Beta,
-		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Result, opts.Cancel))
+		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Cancel))
 }
 
 // HKPRFrom runs HK-PR from a multi-vertex seed set.
@@ -405,7 +374,7 @@ func HKPRFrom(g GraphData, seeds []uint32, opts HKPROptions) (*Vector, Stats) {
 		return core.HKPRSeq(g, seeds, opts.T, opts.N, opts.Epsilon)
 	}
 	return core.HKPRRun(g, seeds, opts.T, opts.N, opts.Epsilon,
-		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Result, opts.Cancel))
+		runConfig(opts.Procs, opts.Frontier, opts.Workspace, opts.Cancel))
 }
 
 // RandHKPRFrom runs rand-HK-PR from a multi-vertex seed set (each walk
@@ -429,15 +398,15 @@ func RandHKPRFrom(g GraphData, seeds []uint32, opts RandHKPROptions) (*Vector, S
 const MaxBatchLanes = core.MaxBatchLanes
 
 // BatchUnit is one diffusion of a batched run: its seed set plus optional
-// per-unit result arena, cancel channel, and per-round observer. See
+// per-unit cancel channel and per-round observer. See
 // internal/core.BatchUnit.
 type BatchUnit = core.BatchUnit
 
 // NibbleBatch runs up to MaxBatchLanes Nibble diffusions through shared
 // traversals. Parameters and execution knobs come from opts exactly as for
-// Nibble; the Sequential and Result fields are ignored (batches are always
-// parallel, and arenas are per-unit via BatchUnit.Result). vecs[i] and
-// stats[i] belong to units[i] and match an unbatched run bit for bit.
+// Nibble; the Sequential field is ignored (batches are always parallel).
+// vecs[i] and stats[i] belong to units[i] and match an unbatched run bit
+// for bit.
 func NibbleBatch(g GraphData, units []BatchUnit, opts NibbleOptions) (vecs []*Vector, stats []Stats) {
 	opts.defaults()
 	return core.NibbleBatch(g, units, opts.Epsilon, opts.T, core.BatchConfig{
@@ -447,7 +416,7 @@ func NibbleBatch(g GraphData, units []BatchUnit, opts NibbleOptions) (vecs []*Ve
 
 // PRNibbleBatch runs up to MaxBatchLanes PR-Nibble diffusions through
 // shared traversals. Parameters come from opts exactly as for PRNibble; the
-// Sequential, Result and Beta fields are ignored (the
+// Sequential and Beta fields are ignored (the
 // β-fraction variant ranks vertices across one run's frontier and has no
 // per-lane analogue — batches always process the full frontier, β = 1).
 func PRNibbleBatch(g GraphData, units []BatchUnit, opts PRNibbleOptions) (vecs []*Vector, stats []Stats) {
@@ -481,20 +450,15 @@ type SweepOptions struct {
 	// Sequential selects the standard sequential sweep instead of the
 	// parallel one. Both return identical results.
 	Sequential bool
-	// Result, when non-nil, is the arena the selected sweep borrows its
-	// result (Cluster, Order, PrefixConductance) and scratch from; the
-	// returned slices are then valid only until the arena is Released (see
-	// ResultArena). Results are identical either way.
-	Result *ResultArena
 }
 
 // SweepCut rounds a diffusion vector into the minimum-conductance sweep
 // cluster (§3.1).
 func SweepCut(g GraphData, vec *Vector, opts SweepOptions) SweepResult {
 	if opts.Sequential {
-		return core.SweepCutSeq(g, vec, opts.Result)
+		return core.SweepCutSeq(g, vec)
 	}
-	return core.SweepCutPar(g, vec, opts.Procs, opts.Result)
+	return core.SweepCutPar(g, vec, opts.Procs)
 }
 
 // Cluster is the end-to-end result of FindCluster.

@@ -81,7 +81,7 @@ func TestSweepVariantsIdentical(t *testing.T) {
 	vec, _ := PRNibble(g, 17, PRNibbleOptions{})
 	a := SweepCut(g, vec, SweepOptions{Sequential: true})
 	b := SweepCut(g, vec, SweepOptions{})
-	c := core.SweepCutParSort(g, vec, 0, nil) // the Theorem 1 ablation has no root option
+	c := core.SweepCutParSort(g, vec, 0) // the Theorem 1 ablation has no root option
 	if a.Conductance != b.Conductance || a.Conductance != c.Conductance {
 		t.Fatalf("sweep variants disagree: %v %v %v", a.Conductance, b.Conductance, c.Conductance)
 	}

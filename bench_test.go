@@ -207,17 +207,18 @@ func BenchmarkFig9Speedup(b *testing.B) {
 
 // --- Figures 10 & 11: sweep cut --------------------------------------------
 
+// BenchmarkFig10SweepSeq is SweepCut at one worker: the sequential loop.
 func BenchmarkFig10SweepSeq(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutSeq(fixSocial, fixNibbleV)
+		core.SweepCut(fixSocial, fixNibbleV, 1)
 	}
 }
 
 func BenchmarkFig10SweepPar(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutPar(fixSocial, fixNibbleV, 0)
+		core.SweepCut(fixSocial, fixNibbleV, 0)
 	}
 }
 
@@ -230,7 +231,7 @@ func BenchmarkFig11SweepVolume(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("support=%d", vec.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.SweepCutPar(fixSocial, vec, 0)
+				core.SweepCut(fixSocial, vec, 0)
 			}
 		})
 	}
@@ -267,10 +268,10 @@ func BenchmarkA1RandHKPRContended(b *testing.B) {
 	}
 }
 
-func BenchmarkA2SweepBucket(b *testing.B) {
+func BenchmarkA2SweepCut(b *testing.B) {
 	fixtures()
 	for i := 0; i < b.N; i++ {
-		core.SweepCutPar(fixSocial, fixNibbleV, 0)
+		core.SweepCut(fixSocial, fixNibbleV, 0)
 	}
 }
 
@@ -459,8 +460,8 @@ func BenchmarkBatchedDiffusion(b *testing.B) {
 		if want.Len() != vecs[i].Len() {
 			b.Fatalf("lane %d: support %d != unbatched %d", i, vecs[i].Len(), want.Len())
 		}
-		bad := false
-		want.ForEach(func(k uint32, v float64) { bad = bad || vecs[i].Get(k) != v })
+		bad, got := false, entries(vecs[i])
+		want.ForEach(func(k uint32, v float64) { bad = bad || got[k] != v })
 		if bad {
 			b.Fatalf("lane %d: batched vector differs from unbatched", i)
 		}
@@ -485,9 +486,9 @@ func BenchmarkBatchedDiffusion(b *testing.B) {
 // --- Result path: snapshot + sweep + response encoding -------------------
 
 // BenchmarkResultPath measures the allocation profile of the *result* path
-// of one dense serving query — the vecFromTable snapshot, the sweep cut, and
-// the JSON response encoding — with the diffusion scratch pooled, as
-// lgc-serve runs it. The snapshot map and the sweep arrays are owned
+// of one dense serving query — the result snapshot, the sweep cut, and the
+// JSON response encoding — with the diffusion scratch pooled, as lgc-serve
+// runs it. The snapshot's two slices and the sweep arrays are owned
 // allocations made per query. Numbers are recorded in DESIGN.md §6.
 func BenchmarkResultPath(b *testing.B) {
 	fixtures()
@@ -518,7 +519,7 @@ func BenchmarkResultPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vec, st := core.PRNibbleRun(fixSocial, seeds, benchAlpha, lowEps, core.OptimizedRule, 1, cfg)
-		sw := core.SweepCutPar(fixSocial, vec, cfg.Procs)
+		sw := core.SweepCut(fixSocial, vec, cfg.Procs)
 		if err := json.NewEncoder(io.Discard).Encode(response(vec, sw, st)); err != nil {
 			b.Fatal(err)
 		}

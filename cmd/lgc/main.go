@@ -87,7 +87,10 @@ func run(graphFile, genSpec, algo string, seed, procs int, seq bool, eps, alpha 
 	opts.HKPR = parcluster.HKPROptions{T: hkT, N: hkN, Epsilon: orDefault(eps, 1e-7), Procs: procs, Sequential: seq, Frontier: fmode}
 	opts.RandHKPR = parcluster.RandHKPROptions{T: hkT, K: walkLen, Walks: walks, Procs: procs, Sequential: seq}
 	opts.EvolvingSet = parcluster.EvolvingSetOptions{Procs: procs, Frontier: fmode}
-	opts.Sweep = parcluster.SweepOptions{Procs: procs, Sequential: seq}
+	opts.Sweep = parcluster.SweepOptions{Procs: procs}
+	if seq {
+		opts.Sweep.Procs = 1 // the sequential sweep
+	}
 
 	start := time.Now()
 	cluster, err := parcluster.FindCluster(g, sv, opts)

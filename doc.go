@@ -24,9 +24,10 @@
 //	cluster, err := parcluster.FindCluster(g, 0, parcluster.ClusterOptions{})
 //	fmt.Println(cluster.Members, cluster.Conductance)
 //
-// Every algorithm accepts a worker count (0 = all cores) and has a
-// Sequential switch selecting the paper's reference sequential
-// implementation. All parallel algorithms return clusters with the same
+// Every algorithm accepts a worker count (0 = all cores), and each
+// diffusion has a Sequential switch selecting the paper's reference
+// sequential implementation; the sweep cut runs its sequential loop when
+// given one worker. All parallel algorithms return clusters with the same
 // quality guarantees as their sequential counterparts. The Example
 // functions in this package are executed by go test, so they always
 // compile and print exactly what the current code produces.

@@ -63,7 +63,7 @@ func (w *Workspace) Table1() error {
 }
 
 // runAlgo executes one of the four diffusions and returns the vector.
-func (w *Workspace) runAlgo(algo, graphName string, procs int, seq bool) (*sparse.Map, core.Stats, error) {
+func (w *Workspace) runAlgo(algo, graphName string, procs int, seq bool) (*sparse.Vector, core.Stats, error) {
 	g, err := w.Graph(graphName)
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -112,7 +112,7 @@ func (e errUnknownAlgo) Error() string { return "bench: unknown algorithm " + st
 // implementations of the four algorithms, their sequential counterparts,
 // and the sweep cut applied to Nibble's output.
 func (w *Workspace) Table3() error {
-	w.header("table3", "running times (seconds): sequential, parallel T1, parallel Tp")
+	w.header("table3", "running times (seconds): sequential, parallel T1, parallel Tp (sweep: T1 is the sequential loop)")
 	pr := w.params
 	w.printf("nibble: T=%d eps=%g | prnibble: a=%g eps=%g | hkpr: t=%g N=%d eps=%g | randhk: t=%g K=%d N=%d\n",
 		pr.NibbleT, pr.NibbleEps, pr.PRAlpha, pr.PREps, pr.HKt, pr.HKN, pr.HKEps, pr.RandT, pr.RandK, pr.RandWalks)
@@ -135,11 +135,12 @@ func (w *Workspace) Table3() error {
 		if err != nil {
 			return err
 		}
-		tSeq := w.timeIt(func() { core.SweepCutSeq(g, vec) })
-		t1 := w.timeIt(func() { core.SweepCutPar(g, vec, 1) })
-		tp := w.timeIt(func() { core.SweepCutPar(g, vec, w.cfg.Procs) })
+		// One worker runs the sequential sweep loop, so seq and T1 are one
+		// measurement.
+		t1 := w.timeIt(func() { core.SweepCut(g, vec, 1) })
+		tp := w.timeIt(func() { core.SweepCut(g, vec, w.cfg.Procs) })
 		w.printf("%-16s %-10s %10s %10s %10s %8.1fx  (support %d)\n",
-			name, "sweep", seconds(tSeq), seconds(t1), seconds(tp), t1.Seconds()/tp.Seconds(), vec.Len())
+			name, "sweep", seconds(t1), seconds(t1), seconds(tp), t1.Seconds()/tp.Seconds(), vec.Len())
 	}
 	return nil
 }
@@ -178,8 +179,8 @@ func (w *Workspace) Fig8() error {
 	seeds, cfg := []uint32{seed}, core.RunConfig{Procs: w.cfg.Procs}
 	w.header("fig8", "parameter sensitivity on "+largestGraph)
 
-	sweepPhi := func(vec *sparse.Map) float64 {
-		return core.SweepCutPar(g, vec, w.cfg.Procs).Conductance
+	sweepPhi := func(vec *sparse.Vector) float64 {
+		return core.SweepCut(g, vec, w.cfg.Procs).Conductance
 	}
 
 	w.printf("\n(a,b) Nibble: rows T, columns eps (time s | conductance)\n")
@@ -192,7 +193,7 @@ func (w *Workspace) Fig8() error {
 	for _, T := range []int{5, 10, 20, 40} {
 		w.printf("%6d", T)
 		for _, eps := range epsGrid {
-			var vec *sparse.Map
+			var vec *sparse.Vector
 			d := w.timeIt(func() { vec, _ = core.NibbleRun(g, seeds, eps, T, cfg) })
 			w.printf("   %8s | %6.4f", seconds(d), sweepPhi(vec))
 		}
@@ -201,7 +202,7 @@ func (w *Workspace) Fig8() error {
 
 	w.printf("\n(c,d) PR-Nibble (optimized): eps -> time, conductance\n")
 	for _, eps := range []float64{1e-4, 1e-5, 1e-6, 1e-7} {
-		var vec *sparse.Map
+		var vec *sparse.Vector
 		d := w.timeIt(func() { vec, _ = core.PRNibbleRun(g, seeds, w.params.PRAlpha, eps, core.OptimizedRule, 1, cfg) })
 		w.printf("  eps=%7.0e  time=%8s  phi=%6.4f  support=%d\n", eps, seconds(d), sweepPhi(vec), vec.Len())
 	}
@@ -216,7 +217,7 @@ func (w *Workspace) Fig8() error {
 	for _, N := range []int{5, 10, 20, 40} {
 		w.printf("%6d", N)
 		for _, eps := range hkEps {
-			var vec *sparse.Map
+			var vec *sparse.Vector
 			d := w.timeIt(func() { vec, _ = core.HKPRRun(g, seeds, w.params.HKt, N, eps, cfg) })
 			w.printf("   %8s | %6.4f", seconds(d), sweepPhi(vec))
 		}
@@ -233,7 +234,7 @@ func (w *Workspace) Fig8() error {
 	for _, K := range []int{5, 10, 20} {
 		w.printf("%6d", K)
 		for _, walks := range walkGrid {
-			var vec *sparse.Map
+			var vec *sparse.Vector
 			d := w.timeIt(func() { vec, _ = core.RandHKPRRun(g, seeds, w.params.RandT, K, walks, 1, cfg) })
 			w.printf("   %8s | %6.4f", seconds(d), sweepPhi(vec))
 		}
@@ -288,17 +289,17 @@ func (w *Workspace) Fig10() error {
 	seed, _ := w.Seed(largestGraph)
 	// A gentler epsilon grows the support, the regime Figure 10 studies.
 	vec, _ := core.NibbleRun(g, []uint32{seed}, w.params.NibbleEps/10, w.params.NibbleT, core.RunConfig{Procs: w.cfg.Procs})
-	res := core.SweepCutPar(g, vec, w.cfg.Procs)
-	w.header("fig10", "sweep cut time vs cores on "+largestGraph)
+	res := core.SweepCut(g, vec, w.cfg.Procs)
+	w.header("fig10", "sweep cut time vs cores on "+largestGraph+" (1 core: the sequential loop)")
 	w.printf("input: support=%d volume=%d\n", vec.Len(), g.Volume(res.Order))
-	tSeq := w.timeIt(func() { core.SweepCutSeq(g, vec) })
+	tSeq := w.timeIt(func() { core.SweepCut(g, vec, 1) })
 	w.printf("sequential sweep: %s s\n", seconds(tSeq))
-	w.printf("%8s %12s %9s\n", "cores", "par (s)", "vs seq")
+	w.printf("%8s %12s %9s\n", "cores", "time (s)", "vs seq")
 	for _, p := range w.procGrid() {
-		d := w.timeIt(func() { core.SweepCutPar(g, vec, p) })
+		d := w.timeIt(func() { core.SweepCut(g, vec, p) })
 		w.printf("%8d %12s %8.2fx\n", p, seconds(d), tSeq.Seconds()/d.Seconds())
 	}
-	w.printf("expected shape: parallel slower on 1 core, overtakes sequential within a few cores\n")
+	w.printf("expected shape: the parallel sweep overtakes the sequential one within a few cores\n")
 	return nil
 }
 
@@ -318,9 +319,9 @@ func (w *Workspace) Fig11() error {
 		if vec.Len() == 0 {
 			continue
 		}
-		res := core.SweepCutPar(g, vec, w.cfg.Procs)
+		res := core.SweepCut(g, vec, w.cfg.Procs)
 		vol := g.Volume(res.Order)
-		d := w.timeIt(func() { core.SweepCutPar(g, vec, w.cfg.Procs) })
+		d := w.timeIt(func() { core.SweepCut(g, vec, w.cfg.Procs) })
 		w.printf("%12d %14d %12s\n", vec.Len(), vol, seconds(d))
 	}
 	w.printf("expected shape: time ~linear in volume\n")
@@ -384,8 +385,9 @@ func (w *Workspace) AblationRandHKAggregation() error {
 	return nil
 }
 
-// AblationSweepStrategy compares the bucket-accumulation parallel sweep
-// against the faithful Theorem-1 sort-based sweep (DESIGN.md ablation A2).
+// AblationSweepStrategy compares SweepCut — the sequential loop at one
+// worker, bucket accumulation at more — against the faithful Theorem-1
+// sort-based sweep (DESIGN.md ablation A2).
 func (w *Workspace) AblationSweepStrategy() error {
 	g, err := w.Graph(largestGraph)
 	if err != nil {
@@ -394,13 +396,13 @@ func (w *Workspace) AblationSweepStrategy() error {
 	seed, _ := w.Seed(largestGraph)
 	vec, _ := core.NibbleRun(g, []uint32{seed}, w.params.NibbleEps/10, w.params.NibbleT, core.RunConfig{Procs: w.cfg.Procs})
 	w.header("A2", "parallel sweep strategies (support "+itoa(vec.Len())+")")
-	w.printf("%8s %14s %14s\n", "cores", "bucket (s)", "Thm-1 sort (s)")
+	w.printf("%8s %14s %14s\n", "cores", "SweepCut (s)", "Thm-1 sort (s)")
 	for _, p := range w.procGrid() {
-		tB := w.timeIt(func() { core.SweepCutPar(g, vec, p) })
+		tB := w.timeIt(func() { core.SweepCut(g, vec, p) })
 		tS := w.timeIt(func() { core.SweepCutParSort(g, vec, p) })
 		w.printf("%8d %14s %14s\n", p, seconds(tB), seconds(tS))
 	}
-	a := core.SweepCutPar(g, vec, w.cfg.Procs)
+	a := core.SweepCut(g, vec, w.cfg.Procs)
 	b := core.SweepCutParSort(g, vec, w.cfg.Procs)
 	w.printf("results identical: %v (phi %.6f vs %.6f)\n",
 		a.Conductance == b.Conductance && len(a.Cluster) == len(b.Cluster),
@@ -420,12 +422,12 @@ func (w *Workspace) AblationBetaFraction() error {
 	w.header("A3", "PR-Nibble β-fraction variant on soc-LJ")
 	w.printf("%8s %12s %12s %12s %10s\n", "beta", "time (s)", "pushes", "iterations", "phi")
 	for _, beta := range []float64{0.1, 0.25, 0.5, 1.0} {
-		var vec *sparse.Map
+		var vec *sparse.Vector
 		var st core.Stats
 		d := w.timeIt(func() {
 			vec, st = core.PRNibbleRun(g, []uint32{seed}, pr.PRAlpha, pr.PREps, core.OptimizedRule, beta, core.RunConfig{Procs: w.cfg.Procs})
 		})
-		phi := core.SweepCutPar(g, vec, w.cfg.Procs).Conductance
+		phi := core.SweepCut(g, vec, w.cfg.Procs).Conductance
 		w.printf("%8.2f %12s %12d %12d %10.4f\n", beta, seconds(d), st.Pushes, st.Iterations, phi)
 	}
 	w.printf("expected shape: smaller beta -> fewer pushes per round, more rounds; quality similar\n")
@@ -461,12 +463,12 @@ func (w *Workspace) AblationFrontierMode() error {
 	var basePhi float64
 	var baseSize int
 	for i, mode := range []core.FrontierMode{core.FrontierSparse, core.FrontierDense, core.FrontierAuto} {
-		var vec *sparse.Map
+		var vec *sparse.Vector
 		var st core.Stats
 		d := w.timeIt(func() {
 			vec, st = core.PRNibbleRun(g, seeds, pr.PRAlpha, eps, core.OptimizedRule, 1, core.RunConfig{Procs: w.cfg.Procs, Frontier: mode})
 		})
-		res := core.SweepCutPar(g, vec, w.cfg.Procs)
+		res := core.SweepCut(g, vec, w.cfg.Procs)
 		w.printf("%8s %12s %12d %12d %10.4f\n", mode, seconds(d), st.Pushes, st.Iterations, res.Conductance)
 		if i == 0 {
 			basePhi, baseSize = res.Conductance, len(res.Cluster)

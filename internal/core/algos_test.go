@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,13 +12,14 @@ import (
 
 // vectorsClose reports whether two sparse vectors agree entry-wise within a
 // relative tolerance (parallel float accumulation reorders additions).
-func vectorsClose(a, b *sparse.Map, tol float64) (bool, string) {
+func vectorsClose(a, b *sparse.Vector, tol float64) (bool, string) {
 	if a.Len() != b.Len() {
 		return false, "support sizes differ"
 	}
 	ok := true
+	bm := entries(b)
 	a.ForEach(func(k uint32, av float64) {
-		bv := b.Get(k)
+		bv := bm[k]
 		if math.Abs(av-bv) > tol*(1+math.Abs(av)) {
 			ok = false
 		}
@@ -34,7 +36,7 @@ func TestNibbleSeqMassMonotone(t *testing.T) {
 	// Truncation only discards mass: ||p_T||_1 <= 1 and positive.
 	g := gen.Caveman(10, 8)
 	vec, st := NibbleSeq(g, []uint32{0}, 1e-6, 15)
-	sum := vec.Sum()
+	sum := vecSum(vec)
 	if sum <= 0 || sum > 1+1e-12 {
 		t.Fatalf("mass = %v, want in (0, 1]", sum)
 	}
@@ -89,14 +91,14 @@ func TestNibbleEarlyStopReturnsPrevious(t *testing.T) {
 	vec, st := NibbleSeq(g, []uint32{0}, 0.2, 10)
 	// Frontier after step 1: p'(seed) = 0.5 < 0.2*6 = 1.2, neighbors get
 	// 1/12 each < 1.2 -> empty, so p_0 is returned.
-	if vec.Len() != 1 || vec.Get(0) != 1 {
-		t.Fatalf("expected p_0, got len=%d p[0]=%v", vec.Len(), vec.Get(0))
+	if vec.Len() != 1 || entries(vec)[0] != 1 {
+		t.Fatalf("expected p_0, got len=%d p[0]=%v", vec.Len(), entries(vec)[0])
 	}
 	if st.Iterations != 1 {
 		t.Fatalf("iterations = %d, want 1", st.Iterations)
 	}
 	pv, _ := NibbleRun(g, []uint32{0}, 0.2, 10, RunConfig{Procs: 4})
-	if pv.Len() != 1 || pv.Get(0) != 1 {
+	if pv.Len() != 1 || entries(pv)[0] != 1 {
 		t.Fatalf("parallel: expected p_0, got len=%d", pv.Len())
 	}
 }
@@ -107,11 +109,11 @@ func TestNibbleSubThresholdSeed(t *testing.T) {
 	// then empties the frontier, and p_0 is returned.
 	g := gen.Clique(100) // degree 99
 	vec, st := NibbleSeq(g, []uint32{0}, 0.5, 10)
-	if vec.Len() != 1 || vec.Get(0) != 1 || st.Iterations != 1 {
+	if vec.Len() != 1 || entries(vec)[0] != 1 || st.Iterations != 1 {
 		t.Fatalf("expected p_0 after one iteration, got len=%d %+v", vec.Len(), st)
 	}
 	pv, stp := NibbleRun(g, []uint32{0}, 0.5, 10, RunConfig{Procs: 4})
-	if pv.Len() != 1 || pv.Get(0) != 1 || stp.Iterations != 1 {
+	if pv.Len() != 1 || entries(pv)[0] != 1 || stp.Iterations != 1 {
 		t.Fatalf("parallel: expected p_0 after one iteration, got %+v", stp)
 	}
 }
@@ -121,7 +123,7 @@ func TestNibbleFindsBarbellCluster(t *testing.T) {
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
 		vec, _ := NibbleRun(g, []uint32{3}, 1e-7, 30, RunConfig{Procs: p})
-		res := SweepCutPar(g, vec, p)
+		res := SweepCut(g, vec, p)
 		if len(res.Cluster) != k {
 			t.Fatalf("p=%d: cluster size %d, want %d", p, len(res.Cluster), k)
 		}
@@ -142,7 +144,7 @@ func TestPRNibbleMassConservation(t *testing.T) {
 	for _, rule := range []PushRule{OriginalRule, OptimizedRule} {
 		eps := 1e-4
 		vec, _ := PRNibbleSeq(g, []uint32{0}, 0.1, eps, rule)
-		sum := vec.Sum()
+		sum := vecSum(vec)
 		if sum > 1+1e-9 {
 			t.Fatalf("rule=%v: mass %v > 1", rule, sum)
 		}
@@ -151,7 +153,7 @@ func TestPRNibbleMassConservation(t *testing.T) {
 		}
 		for _, p := range procsUnderTest() {
 			pv, _ := PRNibbleRun(g, []uint32{0}, 0.1, eps, rule, 1, RunConfig{Procs: p})
-			psum := pv.Sum()
+			psum := vecSum(pv)
 			if psum > 1+1e-9 || psum < 1-eps*twoM-1e-9 {
 				t.Fatalf("rule=%v p=%d: parallel mass %v out of range", rule, p, psum)
 			}
@@ -199,8 +201,8 @@ func TestPRNibbleRulesFindSameCluster(t *testing.T) {
 	g := gen.Barbell(20)
 	vo, _ := PRNibbleSeq(g, []uint32{2}, 0.05, 1e-7, OriginalRule)
 	vp, _ := PRNibbleSeq(g, []uint32{2}, 0.05, 1e-7, OptimizedRule)
-	ro := SweepCutSeq(g, vo)
-	rp := SweepCutSeq(g, vp)
+	ro := SweepCut(g, vo, 1)
+	rp := SweepCut(g, vp, 1)
 	if math.Abs(ro.Conductance-rp.Conductance) > 1e-9 {
 		t.Fatalf("conductances differ: %v vs %v", ro.Conductance, rp.Conductance)
 	}
@@ -223,8 +225,8 @@ func TestPRNibblePQVariantAgrees(t *testing.T) {
 	g := gen.Caveman(8, 8)
 	v1, _ := PRNibbleSeq(g, []uint32{0}, 0.05, 1e-6, OptimizedRule)
 	v2, _ := PRNibbleSeqPQ(g, 0, 0.05, 1e-6, OptimizedRule)
-	r1 := SweepCutSeq(g, v1)
-	r2 := SweepCutSeq(g, v2)
+	r1 := SweepCut(g, v1, 1)
+	r2 := SweepCut(g, v2, 1)
 	// Push order changes the approximation slightly (the paper only claims
 	// the PQ variant "did not help much"); both must still find a
 	// low-conductance cluster around the seed's clique.
@@ -242,12 +244,12 @@ func TestPRNibbleBetaFraction(t *testing.T) {
 	if stBeta.Iterations <= stFull.Iterations {
 		t.Fatalf("beta=0.25 iterations %d <= beta=1 iterations %d", stBeta.Iterations, stFull.Iterations)
 	}
-	sum := vBeta.Sum()
+	sum := vecSum(vBeta)
 	if sum <= 0 || sum > 1+1e-9 {
 		t.Fatalf("beta vector mass %v", sum)
 	}
-	rFull := SweepCutSeq(g, vFull)
-	rBeta := SweepCutSeq(g, vBeta)
+	rFull := SweepCut(g, vFull, 1)
+	rBeta := SweepCut(g, vBeta, 1)
 	if rBeta.Conductance > 3*rFull.Conductance+0.05 {
 		t.Fatalf("beta cluster much worse: %v vs %v", rBeta.Conductance, rFull.Conductance)
 	}
@@ -258,7 +260,7 @@ func TestPRNibbleParFindsBarbell(t *testing.T) {
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
 		vec, _ := PRNibbleRun(g, []uint32{0}, 0.01, 1e-7, OptimizedRule, 1, RunConfig{Procs: p})
-		res := SweepCutPar(g, vec, p)
+		res := SweepCut(g, vec, p)
 		if len(res.Cluster) != k || res.Cut != 1 {
 			t.Fatalf("p=%d: cluster size %d cut %d", p, len(res.Cluster), res.Cut)
 		}
@@ -334,7 +336,7 @@ func TestHKPRMassApproximatelyOne(t *testing.T) {
 	// (truncation drops only the Taylor tail and sub-threshold residuals).
 	g := gen.Caveman(10, 8)
 	vec, _ := HKPRSeq(g, []uint32{0}, 3, 20, 1e-7)
-	sum := vec.Sum()
+	sum := vecSum(vec)
 	if sum < 0.9 || sum > 1+1e-9 {
 		t.Fatalf("mass = %v, want ~1", sum)
 	}
@@ -366,7 +368,7 @@ func TestHKPRFindsBarbell(t *testing.T) {
 	g := gen.Barbell(k)
 	for _, p := range procsUnderTest() {
 		vec, _ := HKPRRun(g, []uint32{0}, 10, 20, 1e-7, RunConfig{Procs: p})
-		res := SweepCutPar(g, vec, p)
+		res := SweepCut(g, vec, p)
 		if len(res.Cluster) != k || res.Cut != 1 {
 			t.Fatalf("p=%d: cluster size %d cut %d", p, len(res.Cluster), res.Cut)
 		}
@@ -381,11 +383,11 @@ func TestHKPRNOne(t *testing.T) {
 		t.Fatalf("pushes = %d, want 1", st.Pushes)
 	}
 	// p = e^-1 * (1 on seed + 1/2 to each neighbor).
-	if math.Abs(vec.Get(0)-math.Exp(-1)) > 1e-12 {
-		t.Fatalf("p[seed] = %v", vec.Get(0))
+	if math.Abs(entries(vec)[0]-math.Exp(-1)) > 1e-12 {
+		t.Fatalf("p[seed] = %v", entries(vec)[0])
 	}
-	if math.Abs(vec.Get(1)-math.Exp(-1)/2) > 1e-12 {
-		t.Fatalf("p[ngh] = %v", vec.Get(1))
+	if math.Abs(entries(vec)[1]-math.Exp(-1)/2) > 1e-12 {
+		t.Fatalf("p[ngh] = %v", entries(vec)[1])
 	}
 	pv, _ := HKPRRun(g, []uint32{0}, 1, 1, 1e-4, RunConfig{Procs: 2})
 	if ok, why := vectorsClose(vec, pv, 1e-12); !ok {
@@ -406,14 +408,8 @@ func TestRandHKPRSeqParIdentical(t *testing.T) {
 		if seq.Len() != par.Len() || seq.Len() != con.Len() {
 			t.Fatalf("p=%d: support sizes %d / %d / %d", p, seq.Len(), par.Len(), con.Len())
 		}
-		seq.ForEach(func(k uint32, v float64) {
-			if par.Get(k) != v {
-				t.Fatalf("p=%d: par[%d] = %v, want %v", p, k, par.Get(k), v)
-			}
-			if con.Get(k) != v {
-				t.Fatalf("p=%d: contended[%d] = %v, want %v", p, k, con.Get(k), v)
-			}
-		})
+		requireMapsIdentical(t, fmt.Sprintf("p=%d: par", p), seq, par)
+		requireMapsIdentical(t, fmt.Sprintf("p=%d: contended", p), seq, con)
 		if parSt.EdgesTouched != seqSt.EdgesTouched {
 			t.Fatalf("p=%d: steps %d vs %d", p, parSt.EdgesTouched, seqSt.EdgesTouched)
 		}
@@ -443,7 +439,7 @@ func TestRandHKPRFindsBarbell(t *testing.T) {
 	k := 25
 	g := gen.Barbell(k)
 	vec, _ := RandHKPRRun(g, []uint32{0}, 10, 15, 20000, 3, RunConfig{})
-	res := SweepCutPar(g, vec, 0)
+	res := SweepCut(g, vec, 0)
 	// The randomized method is noisier; require the planted cut be found
 	// with the bridge as the only crossing edge.
 	if res.Cut != 1 || len(res.Cluster) != k {
@@ -454,8 +450,8 @@ func TestRandHKPRFindsBarbell(t *testing.T) {
 func TestRandHKPRIsolatedSeed(t *testing.T) {
 	g := graph.FromEdges(1, 3, []graph.Edge{{U: 0, V: 1}})
 	vec, _ := RandHKPRSeq(g, []uint32{2}, 5, 10, 100, 1)
-	if vec.Len() != 1 || vec.Get(2) != 1 {
-		t.Fatalf("all walks should stay on the isolated seed: %v", vec.Get(2))
+	if vec.Len() != 1 || entries(vec)[2] != 1 {
+		t.Fatalf("all walks should stay on the isolated seed: %v", entries(vec)[2])
 	}
 }
 
@@ -463,7 +459,7 @@ func TestRandHKPRZeroLengthWalks(t *testing.T) {
 	// t = 0: every walk has length 0 and ends on the seed.
 	g := gen.Cycle(10)
 	vec, _ := RandHKPRRun(g, []uint32{3}, 0, 5, 1000, 9, RunConfig{Procs: 4})
-	if vec.Len() != 1 || vec.Get(3) != 1 {
+	if vec.Len() != 1 || entries(vec)[3] != 1 {
 		t.Fatalf("t=0 should leave all mass on the seed")
 	}
 }
@@ -482,13 +478,13 @@ func TestAllAlgorithmsAgreeOnBarbell(t *testing.T) {
 	}
 	var results []result
 	nv, _ := NibbleRun(g, []uint32{0}, 1e-7, 30, RunConfig{})
-	results = append(results, result{"nibble", SweepCutPar(g, nv, 0)})
+	results = append(results, result{"nibble", SweepCut(g, nv, 0)})
 	pv, _ := PRNibbleRun(g, []uint32{0}, 0.01, 1e-7, OptimizedRule, 1, RunConfig{})
-	results = append(results, result{"prnibble", SweepCutPar(g, pv, 0)})
+	results = append(results, result{"prnibble", SweepCut(g, pv, 0)})
 	hv, _ := HKPRRun(g, []uint32{0}, 10, 20, 1e-7, RunConfig{})
-	results = append(results, result{"hkpr", SweepCutPar(g, hv, 0)})
+	results = append(results, result{"hkpr", SweepCut(g, hv, 0)})
 	rv, _ := RandHKPRRun(g, []uint32{0}, 10, 15, 20000, 5, RunConfig{})
-	results = append(results, result{"randhk", SweepCutPar(g, rv, 0)})
+	results = append(results, result{"randhk", SweepCut(g, rv, 0)})
 	for _, r := range results {
 		if len(r.res.Cluster) != k {
 			t.Errorf("%s: cluster size %d, want %d", r.name, len(r.res.Cluster), k)
@@ -513,9 +509,9 @@ func TestAllAlgorithmsFindPlantedSBMBlock(t *testing.T) {
 		}
 		return
 	}
-	check := func(name string, vec *sparse.Map) {
+	check := func(name string, vec *sparse.Vector) {
 		t.Helper()
-		res := SweepCutPar(g, vec, 0)
+		res := SweepCut(g, vec, 0)
 		in, out := inBlock(res.Cluster)
 		if in < 300 || out > 40 {
 			t.Errorf("%s: recovered %d in-block, %d out-of-block (size %d, phi %.3f)",

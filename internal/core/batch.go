@@ -79,7 +79,7 @@ type BatchConfig struct {
 // lane's final residual vector as the lane terminates. Test-only, like
 // prNibbleResidualSink: the batch property suite checks per-lane mass
 // conservation through it.
-var prNibbleBatchResidualSink func(lane int, r *sparse.Map)
+var prNibbleBatchResidualSink func(lane int, r *sparse.Vector)
 
 // laneBatch carries the shared state of one batched run: the per-vertex
 // active-lanes mask, the ID-sorted union frontier, and per-lane frontier
@@ -102,7 +102,7 @@ type laneBatch struct {
 	unionVol uint64
 
 	stats []Stats
-	vecs  []*sparse.Map
+	vecs  []*sparse.Vector
 }
 
 func newLaneBatch(g graph.Graph, procs int, mode FrontierMode, units []BatchUnit, bw *workspace.BatchWorkspace) *laneBatch {
@@ -119,7 +119,7 @@ func newLaneBatch(g graph.Graph, procs int, mode FrontierMode, units []BatchUnit
 		shares:     bw.ShareLanes(),
 		running:    allLanes(len(units)),
 		stats:      make([]Stats, len(units)),
-		vecs:       make([]*sparse.Map, len(units)),
+		vecs:       make([]*sparse.Vector, len(units)),
 	}
 }
 
@@ -264,35 +264,11 @@ func (b *laneBatch) retireCancelled(group <-chan struct{}, finish func(l int)) b
 	return b.running == 0
 }
 
-// snapshot copies lane l's column of bank into a fresh map — the batched
-// counterpart of vecFromTable, dropping explicit zeros the same way — and
-// retires the lane.
+// snapshot copies lane l's column of bank into the lane's result vector
+// and retires the lane.
 func (b *laneBatch) snapshot(l int, bank *sparse.Lanes) {
-	b.vecs[l] = vecFromLane(bank, l)
+	b.vecs[l] = sparse.Snapshot(bank.Lane(l), 1)
 	b.running &^= uint64(1) << l
-}
-
-// vecFromLane snapshots one lane of a Lanes bank into a fresh, pre-sized
-// sparse.Map the caller owns.
-func vecFromLane(bank *sparse.Lanes, lane int) *sparse.Map {
-	bit := uint64(1) << lane
-	touched := bank.Touched()
-	count := 0
-	for _, v := range touched {
-		if bank.Mask(v)&bit != 0 {
-			count++
-		}
-	}
-	out := sparse.NewMap(count)
-	for _, v := range touched {
-		if bank.Mask(v)&bit == 0 {
-			continue
-		}
-		if x := bank.Get(v, lane); x != 0 {
-			out.Set(v, x)
-		}
-	}
-	return out
 }
 
 // PRNibbleBatch runs up to 64 PR-Nibble diffusions with shared parameters
@@ -301,7 +277,7 @@ func vecFromLane(bank *sparse.Lanes, lane int) *sparse.Map {
 // PRNibbleRun (bit-identical to FrontierDense; see the file comment). The
 // β-fraction variant is not batchable — callers wanting beta < 1 must fan
 // out. Panics if len(units) > MaxBatchLanes.
-func PRNibbleBatch(g graph.Graph, units []BatchUnit, alpha, eps float64, rule PushRule, cfg BatchConfig) ([]*sparse.Map, []Stats) {
+func PRNibbleBatch(g graph.Graph, units []BatchUnit, alpha, eps float64, rule PushRule, cfg BatchConfig) ([]*sparse.Vector, []Stats) {
 	if len(units) == 0 {
 		return nil, nil
 	}
@@ -328,7 +304,7 @@ func PRNibbleBatch(g graph.Graph, units []BatchUnit, alpha, eps float64, rule Pu
 	// finish retires one lane: residual sink (test-only), then snapshot p.
 	finish := func(l int) {
 		if prNibbleBatchResidualSink != nil {
-			prNibbleBatchResidualSink(l, vecFromLane(r, l))
+			prNibbleBatchResidualSink(l, sparse.Snapshot(r.Lane(l), 1))
 		}
 		b.snapshot(l, p)
 	}
@@ -434,7 +410,7 @@ func PRNibbleBatch(g graph.Graph, units []BatchUnit, alpha, eps float64, rule Pu
 // NibbleRun, including the Figure 3 early-stop semantics (a lane whose
 // filter empties at step t returns its p_{t-1}). Panics if
 // len(units) > MaxBatchLanes.
-func NibbleBatch(g graph.Graph, units []BatchUnit, eps float64, T int, cfg BatchConfig) ([]*sparse.Map, []Stats) {
+func NibbleBatch(g graph.Graph, units []BatchUnit, eps float64, T int, cfg BatchConfig) ([]*sparse.Vector, []Stats) {
 	if len(units) == 0 {
 		return nil, nil
 	}

@@ -58,14 +58,14 @@ func unitsFor(seeds [][]uint32) []BatchUnit {
 // for a shared destination vertex is scheduling-dependent — in the batched
 // and unbatched traversals alike — so values are compared to within
 // accumulation-order tolerance; Stats stay exact in every configuration.
-func requireLaneMatches(t *testing.T, label string, g *graph.CSR, procs int, want, got *sparse.Map, wantSt, gotSt Stats) {
+func requireLaneMatches(t *testing.T, label string, g *graph.CSR, procs int, want, got *sparse.Vector, wantSt, gotSt Stats) {
 	t.Helper()
 	if wantSt != gotSt {
 		t.Fatalf("%s: stats %+v != %+v", label, wantSt, gotSt)
 	}
 	if procs == 1 {
 		requireMapsIdentical(t, label, want, got)
-		requireSweepsIdentical(t, label, SweepCutSeq(g, want), SweepCutSeq(g, got))
+		requireSweepsIdentical(t, label, SweepCut(g, want, 1), SweepCut(g, got, 1))
 		return
 	}
 	if ok, why := vectorsClose(want, got, 1e-9); !ok {
@@ -105,9 +105,9 @@ func TestPropertyBatchedMatchesUnbatched(t *testing.T) {
 		for _, lanes := range laneCounts {
 			seeds := laneSeeds(t, g, lanes)
 			ref := RunConfig{Procs: 1, Frontier: FrontierDense}
-			wantPR := make([]*sparse.Map, lanes)
+			wantPR := make([]*sparse.Vector, lanes)
 			wantPRSt := make([]Stats, lanes)
-			wantNib := make([]*sparse.Map, lanes)
+			wantNib := make([]*sparse.Vector, lanes)
 			wantNibSt := make([]Stats, lanes)
 			for l := 0; l < lanes; l++ {
 				wantPR[l], wantPRSt[l] = PRNibbleRun(g, seeds[l], 0.05, 1e-6, OptimizedRule, 1, ref)
@@ -138,14 +138,14 @@ func TestBatchLaneResultsOwned(t *testing.T) {
 	g := erdosRenyi(256, 8, 11)
 	const lanes = 9
 	seeds := laneSeeds(t, g, lanes)
-	want := make([]*sparse.Map, lanes)
+	want := make([]*sparse.Vector, lanes)
 	wantSt := make([]Stats, lanes)
 	ref := RunConfig{Procs: 1, Frontier: FrontierDense}
 	for l := range want {
 		want[l], wantSt[l] = PRNibbleRun(g, seeds[l], 0.05, 1e-6, OptimizedRule, 1, ref)
 	}
 	pool := workspace.NewPool(g.NumVertices())
-	var gens [2][]*sparse.Map
+	var gens [2][]*sparse.Vector
 	var genSts [2][]Stats
 	for round := range gens {
 		gens[round], genSts[round] = PRNibbleBatch(g, unitsFor(seeds), 0.05, 1e-6, OptimizedRule,
@@ -185,7 +185,7 @@ func TestBatchPerLaneCancellation(t *testing.T) {
 	g := erdosRenyi(256, 8, 7)
 	const lanes = 8
 	seeds := laneSeeds(t, g, lanes)
-	want := make([]*sparse.Map, lanes)
+	want := make([]*sparse.Vector, lanes)
 	wantSt := make([]Stats, lanes)
 	ref := RunConfig{Procs: 1, Frontier: FrontierDense}
 	for l := range want {
@@ -244,15 +244,15 @@ func TestPropertyBatchMassConservation(t *testing.T) {
 	for name, g := range propertyGraphs(t) {
 		const lanes = 16
 		seeds := laneSeeds(t, g, lanes)
-		residuals := make([]*sparse.Map, lanes)
-		prNibbleBatchResidualSink = func(lane int, r *sparse.Map) { residuals[lane] = r }
+		residuals := make([]*sparse.Vector, lanes)
+		prNibbleBatchResidualSink = func(lane int, r *sparse.Vector) { residuals[lane] = r }
 		vecs, _ := PRNibbleBatch(g, unitsFor(seeds), 0.05, 1e-6, OptimizedRule,
 			BatchConfig{Procs: 4})
 		for l := 0; l < lanes; l++ {
 			if residuals[l] == nil {
 				t.Fatalf("%s: lane %d residual sink never fired", name, l)
 			}
-			mass := vecs[l].Sum() + residuals[l].Sum()
+			mass := vecSum(vecs[l]) + vecSum(residuals[l])
 			if mass > 1+1e-9 || math.IsNaN(mass) {
 				t.Fatalf("%s: lane %d mass %v exceeds initial unit", name, l, mass)
 			}

@@ -86,7 +86,7 @@ func TestBetaWorkspaceMatchesUnpooled(t *testing.T) {
 		for _, mode := range frontierModes() {
 			for _, procs := range []int{1, 2} {
 				cfg := RunConfig{Procs: procs, Frontier: mode}
-				run := func() (*sparse.Map, Stats) {
+				run := func() (*sparse.Vector, Stats) {
 					return PRNibbleRun(g, []uint32{0, 5}, 0.05, 1e-5, OptimizedRule, beta, cfg)
 				}
 				base := runKernel(run)

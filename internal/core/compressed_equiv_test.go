@@ -41,19 +41,19 @@ func TestPropertyCompressedMatchesHeap(t *testing.T) {
 	const prEps = 1e-6
 	type kernel struct {
 		name string
-		run  func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats)
+		run  func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats)
 	}
 	kernels := []kernel{
-		{"prnibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		{"prnibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return PRNibbleRun(g, []uint32{seed}, 0.05, prEps, OptimizedRule, 1, cfg)
 		}},
-		{"nibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		{"nibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return NibbleRun(g, []uint32{seed}, 1e-7, 12, cfg)
 		}},
-		{"hkpr", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		{"hkpr", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return HKPRRun(g, []uint32{seed}, 10, 12, 1e-6, cfg)
 		}},
-		{"randhk", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		{"randhk", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return RandHKPRRun(g, []uint32{seed}, 5, 24, 400, 0xC0FFEE, cfg)
 		}},
 	}
@@ -71,13 +71,13 @@ func TestPropertyCompressedMatchesHeap(t *testing.T) {
 						cfg := RunConfig{Procs: procs, Frontier: mode}
 						// rand-HK-PR aggregates by sorting, in a fixed order.
 						exact := deterministicRun(cfg) || k.name == "randhk"
-						want := runKernel(func() (*sparse.Map, Stats) { return k.run(heap, seed, cfg) })
-						got := runKernel(func() (*sparse.Map, Stats) { return k.run(comp, seed, cfg) })
+						want := runKernel(func() (*sparse.Vector, Stats) { return k.run(heap, seed, cfg) })
+						got := runKernel(func() (*sparse.Vector, Stats) { return k.run(comp, seed, cfg) })
 						requireEquivalentRuns(t, label, comp, exact, prEps, want, got)
 						if want.vec.Len() > 0 {
 							requireEquivalentSweeps(t, label, exact,
-								SweepCutPar(heap, want.vec, procs),
-								SweepCutPar(comp, got.vec, procs))
+								SweepCut(heap, want.vec, procs),
+								SweepCut(comp, got.vec, procs))
 						}
 					}
 				}

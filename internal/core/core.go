@@ -15,15 +15,16 @@
 //     contended aggregation the paper reports as a negative result
 //     (RandHKPRParContended).
 //   - Sweep cut: the rounding procedure that turns a diffusion vector into
-//     a cluster, sequential and work-efficient parallel (SweepCutSeq,
-//     SweepCutPar, SweepCutParSort; §3.1, Theorem 1).
+//     a cluster: SweepCut, sequential at one worker and work-efficient
+//     parallel at more, and the faithful Theorem-1 SweepCutParSort (§3.1).
 //   - NCP: network community profiles built from many PR-Nibble sweeps
 //     (§4, Figure 12).
 //
 // Each diffusion has one parallel entry point, XRun(g, seeds, params,
 // RunConfig), and one sequential reference, XSeq(g, seeds, params); both take
-// a seed set (footnote 5 of the paper) and return a sparse vector suitable
-// for a sweep cut. A worker count <= 0 uses all cores; 1 runs the parallel
+// a seed set (footnote 5 of the paper) and return a sparse.Vector — the
+// nonzero entries of the kernel's table, snapshotted once into two slices
+// the caller owns — for a sweep cut. A worker count <= 0 uses all cores; 1 runs the parallel
 // algorithm's sequential schedule, the paper's T1.
 package core
 
@@ -31,7 +32,6 @@ import (
 	"fmt"
 
 	"parcluster/internal/graph"
-	"parcluster/internal/sparse"
 )
 
 // Stats reports the work counters the paper's evaluation tables rely on.
@@ -89,19 +89,4 @@ func growTo[T any](s []T, n int) []T {
 		return make([]T, n, n+n/2)
 	}
 	return s[:n]
-}
-
-// vecFromTable snapshots a concurrent table (hash or dense) into a fresh,
-// pre-sized sequential map — the one the sweep cut consumes and the caller
-// owns, so it outlives the workspace the table is borrowed from. Explicit
-// zeros are dropped (entries whose mass cancelled exactly, e.g. a residual
-// fully pushed out).
-func vecFromTable(t sparse.Vector) *sparse.Map {
-	out := sparse.NewMap(t.Len())
-	t.ForEach(func(k uint32, v float64) {
-		if v != 0 {
-			out.Set(k, v)
-		}
-	})
-	return out
 }

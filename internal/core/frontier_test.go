@@ -45,12 +45,12 @@ func frontierFixtures() map[string]*graph.CSR {
 }
 
 // clusterOf sweeps a diffusion vector into a sorted cluster.
-func clusterOf(t *testing.T, g *graph.CSR, vec *sparse.Map) ([]uint32, float64) {
+func clusterOf(t *testing.T, g *graph.CSR, vec *sparse.Vector) ([]uint32, float64) {
 	t.Helper()
 	if vec.Len() == 0 {
 		return nil, 1
 	}
-	res := SweepCutPar(g, vec, 0)
+	res := SweepCut(g, vec, 0)
 	return sortedU32(res.Cluster), res.Conductance
 }
 
@@ -343,17 +343,17 @@ func hubGraph() *graph.CSR {
 // destination is summed by one writer in adjacency order, so there is no
 // schedule for the result to depend on.
 func TestDenseRoundBitIdenticalAcrossProcs(t *testing.T) {
-	kernels := map[string]func(g graph.Graph, cfg RunConfig) (*sparse.Map, Stats){
-		"prnibble": func(g graph.Graph, cfg RunConfig) (*sparse.Map, Stats) {
+	kernels := map[string]func(g graph.Graph, cfg RunConfig) (*sparse.Vector, Stats){
+		"prnibble": func(g graph.Graph, cfg RunConfig) (*sparse.Vector, Stats) {
 			return PRNibbleRun(g, []uint32{0, 5}, 0.05, 1e-6, OptimizedRule, 1, cfg)
 		},
-		"prnibble-beta": func(g graph.Graph, cfg RunConfig) (*sparse.Map, Stats) {
+		"prnibble-beta": func(g graph.Graph, cfg RunConfig) (*sparse.Vector, Stats) {
 			return PRNibbleRun(g, []uint32{0, 5}, 0.05, 1e-6, OriginalRule, 0.5, cfg)
 		},
-		"nibble": func(g graph.Graph, cfg RunConfig) (*sparse.Map, Stats) {
+		"nibble": func(g graph.Graph, cfg RunConfig) (*sparse.Vector, Stats) {
 			return NibbleRun(g, []uint32{0, 5}, 1e-7, 12, cfg)
 		},
-		"hkpr": func(g graph.Graph, cfg RunConfig) (*sparse.Map, Stats) {
+		"hkpr": func(g graph.Graph, cfg RunConfig) (*sparse.Vector, Stats) {
 			return HKPRRun(g, []uint32{0, 5}, 6, 12, 1e-6, cfg)
 		},
 	}
@@ -368,17 +368,17 @@ func TestDenseRoundBitIdenticalAcrossProcs(t *testing.T) {
 	} {
 		reprs := map[string]graph.Graph{"heap": heap, "lgz": compressGraph(t, heap)}
 		for kname, run := range kernels {
-			base := runKernel(func() (*sparse.Map, Stats) { return run(heap, RunConfig{Procs: 1, Frontier: FrontierDense}) })
+			base := runKernel(func() (*sparse.Vector, Stats) { return run(heap, RunConfig{Procs: 1, Frontier: FrontierDense}) })
 			if base.vec.Len() < heap.NumVertices()/4 {
 				t.Fatalf("%s/%s: support %d: the fixture does not reach the dense regime", gname, kname, base.vec.Len())
 			}
-			baseSweep := SweepCutPar(heap, base.vec, 1)
+			baseSweep := SweepCut(heap, base.vec, 1)
 			for rname, g := range reprs {
 				for _, procs := range frontierProcs() {
 					label := fmt.Sprintf("%s/%s/%s/p%d", gname, kname, rname, procs)
-					got := runKernel(func() (*sparse.Map, Stats) { return run(g, RunConfig{Procs: procs, Frontier: FrontierDense}) })
+					got := runKernel(func() (*sparse.Vector, Stats) { return run(g, RunConfig{Procs: procs, Frontier: FrontierDense}) })
 					requireEquivalentRuns(t, label, g, true, 0, base, got)
-					requireSweepsIdentical(t, label, baseSweep, SweepCutPar(g, got.vec, procs))
+					requireSweepsIdentical(t, label, baseSweep, SweepCut(g, got.vec, procs))
 				}
 			}
 		}
@@ -455,11 +455,12 @@ func syncPRNibble(g *graph.CSR, seed uint32, alpha, eps float64, rule PushRule) 
 func TestDensePullMatchesSequentialReference(t *testing.T) {
 	g := gen.CommunityGraph(1, 600, 10, 5, 20, 60, 2.5, 7)
 	const alpha, eps = 0.05, 1e-5
-	requireReference := func(t *testing.T, label string, seed uint32, got *sparse.Map) (shrank bool) {
+	requireReference := func(t *testing.T, label string, seed uint32, got *sparse.Vector) (shrank bool) {
 		t.Helper()
 		want, shrank := syncPRNibble(g, seed, alpha, eps, OptimizedRule)
+		gm := entries(got)
 		for v, pv := range want {
-			if gv := got.Get(uint32(v)); math.Float64bits(gv) != math.Float64bits(pv) {
+			if gv := gm[uint32(v)]; math.Float64bits(gv) != math.Float64bits(pv) {
 				t.Fatalf("%s: p[%d] = %v, sequential reference %v", label, v, gv, pv)
 			}
 		}

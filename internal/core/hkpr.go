@@ -56,7 +56,7 @@ func hkKey(v uint32, j int) uint64 { return uint64(j)<<32 | uint64(v) }
 // entries processed exactly as in [24]. Work: O(N^2 + N e^t / eps). The
 // unit of level-0 residual is split evenly over the seed set (footnote 5 of
 // the paper), all of which is enqueued.
-func HKPRSeq(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*sparse.Map, Stats) {
+func HKPRSeq(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	if N < 1 {
 		N = 1
@@ -109,8 +109,7 @@ func HKPRSeq(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*spa
 			r[key] = old + M
 		}
 	}
-	scaleMap(p, math.Exp(-t))
-	return p, st
+	return sparse.Snapshot(p, math.Exp(-t)), st
 }
 
 // HKPRRun is the parallel HK-PR of Figure 7: levels are processed
@@ -127,7 +126,7 @@ func HKPRSeq(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*spa
 // Note: Figure 7's listing guards the normal rounds with "if j + 1 == N";
 // per the surrounding text the condition must select the *last* round, and
 // this implementation follows the text.
-func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg RunConfig) (*sparse.Map, Stats) {
+func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg RunConfig) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
 	n := g.NumVertices()
@@ -190,18 +189,9 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 		frontier = eng.advance(rNext, nil, above)
 		r, rNext = rNext, r
 	}
-	out := vecFromTable(p)
+	out := sparse.Snapshot(p, math.Exp(-t))
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)
-	scaleMap(out, math.Exp(-t))
 	return out, st
-}
-
-// scaleMap multiplies every entry of m by c.
-func scaleMap(m *sparse.Map, c float64) {
-	keys := m.Keys()
-	for _, k := range keys {
-		m.Set(k, m.Get(k)*c)
-	}
 }

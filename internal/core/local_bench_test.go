@@ -19,7 +19,7 @@ import (
 // harness's size and parameters, one worker, pooled workspace, uniformly
 // random seeds. One op is one query.
 //
-//	go test -run '^$' -bench 'LocalQuery|LocalSweep/local/par/procs=1' -benchtime 640x ./internal/core
+//	go test -run '^$' -bench 'LocalQuery|LocalSweep/local/sweep/procs=1' -benchtime 640x ./internal/core
 
 const (
 	localAlpha   = 0.01
@@ -60,16 +60,17 @@ func requireLocalAnswers(b *testing.B, g *graph.CSR, seeds []uint32, cfg RunConf
 	b.Helper()
 	for _, s := range seeds {
 		seed := []uint32{s}
-		want := runKernel(func() (*sparse.Map, Stats) {
+		want := runKernel(func() (*sparse.Vector, Stats) {
 			return PRNibbleRun(g, seed, localAlpha, localEps, OptimizedRule, 1, RunConfig{Procs: 1})
 		})
-		got := runKernel(func() (*sparse.Map, Stats) {
+		got := runKernel(func() (*sparse.Vector, Stats) {
 			return PRNibbleRun(g, seed, localAlpha, localEps, OptimizedRule, 1, cfg)
 		})
 		requireEquivalentRuns(b, "local query", g, true, localEps, want, got)
 		ref, _ := PRNibbleSeq(g, seed, localAlpha, localEps, OptimizedRule)
+		refm, gotm := entries(ref), entries(got.vec)
 		check := func(v uint32, _ float64) {
-			if diff, tol := math.Abs(ref.Get(v)-got.vec.Get(v)), localEps*float64(g.Degree(v)); diff > tol*(1+1e-9) {
+			if diff, tol := math.Abs(refm[v]-gotm[v]), localEps*float64(g.Degree(v)); diff > tol*(1+1e-9) {
 				b.Fatalf("seed %d: p[%d] is %v from the sequential reference, more than eps*d = %v", s, v, diff, tol)
 			}
 		}
@@ -95,14 +96,15 @@ func BenchmarkLocalQuery(b *testing.B) {
 }
 
 // BenchmarkLocalSweep times the sweep cut of one serving query's vector
-// (support about 1.4k; "par/procs=1" is what a request runs) and reports
-// what it costs per edge of the support. The other sub-benchmarks are the
-// grid ROADMAP item 4(b) asks for: all three sweeps, at one worker and at
-// all of them, on the local vectors and on the whole-graph vector of the
-// global-diffusion workload (n = 60,000, eps = 2e-7).
+// (support about 1.4k; "sweep/procs=1" — the sequential loop — is what a
+// request runs) and reports what it costs per edge of the support. The
+// other sub-benchmarks complete the grid of ROADMAP item 4(b): SweepCut and
+// the Theorem-1 SweepCutParSort, at one worker and at all of them, on the
+// local vectors and on the whole-graph vector of the global-diffusion
+// workload (n = 60,000, eps = 2e-7).
 func BenchmarkLocalSweep(b *testing.B) {
 	g, seeds := localBenchGraph()
-	local := make([]*sparse.Map, len(seeds))
+	local := make([]*sparse.Vector, len(seeds))
 	for i, s := range seeds {
 		local[i], _ = PRNibbleRun(g, []uint32{s}, localAlpha, localEps, OptimizedRule, 1, RunConfig{Procs: 1})
 	}
@@ -112,25 +114,24 @@ func BenchmarkLocalSweep(b *testing.B) {
 	for _, in := range []struct {
 		name string
 		g    *graph.CSR
-		vecs []*sparse.Map
-	}{{"local", g, local}, {"global", gg, []*sparse.Map{global}}} {
+		vecs []*sparse.Vector
+	}{{"local", g, local}, {"global", gg, []*sparse.Vector{global}}} {
 		vols := make([]uint64, len(in.vecs))
 		for i, vec := range in.vecs {
-			want := SweepCutSeq(in.g, vec)
-			requireSweepsIdentical(b, in.name, want, SweepCutPar(in.g, vec, 1))
+			want := SweepCut(in.g, vec, 1)
+			requireSweepsIdentical(b, in.name, want, SweepCut(in.g, vec, 0))
 			requireSweepsIdentical(b, in.name, want, SweepCutParSort(in.g, vec, 0))
 			vols[i] = in.g.Volume(want.Order)
 		}
 		for _, sw := range []struct {
 			name  string
 			procs int
-			run   func(vec *sparse.Map)
+			run   func(vec *sparse.Vector)
 		}{
-			{"par", 1, func(vec *sparse.Map) { SweepCutPar(in.g, vec, 1) }},
-			{"seq", 1, func(vec *sparse.Map) { SweepCutSeq(in.g, vec) }},
-			{"parSort", 1, func(vec *sparse.Map) { SweepCutParSort(in.g, vec, 1) }},
-			{"par", 0, func(vec *sparse.Map) { SweepCutPar(in.g, vec, 0) }},
-			{"parSort", 0, func(vec *sparse.Map) { SweepCutParSort(in.g, vec, 0) }},
+			{"sweep", 1, func(vec *sparse.Vector) { SweepCut(in.g, vec, 1) }},
+			{"parSort", 1, func(vec *sparse.Vector) { SweepCutParSort(in.g, vec, 1) }},
+			{"sweep", 0, func(vec *sparse.Vector) { SweepCut(in.g, vec, 0) }},
+			{"parSort", 0, func(vec *sparse.Vector) { SweepCutParSort(in.g, vec, 0) }},
 		} {
 			b.Run(fmt.Sprintf("%s/%s/procs=%d", in.name, sw.name, parallel.ResolveProcs(sw.procs)), func(b *testing.B) {
 				var edges uint64

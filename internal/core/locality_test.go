@@ -43,14 +43,14 @@ func embedInUniverse(g *graph.CSR, times int) *graph.CSR {
 
 // localityKernels are the three frontier kernels with parameters that keep
 // the support inside a block or two of the community graph.
-var localityKernels = map[string]func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats){
-	"prnibble": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+var localityKernels = map[string]func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats){
+	"prnibble": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 		return PRNibbleRun(g, []uint32{seed}, 0.1, 2e-4, OptimizedRule, 1, cfg)
 	},
-	"nibble": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+	"nibble": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 		return NibbleRun(g, []uint32{seed}, 2e-4, 8, cfg)
 	},
-	"hkpr": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+	"hkpr": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 		return HKPRRun(g, []uint32{seed}, 3, 10, 1e-3, cfg)
 	},
 }
@@ -100,12 +100,12 @@ func TestLocalityOracle(t *testing.T) {
 						cfg.Workspace = u.pool
 					}
 					query := func() kernelRun {
-						return runKernel(func() (*sparse.Map, Stats) { return kernel(u.g, seed, cfg) })
+						return runKernel(func() (*sparse.Vector, Stats) { return kernel(u.g, seed, cfg) })
 					}
 					runs[i] = query()
-					sweeps[i] = SweepCutPar(u.g, runs[i].vec, 1)
+					sweeps[i] = SweepCut(u.g, runs[i].vec, 1)
 					allocs[i], bytes[i] = allocsAndBytes(func() {
-						SweepCutPar(u.g, query().vec, 1)
+						SweepCut(u.g, query().vec, 1)
 					})
 				}
 				if vol := small.Volume(sweeps[0].Order); 2*vol >= small.TotalVolume() {
@@ -134,13 +134,13 @@ func TestRecycledStateDoesNotChangeBits(t *testing.T) {
 		for name, kernel := range localityKernels {
 			label := fmt.Sprintf("%s/%s", name, mode)
 			cfg := RunConfig{Procs: 1, Frontier: mode}
-			want := runKernel(func() (*sparse.Map, Stats) { return kernel(g, 9, cfg) })
-			wantSweep := SweepCutPar(g, want.vec, 1)
+			want := runKernel(func() (*sparse.Vector, Stats) { return kernel(g, 9, cfg) })
+			wantSweep := SweepCut(g, want.vec, 1)
 			cfg.Workspace = pool
 			PRNibbleRun(g, []uint32{4000}, 0.01, 1e-6, OptimizedRule, 1, cfg)
-			got := runKernel(func() (*sparse.Map, Stats) { return kernel(g, 9, cfg) })
+			got := runKernel(func() (*sparse.Vector, Stats) { return kernel(g, 9, cfg) })
 			requireEquivalentRuns(t, label, g, true, 0, want, got)
-			requireSweepsIdentical(t, label, wantSweep, SweepCutPar(g, got.vec, 1))
+			requireSweepsIdentical(t, label, wantSweep, SweepCut(g, got.vec, 1))
 		}
 	}
 }

@@ -20,11 +20,7 @@ func TestMultiSeedSingletonEquivalence(t *testing.T) {
 	}
 	r1, _ := RandHKPRSeq(g, []uint32{3}, 5, 10, 2000, 9)
 	r2, _ := RandHKPRSeq(g, []uint32{3}, 5, 10, 2000, 9)
-	r1.ForEach(func(k uint32, v float64) {
-		if r2.Get(k) != v {
-			t.Fatalf("randhk singleton mismatch at %d", k)
-		}
-	})
+	requireMapsIdentical(t, "randhk singleton", r1, r2)
 }
 
 func TestMultiSeedDedupAndValidation(t *testing.T) {
@@ -32,7 +28,7 @@ func TestMultiSeedDedupAndValidation(t *testing.T) {
 	// Duplicates collapse: {3, 3} behaves as {3}.
 	va, _ := NibbleSeq(g, []uint32{3, 3}, 1e-5, 8)
 	vb, _ := NibbleSeq(g, []uint32{3}, 1e-5, 8)
-	if va.Len() != vb.Len() || math.Abs(va.Sum()-vb.Sum()) > 1e-15 {
+	if va.Len() != vb.Len() || math.Abs(vecSum(va)-vecSum(vb)) > 1e-15 {
 		t.Fatal("duplicate seeds changed the result")
 	}
 	for name, fn := range map[string]func(){
@@ -56,11 +52,11 @@ func TestMultiSeedMassConservation(t *testing.T) {
 	eps := 1e-4
 	twoM := float64(g.TotalVolume())
 	vec, _ := PRNibbleSeq(g, seeds, 0.1, eps, OptimizedRule)
-	if sum := vec.Sum(); sum > 1+1e-9 || sum < 1-eps*twoM-1e-9 {
+	if sum := vecSum(vec); sum > 1+1e-9 || sum < 1-eps*twoM-1e-9 {
 		t.Fatalf("multi-seed PR-Nibble mass %v out of range", sum)
 	}
 	pv, _ := PRNibbleRun(g, seeds, 0.1, eps, OptimizedRule, 1, RunConfig{Procs: 4})
-	if sum := pv.Sum(); sum > 1+1e-9 || sum < 1-eps*twoM-1e-9 {
+	if sum := vecSum(pv); sum > 1+1e-9 || sum < 1-eps*twoM-1e-9 {
 		t.Fatalf("parallel multi-seed mass %v out of range", sum)
 	}
 }
@@ -73,8 +69,9 @@ func TestMultiSeedSeqParAgreement(t *testing.T) {
 	if sSt.Pushes != pSt.Pushes {
 		t.Fatalf("nibble pushes differ: %d vs %d", sSt.Pushes, pSt.Pushes)
 	}
+	pm := entries(pv)
 	sv.ForEach(func(k uint32, v float64) {
-		if math.Abs(pv.Get(k)-v) > 1e-9 {
+		if math.Abs(pm[k]-v) > 1e-9 {
 			t.Fatalf("nibble vectors differ at %d", k)
 		}
 	})
@@ -83,18 +80,15 @@ func TestMultiSeedSeqParAgreement(t *testing.T) {
 	if hsSt.Pushes != hpSt.Pushes {
 		t.Fatalf("hkpr pushes differ: %d vs %d", hsSt.Pushes, hpSt.Pushes)
 	}
+	hm := entries(hp)
 	hs.ForEach(func(k uint32, v float64) {
-		if math.Abs(hp.Get(k)-v) > 1e-9 {
+		if math.Abs(hm[k]-v) > 1e-9 {
 			t.Fatalf("hkpr vectors differ at %d", k)
 		}
 	})
 	rs, _ := RandHKPRSeq(g, seeds, 5, 10, 5000, 7)
 	rp, _ := RandHKPRRun(g, seeds, 5, 10, 5000, 7, RunConfig{Procs: 4})
-	rs.ForEach(func(k uint32, v float64) {
-		if rp.Get(k) != v {
-			t.Fatalf("randhk vectors not bit-identical at %d", k)
-		}
-	})
+	requireMapsIdentical(t, "randhk", rs, rp)
 }
 
 func TestMultiSeedRecoversUnionOfCommunities(t *testing.T) {
@@ -104,7 +98,7 @@ func TestMultiSeedRecoversUnionOfCommunities(t *testing.T) {
 	g := gen.Caveman(12, 8) // cliques of 8: IDs [0,8), [8,16), ...
 	seeds := []uint32{1, 9} // adjacent cliques in the ring
 	vec, _ := PRNibbleRun(g, seeds, 0.05, 1e-6, OptimizedRule, 1, RunConfig{})
-	res := SweepCutPar(g, vec, 0)
+	res := SweepCut(g, vec, 0)
 	if res.Conductance > 0.1 {
 		t.Fatalf("multi-seed cluster conductance %v", res.Conductance)
 	}

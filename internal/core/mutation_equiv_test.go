@@ -103,16 +103,16 @@ func (m *mutationTracker) rebuild() *graph.CSR {
 func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 	type kernel struct {
 		name string
-		run  func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats)
+		run  func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats)
 	}
 	kernels := []kernel{
-		{"prnibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		{"prnibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return PRNibbleRun(g, []uint32{seed}, 0.05, 1e-6, OptimizedRule, 1, cfg)
 		}},
-		{"nibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		{"nibble", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return NibbleRun(g, []uint32{seed}, 1e-7, 12, cfg)
 		}},
-		{"hkpr", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		{"hkpr", func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return HKPRRun(g, []uint32{seed}, 10, 12, 1e-6, cfg)
 		}},
 	}
@@ -152,8 +152,8 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 							requireMapsIdentical(t, label, want, got)
 							if want.Len() > 0 {
 								requireSweepsIdentical(t, label,
-									SweepCutPar(rebuilt, want, procs),
-									SweepCutPar(overlay, got, procs))
+									SweepCut(rebuilt, want, procs),
+									SweepCut(overlay, got, procs))
 							}
 						}
 					}

@@ -120,7 +120,7 @@ func NCP(g graph.Graph, opts NCPOptions) []NCPPoint {
 				if vec.Len() == 0 {
 					continue
 				}
-				res := SweepCutPar(g, vec, procs)
+				res := SweepCut(g, vec, procs)
 				for i, phi := range res.PrefixConductance {
 					size := i + 1
 					if size > maxSize {

@@ -23,7 +23,7 @@ import (
 // NibbleSeq is the sequential Nibble implementation, the reference the
 // parallel one is tested against. The initial unit of mass is split evenly
 // over the seed set (footnote 5 of the paper).
-func NibbleSeq(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Map, Stats) {
+func NibbleSeq(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	var st Stats
 	p := sparse.NewMap(len(seeds))
@@ -59,11 +59,11 @@ func NibbleSeq(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Map, 
 			}
 		})
 		if len(frontier) == 0 {
-			return p, st // p_{t-1}, per Figure 3 lines 15–16
+			return sparse.Snapshot(p, 1), st // p_{t-1}, per Figure 3 lines 15–16
 		}
 		p = next
 	}
-	return p, st
+	return sparse.Snapshot(p, 1), st
 }
 
 // NibbleRun is the parallel Nibble implementation of Figure 3: a vertexMap
@@ -78,7 +78,7 @@ func NibbleSeq(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Map, 
 // sets the worker count and frontier mode and can lend the run its
 // graph-sized scratch and its result map (which changes where memory
 // lives, never what is computed).
-func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig) (*sparse.Map, Stats) {
+func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
 	n := g.NumVertices()
@@ -117,7 +117,7 @@ func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig)
 		}
 		p, next = next, p
 	}
-	out := vecFromTable(p)
+	out := sparse.Snapshot(p, 1)
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)

@@ -83,7 +83,7 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 	for _, mode := range frontierModes() {
 		for _, procs := range []int{1, 4} {
 			cfg := RunConfig{Procs: procs, Frontier: mode}
-			run := func() (*sparse.Map, Stats) {
+			run := func() (*sparse.Vector, Stats) {
 				return PRNibbleRun(g, seeds, 0.02, eps, OptimizedRule, 1, cfg)
 			}
 			base := runKernel(run)

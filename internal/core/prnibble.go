@@ -55,7 +55,7 @@ func (r PushRule) coefficients(alpha float64) (pGain, edgeShare, selfKeep float6
 // As in [2], vertices with r(v) >= eps*d(v) wait in a FIFO queue; a popped
 // vertex is pushed repeatedly until it falls below threshold (a single push
 // suffices under the optimized rule, which zeroes the residual).
-func PRNibbleSeq(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule) (*sparse.Map, Stats) {
+func PRNibbleSeq(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	var st Stats
 	pGain, edgeShare, selfKeep := rule.coefficients(alpha)
@@ -101,7 +101,7 @@ func PRNibbleSeq(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRul
 			}
 		}
 	}
-	return p, st
+	return sparse.Snapshot(p, 1), st
 }
 
 // residHeap orders queued vertices by their r(v)/d(v) priority at insertion
@@ -134,7 +134,7 @@ func (h *residHeap) Pop() any {
 // identical to PRNibbleSeq but popping the queued vertex with the highest
 // r(v)/d(v) at insertion time. The paper found it "did not help much in
 // practice"; it is kept for the corresponding ablation benchmark.
-func PRNibbleSeqPQ(g graph.Graph, seed uint32, alpha, eps float64, rule PushRule) (*sparse.Map, Stats) {
+func PRNibbleSeqPQ(g graph.Graph, seed uint32, alpha, eps float64, rule PushRule) (*sparse.Vector, Stats) {
 	checkSeed(g, seed)
 	var st Stats
 	pGain, edgeShare, selfKeep := rule.coefficients(alpha)
@@ -174,5 +174,5 @@ func PRNibbleSeqPQ(g graph.Graph, seed uint32, alpha, eps float64, rule PushRule
 			}
 		}
 	}
-	return p, st
+	return sparse.Snapshot(p, 1), st
 }

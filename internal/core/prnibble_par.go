@@ -40,7 +40,7 @@ import (
 // them, the Figure 5/6 algorithm. cfg sets the worker count and frontier
 // mode and can lend the run its graph-sized scratch and its result map
 // (which changes where memory lives, never what is computed).
-func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, beta float64, cfg RunConfig) (*sparse.Map, Stats) {
+func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, beta float64, cfg RunConfig) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
 	n := g.NumVertices()
@@ -125,9 +125,9 @@ func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRul
 		}
 	}
 	if prNibbleResidualSink != nil {
-		prNibbleResidualSink(vecFromTable(r))
+		prNibbleResidualSink(sparse.Snapshot(r, 1))
 	}
-	out := vecFromTable(p)
+	out := sparse.Snapshot(p, 1)
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)
@@ -138,7 +138,7 @@ func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRul
 // residual vector r of every PR-Nibble push loop. It exists solely for the
 // property-based conformance suite, which checks the §3.3 mass-conservation
 // invariant ‖p‖₁ + ‖r‖₁ <= 1 + ε — the production path never snapshots r.
-var prNibbleResidualSink func(*sparse.Map)
+var prNibbleResidualSink func(*sparse.Vector)
 
 // topBetaFraction splits the frontier into the ceil(beta*|frontier|)
 // vertices ranked best by less — largest r(v)/d(v) first, ties toward the

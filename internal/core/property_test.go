@@ -6,9 +6,11 @@ package core
 // counts,
 //
 //  1. sweep-cut correctness against a brute-force O(N*m) reference: every
-//     prefix conductance reported by the parallel sweep equals a from-
-//     scratch recomputation via graph.Conductance, and the winning prefix
-//     is the argmin;
+//     prefix conductance the sweep reports, at one worker (the sequential
+//     loop) and at four (the fetch-and-add pass), equals a from-scratch
+//     recomputation via graph.Conductance, the winning prefix is the
+//     argmin, and the result does not depend on the order the vector lists
+//     its entries in;
 //  2. pooled/unpooled equivalence: runs through a workspace pool return the
 //     same vectors and sweeps as fresh allocations (in the sense of
 //     requireEquivalentRuns), including when the same pool is recycled run
@@ -19,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"parcluster/internal/gen"
@@ -70,19 +73,36 @@ func firstSeed(t *testing.T, g *graph.CSR) uint32 {
 	return 0
 }
 
-// requireMapsIdentical asserts two sparse vectors carry the same keys with
-// bit-identical float values.
-func requireMapsIdentical(t testing.TB, name string, want, got *sparse.Map) {
+// requireMapsIdentical asserts two vectors carry the same set of entries,
+// bit for bit, whatever order each lists them in.
+func requireMapsIdentical(t testing.TB, name string, want, got *sparse.Vector) {
 	t.Helper()
 	if want.Len() != got.Len() {
 		t.Fatalf("%s: support size %d != %d", name, want.Len(), got.Len())
 	}
+	gm := entries(got)
 	want.ForEach(func(k uint32, v float64) {
-		gv := got.Get(k)
-		if math.Float64bits(v) != math.Float64bits(gv) {
-			t.Fatalf("%s: entry %d: %v (bits %x) != %v (bits %x)", name, k, v, math.Float64bits(v), gv, math.Float64bits(gv))
+		gv, ok := gm[k]
+		if !ok || math.Float64bits(v) != math.Float64bits(gv) {
+			t.Fatalf("%s: entry %d: %v (bits %x) != %v (bits %x, present %t)", name, k, v, math.Float64bits(v), gv, math.Float64bits(gv), ok)
 		}
 	})
+}
+
+// entries returns vec's entries as a map: the one way the tests look a
+// vector's entries up.
+func entries(vec *sparse.Vector) map[uint32]float64 {
+	m := make(map[uint32]float64, vec.Len())
+	vec.ForEach(func(k uint32, x float64) { m[k] = x })
+	return m
+}
+
+// vecSum returns the sum of vec's values (its l1 norm when they are
+// positive).
+func vecSum(vec *sparse.Vector) float64 {
+	s := 0.0
+	vec.ForEach(func(_ uint32, x float64) { s += x })
+	return s
 }
 
 // requireSweepsIdentical asserts two sweep results are exactly equal.
@@ -113,15 +133,15 @@ func requireSweepsIdentical(t testing.TB, name string, want, got SweepResult) {
 // the returned vector and Stats and, when the kernel is PR-Nibble, its final
 // residual vector.
 type kernelRun struct {
-	vec      *sparse.Map
+	vec      *sparse.Vector
 	st       Stats
-	residual *sparse.Map
+	residual *sparse.Vector
 }
 
 // runKernel executes run with the PR-Nibble residual sink installed.
-func runKernel(run func() (*sparse.Map, Stats)) kernelRun {
+func runKernel(run func() (*sparse.Vector, Stats)) kernelRun {
 	var k kernelRun
-	prNibbleResidualSink = func(r *sparse.Map) { k.residual = r }
+	prNibbleResidualSink = func(r *sparse.Vector) { k.residual = r }
 	defer func() { prNibbleResidualSink = nil }()
 	k.vec, k.st = run()
 	return k
@@ -159,8 +179,9 @@ func requireEquivalentRuns(t testing.TB, label string, g graph.Graph, exact bool
 		if want.vec.Len() != got.vec.Len() {
 			t.Fatalf("%s: support size %d != %d", label, want.vec.Len(), got.vec.Len())
 		}
+		gm := entries(got.vec)
 		want.vec.ForEach(func(k uint32, v float64) {
-			gv := got.vec.Get(k)
+			gv := gm[k]
 			if gv == 0 || math.Abs(v-gv) > 1e-12*math.Abs(v) {
 				t.Fatalf("%s: entry %d: %v vs %v", label, k, v, gv)
 			}
@@ -169,7 +190,7 @@ func requireEquivalentRuns(t testing.TB, label string, g graph.Graph, exact bool
 	if got.residual == nil || eps <= 0 {
 		return
 	}
-	if mass := got.vec.Sum() + got.residual.Sum(); math.Abs(mass-1) > 1e-9 {
+	if mass := vecSum(got.vec) + vecSum(got.residual); math.Abs(mass-1) > 1e-9 {
 		t.Fatalf("%s: ‖p‖₁ + ‖r‖₁ = %v, want 1", label, mass)
 	}
 	got.residual.ForEach(func(v uint32, rv float64) {
@@ -195,8 +216,9 @@ func requireEquivalentSweeps(t *testing.T, label string, exact bool, want, got S
 }
 
 // TestPropertySweepMatchesBruteForce checks every prefix conductance the
-// parallel sweep reports against an independent O(N*m) recomputation from
-// the graph itself, plus the argmin selection and the winner's volume/cut.
+// sweep reports, at one worker and at four, against an independent O(N*m)
+// recomputation from the graph itself, plus the argmin selection and the
+// winner's volume/cut.
 func TestPropertySweepMatchesBruteForce(t *testing.T) {
 	for name, g := range propertyGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -205,33 +227,106 @@ func TestPropertySweepMatchesBruteForce(t *testing.T) {
 			if vec.Len() == 0 {
 				t.Fatalf("empty diffusion vector")
 			}
-			res := SweepCutPar(g, vec, 4)
-			N := len(res.Order)
-			if N == 0 {
-				t.Fatalf("empty sweep order")
-			}
-			best, bestPhi := -1, math.Inf(1)
-			for i := 0; i < N; i++ {
-				prefix := res.Order[:i+1]
-				phi := g.Conductance(prefix)
-				if phi != res.PrefixConductance[i] {
-					t.Fatalf("prefix %d: sweep says phi=%v, brute force says %v", i, res.PrefixConductance[i], phi)
+			for _, procs := range []int{1, 4} {
+				res := SweepCut(g, vec, procs)
+				N := len(res.Order)
+				if N == 0 {
+					t.Fatalf("procs %d: empty sweep order", procs)
 				}
-				if phi < bestPhi {
-					best, bestPhi = i, phi
+				best, bestPhi := -1, math.Inf(1)
+				for i := 0; i < N; i++ {
+					prefix := res.Order[:i+1]
+					phi := g.Conductance(prefix)
+					if phi != res.PrefixConductance[i] {
+						t.Fatalf("procs %d: prefix %d: sweep says phi=%v, brute force says %v", procs, i, res.PrefixConductance[i], phi)
+					}
+					if phi < bestPhi {
+						best, bestPhi = i, phi
+					}
+				}
+				if bestPhi != res.Conductance {
+					t.Fatalf("procs %d: best conductance %v != brute-force min %v (at prefix %d)", procs, res.Conductance, bestPhi, best)
+				}
+				if len(res.Cluster) != best+1 {
+					t.Fatalf("procs %d: cluster size %d, brute-force argmin prefix %d", procs, len(res.Cluster), best+1)
+				}
+				if vol := g.Volume(res.Cluster); vol != res.Volume {
+					t.Fatalf("procs %d: cluster volume %d != brute-force %d", procs, res.Volume, vol)
+				}
+				if cut := g.Boundary(res.Cluster); cut != res.Cut {
+					t.Fatalf("procs %d: cluster cut %d != brute-force %d", procs, res.Cut, cut)
 				}
 			}
-			if bestPhi != res.Conductance {
-				t.Fatalf("best conductance %v != brute-force min %v (at prefix %d)", res.Conductance, bestPhi, best)
-			}
-			if len(res.Cluster) != best+1 {
-				t.Fatalf("cluster size %d, brute-force argmin prefix %d", len(res.Cluster), best+1)
-			}
-			if vol := g.Volume(res.Cluster); vol != res.Volume {
-				t.Fatalf("cluster volume %d != brute-force %d", res.Volume, vol)
-			}
-			if cut := g.Boundary(res.Cluster); cut != res.Cut {
-				t.Fatalf("cluster cut %d != brute-force %d", res.Cut, cut)
+		})
+	}
+}
+
+// relisted returns vec's entries listed in the order perm gives the
+// positions of vec's own listing, through the one constructor a Vector has:
+// a table written by one goroutine lists its entries in creation order.
+func relisted(vec *sparse.Vector, perm []int) *sparse.Vector {
+	ids, vals := vec.Entries()
+	table := sparse.NewConcurrent(len(ids))
+	for _, i := range perm {
+		table.AddSerial(ids[i], vals[i])
+	}
+	return sparse.Snapshot(table, 1)
+}
+
+// listing returns the IDs of vec in the order it lists them.
+func listing(vec *sparse.Vector) []uint32 {
+	var ids []uint32
+	vec.ForEach(func(k uint32, _ float64) { ids = append(ids, k) })
+	return ids
+}
+
+// TestPropertySweepIgnoresEntryOrder feeds the sweep the same entries of a
+// PR-Nibble, a Nibble and an HK-PR vector in three listing orders — the
+// kernel's own, reversed and shuffled — at one worker and at four, and
+// requires identical results. A kernel's vector lists its entries in table
+// order, so nothing else varies the order the sweep reads them in.
+func TestPropertySweepIgnoresEntryOrder(t *testing.T) {
+	kernels := map[string]func(g *graph.CSR, seed uint32) (*sparse.Vector, Stats){
+		"prnibble": func(g *graph.CSR, seed uint32) (*sparse.Vector, Stats) {
+			return PRNibbleRun(g, []uint32{seed}, 0.05, 1e-6, OptimizedRule, 1, RunConfig{Procs: 1})
+		},
+		"nibble": func(g *graph.CSR, seed uint32) (*sparse.Vector, Stats) {
+			return NibbleRun(g, []uint32{seed}, 1e-7, 15, RunConfig{Procs: 1})
+		},
+		"hkpr": func(g *graph.CSR, seed uint32) (*sparse.Vector, Stats) {
+			return HKPRRun(g, []uint32{seed}, 10, 15, 1e-6, RunConfig{Procs: 1})
+		},
+	}
+	for name, g := range propertyGraphs(t) {
+		t.Run(name, func(t *testing.T) {
+			seed := firstSeed(t, g)
+			r := rng.New(7)
+			for kname, run := range kernels {
+				vec, _ := run(g, seed)
+				n := vec.Len()
+				if n < 2 {
+					t.Fatalf("%s: support of %d entries has one order", kname, n)
+				}
+				reversed, shuffled := make([]int, n), make([]int, n)
+				for i := range reversed {
+					reversed[i], shuffled[i] = n-1-i, i
+				}
+				for i := n - 1; i > 0; i-- {
+					j := r.Intn(i + 1)
+					shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+				}
+				base := listing(vec)
+				for oname, perm := range map[string][]int{"reversed": reversed, "shuffled": shuffled} {
+					other := relisted(vec, perm)
+					requireMapsIdentical(t, kname+"/"+oname, vec, other)
+					if slices.Equal(base, listing(other)) {
+						t.Fatalf("%s/%s: the relisted vector lists its entries in the original order", kname, oname)
+					}
+					for _, procs := range []int{1, 4} {
+						label := fmt.Sprintf("%s/%s/p%d", kname, oname, procs)
+						requireSweepsIdentical(t, label, SweepCut(g, vec, procs), SweepCut(g, other, procs))
+					}
+				}
 			}
 		})
 	}
@@ -244,17 +339,17 @@ func TestPropertySweepMatchesBruteForce(t *testing.T) {
 // recycled pool.
 func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 	const prEps = 1e-6
-	algos := map[string]func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats){
-		"prnibble": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+	algos := map[string]func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Vector, Stats){
+		"prnibble": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return PRNibbleRun(g, []uint32{seed}, 0.05, prEps, OptimizedRule, 1, cfg)
 		},
-		"nibble": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		"nibble": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return NibbleRun(g, []uint32{seed}, 1e-7, 15, cfg)
 		},
-		"hkpr": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		"hkpr": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return HKPRRun(g, []uint32{seed}, 10, 15, 1e-6, cfg)
 		},
-		"randhk": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Map, Stats) {
+		"randhk": func(g *graph.CSR, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
 			return RandHKPRRun(g, []uint32{seed}, 10, 10, 2000, 42, cfg)
 		},
 	}
@@ -270,16 +365,16 @@ func TestPropertyPooledMatchesUnpooled(t *testing.T) {
 						cfg := RunConfig{Procs: procs, Frontier: mode}
 						// rand-HK-PR aggregates by sorting, in a fixed order.
 						exact := deterministicRun(cfg) || algoName == "randhk"
-						want := runKernel(func() (*sparse.Map, Stats) { return run(g, seed, cfg) })
-						wantSweep := SweepCutPar(g, want.vec, procs)
+						want := runKernel(func() (*sparse.Vector, Stats) { return run(g, seed, cfg) })
+						wantSweep := SweepCut(g, want.vec, procs)
 						// Two pooled runs through the same pool: the second
 						// recycles state the first left behind, which is
 						// exactly the serving steady state.
 						cfg.Workspace = pool
 						for round := 0; round < 2; round++ {
-							got := runKernel(func() (*sparse.Map, Stats) { return run(g, seed, cfg) })
+							got := runKernel(func() (*sparse.Vector, Stats) { return run(g, seed, cfg) })
 							requireEquivalentRuns(t, label, g, exact, prEps, want, got)
-							gotSweep := SweepCutPar(g, got.vec, procs)
+							gotSweep := SweepCut(g, got.vec, procs)
 							requireEquivalentSweeps(t, label, exact, wantSweep, gotSweep)
 						}
 					}
@@ -304,8 +399,8 @@ func TestPropertyPRNibbleMassConservation(t *testing.T) {
 			for _, mode := range modes {
 				for _, procs := range procsList {
 					for _, pooled := range []bool{false, true} {
-						var residual *sparse.Map
-						prNibbleResidualSink = func(r *sparse.Map) { residual = r }
+						var residual *sparse.Vector
+						prNibbleResidualSink = func(r *sparse.Vector) { residual = r }
 						cfg := RunConfig{Procs: procs, Frontier: mode}
 						if pooled {
 							cfg.Workspace = pool
@@ -315,7 +410,7 @@ func TestPropertyPRNibbleMassConservation(t *testing.T) {
 						if residual == nil {
 							t.Fatalf("mode %v procs %d: residual sink never called", mode, procs)
 						}
-						pMass, rMass := p.Sum(), residual.Sum()
+						pMass, rMass := vecSum(p), vecSum(residual)
 						if total := pMass + rMass; total > 1+eps {
 							t.Fatalf("mode %v procs %d pooled=%t: ‖p‖+‖r‖ = %v + %v = %v > 1+ε",
 								mode, procs, pooled, pMass, rMass, total)

@@ -47,7 +47,7 @@ func walkFrom(g graph.Graph, start uint32, length int, r *rng.RNG) uint32 {
 // empirical distribution (1/N) * counts. Each walk starts from a uniformly
 // drawn member of the seed set (the seed distribution of [10] with uniform
 // mass over the set).
-func RandHKPRSeq(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64) (*sparse.Map, Stats) {
+func RandHKPRSeq(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	var st Stats
 	tp := rng.NewTruncPoisson(t, K)
@@ -65,8 +65,7 @@ func RandHKPRSeq(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 		st.EdgesTouched += int64(length)
 	}
 	st.Iterations = N
-	scaleMap(p, 1/float64(N))
-	return p, st
+	return sparse.Snapshot(p, 1/float64(N)), st
 }
 
 // RandHKPRRun is the paper's parallel rand-HK-PR: all walks run in
@@ -83,7 +82,7 @@ func RandHKPRSeq(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 // ignored. Cancellation is observed every 256 walks per worker; a
 // cancelled run returns a truncated (not renormalized) distribution that
 // callers must discard.
-func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, cfg RunConfig) (*sparse.Map, Stats) {
+func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed uint64, cfg RunConfig) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)
 	var st Stats
@@ -134,16 +133,15 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 	starts := parallel.FilterIndex(procs, N, func(i int) bool {
 		return i == 0 || ids[i] != ids[i-1]
 	})
-	p := sparse.NewMap(distinct)
-	invN := 1 / float64(N)
+	counts := sparse.NewConcurrent(distinct)
 	for bi, start := range starts {
 		end := N
 		if bi+1 < len(starts) {
 			end = starts[bi+1]
 		}
-		p.Set(rev[ids[start]], float64(end-start)*invN)
+		counts.AddSerial(rev[ids[start]], float64(end-start))
 	}
-	return p, st
+	return sparse.Snapshot(counts, 1/float64(N)), st
 }
 
 // RandHKPRParContended is the naive parallel aggregation (every walk does a
@@ -151,7 +149,7 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 // "led to poor speed up since many random walks end up on the same vertex
 // causing high memory contention"; it is retained to reproduce that
 // comparison (ablation A1 in DESIGN.md).
-func RandHKPRParContended(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Map, Stats) {
+func RandHKPRParContended(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Vector, Stats) {
 	checkSeed(g, seed)
 	procs = parallel.ResolveProcs(procs)
 	var st Stats
@@ -171,7 +169,5 @@ func RandHKPRParContended(g graph.Graph, seed uint32, t float64, K, N int, walkS
 	st.Pushes = int64(N)
 	st.Iterations = N
 	st.EdgesTouched = parallel.Sum(procs, steps)
-	p := vecFromTable(table)
-	scaleMap(p, 1/float64(N))
-	return p, st
+	return sparse.Snapshot(table, 1/float64(N)), st
 }

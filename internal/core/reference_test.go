@@ -64,17 +64,18 @@ func TestPRNibbleAgainstExactPageRank(t *testing.T) {
 	const eps = 1e-5
 	exact := densePageRank(g, 0, alpha)
 	for _, rule := range []PushRule{OriginalRule, OptimizedRule} {
-		for name, vec := range map[string]*sparse.Map{
-			"seq": func() *sparse.Map { v, _ := PRNibbleSeq(g, []uint32{0}, alpha, eps, rule); return v }(),
-			"par": func() *sparse.Map {
+		for name, vec := range map[string]*sparse.Vector{
+			"seq": func() *sparse.Vector { v, _ := PRNibbleSeq(g, []uint32{0}, alpha, eps, rule); return v }(),
+			"par": func() *sparse.Vector {
 				v, _ := PRNibbleRun(g, []uint32{0}, alpha, eps, rule, 1, RunConfig{Procs: 4})
 				return v
 			}(),
 		} {
 			// ACL envelope: p underestimates pr, and the degree-normalized
 			// gap is below eps everywhere (the residual bound).
+			pm := entries(vec)
 			for v := 0; v < g.NumVertices(); v++ {
-				p := vec.Get(uint32(v))
+				p := pm[uint32(v)]
 				gap := exact[v] - p
 				d := float64(g.Degree(uint32(v)))
 				if gap < -1e-9 {
@@ -129,13 +130,14 @@ func TestHKPRAgainstDenseSeries(t *testing.T) {
 	const N = 25
 	const eps = 1e-6
 	exact := denseHeatKernel(g, 0, tt, 200)
-	for name, vec := range map[string]*sparse.Map{
-		"seq": func() *sparse.Map { v, _ := HKPRSeq(g, []uint32{0}, tt, N, eps); return v }(),
-		"par": func() *sparse.Map { v, _ := HKPRRun(g, []uint32{0}, tt, N, eps, RunConfig{Procs: 4}); return v }(),
+	for name, vec := range map[string]*sparse.Vector{
+		"seq": func() *sparse.Vector { v, _ := HKPRSeq(g, []uint32{0}, tt, N, eps); return v }(),
+		"par": func() *sparse.Vector { v, _ := HKPRRun(g, []uint32{0}, tt, N, eps, RunConfig{Procs: 4}); return v }(),
 	} {
 		l1 := 0.0
+		pm := entries(vec)
 		for v := 0; v < g.NumVertices(); v++ {
-			l1 += math.Abs(exact[v] - vec.Get(uint32(v)))
+			l1 += math.Abs(exact[v] - pm[uint32(v)])
 		}
 		// Truncation error: Taylor tail beyond N plus sub-threshold
 		// residuals. With N >> t and tiny eps the result must be very close.
@@ -192,12 +194,13 @@ func TestNibbleAgainstDenseReference(t *testing.T) {
 		want := denseNibble(tc.g, 0, 1e-4, 15)
 		vec, _ := NibbleSeq(tc.g, []uint32{0}, 1e-4, 15)
 		pv, _ := NibbleRun(tc.g, []uint32{0}, 1e-4, 15, RunConfig{Procs: 4})
+		sm, pm := entries(vec), entries(pv)
 		for v := 0; v < tc.g.NumVertices(); v++ {
-			if math.Abs(vec.Get(uint32(v))-want[v]) > 1e-12 {
-				t.Fatalf("%s: seq p[%d] = %v, dense reference %v", tc.name, v, vec.Get(uint32(v)), want[v])
+			if math.Abs(sm[uint32(v)]-want[v]) > 1e-12 {
+				t.Fatalf("%s: seq p[%d] = %v, dense reference %v", tc.name, v, sm[uint32(v)], want[v])
 			}
-			if math.Abs(pv.Get(uint32(v))-want[v]) > 1e-9 {
-				t.Fatalf("%s: par p[%d] = %v, dense reference %v", tc.name, v, pv.Get(uint32(v)), want[v])
+			if math.Abs(pm[uint32(v)]-want[v]) > 1e-9 {
+				t.Fatalf("%s: par p[%d] = %v, dense reference %v", tc.name, v, pm[uint32(v)], want[v])
 			}
 		}
 	}
@@ -213,8 +216,9 @@ func TestRandHKPRMatchesDenseDistribution(t *testing.T) {
 	exact := denseHeatKernel(g, 0, tt, 60)
 	vec, _ := RandHKPRRun(g, []uint32{0}, tt, K, 400000, 99, RunConfig{})
 	tv := 0.0
+	pm := entries(vec)
 	for v := 0; v < g.NumVertices(); v++ {
-		tv += math.Abs(exact[v] - vec.Get(uint32(v)))
+		tv += math.Abs(exact[v] - pm[uint32(v)])
 	}
 	tv /= 2
 	if tv > 0.01 {

@@ -14,26 +14,28 @@ import (
 // support of a diffusion vector by degree-normalized mass, evaluate the
 // conductance of every prefix, and return the best prefix.
 //
-// Three implementations:
+// Two implementations:
 //
-//   - SweepCutSeq: the standard sequential sweep (sort + incremental
-//     boundary maintenance), O(N log N + vol(S_N)) work.
-//   - SweepCutPar: the default parallel sweep. Per-rank crossing-edge
+//   - SweepCut: the sweep every caller runs. With one worker it is the
+//     standard sequential sweep (sort + incremental boundary maintenance),
+//     O(N log N + vol(S_N)) work, which measured faster than the parallel
+//     loop at one worker (DESIGN.md §7). With more, per-rank crossing-edge
 //     deltas are accumulated with fetch-and-add into a rank-indexed array
-//     and prefix-summed — the same O(N log N + vol(S_N)) work and
-//     O(log vol) depth as Theorem 1, with the integer sort replaced by
-//     direct bucket accumulation (ablation A2 compares the two).
+//     and prefix-summed — the same work and O(log vol) depth as Theorem 1,
+//     with the integer sort replaced by direct bucket accumulation.
 //   - SweepCutParSort: the faithful Theorem 1 algorithm, building the
 //     (±1, rank) pair array Z, integer-sorting it by rank, and recovering
 //     per-rank crossing counts with prefix sums — including the worked
-//     example of §3.1, which the tests reproduce exactly.
+//     example of §3.1, which the tests reproduce exactly (ablation A2
+//     compares it with SweepCut).
 //
-// All three order ties (equal p[v]/d(v)) by ascending vertex ID, making the
+// Both order ties (equal p[v]/d(v)) by ascending vertex ID, making the
 // sweep order — and therefore the returned cluster — identical across
-// implementations and worker counts. Every piece of a sweep's result and
-// scratch is support-sized (volume-sized for the sort-based sweep's Z) and
-// allocated per call; the returned Cluster, Order and PrefixConductance
-// belong to the caller (DESIGN.md §6).
+// implementations, worker counts and the order the vector lists its entries
+// in. Every piece of a sweep's result and scratch is support-sized
+// (volume-sized for the sort-based sweep's Z) and allocated per call; the
+// returned Cluster, Order and PrefixConductance belong to the caller
+// (DESIGN.md §6).
 
 // SweepResult is the outcome of a sweep cut.
 type SweepResult struct {
@@ -58,17 +60,18 @@ type SweepResult struct {
 // win: every prefix they head has zero volume and conductance 1. Each score
 // is computed once, and what is sorted is (score, vertex) pairs, so a
 // comparison reads two pairs and nothing else.
-func sweepOrder(procs int, g graph.Graph, vec *sparse.Map) []uint32 {
-	pairs := make([]scored, 0, vec.Len())
-	vec.ForEach(func(v uint32, mass float64) {
-		if mass > 0 {
+func sweepOrder(procs int, g graph.Graph, vec *sparse.Vector) []uint32 {
+	ids, masses := vec.Entries()
+	pairs := make([]scored, 0, len(ids))
+	for i, v := range ids {
+		if mass := masses[i]; mass > 0 {
 			score := math.Inf(1)
 			if d := g.Degree(v); d > 0 {
 				score = mass / float64(d)
 			}
 			pairs = append(pairs, scored{score: score, id: v})
 		}
-	})
+	}
 	var scratch []scored
 	if n := parallel.SortScratchLen(procs, len(pairs)); n > 0 {
 		scratch = make([]scored, n)
@@ -95,22 +98,64 @@ type scored struct {
 
 func emptySweep() SweepResult { return SweepResult{Conductance: 1} }
 
-// SweepCutSeq is the sequential sweep cut: one pass over the sweep order
-// maintaining the boundary incrementally.
-func SweepCutSeq(g graph.Graph, vec *sparse.Map) SweepResult {
-	order := sweepOrder(1, g, vec)
+// SweepCut rounds vec into its minimum-conductance sweep prefix using procs
+// workers (<= 0: all cores). One worker runs the sequential sweep: one pass
+// over the sweep order maintaining the boundary incrementally. More run the
+// work-efficient parallel sweep: crossing counts per rank are obtained by
+// accumulating +1/-1 contributions of every edge with fetch-and-add into a
+// rank-indexed array, then prefix-summing. Both return the same result.
+func SweepCut(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
+	procs = parallel.ResolveProcs(procs)
+	order := sweepOrder(procs, g, vec)
 	N := len(order)
 	if N == 0 {
 		return emptySweep()
 	}
-	// rank+1 stored so that Get == 0 means "outside the support" — the same
-	// convention as the parallel sweeps.
+	if procs == 1 {
+		return sweepSerial(g, order)
+	}
+	// rank+1 stored so that Get == 0 means "outside the support".
 	rank := sparse.NewConcurrent(N)
+	parallel.For(procs, N, 1024, func(i int) {
+		rank.Set(order[i], float64(i+1))
+	})
+	// Per-edge contributions. Each undirected edge inside the support is
+	// visited twice; only the visit from the lower-ranked endpoint
+	// contributes (+1 at its rank, -1 at the partner's), matching the
+	// paper's case (a) / case (b) split. The source's rank is its index in
+	// the order, so only the destination is looked up. The edge pass
+	// collects no output frontier, and the degree offsets it chunks by are
+	// the prefix volumes, one slot on.
+	offs := make([]uint64, N+1)
+	graph.DegreeOffsets(procs, g, order, offs)
+	cutDelta := make([]int64, N)
+	ligra.EdgeApplyIndexedScratch(procs, g, ligra.FromIDs(order), offs,
+		func(rs int, _, d uint32) {
+			rd := int(rank.Get(d)) - 1
+			if rd < 0 {
+				rd = N // outside the support: rank N+1 in the paper's terms
+			}
+			if rs >= rd {
+				return
+			}
+			atomic.AddInt64(&cutDelta[rs], 1)
+			if rd < N {
+				atomic.AddInt64(&cutDelta[rd], -1)
+			}
+		})
+	cuts := make([]int64, N)
+	parallel.ScanInclusive(procs, cutDelta, cuts)
+	return sweepFromCuts(g, order, offs[1:], cuts, procs)
+}
+
+// sweepSerial is SweepCut's one-worker pass over a nonempty sweep order.
+func sweepSerial(g graph.Graph, order []uint32) SweepResult {
+	rank := sparse.NewConcurrent(len(order)) // rank+1, as in SweepCut
 	for i, v := range order {
 		rank.AddSerial(v, float64(i+1))
 	}
 	totalVol := g.TotalVolume()
-	prefix := make([]float64, N)
+	prefix := make([]float64, len(order))
 	var vol uint64
 	var cut int64
 	best, bestPhi := 0, math.Inf(1)
@@ -135,55 +180,6 @@ func SweepCutSeq(g graph.Graph, vec *sparse.Map) SweepResult {
 		}
 	}
 	return finishSweep(order, prefix, best, bestVol, bestCut)
-}
-
-// SweepCutPar is the default work-efficient parallel sweep cut: crossing
-// counts per rank are obtained by accumulating +1/-1 contributions of every
-// edge with fetch-and-add into a rank-indexed array, then prefix-summing.
-func SweepCutPar(g graph.Graph, vec *sparse.Map, procs int) SweepResult {
-	procs = parallel.ResolveProcs(procs)
-	order := sweepOrder(procs, g, vec)
-	N := len(order)
-	if N == 0 {
-		return emptySweep()
-	}
-	// rank+1 stored so that Get == 0 means "outside the support".
-	rank := sparse.NewConcurrent(N)
-	parallel.For(procs, N, 1024, func(i int) {
-		rank.Set(order[i], float64(i+1))
-	})
-	// Per-edge contributions. Each undirected edge inside the support is
-	// visited twice; only the visit from the lower-ranked endpoint
-	// contributes (+1 at its rank, -1 at the partner's), matching the
-	// paper's case (a) / case (b) split. The source's rank is its index in
-	// the order, so only the destination is looked up. The edge pass
-	// collects no output frontier, and the degree offsets it chunks by are
-	// the prefix volumes, one slot on.
-	offs := make([]uint64, N+1)
-	graph.DegreeOffsets(procs, g, order, offs)
-	cutDelta := make([]int64, N+1)
-	ligra.EdgeApplyIndexedScratch(procs, g, ligra.FromIDs(order), offs,
-		func(rs int, _, d uint32) {
-			rd := int(rank.Get(d)) - 1
-			if rd < 0 {
-				rd = N // outside the support: rank N+1 in the paper's terms
-			}
-			if rs >= rd {
-				return
-			}
-			if procs == 1 {
-				cutDelta[rs]++
-				cutDelta[rd]-- // slot N takes the edges that leave the support
-				return
-			}
-			atomic.AddInt64(&cutDelta[rs], 1)
-			if rd < N {
-				atomic.AddInt64(&cutDelta[rd], -1)
-			}
-		})
-	cuts := make([]int64, N)
-	parallel.ScanInclusive(procs, cutDelta[:N], cuts)
-	return sweepFromCuts(g, order, offs[1:], cuts, procs)
 }
 
 // SweepZPair is one (value, rank) pair of the Theorem-1 Z array, using the
@@ -232,7 +228,7 @@ func BuildSweepZ(g graph.Graph, order []uint32) []SweepZPair {
 // with the parallel radix sort, prefix-sums the pair values, and reads the
 // per-rank crossing count off the last pair of each rank group. Z is
 // volume-sized: two pairs per support edge.
-func SweepCutParSort(g graph.Graph, vec *sparse.Map, procs int) SweepResult {
+func SweepCutParSort(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 	procs = parallel.ResolveProcs(procs)
 	order := sweepOrder(procs, g, vec)
 	N := len(order)

@@ -13,9 +13,10 @@ import (
 // tiedSweepInput builds the degenerate case the sweep's total order has to
 // survive: a ring with chords, so every connected vertex has degree 4; masses
 // drawn from five values, so long runs of vertices share one p[v]/d(v); every
-// 37th vertex isolated (score +Inf) with positive mass; and explicit zeros
-// and negative entries sprinkled through the vector.
-func tiedSweepInput(n int) (*graph.CSR, *sparse.Map) {
+// 37th vertex isolated (score +Inf) with positive mass; and negative entries
+// sprinkled through the vector (explicit zeros too, which the snapshot
+// drops).
+func tiedSweepInput(n int) (*graph.CSR, *sparse.Vector) {
 	isolated := func(v int) bool { return v%37 == 5 }
 	var ring []uint32
 	for v := 0; v < n; v++ {
@@ -41,13 +42,13 @@ func tiedSweepInput(n int) (*graph.CSR, *sparse.Map) {
 			vec.Set(uint32(v), float64(1+v%5)*1e-4)
 		}
 	}
-	return g, vec
+	return g, sparse.Snapshot(vec, 1)
 }
 
 // TestSweepOrderUnderTies pins the sweep's total order directly — score
 // descending, vertex ID ascending, zero-degree vertices first, non-positive
-// entries dropped — against an independent sort, and all three sweeps to it
-// and to one another at every worker count: same Order, Cluster, Volume and
+// entries dropped — against an independent sort, and both sweeps to it and
+// to one another at every worker count: same Order, Cluster, Volume and
 // Cut, bit-identical prefix conductances, and (at the size where that is
 // affordable) the brute-force conductance of every prefix. The larger size
 // is past the sequential cut-off of the parallel merge sort.
@@ -84,7 +85,7 @@ func TestSweepOrderUnderTies(t *testing.T) {
 		if zeroDeg == 0 || len(want) < tc.n/2 {
 			t.Fatalf("n=%d: fixture has %d zero-degree entries in a support of %d", tc.n, zeroDeg, len(want))
 		}
-		ref := SweepCutSeq(g, vec)
+		ref := SweepCut(g, vec, 1)
 		if len(ref.Order) != len(want) {
 			t.Fatalf("n=%d: order has %d vertices, want %d", tc.n, len(ref.Order), len(want))
 		}
@@ -113,7 +114,7 @@ func TestSweepOrderUnderTies(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 8} {
 			label := fmt.Sprintf("n=%d/procs=%d", tc.n, procs)
-			requireSweepsIdentical(t, label+"/par", ref, SweepCutPar(g, vec, procs))
+			requireSweepsIdentical(t, label+"/SweepCut", ref, SweepCut(g, vec, procs))
 			requireSweepsIdentical(t, label+"/parSort", ref, SweepCutParSort(g, vec, procs))
 		}
 	}

@@ -14,15 +14,18 @@ import (
 
 func procsUnderTest() []int { return []int{1, 3, runtime.GOMAXPROCS(0)} }
 
+// vectorOf snapshots a map a test filled into the Vector the sweeps take.
+func vectorOf(m *sparse.Map) *sparse.Vector { return sparse.Snapshot(m, 1) }
+
 // figure1Vector returns a vector over the Figure 1 graph whose sweep order
 // is exactly {A, B, C, D}: scores p/d = 4, 3, 2, 1.
-func figure1Vector() *sparse.Map {
+func figure1Vector() *sparse.Vector {
 	vec := sparse.NewMap(4)
 	vec.Set(0, 8) // A: 8/2 = 4
 	vec.Set(1, 6) // B: 6/2 = 3
 	vec.Set(2, 6) // C: 6/3 = 2
 	vec.Set(3, 4) // D: 4/4 = 1
-	return vec
+	return vectorOf(vec)
 }
 
 func TestSweepOrderFigure1(t *testing.T) {
@@ -33,8 +36,9 @@ func TestSweepOrderFigure1(t *testing.T) {
 		t.Fatalf("order = %v, want [0 1 2 3]", order)
 	}
 	want := []float64{4, 3, 2, 1}
+	mass := entries(vec)
 	for i, v := range order {
-		if score := vec.Get(v) / float64(g.Degree(v)); score != want[i] {
+		if score := mass[v] / float64(g.Degree(v)); score != want[i] {
 			t.Fatalf("score[%d] = %v, want %v", i, score, want[i])
 		}
 	}
@@ -87,11 +91,11 @@ func TestSweepExampleSection31(t *testing.T) {
 func TestSweepImplementationsAgreeFigure1(t *testing.T) {
 	g := gen.Figure1()
 	vec := figure1Vector()
-	seq := SweepCutSeq(g, vec)
+	seq := SweepCut(g, vec, 1)
 	for _, p := range procsUnderTest() {
 		for name, res := range map[string]SweepResult{
-			"par":     SweepCutPar(g, vec, p),
-			"parSort": SweepCutParSort(g, vec, p),
+			"SweepCut": SweepCut(g, vec, p),
+			"parSort":  SweepCutParSort(g, vec, p),
 		} {
 			if !reflect.DeepEqual(res.Cluster, seq.Cluster) {
 				t.Fatalf("p=%d %s: cluster %v vs seq %v", p, name, res.Cluster, seq.Cluster)
@@ -107,14 +111,14 @@ func TestSweepImplementationsAgreeFigure1(t *testing.T) {
 }
 
 // randomVector puts random mass on a random subset of vertices.
-func randomVector(g *graph.CSR, density float64, rnd *rand.Rand) *sparse.Map {
+func randomVector(g *graph.CSR, density float64, rnd *rand.Rand) *sparse.Vector {
 	vec := sparse.NewMap(16)
 	for v := 0; v < g.NumVertices(); v++ {
 		if rnd.Float64() < density {
 			vec.Set(uint32(v), rnd.Float64()+1e-3)
 		}
 	}
-	return vec
+	return vectorOf(vec)
 }
 
 func TestSweepImplementationsAgreeRandom(t *testing.T) {
@@ -132,9 +136,9 @@ func TestSweepImplementationsAgreeRandom(t *testing.T) {
 			if vec.Len() == 0 {
 				continue
 			}
-			seq := SweepCutSeq(g, vec)
+			seq := SweepCut(g, vec, 1)
 			for _, p := range procsUnderTest() {
-				par := SweepCutPar(g, vec, p)
+				par := SweepCut(g, vec, p)
 				srt := SweepCutParSort(g, vec, p)
 				if !reflect.DeepEqual(par.Cluster, seq.Cluster) || par.Conductance != seq.Conductance {
 					t.Fatalf("%s trial %d p=%d: par disagrees with seq (%v/%v vs %v/%v)",
@@ -158,9 +162,9 @@ func TestSweepImplementationsAgreeRandom(t *testing.T) {
 
 func TestSweepEmptyVector(t *testing.T) {
 	g := gen.Figure1()
-	vec := sparse.NewMap(0)
+	vec := vectorOf(sparse.NewMap(0))
 	for _, res := range []SweepResult{
-		SweepCutSeq(g, vec), SweepCutPar(g, vec, 2), SweepCutParSort(g, vec, 2),
+		SweepCut(g, vec, 1), SweepCut(g, vec, 2), SweepCutParSort(g, vec, 2),
 	} {
 		if len(res.Cluster) != 0 || res.Conductance != 1 {
 			t.Fatalf("empty vector sweep: %+v", res)
@@ -170,22 +174,28 @@ func TestSweepEmptyVector(t *testing.T) {
 
 func TestSweepIgnoresNonPositive(t *testing.T) {
 	g := gen.Figure1()
-	vec := sparse.NewMap(4)
-	vec.Set(0, 1)
-	vec.Set(1, 0)  // explicit zero: not part of the support
-	vec.Set(2, -1) // negative: not part of the support
-	res := SweepCutSeq(g, vec)
-	if len(res.Order) != 1 || res.Order[0] != 0 {
-		t.Fatalf("support = %v, want [0]", res.Order)
+	m := sparse.NewMap(4)
+	m.Set(0, 1)
+	m.Set(1, 0)  // explicit zero: the snapshot drops it
+	m.Set(2, -1) // negative: not part of the support
+	vec := vectorOf(m)
+	if vec.Len() != 2 {
+		t.Fatalf("snapshot kept %d entries, want 2 (the zero dropped)", vec.Len())
+	}
+	for _, p := range []int{1, 2} {
+		if res := SweepCut(g, vec, p); len(res.Order) != 1 || res.Order[0] != 0 {
+			t.Fatalf("p=%d: support = %v, want [0]", p, res.Order)
+		}
 	}
 }
 
 func TestSweepSingleVertex(t *testing.T) {
 	g := gen.Figure1()
-	vec := sparse.NewMap(1)
-	vec.Set(3, 1) // D alone: cut 4, vol 4 -> phi = 1
+	m := sparse.NewMap(1)
+	m.Set(3, 1) // D alone: cut 4, vol 4 -> phi = 1
+	vec := vectorOf(m)
 	for _, res := range []SweepResult{
-		SweepCutSeq(g, vec), SweepCutPar(g, vec, 2), SweepCutParSort(g, vec, 2),
+		SweepCut(g, vec, 1), SweepCut(g, vec, 2), SweepCutParSort(g, vec, 2),
 	} {
 		if len(res.Cluster) != 1 || res.Cluster[0] != 3 {
 			t.Fatalf("cluster = %v", res.Cluster)
@@ -199,12 +209,13 @@ func TestSweepSingleVertex(t *testing.T) {
 func TestSweepZeroDegreeVertexInSupport(t *testing.T) {
 	// An isolated vertex with mass sorts first but cannot win.
 	g := graph.FromEdges(1, 6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
-	vec := sparse.NewMap(4)
-	vec.Set(5, 10) // isolated
-	vec.Set(0, 3)
-	vec.Set(1, 3)
-	vec.Set(2, 3)
-	seq := SweepCutSeq(g, vec)
+	m := sparse.NewMap(4)
+	m.Set(5, 10) // isolated
+	m.Set(0, 3)
+	m.Set(1, 3)
+	m.Set(2, 3)
+	vec := vectorOf(m)
+	seq := SweepCut(g, vec, 1)
 	if seq.Order[0] != 5 {
 		t.Fatalf("isolated vertex should sort first, order = %v", seq.Order)
 	}
@@ -214,7 +225,7 @@ func TestSweepZeroDegreeVertexInSupport(t *testing.T) {
 		t.Fatalf("conductance = %v", seq.Conductance)
 	}
 	for _, p := range procsUnderTest() {
-		par := SweepCutPar(g, vec, p)
+		par := SweepCut(g, vec, p)
 		srt := SweepCutParSort(g, vec, p)
 		if !reflect.DeepEqual(par.Cluster, seq.Cluster) || !reflect.DeepEqual(srt.Cluster, seq.Cluster) {
 			t.Fatalf("p=%d: disagreement with zero-degree support", p)
@@ -226,18 +237,19 @@ func TestSweepTieBreakDeterminism(t *testing.T) {
 	// All-equal scores: order must be by ascending ID for every
 	// implementation and worker count.
 	g := gen.Clique(32)
-	vec := sparse.NewMap(32)
+	m := sparse.NewMap(32)
 	for v := uint32(0); v < 32; v++ {
-		vec.Set(v, 1)
+		m.Set(v, 1)
 	}
-	want := SweepCutSeq(g, vec).Order
+	vec := vectorOf(m)
+	want := SweepCut(g, vec, 1).Order
 	for i, v := range want {
 		if v != uint32(i) {
 			t.Fatalf("seq tie-break order wrong: %v", want)
 		}
 	}
 	for _, p := range procsUnderTest() {
-		if got := SweepCutPar(g, vec, p).Order; !reflect.DeepEqual(got, want) {
+		if got := SweepCut(g, vec, p).Order; !reflect.DeepEqual(got, want) {
 			t.Fatalf("p=%d: par order %v", p, got)
 		}
 		if got := SweepCutParSort(g, vec, p).Order; !reflect.DeepEqual(got, want) {
@@ -250,15 +262,16 @@ func TestSweepFindsPlantedBarbellCut(t *testing.T) {
 	// Mass concentrated on the left clique: the sweep must find exactly it.
 	k := 20
 	g := gen.Barbell(k)
-	vec := sparse.NewMap(2 * k)
+	m := sparse.NewMap(2 * k)
 	for v := 0; v < 2*k; v++ {
 		mass := 1.0
 		if v < k {
 			mass = 100 - float64(v) // left clique, strictly decreasing
 		}
-		vec.Set(uint32(v), mass)
+		m.Set(uint32(v), mass)
 	}
-	res := SweepCutSeq(g, vec)
+	vec := vectorOf(m)
+	res := SweepCut(g, vec, 1)
 	if len(res.Cluster) != k {
 		t.Fatalf("cluster size = %d, want %d", len(res.Cluster), k)
 	}
@@ -283,11 +296,11 @@ func TestSweepPooledMatchesUnpooled(t *testing.T) {
 	g := gen.Caveman(12, 8)
 	variants := []struct {
 		name  string
-		sweep func(vec *sparse.Map) SweepResult
+		sweep func(vec *sparse.Vector) SweepResult
 	}{
-		{"seq", func(vec *sparse.Map) SweepResult { return SweepCutSeq(g, vec) }},
-		{"par", func(vec *sparse.Map) SweepResult { return SweepCutPar(g, vec, 2) }},
-		{"parSort", func(vec *sparse.Map) SweepResult { return SweepCutParSort(g, vec, 2) }},
+		{"seq", func(vec *sparse.Vector) SweepResult { return SweepCut(g, vec, 1) }},
+		{"par", func(vec *sparse.Vector) SweepResult { return SweepCut(g, vec, 2) }},
+		{"parSort", func(vec *sparse.Vector) SweepResult { return SweepCutParSort(g, vec, 2) }},
 	}
 	vec := randomVector(g, 0.3, rnd)
 	kept := make([]SweepResult, len(variants))

@@ -38,7 +38,7 @@ func (e *Engine) batchEligible(rp resolved, req *ClusterRequest, nunits int) boo
 // runLanes is the kernel of a group planned wider than one: every lane's
 // diffusion in one shared bit-parallel traversal, under one "kernel" span.
 // It returns the per-lane vectors and statistics, in lane order.
-func (r *request) runLanes(lanes []*lane) ([]*sparse.Map, []core.Stats) {
+func (r *request) runLanes(lanes []*lane) ([]*sparse.Vector, []core.Stats) {
 	e, p := r.sc.e, r.rp.p
 	e.batchGroups.Add(1)
 	e.batchLanesFilled.Add(int64(len(lanes)))

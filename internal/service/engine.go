@@ -1118,7 +1118,7 @@ func (r *request) runUnit(l *lane) *ClusterResult {
 		Cancel: r.sc.ctx.Done(), Observer: kernelObserver(r.sc.tr, l.idx),
 	}
 	kernelStart := time.Now()
-	var vec *sparse.Map
+	var vec *sparse.Vector
 	var st core.Stats
 	switch r.rp.algo {
 	case "evolving":
@@ -1167,9 +1167,9 @@ func (rp resolved) rule() core.PushRule {
 // "sweep" span. Its Members slice is the head of the sweep order, which
 // detachResult copies out. (An empty vector sweeps to the empty cluster at
 // conductance 1.)
-func (r *request) sweep(l *lane, vec *sparse.Map, st core.Stats) *ClusterResult {
+func (r *request) sweep(l *lane, vec *sparse.Vector, st core.Stats) *ClusterResult {
 	start := time.Now()
-	res := core.SweepCutPar(r.sc.pin.G, vec, r.procs)
+	res := core.SweepCut(r.sc.pin.G, vec, r.procs)
 	r.sc.tr.Span("sweep", start)
 	return &ClusterResult{
 		Seeds: r.units[l.idx], Members: res.Cluster, Size: len(res.Cluster),

@@ -161,6 +161,36 @@ func (l *Lanes) TouchSerial(v uint32, lanes uint64) {
 // next Reset. Must not run concurrently with writers.
 func (l *Lanes) Touched() []uint32 { return l.touched[:l.ntouched.Load()] }
 
+// Lane returns one lane of the bank as a Snapshot source: the touched
+// vertices whose mask holds lane, in touched-list order. Phase-boundary
+// read, like Get.
+func (l *Lanes) Lane(lane int) Source { return laneView{l, uint64(1) << lane, lane} }
+
+// laneView is the Source Lane returns.
+type laneView struct {
+	bank *Lanes
+	bit  uint64
+	lane int
+}
+
+func (v laneView) Len() int {
+	n := 0
+	for _, k := range v.bank.Touched() {
+		if v.bank.mask[k]&v.bit != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func (v laneView) ForEach(fn func(k uint32, x float64)) {
+	for _, k := range v.bank.Touched() {
+		if v.bank.mask[k]&v.bit != 0 {
+			fn(k, v.bank.Get(k, v.lane))
+		}
+	}
+}
+
 // laneClearWalk is the popcount up to which Reset zeroes a vertex's lanes
 // one by one instead of clearing its whole 512-byte row; see Reset.
 const laneClearWalk = 8

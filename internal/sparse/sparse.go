@@ -1,7 +1,10 @@
 // Package sparse implements the sparse-set representations the paper's local
 // algorithms depend on (§2 "Sparse Sets"): a sequential map-backed set and a
 // lock-free concurrent hash table in the style of the phase-concurrent table
-// of Shun & Blelloch [42].
+// of Shun & Blelloch [42], plus the flat Dense vector and the 64-lane Lanes
+// bank the parallel kernels promote to or batch in. A finished diffusion
+// leaves its table as a Vector: Snapshot copies the nonzero entries once
+// into two owned slices, IDs and values, which is all the sweep cut reads.
 //
 // A sparse set stores (vertex, float64) pairs with the paper's ⊥ = 0
 // convention: reading an absent key yields 0, and updating an absent key
@@ -29,20 +32,6 @@ import (
 	"parcluster/internal/parallel"
 )
 
-// Vector is the minimal read interface over sparse (vertex, float64)
-// vectors, shared by Map, ConcurrentMap and Dense. The sweep cut and the
-// snapshot/compare helpers only need these three methods, so they accept any
-// representation.
-type Vector interface {
-	// Get returns the value for k, or 0 if absent (⊥ = 0).
-	Get(k uint32) float64
-	// Len returns the number of entries.
-	Len() int
-	// ForEach calls fn for every entry, in unspecified order. Must not run
-	// concurrently with writers.
-	ForEach(fn func(k uint32, v float64))
-}
-
 // Table is the concurrent accumulator interface the diffusion frontier
 // engine drives: phase-concurrent Add/Set/Get with capacity management at
 // phase boundaries. It is implemented by ConcurrentMap (open-addressing hash
@@ -52,7 +41,9 @@ type Vector interface {
 // it created them. The engine promotes from the former to the latter when a
 // vector's support bound crosses a fraction of n.
 type Table interface {
-	Vector
+	Source
+	// Get returns the value for k, or 0 if absent (⊥ = 0).
+	Get(k uint32) float64
 	// Add atomically accumulates delta into k's value and reports whether
 	// this call created the entry.
 	Add(k uint32, delta float64) (created bool)
@@ -83,7 +74,7 @@ type Table interface {
 }
 
 var (
-	_ Vector = (*Map)(nil)
+	_ Source = (*Map)(nil)
 	_ Table  = (*ConcurrentMap)(nil)
 	_ Table  = (*Dense)(nil)
 )
@@ -144,34 +135,6 @@ func (m *Map) ForEach(fn func(k uint32, v float64)) {
 	for k, v := range m.m {
 		fn(k, v)
 	}
-}
-
-// Keys returns the keys in unspecified order.
-func (m *Map) Keys() []uint32 {
-	out := make([]uint32, 0, len(m.m))
-	for k := range m.m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Sum returns the sum of all values (the l1 norm for non-negative vectors,
-// used by the mass-conservation invariants).
-func (m *Map) Sum() float64 {
-	s := 0.0
-	for _, v := range m.m {
-		s += v
-	}
-	return s
-}
-
-// Clone returns a deep copy.
-func (m *Map) Clone() *Map {
-	out := NewMap(len(m.m))
-	for k, v := range m.m {
-		out.m[k] = v
-	}
-	return out
 }
 
 // ConcurrentMap is the lock-free sparse set used by the parallel algorithms.
@@ -438,14 +401,6 @@ func (m *ConcurrentMap) Sum(p int) float64 {
 		s += v
 	}
 	return s
-}
-
-// ToMap snapshots the table into a sequential Map. Must not run concurrently
-// with writers.
-func (m *ConcurrentMap) ToMap() *Map {
-	out := NewMap(m.Len())
-	m.ForEach(func(k uint32, v float64) { out.Set(k, v) })
-	return out
 }
 
 // IDMap assigns dense consecutive IDs (0, 1, 2, ...) to a sparse set of

@@ -43,25 +43,6 @@ func TestMapBasics(t *testing.T) {
 	}
 }
 
-func TestMapSumCloneKeys(t *testing.T) {
-	m := NewMap(0)
-	for i := uint32(0); i < 100; i++ {
-		m.Set(i, float64(i))
-	}
-	if got := m.Sum(); got != 4950 {
-		t.Fatalf("Sum = %v", got)
-	}
-	c := m.Clone()
-	c.Set(0, 100)
-	if m.Get(0) != 0 {
-		t.Fatal("Clone is not a deep copy")
-	}
-	keys := m.Keys()
-	if len(keys) != 100 {
-		t.Fatalf("Keys len = %d", len(keys))
-	}
-}
-
 func TestConcurrentBasics(t *testing.T) {
 	m := NewConcurrent(10)
 	if m.Get(7) != 0 || m.Has(7) {
@@ -212,16 +193,6 @@ func TestConcurrentKeysAndForEach(t *testing.T) {
 		if k != uint32(i*3) {
 			t.Fatalf("Keys[%d] = %d", i, k)
 		}
-	}
-}
-
-func TestConcurrentToMap(t *testing.T) {
-	m := NewConcurrent(10)
-	m.Add(1, 0.5)
-	m.Add(9, 1.5)
-	sm := m.ToMap()
-	if sm.Len() != 2 || sm.Get(1) != 0.5 || sm.Get(9) != 1.5 {
-		t.Fatalf("ToMap mismatch: %v %v", sm.Get(1), sm.Get(9))
 	}
 }
 

@@ -32,10 +32,11 @@
 //     after the proc-pool gate.
 //
 // Nothing a run returns comes from a Pool. A kernel snapshots its answer
-// into a fresh sparse.Map and a sweep allocates its order and prefix
-// arrays: both are support-sized, pointer-free and owned by the caller from
-// the moment they are computed, so they outlive the Release that recycles
-// the graph-sized scratch behind them.
+// into a fresh sparse.Vector (two slices, IDs and values) and a sweep
+// allocates its order and prefix arrays: both are support-sized,
+// pointer-free and owned by the caller from the moment they are computed,
+// so they outlive the Release that recycles the graph-sized scratch behind
+// them.
 //
 // A Pool keeps at most one idle workspace resident (the hot slot); any
 // overflow created by concurrent checkouts sits in a sync.Pool behind it,

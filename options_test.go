@@ -54,11 +54,20 @@ func TestRandHKPRVariantsBitIdentical(t *testing.T) {
 	if vPar.Len() != vSeq.Len() {
 		t.Fatalf("support sizes differ: %d %d", vPar.Len(), vSeq.Len())
 	}
+	seq := entries(vSeq)
 	vPar.ForEach(func(k uint32, v float64) {
-		if vSeq.Get(k) != v {
-			t.Fatalf("variant mismatch at %d: %v / %v", k, v, vSeq.Get(k))
+		if seq[k] != v {
+			t.Fatalf("variant mismatch at %d: %v / %v", k, v, seq[k])
 		}
 	})
+}
+
+// entries returns vec's entries as a map: the one way the tests look a
+// vector's entries up.
+func entries(vec *Vector) map[uint32]float64 {
+	m := make(map[uint32]float64, vec.Len())
+	vec.ForEach(func(k uint32, x float64) { m[k] = x })
+	return m
 }
 
 func TestPRNibbleBetaViaAPI(t *testing.T) {

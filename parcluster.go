@@ -35,9 +35,10 @@ type GraphData = graph.Graph
 // Edge is an undirected edge for FromEdges; orientation is irrelevant.
 type Edge = graph.Edge
 
-// Vector is a sparse map from vertex ID to diffusion mass — the output of
-// the diffusion algorithms and the input of SweepCut.
-type Vector = sparse.Map
+// Vector is a diffusion result — the nonzero (vertex ID, mass) entries of
+// the algorithm's table, in no promised order — and the input of SweepCut.
+// It offers Len and ForEach.
+type Vector = sparse.Vector
 
 // Stats reports algorithm work counters (pushes, iterations, edge
 // traversals); see the paper's Table 1.
@@ -446,19 +447,16 @@ func EvolvingSet(g GraphData, seed uint32, opts EvolvingSetOptions, sequential b
 
 // SweepOptions configures SweepCut.
 type SweepOptions struct {
+	// Procs is the worker count (0 = all cores). One worker runs the
+	// standard sequential sweep, more the parallel one; both return
+	// identical results.
 	Procs int
-	// Sequential selects the standard sequential sweep instead of the
-	// parallel one. Both return identical results.
-	Sequential bool
 }
 
 // SweepCut rounds a diffusion vector into the minimum-conductance sweep
 // cluster (§3.1).
 func SweepCut(g GraphData, vec *Vector, opts SweepOptions) SweepResult {
-	if opts.Sequential {
-		return core.SweepCutSeq(g, vec)
-	}
-	return core.SweepCutPar(g, vec, opts.Procs)
+	return core.SweepCut(g, vec, opts.Procs)
 }
 
 // Cluster is the end-to-end result of FindCluster.

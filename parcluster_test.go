@@ -53,7 +53,7 @@ func TestSequentialAndParallelVariantsAgree(t *testing.T) {
 		seqOpts.HKPR.Sequential = true
 		seqOpts.RandHKPR.Sequential = true
 		seqOpts.RandHKPR.Walks = 5000
-		seqOpts.Sweep.Sequential = true
+		seqOpts.Sweep.Procs = 1 // the sequential sweep
 		parOpts := ClusterOptions{Method: method}
 		parOpts.RandHKPR.Walks = 5000
 		cs, err := FindCluster(g, 3, seqOpts)
@@ -79,7 +79,7 @@ func TestSequentialAndParallelVariantsAgree(t *testing.T) {
 func TestSweepVariantsIdentical(t *testing.T) {
 	g := MustGenerate("community", map[string]int{"n": 5000, "seed": 4})
 	vec, _ := PRNibble(g, 17, PRNibbleOptions{})
-	a := SweepCut(g, vec, SweepOptions{Sequential: true})
+	a := SweepCut(g, vec, SweepOptions{Procs: 1})
 	b := SweepCut(g, vec, SweepOptions{})
 	c := core.SweepCutParSort(g, vec, 0) // the Theorem 1 ablation has no root option
 	if a.Conductance != b.Conductance || a.Conductance != c.Conductance {

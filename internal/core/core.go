@@ -24,8 +24,8 @@
 // RunConfig), and one sequential reference, XSeq(g, seeds, params); both take
 // a seed set (footnote 5 of the paper) and return a sparse.Vector — the
 // nonzero entries of the kernel's table, snapshotted once into two slices
-// the caller owns — for a sweep cut. A worker count <= 0 uses all cores; 1 runs the parallel
-// algorithm's sequential schedule, the paper's T1.
+// the caller owns — for a sweep cut. A worker count <= 0 uses all cores; 1
+// runs the parallel algorithm's sequential schedule, the paper's T1.
 package core
 
 import (

@@ -120,8 +120,7 @@ func HKPRSeq(g graph.Graph, seeds []uint32, t float64, N int, eps float64) (*spa
 // engine round pushing tOverJ-scaled shares into the next level's residual
 // table, with the r/r' double buffer swapped between rounds. cfg sets the
 // worker count and frontier mode and can lend the run its graph-sized
-// scratch and its result map (which changes where memory lives, never what
-// is computed).
+// scratch (which changes where memory lives, never what is computed).
 //
 // Note: Figure 7's listing guards the normal rounds with "if j + 1 == N";
 // per the surrounding text the condition must select the *last* round, and

@@ -76,8 +76,8 @@ func NibbleSeq(g graph.Graph, seeds []uint32, eps float64, T int) (*sparse.Vecto
 // per-source share hoisting, the sparse/dense edge traversal, and the
 // threshold filter — lives in the shared frontier engine (engine.go). cfg
 // sets the worker count and frontier mode and can lend the run its
-// graph-sized scratch and its result map (which changes where memory
-// lives, never what is computed).
+// graph-sized scratch (which changes where memory lives, never what is
+// computed).
 func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)

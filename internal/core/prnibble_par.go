@@ -38,8 +38,8 @@ import (
 // the top β-fraction of above-threshold vertices by r(v)/d(v) and carries
 // the rest into the next iteration's frontier; any other beta pushes all of
 // them, the Figure 5/6 algorithm. cfg sets the worker count and frontier
-// mode and can lend the run its graph-sized scratch and its result map
-// (which changes where memory lives, never what is computed).
+// mode and can lend the run its graph-sized scratch (which changes where
+// memory lives, never what is computed).
 func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRule, beta float64, cfg RunConfig) (*sparse.Vector, Stats) {
 	seeds = normalizeSeeds(g, seeds)
 	procs := parallel.ResolveProcs(cfg.Procs)

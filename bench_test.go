@@ -344,13 +344,11 @@ func BenchmarkFrontierMode(b *testing.B) {
 // --- Workspace pool: steady-state allocation behaviour -------------------
 
 // BenchmarkWorkspacePool measures the allocation profile of repeated
-// dense-mode queries against one graph — the lgc-serve steady state —
-// with and without the per-graph workspace pool. The pooled variant's
-// allocs/op and B/op exclude all graph-sized state (the three ~16
-// bytes/vertex flat vectors, the share array, the frontier bitmap and ID
-// buffers all come from the pool); what remains is work-proportional
-// (per-round hash tables in sparse phases, the result snapshot, the sweep).
-// Before/after numbers are recorded in DESIGN.md §5. The determinism suite
+// dense-mode queries against one graph with and without the per-graph
+// workspace pool. The pooled variant takes the share array and the frontier
+// ID buffers from the pool; its B/op is the three ~16 bytes/vertex flat
+// vectors, which are allocated per run, plus the result snapshot.
+// Numbers are recorded in DESIGN.md §5. The determinism suite
 // in internal/core proves pooled and unpooled results are identical.
 func BenchmarkWorkspacePool(b *testing.B) {
 	fixtures()

@@ -59,10 +59,11 @@
 //
 // # Workspace pooling
 //
-// A dense-mode diffusion needs graph-sized scratch state: three ~16
-// bytes/vertex flat vectors plus a share array and frontier ID buffers. Allocating these per call is fine for a one-shot
-// query and pure GC pressure for a batch or serving workload, so the
-// diffusions can instead borrow them from a per-graph WorkspacePool:
+// A diffusion needs scratch state: the hash tables of its vectors and,
+// for dense rounds, a graph-sized share array and frontier ID buffers.
+// Allocating these per call is fine for a one-shot query and pure GC
+// pressure for a batch or serving workload, so the diffusions can instead
+// borrow them from a per-graph WorkspacePool:
 //
 //	pool := parcluster.NewWorkspacePool(g)
 //	opts := parcluster.ClusterOptions{Workspace: pool}
@@ -71,8 +72,9 @@
 //		...
 //	}
 //
-// Steady-state pooled runs perform zero graph-sized allocations (DESIGN.md
-// §5 records the measured numbers), a pool never changes what is
+// A steady-state pooled local query allocates little more than its answer
+// (DESIGN.md §5 records the measured numbers; flat vectors of dense-mode
+// runs are still allocated per run), a pool never changes what is
 // computed, and a pool is safe for concurrent use — parallel queries
 // check out distinct workspaces. Every algorithm options struct carries the
 // same Workspace field, NCP pools its inner loop automatically, and

@@ -230,9 +230,9 @@ type FrontierModeCounts struct {
 }
 
 // WorkspaceStats aggregates the per-graph diffusion workspace pools: each
-// loaded graph owns a pool of recyclable graph-sized scratch arenas (flat
-// diffusion vectors, share arrays, frontier bitmaps and ID buffers), and
-// these counters report how much allocation the pools absorbed. A healthy
+// loaded graph owns a pool of recyclable scratch arenas (the hash tables of
+// diffusion vectors, share arrays and ID buffers), and these counters
+// report how much allocation the pools absorbed. A healthy
 // steady state shows Hits approaching Acquires and BytesRecycled growing
 // with traffic.
 type WorkspaceStats struct {
@@ -247,9 +247,9 @@ type WorkspaceStats struct {
 	Misses int64 `json:"misses"`
 	// Releases counts workspaces returned to their pool.
 	Releases int64 `json:"releases"`
-	// BytesRecycled totals the graph-sized array bytes runs actually
-	// borrowed from recycled arenas instead of the allocator — the GC
-	// pressure avoided.
+	// BytesRecycled totals the bytes runs actually borrowed from recycled
+	// arenas instead of the allocator — kept hash tables and dense-round
+	// buffers, each credited once per checkout: the GC pressure avoided.
 	BytesRecycled int64 `json:"bytes_recycled"`
 	// The five Result* fields are always 0: a result is an owned
 	// allocation, not a checkout of a pooled arena, so there is nothing to

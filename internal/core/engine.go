@@ -37,11 +37,12 @@ import (
 //     round that several workers really share pays for atomic adds and
 //     per-phase fan-out.
 //   - Vectors: residual/mass accumulators are adaptive (vec): they start as
-//     phase-concurrent hash tables and promote — sticky, at a phase
-//     boundary — to flat Dense arrays once their support bound crosses
-//     n/vecPromoteFrac (a dense round promotes its scratch regardless),
-//     after which every Get/Add is an array operation. Either kind lists
-//     its entries, so nothing a round does costs a table's capacity.
+//     phase-concurrent hash tables, borrowed from the run's workspace, and
+//     promote — sticky, at a phase boundary — to flat Dense arrays once
+//     their support bound crosses n/workspace.PromoteFrac (a dense round
+//     promotes its scratch regardless), after which every Get/Add is an
+//     array operation. Either kind lists its entries, so nothing a round
+//     does costs a table's capacity.
 //
 // All three decisions are representation-only: the same pushes move the same
 // values in every mode, so clusters and Stats are identical across
@@ -102,7 +103,7 @@ func ParseFrontierMode(s string) (FrontierMode, error) {
 
 // RunConfig bundles the execution environment of one parallel diffusion:
 // the worker count, the frontier representation strategy, and the workspace
-// pool to borrow graph-sized scratch state from. The zero value runs with
+// pool to borrow scratch state from. The zero value runs with
 // all cores, the auto frontier mode, and per-run (unpooled) scratch
 // allocation — exactly the pre-workspace behaviour.
 type RunConfig struct {
@@ -114,9 +115,9 @@ type RunConfig struct {
 	Procs int
 	// Frontier selects the engine's frontier representation strategy.
 	Frontier FrontierMode
-	// Workspace, when non-nil, is the pool the run borrows its graph-sized
-	// scratch state (flat vectors, share array, frontier ID buffers) from
-	// instead of allocating per call. The pool must match the graph's
+	// Workspace, when non-nil, is the pool the run borrows its scratch
+	// state (hash tables, share array, frontier ID buffers) from instead of
+	// allocating per call. The pool must match the graph's
 	// vertex count; a mismatched pool is ignored (the run falls back to
 	// fresh allocation) rather than corrupting someone else's arenas. A
 	// pool changes where scratch memory comes from, never what is computed.
@@ -181,62 +182,57 @@ func acquireWorkspace(pool *workspace.Pool, n int) *workspace.Workspace {
 	return pool.Acquire()
 }
 
-// vecPromoteFrac is the vector promotion threshold denominator: an adaptive
-// vector switches from hash table to flat array when its support bound
-// exceeds n/vecPromoteFrac. At that point the hash table would occupy a
-// comparable number of cache lines anyway, so the O(n) array pays for
-// itself immediately in lookup cost.
-const vecPromoteFrac = 8
-
 // vec is an adaptive diffusion vector: a sparse.Table that starts as a
 // phase-concurrent hash table and, in auto mode, promotes (sticky) to a
-// flat Dense array once a reset/reserve bound crosses n/vecPromoteFrac.
-// All phase-concurrent operations delegate to the embedded Table; reset and
-// reserve are the phase boundaries where promotion may happen. Dense
-// backings are borrowed from the run's workspace, so in the pooled steady
-// state promotion (and dense-mode construction) allocates nothing.
+// flat Dense array once a reset/reserve bound crosses n/workspace.PromoteFrac.
+// At that point the hash table would occupy a comparable number of cache
+// lines anyway, so the O(n) array pays for itself immediately in lookup
+// cost. All phase-concurrent operations delegate to the embedded Table;
+// reset and reserve are the phase boundaries where promotion may happen.
+// Hash tables are borrowed from the run's workspace, so in the pooled steady
+// state a sparse run allocates none; a Dense backing is allocated per run.
 type vec struct {
 	sparse.Table
 	n    int
 	mode FrontierMode
-	ws   *workspace.Workspace
 }
 
 // newVec builds an adaptive vector for a graph with n vertices, borrowing
-// any dense backing from ws.
+// any hash table from ws.
 func newVec(n int, mode FrontierMode, capacity int, ws *workspace.Workspace) *vec {
 	if mode == FrontierDense {
-		return &vec{Table: ws.Dense(), n: n, mode: mode, ws: ws}
+		return &vec{Table: sparse.NewDense(n), n: n, mode: mode}
 	}
-	return &vec{Table: sparse.NewConcurrent(capacity), n: n, mode: mode, ws: ws}
+	return &vec{Table: ws.Table(capacity), n: n, mode: mode}
 }
 
 // shouldPromote reports whether a support bound warrants switching the
 // backing table to a Dense array.
 func (v *vec) shouldPromote(bound int) bool {
-	return v.mode == FrontierAuto && v.n != 0 && bound > v.n/vecPromoteFrac
+	return v.mode == FrontierAuto && v.n != 0 && bound > v.n/workspace.PromoteFrac
 }
 
-// promote switches a hash backing to a borrowed Dense array (phase boundary
+// promote switches a hash backing to a fresh Dense array (phase boundary
 // only), copying the entries over when keep is set, and reports whether it
-// did; a vector that is already dense is left alone.
+// did; a vector that is already dense is left alone. The table stays with
+// the workspace, which clears it at Release.
 func (v *vec) promote(keep bool) bool {
 	m, isHash := v.Table.(*sparse.ConcurrentMap)
 	if !isHash {
 		return false
 	}
-	d := v.ws.Dense()
 	if keep {
-		sparse.PromoteToDenseInto(d, m)
+		v.Table = sparse.PromoteToDense(v.n, m)
+	} else {
+		v.Table = sparse.NewDense(v.n)
 	}
-	v.Table = d
 	return true
 }
 
 // reset clears the vector and ensures capacity for the per-phase bound,
 // promoting first when the bound crosses the threshold (phase boundary
 // only). A reset-promotion discards the old entries anyway, so it installs
-// an empty borrowed Dense instead of copying them.
+// an empty Dense instead of copying them.
 func (v *vec) reset(p, bound int) {
 	if v.shouldPromote(bound) && v.promote(false) {
 		return

@@ -54,7 +54,7 @@ type EvolvingSetOptions struct {
 	// every mode).
 	Frontier FrontierMode
 	// Workspace, when non-nil, is the pool the parallel version borrows its
-	// graph-sized scratch state from (see core.RunConfig.Workspace). The
+	// scratch state from (see core.RunConfig.Workspace). The
 	// trajectory is identical with and without a pool.
 	Workspace *workspace.Pool
 	// Cancel, when non-nil, stops the parallel version at the next

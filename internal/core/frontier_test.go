@@ -195,7 +195,7 @@ func TestDenseModeForcesDenseStructures(t *testing.T) {
 
 // TestVecPromotion pins the hash -> dense promotion: an auto-mode vector
 // promotes (sticky, preserving entries) once its bound crosses
-// n/vecPromoteFrac, and a sparse-mode vector never does.
+// n/workspace.PromoteFrac, and a sparse-mode vector never does.
 func TestVecPromotion(t *testing.T) {
 	const n = 1024
 	v := newVec(n, FrontierAuto, 4, workspace.New(n))
@@ -204,11 +204,11 @@ func TestVecPromotion(t *testing.T) {
 	if _, ok := v.Table.(*sparse.ConcurrentMap); !ok {
 		t.Fatalf("auto vec should start as a hash table, got %T", v.Table)
 	}
-	v.reserve(n / vecPromoteFrac / 2)
+	v.reserve(n / workspace.PromoteFrac / 2)
 	if _, ok := v.Table.(*sparse.ConcurrentMap); !ok {
 		t.Fatalf("small reserve must not promote, got %T", v.Table)
 	}
-	v.reserve(n/vecPromoteFrac + 1)
+	v.reserve(n/workspace.PromoteFrac + 1)
 	if _, ok := v.Table.(*sparse.Dense); !ok {
 		t.Fatalf("crossing the bound must promote, got %T", v.Table)
 	}

@@ -20,7 +20,9 @@ import (
 // sweep, from about the same number of allocations and allocated bytes. A
 // scan of a table's capacity, an n-sized temporary or an O(n) clear anywhere
 // on the sparse path makes the big universe cost a multiple of the small
-// one and fails the test.
+// one and fails the test. A warmed pooled query must, besides, allocate no
+// more than its answer, in either universe: its tables come from the
+// workspace.
 
 // embedInUniverse returns g's edges on times*n vertices: g itself on the
 // first n IDs, a second copy of it on the last n (the far component), and
@@ -117,8 +119,49 @@ func TestLocalityOracle(t *testing.T) {
 					t.Fatalf("%s: %.0f allocs and %d bytes per query in the 64x universe against %.0f and %d in the graph itself: something on the sparse path is sized by n",
 						label, allocs[1], bytes[1], allocs[0], bytes[0])
 				}
+				if pooled {
+					for i, u := range us {
+						cfg := RunConfig{Procs: 1, Frontier: FrontierSparse, Workspace: u.pool}
+						_, got := allocsAndBytes(func() { kernel(u.g, seed, cfg) })
+						requireOutputSizedAllocs(t, fmt.Sprintf("%s/universe=%d", label, i), got, runs[i].vec)
+					}
+				}
 			}
 		}
+	}
+
+	// A pinned-sparse run with a global ε has no promotion to bound its
+	// tables: they grow with the component it spreads over. The workspace
+	// must drop them at Release instead of keeping them for the next query.
+	g, pool := big, us[1].pool
+	limit := sparse.TableCap(g.NumVertices() / workspace.PromoteFrac) // above the small-graph floor at this n
+	rec := &recordingObserver{}
+	PRNibbleRun(g, []uint32{3}, 0.01, 1e-9, OptimizedRule, 1, RunConfig{Procs: 1, Frontier: FrontierSparse, Workspace: pool, Observer: rec})
+	peak := 0
+	for _, ev := range rec.events {
+		peak = max(peak, ev.frontier+int(ev.edges))
+	}
+	if peak <= limit {
+		t.Fatalf("global run peaked at a %d-entry round bound, within the %d-entry cap: it tests nothing", peak, limit)
+	}
+	w := pool.Acquire()
+	for i := 0; i < 3; i++ {
+		if tb := w.Table(4); tb.Cap() > limit || tb.Len() != 0 {
+			t.Fatalf("released workspace kept table %d at cap %d (limit %d), len %d", i, tb.Cap(), limit, tb.Len())
+		}
+	}
+	w.Release(1)
+}
+
+// requireOutputSizedAllocs fails unless a warmed pooled run allocated no
+// more than its output: twice its sparse.Vector snapshot (a uint32 ID and a
+// float64 value per entry) plus 16 KiB of constant overhead. Tables, the
+// frontier scratch and the β buffers all come from the workspace.
+func requireOutputSizedAllocs(t *testing.T, label string, bytes uint64, out *sparse.Vector) {
+	t.Helper()
+	if limit := uint64(2*12*out.Len() + 16<<10); bytes > limit {
+		t.Fatalf("%s: a warmed pooled query allocated %d bytes for a %d-entry answer (limit %d): the workspace did not keep its tables",
+			label, bytes, out.Len(), limit)
 	}
 }
 

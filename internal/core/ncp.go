@@ -42,7 +42,7 @@ type NCPOptions struct {
 	// profiles (the paper's 1e5 seeds) would otherwise be unstoppable.
 	Cancel <-chan struct{}
 	// Workspace, when non-nil, is the pool the inner PR-Nibble runs borrow
-	// their graph-sized scratch state from. When nil, NCP creates a private
+	// their scratch state from. When nil, NCP creates a private
 	// pool for the profile: the inner loop runs seeds x alphas x epsilons
 	// diffusions back to back, exactly the steady-state regime the pool
 	// exists for.

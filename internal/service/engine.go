@@ -1105,8 +1105,8 @@ func (e *Engine) land(l *lane, res *ClusterResult, err error) {
 }
 
 // runUnit is the width-1 kernel: one diffusion + sweep (or evolving set
-// run) for lane l, borrowing graph-sized scratch state from the graph's
-// workspace pool. The
+// run) for lane l, borrowing scratch state from the graph's workspace
+// pool. The
 // request context stops the kernel at its next round boundary; the partial
 // result is the caller's to discard. A traced request receives the "kernel"
 // and "sweep" spans plus the kernel's per-round events under the unit's

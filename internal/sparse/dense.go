@@ -233,14 +233,7 @@ func (d *Dense) ForEach(fn func(k uint32, v float64)) {
 // It is the hash -> array promotion step of the adaptive vector: called at
 // a phase boundary when the support bound crosses the promotion threshold.
 func PromoteToDense(n int, from *ConcurrentMap) *Dense {
-	return PromoteToDenseInto(NewDense(n), from)
-}
-
-// PromoteToDenseInto copies a hash-table vector into d, which must be clear
-// (freshly constructed or Reset), and returns d. It is the promotion step
-// for callers that borrow their Dense vectors from a recycled workspace
-// instead of allocating.
-func PromoteToDenseInto(d *Dense, from *ConcurrentMap) *Dense {
+	d := NewDense(n)
 	from.ForEach(func(k uint32, v float64) { d.Set(k, v) })
 	return d
 }

@@ -193,6 +193,18 @@ func (m *ConcurrentMap) alloc(capacity int) {
 // exact once all concurrent Adds have completed.
 func (m *ConcurrentMap) Len() int { return int(atomic.LoadUint32(&m.n)) }
 
+// Cap returns the number of entries the table holds without growing.
+func (m *ConcurrentMap) Cap() int { return len(m.log) }
+
+// Bytes returns the size of the table's arrays: keys, values and log.
+func (m *ConcurrentMap) Bytes() int64 {
+	return 4*int64(len(m.keys)) + 8*int64(len(m.vals)) + 4*int64(len(m.log))
+}
+
+// TableCap returns the Cap of a table reset or reserved for capacity
+// entries: capacity rounded up to a power of two, at least 4.
+func TableCap(capacity int) int { return tableSize(capacity) / 2 }
+
 const overflowMsg = "sparse: ConcurrentMap overflow; Reserve was not called with a sufficient bound"
 
 // findOrClaim returns the slot index for key k, claiming an empty slot if k

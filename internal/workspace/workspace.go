@@ -1,15 +1,20 @@
 // Package workspace implements the per-graph workspace pool behind the
-// diffusion hot path: recyclable arenas of the graph-sized scratch state a
-// dense-mode diffusion needs (flat sparse.Dense vectors, the vertex-indexed
-// share array, and the frontier ID buffer), plus the frontier-sized scratch
-// of the sparse rounds.
+// diffusion hot path: recyclable arenas of a run's scratch state — the hash
+// tables of its diffusion vectors, the frontier-sized scratch of the sparse
+// rounds, and the graph-sized buffers of the dense rounds (the
+// vertex-indexed share array, the frontier ID buffer and the β-fraction
+// ranking buffers).
 //
-// The paper's implementation gets its speed from reusing graph-sized state
-// across iterations instead of reallocating it; a serving layer must extend
-// that economy across *queries*, or every request re-pays ~16 bytes/vertex
-// per diffusion vector in allocation and GC cost. A Pool is keyed by the
-// universe size n of one graph: the service registry owns one Pool per
-// loaded graph, and each diffusion borrows a Workspace for its whole run.
+// The paper's implementation gets its speed from reusing its sparse sets
+// across iterations instead of reallocating them; a serving layer must
+// extend that economy across *queries*, or every request re-pays the
+// allocation and clearing of its tables. A Pool is keyed by the universe
+// size n of one graph: the service registry owns one Pool per loaded graph,
+// and each diffusion borrows a Workspace for its whole run.
+//
+// A Workspace keeps a table only up to the engine's promotion bound
+// (n/PromoteFrac entries) and never keeps a flat sparse.Dense vector, so
+// what it holds is bounded by the locality of its runs, not by n.
 //
 // # Ownership and borrowing rules
 //
@@ -22,10 +27,11 @@
 //     concurrency comes from many goroutines holding *different* workspaces
 //     checked out of the same Pool.
 //   - The owner must Release exactly once, after the last read of any
-//     borrowed memory. Release resets every borrowed piece —
-//     O(touched), not O(n) — and returns the Workspace to its Pool.
+//     borrowed memory. Release clears every borrowed table through its
+//     creation log — O(entries), not O(capacity) — and returns the
+//     Workspace to its Pool.
 //   - On panic, the owner must NOT Release: a Workspace abandoned
-//     mid-phase may hold a half-claimed Dense entry whose reset would be
+//     mid-phase may hold a half-claimed table entry whose reset would be
 //     incomplete, so the kernels deliberately skip Release on unwinding and
 //     let the GC reclaim the arena. A cancelled query (context expiry while
 //     queueing) never acquires a workspace at all — acquisition happens
@@ -35,13 +41,12 @@
 // into a fresh sparse.Vector (two slices, IDs and values) and a sweep
 // allocates its order and prefix arrays: both are support-sized,
 // pointer-free and owned by the caller from the moment they are computed,
-// so they outlive the Release that recycles the graph-sized scratch behind
-// them.
+// so they outlive the Release that recycles the tables behind them.
 //
 // A Pool keeps at most one idle workspace resident (the hot slot); any
 // overflow created by concurrent checkouts sits in a sync.Pool behind it,
-// where the GC drops it under memory pressure rather than pinning
-// graph-sized arrays forever.
+// where the GC drops it under memory pressure rather than pinning it
+// forever.
 package workspace
 
 import (
@@ -152,11 +157,12 @@ type PoolStats struct {
 	Misses int64 `json:"misses"`
 	// Releases counts workspaces returned to the pool.
 	Releases int64 `json:"releases"`
-	// BytesRecycled totals the graph-sized array bytes that runs actually
-	// borrowed from recycled arenas instead of allocating — the GC pressure
-	// the pool absorbed. Counted per arena at borrow time, so a retained
-	// arena a run never touches (e.g. dense scratch during a sparse-mode
-	// query) does not inflate the number.
+	// BytesRecycled totals the bytes that runs actually borrowed from
+	// recycled arenas instead of allocating — kept hash tables (keys,
+	// values and log) and the dense rounds' graph-sized buffers: the GC
+	// pressure the pool absorbed. Counted per arena at borrow time, once per
+	// checkout, so a retained arena a run never touches (e.g. dense scratch
+	// during a sparse-mode query) does not inflate the number.
 	BytesRecycled int64 `json:"bytes_recycled"`
 
 	// BatchAcquires counts AcquireBatch calls (BatchHits + BatchMisses).
@@ -191,20 +197,20 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// Workspace is one diffusion's checkout of scratch state: graph-sized — a
-// freelist of flat sparse.Dense vectors plus lazily-built share and
-// frontier-ID buffers, all over a fixed universe [0, n) — and the
-// frontier-sized scratch of the sparse rounds (Local). It is owned by a
-// single goroutine between Acquire (or New) and Release and is not safe for
-// concurrent use. Every piece is allocated on first demand, so a sparse-mode
-// run through a Workspace costs nothing graph-sized.
+// Workspace is one diffusion's checkout of scratch state over a fixed
+// universe [0, n): the hash tables of its vectors (Table), the
+// frontier-sized scratch of the sparse rounds (Local), and lazily-built
+// graph-sized share, frontier-ID and ranking buffers for dense rounds. It is
+// owned by a single goroutine between Acquire (or New) and Release and is
+// not safe for concurrent use. Every piece is allocated on first demand, so
+// a sparse-mode run through a Workspace costs nothing graph-sized.
 type Workspace struct {
 	n     int
-	pool  *Pool // nil for unpooled (New) workspaces; Release then just resets
+	pool  *Pool // nil for unpooled (New) workspaces; Release then keeps nothing
 	inUse bool
 
-	dense     []*sparse.Dense // every vector ever handed out by Dense()
-	denseUsed int             // vectors handed out since the last Release
+	tables     []*sparse.ConcurrentMap // in hand-out order; Release keeps the capped ones
+	tablesUsed int                     // tables handed out since the last Release
 
 	local Local
 
@@ -229,8 +235,8 @@ func (w *Workspace) credit(bytes int64) {
 
 // New returns an unpooled Workspace for a universe of n vertices — the
 // allocation behaviour callers get when no Pool is configured. Release on
-// an unpooled workspace resets it but returns it nowhere; the GC reclaims
-// it when the owner drops it.
+// an unpooled workspace clears nothing and returns it nowhere; the GC
+// reclaims it when the owner drops it.
 func New(n int) *Workspace {
 	if n < 0 {
 		n = 0
@@ -241,22 +247,39 @@ func New(n int) *Workspace {
 // Universe returns the vertex-universe size the workspace serves.
 func (w *Workspace) Universe() int { return w.n }
 
-// Dense borrows the next free flat vector over [0, n), allocating one only
-// when every previously-created vector is already handed out this run. The
-// vector is clear (every Get reads 0) and stays owned by the workspace: it
-// is reset and reclaimed by Release, not by the borrower.
-func (w *Workspace) Dense() *sparse.Dense {
-	if w.denseUsed < len(w.dense) {
-		d := w.dense[w.denseUsed]
-		w.denseUsed++
-		// vals (8n) + present (4n) + touched (4n) reused without allocating.
-		w.credit(16 * int64(d.Universe()))
-		return d
+// PromoteFrac is the promotion threshold denominator of the diffusion
+// engine: an auto-mode vector switches from hash table to flat Dense array
+// once its support bound exceeds n/PromoteFrac entries. So no auto-mode
+// table outgrows that bound, and it is the largest table Release keeps.
+const PromoteFrac = 8
+
+// keepFloor is the smallest table size, in entries, that Release keeps
+// whatever n: it holds any round of one 2048-edge traversal chunk, and at
+// 112 KiB it costs less to keep than to reallocate per query. It binds only
+// on graphs of fewer than PromoteFrac*keepFloor = 32,768 vertices.
+const keepFloor = 1 << 12
+
+// keepCap returns the Cap of the largest table Release keeps.
+func (w *Workspace) keepCap() int {
+	return sparse.TableCap(max(w.n/PromoteFrac, keepFloor))
+}
+
+// Table borrows an empty hash table with room for capacity entries, handing
+// out the next table an earlier run left in the workspace when there is one
+// and allocating otherwise. The table stays owned by the workspace: Release
+// clears it and keeps it for the next run, unless it grew too large (see
+// Release).
+func (w *Workspace) Table(capacity int) *sparse.ConcurrentMap {
+	if w.tablesUsed == len(w.tables) {
+		w.tables = append(w.tables, sparse.NewConcurrent(capacity))
+	} else if t := w.tables[w.tablesUsed]; capacity <= t.Cap() {
+		// Keys, values and log reused without allocating.
+		w.credit(t.Bytes())
+	} else {
+		t.Reset(1, capacity) // empty already: this only grows it
 	}
-	d := sparse.NewDense(w.n)
-	w.dense = append(w.dense, d)
-	w.denseUsed++
-	return d
+	w.tablesUsed++
+	return w.tables[w.tablesUsed-1]
 }
 
 // Local is the frontier-sized scratch of the sparse rounds: the per-source
@@ -338,11 +361,11 @@ func (w *Workspace) SortScratch(size int) []uint32 {
 // already carries the buffer, in which case reuse is free.
 func (w *Workspace) HasIDs() bool { return w.ids != nil }
 
-// footprint returns the graph-sized bytes currently retained (test hook).
+// footprint returns the bytes currently retained (test hook).
 func (w *Workspace) footprint() int64 {
 	b := int64(0)
-	for _, d := range w.dense {
-		b += 16 * int64(d.Universe())
+	for _, t := range w.tables {
+		b += t.Bytes()
 	}
 	b += 8 * int64(len(w.floats))
 	b += 4 * int64(cap(w.ids))
@@ -351,22 +374,31 @@ func (w *Workspace) footprint() int64 {
 	return b
 }
 
-// Release resets every borrowed piece (O(touched) per Dense vector, using
-// procs workers; procs <= 0 uses all cores) and returns the workspace to
-// its pool. It must be called exactly once per checkout, only on the
+// Release returns the workspace to its pool. It clears every table the run
+// borrowed (O(entries), using procs workers; procs <= 0 uses all cores) and
+// drops any that grew past n/PromoteFrac entries (keepFloor on a small
+// graph). An unpooled workspace is only marked returned: its owner drops
+// it. Release must be called exactly once per checkout, only on the
 // non-panicking path, and only after the last read of borrowed memory.
 func (w *Workspace) Release(procs int) {
 	if !w.inUse {
 		panic("workspace: Release of a workspace that is not checked out")
 	}
-	for i := 0; i < w.denseUsed; i++ {
-		w.dense[i].Reset(procs, 0)
+	w.inUse = false
+	if w.pool == nil {
+		return
 	}
-	w.denseUsed = 0
+	limit := w.keepCap()
+	kept := w.tables[:0]
+	for _, t := range w.tables {
+		if t.Cap() <= limit {
+			t.Reset(procs, 0)
+			kept = append(kept, t)
+		}
+	}
+	clear(w.tables[len(kept):])
+	w.tables, w.tablesUsed = kept, 0
 	w.usedFloats, w.usedIDs = false, false
 	w.usedSortIDs, w.usedSortScratch = false, false
-	w.inUse = false
-	if w.pool != nil {
-		w.pool.scratch.put(w)
-	}
+	w.pool.scratch.put(w)
 }

@@ -80,12 +80,12 @@ const (
 // FrontierMode.
 func ParseFrontierMode(s string) (FrontierMode, error) { return core.ParseFrontierMode(s) }
 
-// WorkspacePool recycles the graph-sized scratch state of the parallel
-// diffusions (flat vectors, share arrays and frontier ID buffers)
-// across runs against one graph. Batch workloads — many queries against the
-// same graph — should create one pool per graph (NewWorkspacePool) and pass
-// it via the Workspace field of the algorithm options: steady-state runs
-// then perform no graph-sized allocations. A pool changes where scratch
+// WorkspacePool recycles the scratch state of the parallel diffusions
+// (hash tables, share arrays and frontier ID buffers) across runs against
+// one graph. Batch workloads — many queries against the same graph — should
+// create one pool per graph (NewWorkspacePool) and pass it via the
+// Workspace field of the algorithm options: a steady-state local query then
+// allocates little more than its answer. A pool changes where scratch
 // lives, never what is computed. A pool is safe for concurrent use;
 // concurrent runs simply check out distinct workspaces. See
 // docs/ARCHITECTURE.md for the ownership rules and DESIGN.md §5 for the
@@ -191,8 +191,8 @@ type NibbleOptions struct {
 	// (default FrontierAuto).
 	Frontier FrontierMode
 	// Workspace, when non-nil, lets the parallel version borrow its
-	// graph-sized scratch state from a per-graph pool instead of allocating
-	// per call (see WorkspacePool). Results are identical either way.
+	// scratch state from a per-graph pool instead of allocating per call
+	// (see WorkspacePool). Results are identical either way.
 	Workspace *WorkspacePool
 	// Cancel, when non-nil, stops the parallel version at the next round
 	// boundary once it fires (pass a context's Done channel); the partial
@@ -239,8 +239,8 @@ type PRNibbleOptions struct {
 	// (default FrontierAuto).
 	Frontier FrontierMode
 	// Workspace, when non-nil, lets the parallel version borrow its
-	// graph-sized scratch state from a per-graph pool instead of allocating
-	// per call (see WorkspacePool). Results are identical either way.
+	// scratch state from a per-graph pool instead of allocating per call
+	// (see WorkspacePool). Results are identical either way.
 	Workspace *WorkspacePool
 	// Cancel, when non-nil, stops the parallel version at the next round
 	// boundary once it fires; the partial vector is the caller's to
@@ -283,8 +283,8 @@ type HKPROptions struct {
 	// (default FrontierAuto).
 	Frontier FrontierMode
 	// Workspace, when non-nil, lets the parallel version borrow its
-	// graph-sized scratch state from a per-graph pool instead of allocating
-	// per call (see WorkspacePool). Results are identical either way.
+	// scratch state from a per-graph pool instead of allocating per call
+	// (see WorkspacePool). Results are identical either way.
 	Workspace *WorkspacePool
 	// Cancel, when non-nil, stops the parallel version at the next level
 	// boundary once it fires; the partial vector is the caller's to

@@ -59,8 +59,9 @@
 //
 // # Workspace pooling
 //
-// A diffusion needs scratch state: the hash tables of its vectors and,
-// for dense rounds, a graph-sized share array and frontier ID buffers.
+// A diffusion needs scratch state: the vertex → slot index its vectors
+// live beside and, for dense rounds, a graph-sized share array and
+// frontier ID buffers.
 // Allocating these per call is fine for a one-shot query and pure GC
 // pressure for a batch or serving workload, so the diffusions can instead
 // borrow them from a per-graph WorkspacePool:
@@ -134,9 +135,10 @@
 //
 // The internal packages implement the substrates the paper builds on: a
 // Ligra-style frontier framework with a sparse push and a dense pull edge
-// traversal, lock-free concurrent hash tables and flat touched-list arrays for sparse
-// vectors, and work-efficient parallel primitives (prefix sums, filter,
-// comparison and integer sorting). See DESIGN.md for the full system
+// traversal, a per-run vertex → slot index with lock-free slot claims, hash
+// tables and flat touched-list arrays for sparse vectors, and
+// work-efficient parallel primitives (prefix sums, filter, comparison and
+// integer sorting). See DESIGN.md for the full system
 // inventory, the frontier-engine design (§4), and the experiment index
 // behind the reproduction of every table and figure in the paper's
 // evaluation.

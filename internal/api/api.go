@@ -230,8 +230,8 @@ type FrontierModeCounts struct {
 }
 
 // WorkspaceStats aggregates the per-graph diffusion workspace pools: each
-// loaded graph owns a pool of recyclable scratch arenas (the hash tables of
-// diffusion vectors, share arrays and ID buffers), and these counters
+// loaded graph owns a pool of recyclable scratch arenas (the vertex → slot
+// index diffusion vectors live beside, share arrays and ID buffers), and these counters
 // report how much allocation the pools absorbed. A healthy
 // steady state shows Hits approaching Acquires and BytesRecycled growing
 // with traffic.
@@ -248,7 +248,7 @@ type WorkspaceStats struct {
 	// Releases counts workspaces returned to their pool.
 	Releases int64 `json:"releases"`
 	// BytesRecycled totals the bytes runs actually borrowed from recycled
-	// arenas instead of the allocator — kept hash tables and dense-round
+	// arenas instead of the allocator — a kept index and dense-round
 	// buffers, each credited once per checkout: the GC pressure avoided.
 	BytesRecycled int64 `json:"bytes_recycled"`
 	// The five Result* fields are always 0: a result is an owned

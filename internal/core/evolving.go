@@ -2,7 +2,6 @@ package core
 
 import (
 	"parcluster/internal/graph"
-	"parcluster/internal/ligra"
 	"parcluster/internal/parallel"
 	"parcluster/internal/rng"
 	"parcluster/internal/workspace"
@@ -209,62 +208,72 @@ func EvolvingSetPar(g graph.Graph, seed uint32, opts EvolvingSetOptions) (Evolvi
 func evolvingSetSteps(g graph.Graph, seed uint32, opts EvolvingSetOptions, procs int, ws *workspace.Workspace) (EvolvingSetResult, Stats) {
 	var st Stats
 	r := rng.New(opts.Seed)
-	n := g.NumVertices()
-	S := ligra.FromIDs([]uint32{seed})
-	inS := newVec(n, opts.Frontier, 4, ws)
-	inS.Add(seed, 1)
-	walk := seed
-	counts := newVec(n, opts.Frontier, 4, ws)
 	eng := newFrontierEngine(g, procs, opts.Frontier, &st, ws, opts.Observer)
+	inS, counts := eng.vector(false), eng.vector(true)
+	S := eng.seed(inS, []uint32{seed}, 1)
+	walk := seed
 	best := bestTracker{g: g}
-	best.update(S.IDs())
+	best.update([]uint32{seed})
 	totalVol := g.TotalVolume()
+	spec := roundSpec{
+		scratch: counts,
+		source:  func(int, uint32) (float64, float64) { return 0, 1 },
+	}
+	var members []uint32 // S's vertices, for the tracker
 	for step := 0; step < opts.MaxIter; step++ {
 		if cancelled(opts.Cancel) {
 			break // best set so far; see EvolvingSetOptions.Cancel
 		}
-		eng.round(S, roundSpec{
-			scratch: counts,
-			source:  func(int, uint32) float64 { return 1 },
-		})
+		eng.round(S, spec)
 		walk = esWalkStep(g, walk, &r)
-		qx := counts.Get(walk) / (2 * float64(max32(g.Degree(walk), 1)))
-		if inS.Get(walk) != 0 {
-			qx += 0.5
+		qx := 0.0
+		if k, ok := eng.key(walk); ok {
+			qx = counts.get(k) / (2 * float64(max32(g.Degree(walk), 1)))
+			if inS.get(k) != 0 {
+				qx += 0.5
+			}
 		}
 		u := esThreshold(&r, qx, opts.GrowOnly)
 		// Candidates: current members plus every vertex that received a
 		// count (the engine round's touched set). Membership and counts are
 		// exact integers, so the comparison below matches the sequential
 		// version bit for bit, in every frontier mode.
-		qAbove := func(v uint32, count float64) bool {
-			q := count / (2 * float64(g.Degree(v)))
-			if inS.Get(v) != 0 {
+		qAbove := func(k uint32, count float64) bool {
+			q := count / (2 * float64(eng.degree(k)))
+			if inS.get(k) != 0 {
 				q += 0.5
 			}
 			return q >= u
 		}
 		nextMembers := eng.advance(counts, nil, qAbove)
-		// Members with no incident S-edge (possible only for isolated
-		// oddities) would be missed by the counts table; S's vertices all
-		// have Q >= 1/2 contribution checked through candidates because
-		// every member of S with degree > 0 receives a count from its
-		// neighbors only if a neighbor is in S. Handle the general case by
-		// also filtering S itself and merging without duplicates.
-		extra := ligra.VertexFilter(procs, S, func(v uint32) bool {
-			return counts.Get(v) == 0 && qAbove(v, 0)
-		})
-		merged := append(append([]uint32{}, nextMembers.IDs()...), extra.IDs()...)
-		S = ligra.FromIDs(merged)
-		if S.IsEmpty() {
+		// A member with no neighbour in S receives no count, so the
+		// candidates above miss it: filter S itself for those and merge
+		// without duplicates.
+		merged := append([]uint32{}, nextMembers...)
+		for _, k := range S {
+			if counts.get(k) == 0 && qAbove(k, 0) {
+				merged = append(merged, k)
+			}
+		}
+		// inS is S's indicator: clear the old members, then mark the new.
+		for _, k := range S {
+			inS.add(k, -1)
+		}
+		S = merged
+		if len(S) == 0 {
 			// Unreachable under the coupling; defensive stop.
 			res := best.result()
 			res.Steps = step + 1
 			return res, st
 		}
-		inS.reset(procs, S.Size())
-		ligra.VertexMap(procs, S, func(v uint32) { inS.AddOwned(v, 1) })
-		best.update(S.IDs())
+		for _, k := range S {
+			inS.add(k, 1)
+		}
+		members = members[:0]
+		for _, k := range S {
+			members = append(members, eng.vertex(k))
+		}
+		best.update(members)
 		if opts.TargetPhi > 0 && best.phi <= opts.TargetPhi {
 			res := best.result()
 			res.Steps = step + 1

@@ -20,7 +20,6 @@ import (
 
 	"parcluster/internal/gen"
 	"parcluster/internal/graph"
-	"parcluster/internal/ligra"
 	"parcluster/internal/parallel"
 	"parcluster/internal/sparse"
 	"parcluster/internal/workspace"
@@ -187,49 +186,111 @@ func TestDenseModeForcesDenseStructures(t *testing.T) {
 	if eng2 := newFrontierEngine(g, 2, FrontierSparse, &Stats{}, ws, nil); eng2.useDense(1<<20, 1<<40) {
 		t.Fatal("FrontierSparse engine chose the dense path")
 	}
-	v := newVec(g.NumVertices(), FrontierDense, 4, ws)
-	if _, ok := v.Table.(*sparse.Dense); !ok {
-		t.Fatalf("FrontierDense vec backed by %T, want *sparse.Dense", v.Table)
+	if v := eng.vector(false); v.d == nil {
+		t.Fatal("FrontierDense vector is not flat")
+	}
+	if eng.idx != nil {
+		t.Fatal("FrontierDense engine borrowed an index")
 	}
 }
 
-// TestVecPromotion pins the hash -> dense promotion: an auto-mode vector
-// promotes (sticky, preserving entries) once its bound crosses
-// n/workspace.PromoteFrac, and a sparse-mode vector never does.
+// TestVecPromotion pins the index -> dense promotion: an auto-mode run's
+// vectors start as columns of its index and promote together (sticky,
+// preserving entries, the frontier's keys turned into vertices) once a
+// round's support bound crosses n/workspace.PromoteFrac, and a sparse-mode
+// run never promotes.
 func TestVecPromotion(t *testing.T) {
-	const n = 1024
-	v := newVec(n, FrontierAuto, 4, workspace.New(n))
-	v.Add(7, 1.5)
-	v.Add(9, 2.5)
-	if _, ok := v.Table.(*sparse.ConcurrentMap); !ok {
-		t.Fatalf("auto vec should start as a hash table, got %T", v.Table)
+	g := gen.CommunityGraph(1, 4096, 8, 4, 20, 60, 2.5, 5)
+	n := g.NumVertices()
+	source := func(int, uint32) (float64, float64) { return 0, 1 }
+	for _, mode := range []FrontierMode{FrontierAuto, FrontierSparse} {
+		eng := newFrontierEngine(g, 1, mode, &Stats{}, workspace.New(n), nil)
+		keep, scratch := eng.vector(false), eng.vector(true)
+		keys := eng.seed(keep, []uint32{7, 9}, 1.5)
+		if keep.d != nil || keep.get(keys[1]) != 1.5 || eng.vertex(keys[1]) != 9 {
+			t.Fatalf("%v: seeded vector is not an index column holding its entries", mode)
+		}
+		// A frontier under the bound stays indexed.
+		eng.round(keys[:1], roundSpec{scratch: scratch, source: source})
+		if keep.d != nil || scratch.d != nil {
+			t.Fatalf("%v: a small round promoted", mode)
+		}
+		// A frontier whose bound crosses n/PromoteFrac promotes every vector.
+		big := make([]uint32, 0, n/workspace.PromoteFrac)
+		for v := uint32(0); len(big) < cap(big); v++ {
+			big = append(big, v)
+		}
+		frontier := eng.seed(scratch, big, 0)
+		eng.round(frontier, roundSpec{scratch: scratch, source: source})
+		if promoted := keep.d != nil && scratch.d != nil && eng.idx == nil; promoted != (mode == FrontierAuto) {
+			t.Fatalf("%v: promoted = %v", mode, promoted)
+		}
+		if mode != FrontierAuto {
+			continue
+		}
+		if keep.get(7) != 1.5 || keep.get(9) != 1.5 || keep.d.Len() != 2 {
+			t.Fatalf("promotion lost entries: %v %v len=%d", keep.get(7), keep.get(9), keep.d.Len())
+		}
+		for i, v := range frontier {
+			if v != uint32(i) {
+				t.Fatalf("frontier key %d is %d after promotion, want vertex %d", i, v, i)
+			}
+		}
 	}
-	v.reserve(n / workspace.PromoteFrac / 2)
-	if _, ok := v.Table.(*sparse.ConcurrentMap); !ok {
-		t.Fatalf("small reserve must not promote, got %T", v.Table)
+}
+
+// TestSharedIndexRoundMatchesSerial drives the rounds several workers share
+// through the index: pinned sparse, eight workers, fronts of more than one
+// traversal chunk, so slots are claimed with a CAS and the counter and
+// values are added atomically. Every kernel must agree with its one-worker
+// run under the schedule-dependent contract (same Stats, same support,
+// entries within 1e-12), from a fresh index and a recycled one.
+func TestSharedIndexRoundMatchesSerial(t *testing.T) {
+	g := gen.CommunityGraph(1, 20_000, 12, 6, 50, 400, 2.5, 31)
+	pool := workspace.NewPool(g.NumVertices())
+	for name, kernel := range map[string]func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats){
+		"prnibble": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
+			return PRNibbleRun(g, []uint32{seed}, 0.05, 2e-5, OptimizedRule, 1, cfg)
+		},
+		"prnibble-beta": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
+			return PRNibbleRun(g, []uint32{seed}, 0.05, 2e-5, OriginalRule, 0.5, cfg)
+		},
+		"nibble": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
+			return NibbleRun(g, []uint32{seed}, 1e-5, 5, cfg)
+		},
+		"hkpr": func(g graph.Graph, seed uint32, cfg RunConfig) (*sparse.Vector, Stats) {
+			return HKPRRun(g, []uint32{seed}, 5, 8, 1e-4, cfg)
+		},
+	} {
+		want := runKernel(func() (*sparse.Vector, Stats) { return kernel(g, 11, RunConfig{Procs: 1, Frontier: FrontierSparse}) })
+		rec := &recordingObserver{}
+		for i, cfg := range []RunConfig{
+			{Procs: 8, Frontier: FrontierSparse, Observer: rec},
+			{Procs: 8, Frontier: FrontierSparse, Workspace: pool},
+			{Procs: 8, Frontier: FrontierSparse, Workspace: pool},
+		} {
+			got := runKernel(func() (*sparse.Vector, Stats) { return kernel(g, 11, cfg) })
+			requireEquivalentRuns(t, fmt.Sprintf("%s/run %d", name, i), g, false, 0, want, got)
+		}
+		shared := 0
+		for _, ev := range rec.events {
+			if ev.edges > serialRoundEdges {
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("%s: no round exceeded one traversal chunk: nothing ran shared", name)
+		}
 	}
-	v.reserve(n/workspace.PromoteFrac + 1)
-	if _, ok := v.Table.(*sparse.Dense); !ok {
-		t.Fatalf("crossing the bound must promote, got %T", v.Table)
-	}
-	if v.Get(7) != 1.5 || v.Get(9) != 2.5 || v.Len() != 2 {
-		t.Fatalf("promotion lost entries: %v %v len=%d", v.Get(7), v.Get(9), v.Len())
-	}
-	// Reset with a large bound promotes too, but starts empty.
-	v2 := newVec(n, FrontierAuto, 4, workspace.New(n))
-	v2.Add(3, 1)
-	v2.reset(2, n)
-	if _, ok := v2.Table.(*sparse.Dense); !ok {
-		t.Fatalf("reset past the bound must promote, got %T", v2.Table)
-	}
-	if v2.Len() != 0 || v2.Get(3) != 0 {
-		t.Fatalf("reset-promotion must clear: len=%d", v2.Len())
-	}
-	// Sparse mode never promotes.
-	vs := newVec(n, FrontierSparse, 4, workspace.New(n))
-	vs.reset(2, 4*n)
-	if _, ok := vs.Table.(*sparse.ConcurrentMap); !ok {
-		t.Fatalf("sparse-mode vec promoted to %T", vs.Table)
+	opts := EvolvingSetOptions{MaxIter: 40, Seed: 5, Procs: 1, Frontier: FrontierSparse, GrowOnly: true}
+	want, wantSt := EvolvingSetPar(g, 11, opts)
+	opts.Procs, opts.Workspace = 8, pool
+	for i := 0; i < 2; i++ {
+		got, gotSt := EvolvingSetPar(g, 11, opts)
+		if gotSt != wantSt || got.Conductance != want.Conductance || len(got.Set) != len(want.Set) {
+			t.Fatalf("evolving sets, run %d: %+v φ=%v |S|=%d, want %+v φ=%v |S|=%d",
+				i, gotSt, got.Conductance, len(got.Set), wantSt, want.Conductance, len(want.Set))
+		}
 	}
 }
 
@@ -282,7 +343,7 @@ func BenchmarkFrontierModeCrossover(b *testing.B) {
 			vol += uint64(g.Degree(order[size]))
 			size++
 		}
-		frontier := ligra.FromIDs(order[:size])
+		frontier := order[:size]
 		for _, procs := range []int{1, 0} {
 			for _, mode := range []FrontierMode{FrontierSparse, FrontierDense} {
 				name := "push"
@@ -292,12 +353,12 @@ func BenchmarkFrontierModeCrossover(b *testing.B) {
 				b.Run(fmt.Sprintf("vol=1_%d/procs=%d/%s", den, parallel.ResolveProcs(procs), name), func(b *testing.B) {
 					ws := workspace.New(n)
 					var st Stats
-					r := newVec(n, FrontierDense, 0, ws)
-					delta := newVec(n, FrontierDense, 0, ws)
-					eng := newFrontierEngine(g, parallel.ResolveProcs(procs), mode, &st, ws, nil)
-					spec := roundSpec{scratch: delta, source: func(_ int, v uint32) float64 {
-						delta.AddOwned(v, -0.25)
-						return 0.5 / float64(g.Degree(v))
+					// Flat vectors from the start, then the mode under test.
+					eng := newFrontierEngine(g, parallel.ResolveProcs(procs), FrontierDense, &st, ws, nil)
+					r, delta := eng.vector(false), eng.vector(true)
+					eng.mode = mode
+					spec := roundSpec{scratch: delta, self: true, source: func(_ int, v uint32) (float64, float64) {
+						return -0.25, 0.5 / float64(g.Degree(v))
 					}}
 					keep := func(v uint32, rv float64) bool { return rv >= 1e-3*float64(g.Degree(v)) }
 					b.ResetTimer()

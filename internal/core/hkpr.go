@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"parcluster/internal/graph"
-	"parcluster/internal/ligra"
 	"parcluster/internal/parallel"
 	"parcluster/internal/sparse"
 )
@@ -135,15 +134,9 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 	}
 	var st Stats
 	psi := psiTable(t, N)
-	r := newVec(n, cfg.Frontier, len(seeds), ws)
-	w := 1 / float64(len(seeds))
-	for _, s := range seeds {
-		r.Add(s, w)
-	}
-	p := newVec(n, cfg.Frontier, 16, ws)
-	frontier := ligra.FromIDs(seeds)
-	rNext := newVec(n, cfg.Frontier, 4, ws)
 	eng := newFrontierEngine(g, procs, cfg.Frontier, &st, ws, cfg.Observer)
+	r, p, rNext := eng.vector(true), eng.vector(false), eng.vector(true)
+	frontier := eng.seed(r, seeds, 1/float64(len(seeds)))
 	// Hoisted out of the loop so the steady-state rounds cost no closure
 	// allocations: the closures track r/rNext swaps and the per-round scalar
 	// through the captured variables, updated before each round. Only the
@@ -153,17 +146,16 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 		jn     int
 	)
 	spec := roundSpec{
-		before: func(size int, vol uint64) { p.reserve(size + int(vol)) },
-		source: func(_ int, v uint32) float64 {
-			rv := r.Get(v)
-			p.AddOwned(v, rv)
-			return tOverJ * rv / float64(g.Degree(v))
+		source: func(_ int, k uint32) (float64, float64) {
+			rv := r.get(k)
+			p.add(k, rv)
+			return 0, tOverJ * rv / float64(eng.degree(k))
 		},
 	}
-	above := func(v uint32, rv float64) bool {
-		return rv >= hkThreshold(t, eps, N, psi, g.Degree(v), jn)
+	above := func(k uint32, rv float64) bool {
+		return rv >= hkThreshold(t, eps, N, psi, eng.degree(k), jn)
 	}
-	for j := 0; !frontier.IsEmpty(); j++ {
+	for j := 0; len(frontier) > 0; j++ {
 		if cancelled(cfg.Cancel) {
 			break // partial vector; see RunConfig.Cancel
 		}
@@ -173,10 +165,10 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 			eng.round(frontier, roundSpec{
 				scratch:    p,
 				accumulate: true,
-				source: func(_ int, v uint32) float64 {
-					rv := r.Get(v)
-					p.AddOwned(v, rv)
-					return rv / float64(g.Degree(v))
+				self:       true,
+				source: func(_ int, k uint32) (float64, float64) {
+					rv := r.get(k)
+					return rv, rv / float64(eng.degree(k))
 				},
 			})
 			break
@@ -188,7 +180,7 @@ func HKPRRun(g graph.Graph, seeds []uint32, t float64, N int, eps float64, cfg R
 		frontier = eng.advance(rNext, nil, above)
 		r, rNext = rNext, r
 	}
-	out := sparse.Snapshot(p, math.Exp(-t))
+	out := eng.snapshot(p, math.Exp(-t))
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -31,6 +32,10 @@ var localBench struct {
 	once  sync.Once
 	g     *graph.CSR
 	seeds []uint32
+
+	lgzOnce sync.Once
+	lgz     *graph.CCSR
+	lgzErr  error
 }
 
 // localBenchGraph builds (once per process) the harness's serving graph and
@@ -50,13 +55,29 @@ func localBenchGraph() (*graph.CSR, []uint32) {
 	return localBench.g, localBench.seeds
 }
 
+// localBenchLGZ returns (once per process) the serving graph as the
+// workloads serve it: the .lgz image of localBenchGraph, read back.
+func localBenchLGZ(b *testing.B) *graph.CCSR {
+	g, _ := localBenchGraph()
+	localBench.lgzOnce.Do(func() {
+		var buf bytes.Buffer
+		if localBench.lgzErr = graph.WriteCompressed(1, &buf, g); localBench.lgzErr == nil {
+			localBench.lgz, localBench.lgzErr = graph.NewCompressed(buf.Bytes())
+		}
+	})
+	if localBench.lgzErr != nil {
+		b.Fatal(localBench.lgzErr)
+	}
+	return localBench.lgz
+}
+
 // requireLocalAnswers is the pre-timing check: every query, run the way the
 // benchmark times it (one worker, recycled workspace), is held to
 // requireEquivalentRuns against a run on fresh allocations — bit-identical,
 // mass-conserving, below the push threshold at exit — and to the sequential
 // reference: both vectors under-approximate the same PageRank vector by less
 // than eps*d(v), so they are that close to each other.
-func requireLocalAnswers(b *testing.B, g *graph.CSR, seeds []uint32, cfg RunConfig) {
+func requireLocalAnswers(b *testing.B, g graph.Graph, seeds []uint32, cfg RunConfig) {
 	b.Helper()
 	for _, s := range seeds {
 		seed := []uint32{s}
@@ -83,6 +104,18 @@ func requireLocalAnswers(b *testing.B, g *graph.CSR, seeds []uint32, cfg RunConf
 // what it costs per edge it touches.
 func BenchmarkLocalQuery(b *testing.B) {
 	g, seeds := localBenchGraph()
+	benchLocalQuery(b, g, seeds)
+}
+
+// BenchmarkLocalQueryLGZ is BenchmarkLocalQuery on the storage serve-local
+// runs on: the same graph and seeds, round-tripped through the .lgz
+// encoding, so every adjacency list the query reads is decoded.
+func BenchmarkLocalQueryLGZ(b *testing.B) {
+	_, seeds := localBenchGraph()
+	benchLocalQuery(b, localBenchLGZ(b), seeds)
+}
+
+func benchLocalQuery(b *testing.B, g graph.Graph, seeds []uint32) {
 	cfg := RunConfig{Procs: 1, Workspace: workspace.NewPool(g.NumVertices())}
 	requireLocalAnswers(b, g, seeds, cfg)
 	var edges int64

@@ -2,7 +2,6 @@ package core
 
 import (
 	"parcluster/internal/graph"
-	"parcluster/internal/ligra"
 	"parcluster/internal/parallel"
 	"parcluster/internal/sparse"
 )
@@ -83,26 +82,21 @@ func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig)
 	n := g.NumVertices()
 	ws := acquireWorkspace(cfg.Workspace, n)
 	var st Stats
-	p := newVec(n, cfg.Frontier, len(seeds), ws)
-	w := 1 / float64(len(seeds))
-	for _, s := range seeds {
-		p.Add(s, w)
-	}
-	frontier := ligra.FromIDs(seeds)
-	next := newVec(n, cfg.Frontier, len(seeds), ws)
 	eng := newFrontierEngine(g, procs, cfg.Frontier, &st, ws, cfg.Observer)
+	p, next := eng.vector(true), eng.vector(true)
+	frontier := eng.seed(p, seeds, 1/float64(len(seeds)))
 	// Hoisted out of the loop so each round costs no closure allocations;
-	// the closures track the p/next swap through the captured variables, and
+	// the closure tracks the p/next swap through the captured variables, and
 	// only scratch (a plain field) must be re-pointed per round.
 	spec := roundSpec{
-		source: func(_ int, v uint32) float64 {
-			pv := p.Get(v)
-			next.AddOwned(v, pv/2)
-			return pv / (2 * float64(g.Degree(v)))
+		self: true,
+		source: func(_ int, k uint32) (float64, float64) {
+			pv := p.get(k)
+			return pv / 2, pv / (2 * float64(eng.degree(k)))
 		},
 	}
-	above := func(v uint32, pv float64) bool {
-		return pv >= eps*float64(g.Degree(v))
+	above := func(k uint32, pv float64) bool {
+		return pv >= eps*float64(eng.degree(k))
 	}
 	for t := 1; t <= T; t++ {
 		if cancelled(cfg.Cancel) {
@@ -111,12 +105,12 @@ func NibbleRun(g graph.Graph, seeds []uint32, eps float64, T int, cfg RunConfig)
 		spec.scratch = next
 		eng.round(frontier, spec)
 		frontier = eng.advance(next, nil, above)
-		if frontier.IsEmpty() {
+		if len(frontier) == 0 {
 			break // p_{t-1}, per Figure 3 lines 15–16
 		}
 		p, next = next, p
 	}
-	out := sparse.Snapshot(p, 1)
+	out := eng.snapshot(p, 1)
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)

@@ -50,84 +50,90 @@ func PRNibbleRun(g graph.Graph, seeds []uint32, alpha, eps float64, rule PushRul
 	}
 	var st Stats
 	pGain, edgeShare, selfKeep := rule.coefficients(alpha)
-	p := newVec(n, cfg.Frontier, 16, ws)
-	r := newVec(n, cfg.Frontier, len(seeds), ws)
-	w := 1 / float64(len(seeds))
-	for _, s := range seeds {
-		r.Add(s, w)
-	}
-	// above is the push condition on a residual rv = r[v]. Most touched
+	eng := newFrontierEngine(g, procs, cfg.Frontier, &st, ws, cfg.Observer)
+	p, r, delta := eng.vector(false), eng.vector(false), eng.vector(true)
+	// above is the push condition on a residual rv = r[k]. Most touched
 	// vertices hold less than eps, the threshold of a degree-1 vertex, and
-	// are turned away without a look at the graph.
-	above := func(v uint32, rv float64) bool {
+	// are turned away without a look at the degree.
+	above := func(k uint32, rv float64) bool {
 		if rv < eps {
 			return false
 		}
-		d := g.Degree(v)
+		d := eng.degree(k)
 		return d > 0 && rv >= eps*float64(d)
 	}
-	frontier := ligra.VertexFilter(procs, ligra.FromIDs(seeds), func(v uint32) bool { return above(v, r.Get(v)) })
+	frontier := eng.seed(r, seeds, 1/float64(len(seeds)))[:0]
+	for _, k := range seeds {
+		if above(k, r.get(k)) {
+			frontier = append(frontier, k)
+		}
+	}
 	// The β-fraction comparator is loop-invariant (it reads r through the
 	// captured variable); building it once keeps the per-round ranking free
-	// of the closure allocations the generic sort would otherwise force.
+	// of the closure allocations the generic sort would otherwise force. It
+	// reads degrees from the graph: the parallel sort may compare a key in
+	// two workers at once, and the engine's degree column is written on
+	// first read.
 	var betaLess func(a, b uint32) bool
 	if beta < 1 {
 		betaLess = func(a, b uint32) bool {
-			sa := r.Get(a) / float64(g.Degree(a))
-			sb := r.Get(b) / float64(g.Degree(b))
+			va, vb := eng.vertex(a), eng.vertex(b)
+			sa := r.get(a) / float64(g.Degree(va))
+			sb := r.get(b) / float64(g.Degree(vb))
 			if sa != sb {
 				return sa > sb
 			}
-			return a < b
+			return va < vb
 		}
 	}
-	delta := newVec(n, cfg.Frontier, 16, ws)
-	eng := newFrontierEngine(g, procs, cfg.Frontier, &st, ws, cfg.Observer)
-	// The spec is loop-invariant (its closures read r/p/delta through the
-	// captured variables), so build it once: a per-round literal costs two
-	// heap-escaping closures every synchronous round.
+	// The spec is loop-invariant (its closure reads r and p through the
+	// captured variables), so build it once: a per-round literal costs a
+	// heap-escaping closure every synchronous round.
 	spec := roundSpec{
 		scratch: delta,
-		before:  func(size int, _ uint64) { p.reserve(size) },
-		source: func(_ int, v uint32) float64 {
-			rv := r.Get(v)
-			p.AddOwned(v, pGain*rv)
-			// Self-update as a commutative delta: r[v] becomes
+		self:    true,
+		source: func(_ int, k uint32) (float64, float64) {
+			rv := r.get(k)
+			p.add(k, pGain*rv)
+			// Self-update as a commutative delta: r[k] becomes
 			// selfKeep*rv, i.e. changes by (selfKeep-1)*rv.
-			delta.AddOwned(v, (selfKeep-1)*rv)
-			return edgeShare * rv / float64(g.Degree(v))
+			return (selfKeep - 1) * rv, edgeShare * rv / float64(eng.degree(k))
 		},
 	}
 	var rest []uint32 // this round's ranked-out vertices (beta < 1 only)
-	for !frontier.IsEmpty() {
+	for len(frontier) > 0 {
 		if cancelled(cfg.Cancel) {
 			break // partial vector; see RunConfig.Cancel
 		}
-		if beta < 1 && frontier.Size() > 1 {
-			frontier, rest = topBetaFraction(procs, frontier, beta, ws, betaLess)
+		if beta < 1 && len(frontier) > 1 {
+			var kept ligra.VertexSubset
+			kept, rest = topBetaFraction(procs, ligra.FromIDs(frontier), beta, ws, betaLess)
+			frontier = kept.IDs()
+			// The round may promote the run, which changes what a key is:
+			// the ranked-out wait as vertices.
+			for i, k := range rest {
+				rest[i] = eng.vertex(k)
+			}
 		}
 		eng.round(frontier, spec)
 		// Merge the deltas into r; only touched entries change, so the next
 		// frontier is a filter over exactly the touched keys.
 		frontier = eng.advance(delta, r, above)
-		if len(rest) > 0 {
-			// A ranked-out vertex was not pushed, so it is still above the
-			// threshold. The filter found the ones a neighbour's push
-			// touched; the others join the frontier here, or nothing would
-			// look at them again and the run could end with r[v] >= eps*d(v).
-			ids := frontier.IDs()
-			for _, v := range rest {
-				if !delta.Has(v) {
-					ids = append(ids, v)
-				}
+		// A ranked-out vertex was not pushed, so it is still above the
+		// threshold. The filter found the ones a neighbour's push touched;
+		// the others join the frontier here, or nothing would look at them
+		// again and the run could end with r[v] >= eps*d(v).
+		for _, v := range rest {
+			if k, _ := eng.key(v); !eng.touched(delta, k) {
+				frontier = append(frontier, k)
 			}
-			frontier, rest = ligra.FromIDs(ids), nil
 		}
+		rest = nil
 	}
 	if prNibbleResidualSink != nil {
-		prNibbleResidualSink(sparse.Snapshot(r, 1))
+		prNibbleResidualSink(eng.snapshot(r, 1))
 	}
-	out := sparse.Snapshot(p, 1)
+	out := eng.snapshot(p, 1)
 	// Release only on the non-panicking path (see acquireWorkspace); the
 	// result was snapshotted out of the workspace first.
 	ws.Release(procs)

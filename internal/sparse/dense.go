@@ -185,10 +185,6 @@ func (d *Dense) Reset(p, _ int) {
 	d.ntouched.Store(0)
 }
 
-// Reserve is a no-op: a Dense vector always has capacity for its whole
-// universe.
-func (d *Dense) Reserve(int) {}
-
 // Keys returns the touched keys, in unspecified order. The slice aliases
 // internal storage: it must not be modified and is valid until the next
 // Reset. Must not run concurrently with writers.
@@ -229,10 +225,10 @@ func (d *Dense) ForEach(fn func(k uint32, v float64)) {
 	}
 }
 
-// PromoteToDense copies a hash-table vector into a fresh Dense over [0, n).
-// It is the hash -> array promotion step of the adaptive vector: called at
-// a phase boundary when the support bound crosses the promotion threshold.
-func PromoteToDense(n int, from *ConcurrentMap) *Dense {
+// PromoteToDense copies a vector's entries into a fresh Dense over [0, n).
+// It is the index -> array promotion step of a diffusion run: called at a
+// phase boundary when the support bound crosses the promotion threshold.
+func PromoteToDense(n int, from Source) *Dense {
 	d := NewDense(n)
 	from.ForEach(func(k uint32, v float64) { d.Set(k, v) })
 	return d

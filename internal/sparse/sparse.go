@@ -1,26 +1,28 @@
 // Package sparse implements the sparse-set representations the paper's local
-// algorithms depend on (§2 "Sparse Sets"): a sequential map-backed set and a
-// lock-free concurrent hash table in the style of the phase-concurrent table
-// of Shun & Blelloch [42], plus the flat Dense vector and the 64-lane Lanes
-// bank the parallel kernels promote to or batch in. A finished diffusion
-// leaves its table as a Vector: Snapshot copies the nonzero entries once
-// into two owned slices, IDs and values, which is all the sweep cut reads.
+// algorithms depend on (§2 "Sparse Sets"): the vertex → slot Index one
+// diffusion run shares between all of its vectors (index.go), a sequential
+// map-backed set, a lock-free concurrent hash table in the style of the
+// phase-concurrent table of Shun & Blelloch [42], and the flat Dense vector
+// and the 64-lane Lanes bank the parallel kernels promote to or batch in. A
+// finished diffusion leaves its vector as a Vector: Snapshot copies the
+// nonzero entries once into two owned slices, IDs and values, which is all
+// the sweep cut reads.
 //
 // A sparse set stores (vertex, float64) pairs with the paper's ⊥ = 0
 // convention: reading an absent key yields 0, and updating an absent key
-// implicitly creates it. Both implementations expose Add (the paper's
-// fetch-and-add), Set, Get, and iteration; the concurrent table additionally
-// reports on Add whether the call created the entry and lists its keys,
-// which is how a diffusion round learns the vertices its edge traversal
-// touched without any graph-sized scratch array.
+// implicitly creates it. The sets expose Add (the paper's fetch-and-add),
+// Set, Get, and iteration. A diffusion run keeps its vectors as plain
+// columns beside its Index instead, so it hashes a vertex once per edge
+// whatever the number of vectors, and learns the vertices a round touched
+// from the index's round stamps, without any graph-sized scratch array.
 //
-// The concurrent table is open-addressing with linear probing over
-// power-of-two capacity. Keys are claimed with compare-and-swap; values are
-// accumulated with a CAS loop on the math.Float64bits image (an atomic
-// floating-point fetch-and-add). It is phase-concurrent in the paper's
-// sense: any number of goroutines may Add/Set/Get concurrently, while
-// capacity changes (Reserve/Reset) must happen between parallel phases.
-// Capacity is always reserved up front from the known per-iteration bound
+// The hash tables are open-addressing with linear probing over power-of-two
+// capacity at no more than 50% load. Keys are claimed with compare-and-swap;
+// values are accumulated with a CAS loop on the math.Float64bits image (an
+// atomic floating-point fetch-and-add). They are phase-concurrent in the
+// paper's sense: any number of goroutines may claim and add concurrently,
+// while capacity changes must happen between parallel phases. Capacity for
+// a shared phase is reserved up front from the known per-iteration bound
 // (frontier size + frontier volume), exactly as the paper sizes its tables.
 package sparse
 
@@ -28,55 +30,12 @@ import (
 	"math"
 	"runtime"
 	"sync/atomic"
-
-	"parcluster/internal/parallel"
 )
-
-// Table is the concurrent accumulator interface the diffusion frontier
-// engine drives: phase-concurrent Add/Set/Get with capacity management at
-// phase boundaries. It is implemented by ConcurrentMap (open-addressing hash
-// table plus a creation log) and by Dense (flat graph-sized array plus a
-// touched list); either way work is proportional to the entries actually
-// touched, and a table that only ever had one writer lists them in the order
-// it created them. The engine promotes from the former to the latter when a
-// vector's support bound crosses a fraction of n.
-type Table interface {
-	Source
-	// Get returns the value for k, or 0 if absent (⊥ = 0).
-	Get(k uint32) float64
-	// Add atomically accumulates delta into k's value and reports whether
-	// this call created the entry.
-	Add(k uint32, delta float64) (created bool)
-	// AddOwned is Add for a phase in which the calling goroutine is the only
-	// one that reads or writes k, which lets the value update skip the CAS.
-	AddOwned(k uint32, delta float64)
-	// AddSerial is Add for a phase in which one goroutine has the whole
-	// table to itself, so nothing needs to be atomic. It returns k's new
-	// value.
-	AddSerial(k uint32, delta float64) float64
-	// Set atomically overwrites k's value and reports whether this call
-	// created the entry.
-	Set(k uint32, v float64) (created bool)
-	// Has reports whether k has an entry, whatever its value.
-	Has(k uint32) bool
-	// Keys returns all present keys using p workers, in the order ForEach
-	// visits them. Must not run concurrently with writers.
-	Keys(p int) []uint32
-	// Sum returns the sum of all values using p workers. Must not run
-	// concurrently with writers.
-	Sum(p int) float64
-	// Reset clears the table and ensures capacity for at least capacity
-	// entries (phase boundary only).
-	Reset(p, capacity int)
-	// Reserve grows the table so that extra more entries fit (phase
-	// boundary only).
-	Reserve(extra int)
-}
 
 var (
 	_ Source = (*Map)(nil)
-	_ Table  = (*ConcurrentMap)(nil)
-	_ Table  = (*Dense)(nil)
+	_ Source = (*ConcurrentMap)(nil)
+	_ Source = (*Dense)(nil)
 )
 
 // emptyKey marks an unoccupied slot. Vertex IDs must be < MaxUint32.
@@ -137,21 +96,21 @@ func (m *Map) ForEach(fn func(k uint32, v float64)) {
 	}
 }
 
-// ConcurrentMap is the lock-free sparse set used by the parallel algorithms.
-// Construct with NewConcurrent; the zero value is not usable.
+// ConcurrentMap is the lock-free sparse set of the sweep's rank table and
+// rand-HK-PR's walk counts. Construct with NewConcurrent, sized for
+// everything it will hold; the zero value is not usable.
 //
 // Besides the open-addressing arrays the table keeps a creation log: the
-// slot of every entry created since the last Reset. Len, Keys, ForEach, Sum,
-// Reset and Reserve's rehash walk the log, so each costs the entries the
-// table holds, never its capacity — the locality the algorithms' work
-// bounds rest on. One writer logs in program order, so what it reads back
-// does not depend on the table's capacity or its hash function.
+// slot of every entry created. Len and ForEach walk the log, so each costs
+// the entries the table holds, never its capacity. One writer logs in
+// program order, so what it reads back does not depend on the table's
+// capacity or its hash function.
 type ConcurrentMap struct {
 	keys []uint32 // emptyKey = free slot; claimed with CAS
 	vals []uint64 // math.Float64bits of the value; updated with CAS loops
 	mask uint32
 	// log[:n] is the creation log, with room for the entries the table holds
-	// at 50% load — what Reserve and Reset size it for; one more is the
+	// at 50% load — what NewConcurrent sizes it for; one more is the
 	// overflow. n advances by atomic add, or by a plain increment when the
 	// writer is alone (the *Serial operations).
 	log []uint32
@@ -161,8 +120,16 @@ type ConcurrentMap struct {
 // NewConcurrent returns a concurrent sparse set able to hold at least
 // capacity entries without exceeding a 50% load factor.
 func NewConcurrent(capacity int) *ConcurrentMap {
-	m := &ConcurrentMap{}
-	m.alloc(capacity)
+	size := tableSize(capacity)
+	m := &ConcurrentMap{
+		keys: make([]uint32, size),
+		vals: make([]uint64, size),
+		mask: uint32(size - 1),
+		log:  make([]uint32, size/2),
+	}
+	for i := range m.keys {
+		m.keys[i] = emptyKey
+	}
 	return m
 }
 
@@ -177,35 +144,11 @@ func tableSize(capacity int) int {
 	return size
 }
 
-func (m *ConcurrentMap) alloc(capacity int) {
-	size := tableSize(capacity)
-	m.keys = make([]uint32, size)
-	for i := range m.keys {
-		m.keys[i] = emptyKey
-	}
-	m.vals = make([]uint64, size)
-	m.mask = uint32(size - 1)
-	m.log = make([]uint32, size/2)
-	m.n = 0
-}
-
 // Len returns the number of entries. Safe to call concurrently; the value is
 // exact once all concurrent Adds have completed.
 func (m *ConcurrentMap) Len() int { return int(atomic.LoadUint32(&m.n)) }
 
-// Cap returns the number of entries the table holds without growing.
-func (m *ConcurrentMap) Cap() int { return len(m.log) }
-
-// Bytes returns the size of the table's arrays: keys, values and log.
-func (m *ConcurrentMap) Bytes() int64 {
-	return 4*int64(len(m.keys)) + 8*int64(len(m.vals)) + 4*int64(len(m.log))
-}
-
-// TableCap returns the Cap of a table reset or reserved for capacity
-// entries: capacity rounded up to a power of two, at least 4.
-func TableCap(capacity int) int { return tableSize(capacity) / 2 }
-
-const overflowMsg = "sparse: ConcurrentMap overflow; Reserve was not called with a sufficient bound"
+const overflowMsg = "sparse: ConcurrentMap overflow; NewConcurrent was not given a sufficient bound"
 
 // findOrClaim returns the slot index for key k, claiming an empty slot if k
 // is not present. created reports whether this call inserted k.
@@ -222,8 +165,8 @@ func (m *ConcurrentMap) findOrClaim(k uint32) (slot uint32, created bool) {
 		}
 		if cur == emptyKey {
 			if atomic.CompareAndSwapUint32(&m.keys[i], emptyKey, k) {
-				// Callers Reserve/Reset with a per-phase bound, so outgrowing
-				// the log means that bound was wrong.
+				// Callers size the table with a bound, so outgrowing the log
+				// means that bound was wrong.
 				at := atomic.AddUint32(&m.n, 1) - 1
 				if int(at) >= len(m.log) {
 					panic(overflowMsg)
@@ -293,9 +236,6 @@ func (m *ConcurrentMap) Get(k uint32) float64 {
 	return math.Float64frombits(atomic.LoadUint64(&m.vals[i]))
 }
 
-// Has reports whether k is present.
-func (m *ConcurrentMap) Has(k uint32) bool { return m.find(k) >= 0 }
-
 // Add atomically accumulates delta into k's value (the paper's
 // fetch-and-add), creating the entry if needed, and reports whether this
 // call created it. Safe for any number of concurrent callers.
@@ -309,14 +249,6 @@ func (m *ConcurrentMap) Add(k uint32, delta float64) (created bool) {
 			return created
 		}
 	}
-}
-
-// AddOwned is Add for a phase in which the calling goroutine is the only one
-// that reads or writes k: the slot is still claimed with CAS (other keys
-// probe through it), but the value update is a plain read-modify-write.
-func (m *ConcurrentMap) AddOwned(k uint32, delta float64) {
-	slot, _ := m.findOrClaim(k)
-	m.vals[slot] = math.Float64bits(math.Float64frombits(m.vals[slot]) + delta)
 }
 
 // AddSerial is Add for a phase in which one goroutine has the whole table to
@@ -340,79 +272,12 @@ func (m *ConcurrentMap) Set(k uint32, v float64) (created bool) {
 	return created
 }
 
-// Reset clears the table and ensures capacity for at least capacity
-// entries, using p workers for the clearing pass. Must not run concurrently
-// with other operations (phase boundary only). Only the logged slots are
-// cleared, so the cost is the entries the table held, not its capacity —
-// which therefore never needs to shrink.
-func (m *ConcurrentMap) Reset(p, capacity int) {
-	if tableSize(capacity) > len(m.keys) {
-		m.alloc(capacity)
-		return
-	}
-	keys, vals, log := m.keys, m.vals, m.log[:m.n]
-	parallel.ForRange(p, len(log), 4096, func(lo, hi int) {
-		for _, slot := range log[lo:hi] {
-			keys[slot] = emptyKey
-			vals[slot] = 0
-		}
-	})
-	m.n = 0
-}
-
-// Reserve grows the table (rehashing existing entries, which keep their
-// creation order) so that extra more entries fit. Must not run concurrently
-// with other operations (phase boundary only).
-func (m *ConcurrentMap) Reserve(extra int) {
-	need := m.Len() + extra
-	if tableSize(need) <= len(m.keys) {
-		return
-	}
-	oldKeys, oldVals, oldLog := m.keys, m.vals, m.log[:m.n]
-	m.alloc(need)
-	for _, from := range oldLog {
-		m.vals[m.findOrClaimSerial(oldKeys[from])] = oldVals[from]
-	}
-}
-
 // ForEach calls fn for every entry, in creation order. Must not run
 // concurrently with writers.
 func (m *ConcurrentMap) ForEach(fn func(k uint32, v float64)) {
 	for _, slot := range m.log[:m.n] {
 		fn(m.keys[slot], math.Float64frombits(m.vals[slot]))
 	}
-}
-
-// Keys returns all keys using p workers, in creation order. Must not run
-// concurrently with writers.
-func (m *ConcurrentMap) Keys(p int) []uint32 {
-	log := m.log[:m.n]
-	out := make([]uint32, len(log))
-	parallel.ForRange(p, len(log), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = m.keys[log[i]]
-		}
-	})
-	return out
-}
-
-// Sum returns the sum of all values using p workers. Must not run
-// concurrently with writers.
-func (m *ConcurrentMap) Sum(p int) float64 {
-	log := m.log[:m.n]
-	sums := make([]float64, (len(log)+4095)/4096)
-	parallel.ForRange(p, len(log), 4096, func(lo, hi int) {
-		s := 0.0
-		for _, slot := range log[lo:hi] {
-			s += math.Float64frombits(m.vals[slot])
-		}
-		sums[lo/4096] = s
-	})
-	s := 0.0
-	for _, v := range sums {
-		s += v
-	}
-	return s
 }
 
 // IDMap assigns dense consecutive IDs (0, 1, 2, ...) to a sparse set of

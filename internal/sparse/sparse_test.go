@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -45,7 +44,7 @@ func TestMapBasics(t *testing.T) {
 
 func TestConcurrentBasics(t *testing.T) {
 	m := NewConcurrent(10)
-	if m.Get(7) != 0 || m.Has(7) {
+	if m.Get(7) != 0 || m.Len() != 0 {
 		t.Fatal("absent key")
 	}
 	if !m.Add(7, 0.5) {
@@ -69,11 +68,10 @@ func TestConcurrentBasics(t *testing.T) {
 func TestConcurrentMatchesMapSequentially(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	ref := NewMap(0)
-	m := NewConcurrent(1)
+	m := NewConcurrent(500)
 	for i := 0; i < 5000; i++ {
 		k := uint32(r.Intn(500))
 		d := r.Float64() - 0.5
-		m.Reserve(1)
 		c1 := ref.Add(k, d)
 		c2 := m.Add(k, d)
 		if c1 != c2 {
@@ -116,7 +114,8 @@ func TestConcurrentParallelAdds(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	total := m.Sum(runtime.GOMAXPROCS(0))
+	total := 0.0
+	m.ForEach(func(_ uint32, v float64) { total += v })
 	if total != workers*addsPerWorker {
 		t.Fatalf("Sum = %v, want %d", total, workers*addsPerWorker)
 	}
@@ -124,46 +123,6 @@ func TestConcurrentParallelAdds(t *testing.T) {
 	createdCount.Range(func(_, _ any) bool { created++; return true })
 	if created != m.Len() {
 		t.Fatalf("created %d keys but Len = %d", created, m.Len())
-	}
-}
-
-func TestConcurrentReserveRehash(t *testing.T) {
-	m := NewConcurrent(4)
-	for k := uint32(0); k < 4; k++ {
-		m.Add(k, float64(k))
-	}
-	m.Reserve(1000)
-	for k := uint32(4); k < 1000; k++ {
-		m.Add(k, float64(k))
-	}
-	for k := uint32(0); k < 1000; k++ {
-		if got := m.Get(k); got != float64(k) {
-			t.Fatalf("key %d lost after rehash: %v", k, got)
-		}
-	}
-}
-
-func TestConcurrentReset(t *testing.T) {
-	m := NewConcurrent(100)
-	for k := uint32(0); k < 100; k++ {
-		m.Add(k, 1)
-	}
-	m.Reset(2, 50)
-	if m.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", m.Len())
-	}
-	for k := uint32(0); k < 100; k++ {
-		if m.Has(k) {
-			t.Fatalf("key %d survived Reset", k)
-		}
-	}
-	// Reset to a larger capacity must reallocate.
-	m.Reset(2, 10000)
-	for k := uint32(0); k < 10000; k++ {
-		m.Add(k, 1)
-	}
-	if m.Len() != 10000 {
-		t.Fatalf("Len = %d", m.Len())
 	}
 }
 
@@ -184,16 +143,13 @@ func TestConcurrentKeysAndForEach(t *testing.T) {
 			t.Fatalf("key %d: %v vs %v", k, got[k], v)
 		}
 	}
-	keys := m.Keys(4)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	if len(keys) != 64 {
-		t.Fatalf("Keys len = %d", len(keys))
-	}
-	for i, k := range keys {
-		if k != uint32(i*3) {
-			t.Fatalf("Keys[%d] = %d", i, k)
+	i := uint32(0)
+	m.ForEach(func(k uint32, _ float64) {
+		if k != i*3 {
+			t.Fatalf("ForEach's entry %d is key %d, want %d: not in creation order", i, k, i*3)
 		}
-	}
+		i++
+	})
 }
 
 func TestConcurrentAdversarialKeys(t *testing.T) {
@@ -313,7 +269,7 @@ func TestConcurrentOverflowPanics(t *testing.T) {
 }
 
 func TestSumParallel(t *testing.T) {
-	m := NewConcurrent(100000)
+	m := NewDense(100000)
 	want := 0.0
 	for k := uint32(0); k < 100000; k++ {
 		m.Add(k, 0.5)
@@ -438,7 +394,9 @@ func TestDenseConcurrentAddsMatchConcurrentMap(t *testing.T) {
 			t.Fatalf("d[%d] = %v, want %v", k, d.Get(k), v)
 		}
 	})
-	if ds, cs := d.Sum(4), cm.Sum(4); ds != cs {
+	cs := 0.0
+	cm.ForEach(func(_ uint32, v float64) { cs += v })
+	if ds := d.Sum(4); ds != cs {
 		t.Fatalf("sums differ: %v vs %v", ds, cs)
 	}
 	// Each touched key appears exactly once in the touched list.
@@ -486,16 +444,15 @@ func TestDenseResetIsTouchedProportional(t *testing.T) {
 // TestIDMapAssignSingleProc exercises the Assign publish-wait under
 // GOMAXPROCS-constrained contention: with the Gosched in the spin loop the
 // waiters always let the claimer publish.
-// TestOwnedOpsMatchAtomicOps drives the single-accessor operations the way a
-// pull round does — each key owned by exactly one of several goroutines —
-// and checks them against the atomic ones: same values to the bit, same key
-// set, every key listed once, on both Table implementations. Run under
-// -race this also pins that owned keys never share a word.
+// TestOwnedOpsMatchAtomicOps drives Dense's single-accessor operations the
+// way a pull round does — each key owned by exactly one of several
+// goroutines — and checks them against the atomic ones: same values to the
+// bit, same key set, every key listed once. Run under -race this also pins
+// that owned keys never share a word.
 func TestOwnedOpsMatchAtomicOps(t *testing.T) {
 	const n, workers = 4096, 4
-	for name, mk := range map[string]func() Table{
-		"dense": func() Table { return NewDense(n) },
-		"hash":  func() Table { return NewConcurrent(n) },
+	for name, mk := range map[string]func() *Dense{
+		"dense": func() *Dense { return NewDense(n) },
 	} {
 		owned, atomicT := mk(), mk()
 		var wg sync.WaitGroup

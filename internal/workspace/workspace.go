@@ -1,9 +1,9 @@
 // Package workspace implements the per-graph workspace pool behind the
-// diffusion hot path: recyclable arenas of a run's scratch state — the hash
-// tables of its diffusion vectors, the frontier-sized scratch of the sparse
-// rounds, and the graph-sized buffers of the dense rounds (the
-// vertex-indexed share array, the frontier ID buffer and the β-fraction
-// ranking buffers).
+// diffusion hot path: recyclable arenas of a run's scratch state — the
+// run's vertex → slot index and the columns beside it that hold its
+// vectors, the frontier-sized scratch of the sparse rounds, and the
+// graph-sized buffers of the dense rounds (the vertex-indexed share array,
+// the frontier ID buffer and the β-fraction ranking buffers).
 //
 // The paper's implementation gets its speed from reusing its sparse sets
 // across iterations instead of reallocating them; a serving layer must
@@ -12,9 +12,9 @@
 // size n of one graph: the service registry owns one Pool per loaded graph,
 // and each diffusion borrows a Workspace for its whole run.
 //
-// A Workspace keeps a table only up to the engine's promotion bound
-// (n/PromoteFrac entries) and never keeps a flat sparse.Dense vector, so
-// what it holds is bounded by the locality of its runs, not by n.
+// A Workspace keeps an index only up to the engine's promotion bound
+// (n/PromoteFrac slots) and never keeps a flat sparse.Dense vector, so what
+// it holds is bounded by the locality of its runs, not by n.
 //
 // # Ownership and borrowing rules
 //
@@ -27,11 +27,11 @@
 //     concurrency comes from many goroutines holding *different* workspaces
 //     checked out of the same Pool.
 //   - The owner must Release exactly once, after the last read of any
-//     borrowed memory. Release clears every borrowed table through its
-//     creation log — O(entries), not O(capacity) — and returns the
-//     Workspace to its Pool.
+//     borrowed memory. Release clears the borrowed index through its slots
+//     — O(entries), not O(capacity) — and returns the Workspace to its
+//     Pool.
 //   - On panic, the owner must NOT Release: a Workspace abandoned
-//     mid-phase may hold a half-claimed table entry whose reset would be
+//     mid-phase may hold a half-claimed index entry whose reset would be
 //     incomplete, so the kernels deliberately skip Release on unwinding and
 //     let the GC reclaim the arena. A cancelled query (context expiry while
 //     queueing) never acquires a workspace at all — acquisition happens
@@ -41,7 +41,7 @@
 // into a fresh sparse.Vector (two slices, IDs and values) and a sweep
 // allocates its order and prefix arrays: both are support-sized,
 // pointer-free and owned by the caller from the moment they are computed,
-// so they outlive the Release that recycles the tables behind them.
+// so they outlive the Release that recycles the index behind them.
 //
 // A Pool keeps at most one idle workspace resident (the hot slot); any
 // overflow created by concurrent checkouts sits in a sync.Pool behind it,
@@ -50,6 +50,7 @@
 package workspace
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -158,8 +159,8 @@ type PoolStats struct {
 	// Releases counts workspaces returned to the pool.
 	Releases int64 `json:"releases"`
 	// BytesRecycled totals the bytes that runs actually borrowed from
-	// recycled arenas instead of allocating — kept hash tables (keys,
-	// values and log) and the dense rounds' graph-sized buffers: the GC
+	// recycled arenas instead of allocating — a kept index (table and
+	// columns) and the dense rounds' graph-sized buffers: the GC
 	// pressure the pool absorbed. Counted per arena at borrow time, once per
 	// checkout, so a retained arena a run never touches (e.g. dense scratch
 	// during a sparse-mode query) does not inflate the number.
@@ -198,7 +199,7 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // Workspace is one diffusion's checkout of scratch state over a fixed
-// universe [0, n): the hash tables of its vectors (Table), the
+// universe [0, n): the index its vectors live beside (Index), the
 // frontier-sized scratch of the sparse rounds (Local), and lazily-built
 // graph-sized share, frontier-ID and ranking buffers for dense rounds. It is
 // owned by a single goroutine between Acquire (or New) and Release and is
@@ -209,8 +210,7 @@ type Workspace struct {
 	pool  *Pool // nil for unpooled (New) workspaces; Release then keeps nothing
 	inUse bool
 
-	tables     []*sparse.ConcurrentMap // in hand-out order; Release keeps the capped ones
-	tablesUsed int                     // tables handed out since the last Release
+	index *sparse.Index // the runs' vertex → slot index; Release keeps it under the cap
 
 	local Local
 
@@ -222,7 +222,7 @@ type Workspace struct {
 
 	// First-borrow-per-checkout flags for the singleton buffers, so a
 	// recycled buffer credits BytesRecycled exactly once per run.
-	usedFloats, usedIDs, usedSortIDs, usedSortScratch bool
+	usedIndex, usedFloats, usedIDs, usedSortIDs, usedSortScratch bool
 }
 
 // credit records bytes served from a recycled arena toward the pool's
@@ -248,48 +248,67 @@ func New(n int) *Workspace {
 func (w *Workspace) Universe() int { return w.n }
 
 // PromoteFrac is the promotion threshold denominator of the diffusion
-// engine: an auto-mode vector switches from hash table to flat Dense array
-// once its support bound exceeds n/PromoteFrac entries. So no auto-mode
-// table outgrows that bound, and it is the largest table Release keeps.
+// engine: n/PromoteFrac is the largest index Release keeps, and the
+// points at which an auto-mode run switches from its index to flat Dense
+// arrays are set from it (PromoteAt).
 const PromoteFrac = 8
 
-// keepFloor is the smallest table size, in entries, that Release keeps
-// whatever n: it holds any round of one 2048-edge traversal chunk, and at
-// 112 KiB it costs less to keep than to reallocate per query. It binds only
-// on graphs of fewer than PromoteFrac*keepFloor = 32,768 vertices.
+// keepFloor is the smallest index, in slots, that Release keeps whatever n:
+// it holds any round of one 2048-edge traversal chunk, and it costs less to
+// keep than to reallocate per query. It binds only on graphs of fewer than
+// PromoteFrac*keepFloor = 32,768 vertices.
 const keepFloor = 1 << 12
 
-// keepCap returns the Cap of the largest table Release keeps.
+// keepCap returns the Cap of the largest index Release keeps: the bound
+// rounded up to a power of two, as an index reserved for it would be.
 func (w *Workspace) keepCap() int {
-	return sparse.TableCap(max(w.n/PromoteFrac, keepFloor))
+	return 1 << bits.Len(uint(max(w.n/PromoteFrac, keepFloor)-1))
 }
 
-// Table borrows an empty hash table with room for capacity entries, handing
-// out the next table an earlier run left in the workspace when there is one
-// and allocating otherwise. The table stays owned by the workspace: Release
-// clears it and keeps it for the next run, unless it grew too large (see
-// Release).
-func (w *Workspace) Table(capacity int) *sparse.ConcurrentMap {
-	if w.tablesUsed == len(w.tables) {
-		w.tables = append(w.tables, sparse.NewConcurrent(capacity))
-	} else if t := w.tables[w.tablesUsed]; capacity <= t.Cap() {
-		// Keys, values and log reused without allocating.
-		w.credit(t.Bytes())
-	} else {
-		t.Reset(1, capacity) // empty already: this only grows it
+// PromoteAt returns the slot count past which a run on this workspace
+// leaves its index for flat sparse.Dense vectors. A pooled run's index is
+// recycled up to n/PromoteFrac slots and costs only what grows past that,
+// while flat vectors are allocated per run, so it stays indexed until the
+// index would outweigh them: three times n/PromoteFrac, where 2·(40 + 8k)
+// bytes per slot at worst meet 16k per vertex for k = 3 vectors. An
+// unpooled run pays for every slot it grows and frees its index at
+// promotion, so it goes flat early, at half of n/PromoteFrac. Both points
+// are measured (DESIGN.md §4): promoting pooled local queries at
+// n/PromoteFrac raised serve-local's rss_peak_mb 13–23%, and promoting
+// the unpooled whole-graph runs of global-diffusion that late raised its
+// rss_peak_mb by a quarter.
+func (w *Workspace) PromoteAt() int {
+	if w.pool == nil {
+		return w.n / (2 * PromoteFrac)
 	}
-	w.tablesUsed++
-	return w.tables[w.tablesUsed-1]
+	return 3 * w.n / PromoteFrac
+}
+
+// Index borrows the run's vertex → slot index, empty, handing out the one
+// an earlier run left in the workspace when there is one. It stays owned by
+// the workspace: Release clears it and keeps it for the next run, unless it
+// grew too large (see Release).
+func (w *Workspace) Index() *sparse.Index {
+	if w.index == nil {
+		w.index = sparse.NewIndex(keepFloor)
+	} else if !w.usedIndex {
+		w.credit(w.index.Bytes())
+	}
+	w.usedIndex = true
+	return w.index
 }
 
 // Local is the frontier-sized scratch of the sparse rounds: the per-source
-// shares, the frontier's degree offsets and the next frontier's IDs. The
+// shares, the frontier's degree offsets, the next frontier's keys, the
+// frontier's vertices and a neighbour decode buffer. The
 // borrower grows the slices in place, and what it grew stays with the
 // workspace for the next run; contents are unspecified.
 type Local struct {
 	Shares []float64
 	Offs   []uint64
 	IDs    []uint32
+	Verts  []uint32 // the frontier's vertices, for a round several workers share
+	Adj    []uint32 // neighbour decode scratch of a round one goroutine runs
 }
 
 // Local returns the workspace's frontier-sized scratch.
@@ -364,8 +383,8 @@ func (w *Workspace) HasIDs() bool { return w.ids != nil }
 // footprint returns the bytes currently retained (test hook).
 func (w *Workspace) footprint() int64 {
 	b := int64(0)
-	for _, t := range w.tables {
-		b += t.Bytes()
+	if w.index != nil {
+		b += w.index.Bytes()
 	}
 	b += 8 * int64(len(w.floats))
 	b += 4 * int64(cap(w.ids))
@@ -374,12 +393,13 @@ func (w *Workspace) footprint() int64 {
 	return b
 }
 
-// Release returns the workspace to its pool. It clears every table the run
-// borrowed (O(entries), using procs workers; procs <= 0 uses all cores) and
-// drops any that grew past n/PromoteFrac entries (keepFloor on a small
-// graph). An unpooled workspace is only marked returned: its owner drops
-// it. Release must be called exactly once per checkout, only on the
-// non-panicking path, and only after the last read of borrowed memory.
+// Release returns the workspace to its pool. It clears the index the run
+// borrowed (O(entries)) and drops it instead if it grew past n/PromoteFrac
+// slots (keepFloor on a small graph). An unpooled workspace is only marked
+// returned: its owner drops it. Release must be called exactly once per
+// checkout, only on the non-panicking path, and only after the last read of
+// borrowed memory. procs is unused: the clear is a pass over at most
+// n/PromoteFrac slots.
 func (w *Workspace) Release(procs int) {
 	if !w.inUse {
 		panic("workspace: Release of a workspace that is not checked out")
@@ -388,17 +408,23 @@ func (w *Workspace) Release(procs int) {
 	if w.pool == nil {
 		return
 	}
-	limit := w.keepCap()
-	kept := w.tables[:0]
-	for _, t := range w.tables {
-		if t.Cap() <= limit {
-			t.Reset(procs, 0)
-			kept = append(kept, t)
-		}
+	if w.index != nil && w.index.Cap() > w.keepCap() {
+		w.index = nil
+	} else if w.index != nil {
+		w.index.Reset()
 	}
-	clear(w.tables[len(kept):])
-	w.tables, w.tablesUsed = kept, 0
-	w.usedFloats, w.usedIDs = false, false
+	w.usedIndex, w.usedFloats, w.usedIDs = false, false, false
 	w.usedSortIDs, w.usedSortScratch = false, false
 	w.pool.scratch.put(w)
+}
+
+// DropIndex gives up the borrowed index early, when its run has stopped
+// using it (the engine's promotion to flat vectors) and Release would not
+// keep it: the workspace is unpooled, or the index grew past the cap.
+// Holding it through the run's dense rounds only raises the live heap the
+// collector paces against.
+func (w *Workspace) DropIndex() {
+	if w.pool == nil || w.index != nil && w.index.Cap() > w.keepCap() {
+		w.index = nil
+	}
 }

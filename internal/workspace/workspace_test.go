@@ -9,9 +9,8 @@ import (
 
 // TestWorkspaceReuse pins the leak-free recycling contract: a released
 // workspace is handed back on the next Acquire (pointer identity), its
-// tables come back in the order the last run borrowed them (pointer
-// identity again, so their arrays really are reused) and empty, and the
-// graph-sized buffers keep their storage.
+// index comes back (pointer identity again, so its arrays really are
+// reused) and empty, and the graph-sized buffers keep their storage.
 func TestWorkspaceReuse(t *testing.T) {
 	const n = 1 << 12
 	p := NewPool(n)
@@ -21,14 +20,9 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 
 	// Dirty every arena the workspace can hand out.
-	t1 := w.Table(4)
-	t2 := w.Table(16)
-	if t1 == t2 {
-		t.Fatal("Table() handed out the same table twice in one run")
-	}
-	t1.Add(7, 1.5)
-	t1.Add(9, -2.5)
-	t2.Set(123, 4.0)
+	x := w.Index()
+	s7, s9 := x.Slot(7), x.Slot(9)
+	x.Col(0)[s7], x.Col(1)[s9], x.Aux()[s9] = 1.5, -2.5, 3
 	f := w.Floats() // handed back zeroed by contract, so not dirtied here
 	ids := append(w.IDs(), 1, 2, 3)
 	_ = ids
@@ -38,15 +32,12 @@ func TestWorkspaceReuse(t *testing.T) {
 	if w2 != w {
 		t.Fatalf("Acquire after Release returned a different workspace: %p vs %p", w2, w)
 	}
-	r1 := w2.Table(4)
-	if r1 != t1 {
-		t.Fatalf("first Table() after reuse = %p, want the recycled %p", r1, t1)
+	r := w2.Index()
+	if r != x {
+		t.Fatalf("Index() after reuse = %p, want the recycled %p", r, x)
 	}
-	if r1.Len() != 0 || r1.Get(7) != 0 || r1.Get(9) != 0 || r1.Has(7) {
-		t.Fatalf("recycled table not cleared: len=%d v7=%v v9=%v", r1.Len(), r1.Get(7), r1.Get(9))
-	}
-	if r2 := w2.Table(16); r2 != t2 || r2.Len() != 0 || r2.Get(123) != 0 {
-		t.Fatalf("second recycled table not cleared: %p len=%d", r2, r2.Len())
+	if _, ok := r.Find(7); ok || r.Len() != 0 || r.Col(0)[s7] != 0 || r.Col(1)[s9] != 0 || r.Aux()[s9] != 0 {
+		t.Fatalf("recycled index not cleared: len=%d", r.Len())
 	}
 	// The share array must keep identity (no reallocation)...
 	if &w2.Floats()[0] != &f[0] {
@@ -62,50 +53,45 @@ func TestWorkspaceReuse(t *testing.T) {
 	if st.Acquires != 2 || st.Hits != 1 || st.Misses != 1 || st.Releases != 2 {
 		t.Fatalf("stats = %+v, want acquires=2 hits=1 misses=1 releases=2", st)
 	}
-	// The second checkout borrowed both recycled tables + floats (8n) + ids
+	// The second checkout borrowed the recycled index + floats (8n) + ids
 	// (4n); crediting happens per borrow, so exactly these arenas count.
-	want := t1.Bytes() + t2.Bytes() + 8*n + 4*n
+	want := x.Bytes() + 8*n + 4*n
 	if st.BytesRecycled != want {
 		t.Fatalf("BytesRecycled = %d, want %d", st.BytesRecycled, want)
 	}
 }
 
 // TestTableGrowth checks a workspace keeps up with a run that needs more:
-// a run borrowing more tables than any before gets a fresh one, a borrow
-// larger than a kept table grows that table, and a table a run grew comes
-// back at its grown capacity.
+// an index a run grew comes back at its grown capacity, with its columns,
+// and empty.
 func TestTableGrowth(t *testing.T) {
-	p := NewPool(1 << 12)
+	p := NewPool(1 << 16)
 	w := p.Acquire()
-	a, b := w.Table(4), w.Table(4)
-	b.Reserve(100) // grown mid-run, as the engine's rounds do
+	x := w.Index()
+	small := x.Cap()
+	x.Col(2)
+	x.Reserve(small + 1) // grown mid-run, as the engine's rounds do
+	for v := uint32(0); int(v) <= small; v++ {
+		x.Col(2)[x.Slot(v)] = 1
+	}
+	grown := x.Cap()
 	w.Release(1)
 
 	w = p.Acquire()
-	if got := w.Table(200); got != a || got.Cap() < 200 || got.Len() != 0 {
-		t.Fatalf("kept table not grown in place: %p (want %p) cap=%d len=%d", got, a, got.Cap(), got.Len())
+	if got := w.Index(); got != x || got.Cap() != grown || got.Len() != 0 || len(got.Col(2)) != grown {
+		t.Fatalf("grown index not kept in place: %p (want %p) cap=%d (want %d) len=%d", got, x, got.Cap(), grown, got.Len())
 	}
-	if got := w.Table(4); got != b || got.Cap() < 100 {
-		t.Fatalf("grown table came back as %p cap=%d, want %p at cap >= 100", got, got.Cap(), b)
-	}
-	c := w.Table(4) // third table: the list must grow, not corrupt
-	if c == a || c == b {
-		t.Fatal("third Table() aliased a table already handed out")
-	}
-	c.Add(1, 1)
-	w.Release(1)
-
-	w = p.Acquire()
-	_, _ = w.Table(4), w.Table(4)
-	if third := w.Table(4); third != c || third.Len() != 0 || third.Get(1) != 0 {
-		t.Fatal("grown table list not kept, or its third table not cleared on release")
+	for _, v := range x.Col(2) {
+		if v != 0 {
+			t.Fatal("kept index's column not cleared on release")
+		}
 	}
 	w.Release(1)
 }
 
-// TestTableCap checks Release keeps no table larger than the engine's
-// promotion bound, n/PromoteFrac entries (keepFloor on a small graph), and
-// keeps one of exactly that size: only a pinned-sparse run grows a table
+// TestTableCap checks Release keeps no index larger than the engine's
+// promotion bound, n/PromoteFrac slots (keepFloor on a small graph), and
+// keeps one of exactly that size: only a pinned-sparse run grows an index
 // past it.
 func TestTableCap(t *testing.T) {
 	for n, want := range map[int]int{1 << 16: (1 << 16) / PromoteFrac, 1 << 10: keepFloor} {
@@ -115,22 +101,29 @@ func TestTableCap(t *testing.T) {
 		if limit != want {
 			t.Fatalf("n=%d: keepCap = %d, want %d", n, limit, want)
 		}
-		atCap, over := w.Table(limit), w.Table(4)
-		over.Reserve(limit + 1)
-		if atCap.Cap() != limit || over.Cap() <= limit {
-			t.Fatalf("n=%d: setup caps %d and %d against limit %d", n, atCap.Cap(), over.Cap(), limit)
+		atCap := w.Index()
+		atCap.Reserve(limit)
+		if atCap.Cap() != limit {
+			t.Fatalf("n=%d: setup cap %d against limit %d", n, atCap.Cap(), limit)
 		}
 		w.Release(1)
 		if w.footprint() != atCap.Bytes() {
-			t.Fatalf("n=%d: released footprint = %d, want the capped table's %d", n, w.footprint(), atCap.Bytes())
+			t.Fatalf("n=%d: released footprint = %d, want the capped index's %d", n, w.footprint(), atCap.Bytes())
 		}
 
 		w = p.Acquire()
-		if got := w.Table(4); got != atCap {
-			t.Fatalf("n=%d: a table at the cap was not kept", n)
+		over := w.Index()
+		if over != atCap {
+			t.Fatalf("n=%d: an index at the cap was not kept", n)
 		}
-		if got := w.Table(4); got == over || got.Cap() > limit {
-			t.Fatalf("n=%d: an oversize table (cap %d > %d) was kept", n, got.Cap(), limit)
+		over.Reserve(limit + 1)
+		w.Release(1)
+		if w.footprint() != 0 {
+			t.Fatalf("n=%d: an oversize index (cap %d > %d) was kept: footprint %d", n, over.Cap(), limit, w.footprint())
+		}
+		w = p.Acquire()
+		if got := w.Index(); got == over || got.Cap() > limit {
+			t.Fatalf("n=%d: an oversize index (cap %d > %d) was kept", n, got.Cap(), limit)
 		}
 		w.Release(1)
 	}
@@ -217,15 +210,15 @@ func TestPoolConcurrentBorrowRelease(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				p := pools[(gi+i)%len(pools)]
 				w := p.Acquire()
-				tb := w.Table(4)
-				if tb.Len() != 0 {
-					t.Errorf("checked-out table starts dirty: len=%d", tb.Len())
+				x := w.Index()
+				if x.Len() != 0 {
+					t.Errorf("checked-out index starts dirty: len=%d", x.Len())
 					return
 				}
 				k := uint32((gi*iters + i) % w.Universe())
-				tb.Add(k, float64(i))
-				if tb.Get(k) != float64(i) {
-					t.Errorf("table readback mismatch")
+				x.Col(0)[x.Slot(k)] += float64(i)
+				if s, ok := x.Find(k); !ok || x.Col(0)[s] != float64(i) {
+					t.Errorf("index readback mismatch")
 					return
 				}
 				if f := w.Floats(); f[int(k)] != 0 {
@@ -248,21 +241,61 @@ func TestPoolConcurrentBorrowRelease(t *testing.T) {
 	}
 }
 
-// TestPromoteBorrowedTable checks promotion copies a borrowed table's
-// entries faithfully into a flat vector and leaves the table to the
-// workspace, which clears it at Release.
+// TestPromoteBorrowedTable checks promotion copies a borrowed index
+// column's entries faithfully into a flat vector and leaves the index to
+// the workspace, which clears it at Release.
 func TestPromoteBorrowedTable(t *testing.T) {
 	p := NewPool(256)
 	w := p.Acquire()
-	cm := w.Table(8)
-	cm.Add(3, 1.25)
-	cm.Add(200, -4)
-	d := sparse.PromoteToDense(256, cm)
+	x := w.Index()
+	col := x.Col(0)
+	col[x.Slot(3)], col[x.Slot(200)] = 1.25, -4
+	d := sparse.PromoteToDense(256, x.View(col, nil))
 	if d.Len() != 2 || d.Get(3) != 1.25 || d.Get(200) != -4 {
 		t.Fatalf("promotion lost entries: len=%d", d.Len())
 	}
 	w.Release(1)
-	if cm.Len() != 0 || cm.Get(3) != 0 || d.Get(3) != 1.25 {
-		t.Fatal("Release must clear the table and leave the promoted vector alone")
+	if _, ok := x.Find(3); ok || x.Len() != 0 || col[0] != 0 || d.Get(3) != 1.25 {
+		t.Fatal("Release must clear the index and leave the promoted vector alone")
 	}
+}
+
+// TestDropIndex checks a run that stops using its index gives it up early
+// only where Release would not keep it: always when unpooled, above the
+// cap when pooled.
+func TestDropIndex(t *testing.T) {
+	w := New(1 << 12)
+	w.Index()
+	w.DropIndex()
+	if w.index != nil {
+		t.Fatal("an unpooled workspace kept its index")
+	}
+	p := NewPool(1 << 12)
+	w = p.Acquire()
+	x := w.Index()
+	w.DropIndex()
+	if w.index != x {
+		t.Fatal("a pooled index under the cap was dropped")
+	}
+	x.Reserve(w.keepCap() + 1)
+	w.DropIndex()
+	if w.index != nil {
+		t.Fatal("a pooled index over the cap was kept")
+	}
+	w.Release(1)
+}
+
+// TestPromoteAt pins the two promotion points: an unpooled run goes flat at
+// half of n/PromoteFrac slots, a pooled one, whose index up to
+// n/PromoteFrac is recycled, at three times n/PromoteFrac.
+func TestPromoteAt(t *testing.T) {
+	const n = 1 << 16
+	if got := New(n).PromoteAt(); got != n/PromoteFrac/2 {
+		t.Fatalf("unpooled PromoteAt = %d, want %d", got, n/PromoteFrac/2)
+	}
+	w := NewPool(n).Acquire()
+	if got := w.PromoteAt(); got != 3*n/PromoteFrac {
+		t.Fatalf("pooled PromoteAt = %d, want %d", got, 3*n/PromoteFrac)
+	}
+	w.Release(1)
 }

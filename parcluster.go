@@ -81,8 +81,8 @@ const (
 func ParseFrontierMode(s string) (FrontierMode, error) { return core.ParseFrontierMode(s) }
 
 // WorkspacePool recycles the scratch state of the parallel diffusions
-// (hash tables, share arrays and frontier ID buffers) across runs against
-// one graph. Batch workloads — many queries against the same graph — should
+// (the vertex → slot index, share arrays and frontier ID buffers) across
+// runs against one graph. Batch workloads — many queries against the same graph — should
 // create one pool per graph (NewWorkspacePool) and pass it via the
 // Workspace field of the algorithm options: a steady-state local query then
 // allocates little more than its answer. A pool changes where scratch

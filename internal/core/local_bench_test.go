@@ -21,6 +21,7 @@ import (
 // random seeds. One op is one query.
 //
 //	go test -run '^$' -bench 'LocalQuery|LocalSweep/local/sweep/procs=1' -benchtime 640x ./internal/core
+//	go test -run '^$' -bench 'LocalSweepLGZ' -benchtime 640x ./internal/core
 
 const (
 	localAlpha   = 0.01
@@ -136,11 +137,8 @@ func benchLocalQuery(b *testing.B, g graph.Graph, seeds []uint32) {
 // local vectors and on the whole-graph vector of the global-diffusion
 // workload (n = 60,000, eps = 2e-7).
 func BenchmarkLocalSweep(b *testing.B) {
-	g, seeds := localBenchGraph()
-	local := make([]*sparse.Vector, len(seeds))
-	for i, s := range seeds {
-		local[i], _ = PRNibbleRun(g, []uint32{s}, localAlpha, localEps, OptimizedRule, 1, RunConfig{Procs: 1})
-	}
+	g, _ := localBenchGraph()
+	local := localSweepVectors()
 	gg := gen.CommunityGraph(0, 60_000, 17, 6, 8, 2000, 2.5, 0xA1)
 	root, _ := gg.LargestComponent()
 	global, _ := PRNibbleRun(gg, []uint32{root}, localAlpha, 2e-7, OptimizedRule, 1, RunConfig{})
@@ -149,13 +147,7 @@ func BenchmarkLocalSweep(b *testing.B) {
 		g    *graph.CSR
 		vecs []*sparse.Vector
 	}{{"local", g, local}, {"global", gg, []*sparse.Vector{global}}} {
-		vols := make([]uint64, len(in.vecs))
-		for i, vec := range in.vecs {
-			want := SweepCut(in.g, vec, 1)
-			requireSweepsIdentical(b, in.name, want, SweepCut(in.g, vec, 0))
-			requireSweepsIdentical(b, in.name, want, SweepCutParSort(in.g, vec, 0))
-			vols[i] = in.g.Volume(want.Order)
-		}
+		vols := requireSweepAnswers(b, in.name, in.g, in.vecs)
 		for _, sw := range []struct {
 			name  string
 			procs int
@@ -177,4 +169,49 @@ func BenchmarkLocalSweep(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkLocalSweepLGZ is BenchmarkLocalSweep's "local/sweep/procs=1" on
+// the storage serve-local serves: the same 64 serving vectors swept at one
+// worker on the .lgz round trip of the graph, so every adjacency list the
+// sweep reads is decoded.
+func BenchmarkLocalSweepLGZ(b *testing.B) {
+	g := localBenchLGZ(b)
+	local := localSweepVectors()
+	vols := requireSweepAnswers(b, "local/lgz", g, local)
+	var edges uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SweepCut(g, local[i%len(local)], 1)
+		edges += vols[i%len(vols)]
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
+}
+
+// localSweepVectors returns the diffusion vectors of the serving queries,
+// one per seed of localBenchGraph, as a request computes them.
+func localSweepVectors() []*sparse.Vector {
+	g, seeds := localBenchGraph()
+	local := make([]*sparse.Vector, len(seeds))
+	for i, s := range seeds {
+		local[i], _ = PRNibbleRun(g, []uint32{s}, localAlpha, localEps, OptimizedRule, 1, RunConfig{Procs: 1})
+	}
+	return local
+}
+
+// requireSweepAnswers is the sweep benchmarks' pre-timing check: on every
+// vector, the one-worker SweepCut (what a request runs) must be identical to
+// SweepCut at all workers and to SweepCutParSort. It returns the volume of
+// each vector's sweep order, the edges a sweep of it reads.
+func requireSweepAnswers(b *testing.B, name string, g graph.Graph, vecs []*sparse.Vector) []uint64 {
+	b.Helper()
+	vols := make([]uint64, len(vecs))
+	for i, vec := range vecs {
+		want := SweepCut(g, vec, 1)
+		requireSweepsIdentical(b, name, want, SweepCut(g, vec, 0))
+		requireSweepsIdentical(b, name, want, SweepCutParSort(g, vec, 0))
+		vols[i] = g.Volume(want.Order)
+	}
+	return vols
 }

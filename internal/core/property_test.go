@@ -228,36 +228,43 @@ func TestPropertySweepMatchesBruteForce(t *testing.T) {
 				t.Fatalf("empty diffusion vector")
 			}
 			for _, procs := range []int{1, 4} {
-				res := SweepCut(g, vec, procs)
-				N := len(res.Order)
-				if N == 0 {
-					t.Fatalf("procs %d: empty sweep order", procs)
-				}
-				best, bestPhi := -1, math.Inf(1)
-				for i := 0; i < N; i++ {
-					prefix := res.Order[:i+1]
-					phi := g.Conductance(prefix)
-					if phi != res.PrefixConductance[i] {
-						t.Fatalf("procs %d: prefix %d: sweep says phi=%v, brute force says %v", procs, i, res.PrefixConductance[i], phi)
-					}
-					if phi < bestPhi {
-						best, bestPhi = i, phi
-					}
-				}
-				if bestPhi != res.Conductance {
-					t.Fatalf("procs %d: best conductance %v != brute-force min %v (at prefix %d)", procs, res.Conductance, bestPhi, best)
-				}
-				if len(res.Cluster) != best+1 {
-					t.Fatalf("procs %d: cluster size %d, brute-force argmin prefix %d", procs, len(res.Cluster), best+1)
-				}
-				if vol := g.Volume(res.Cluster); vol != res.Volume {
-					t.Fatalf("procs %d: cluster volume %d != brute-force %d", procs, res.Volume, vol)
-				}
-				if cut := g.Boundary(res.Cluster); cut != res.Cut {
-					t.Fatalf("procs %d: cluster cut %d != brute-force %d", procs, res.Cut, cut)
-				}
+				requireSweepMatchesBruteForce(t, fmt.Sprintf("procs %d", procs), g, SweepCut(g, vec, procs))
 			}
 		})
+	}
+}
+
+// requireSweepMatchesBruteForce holds a sweep to the definitions: the
+// conductance of every prefix of its order recomputed from the graph, the
+// first prefix of least conductance as the cluster, and the cluster's volume
+// and cut.
+func requireSweepMatchesBruteForce(t *testing.T, name string, g graph.Graph, res SweepResult) {
+	t.Helper()
+	N := len(res.Order)
+	if N == 0 {
+		t.Fatalf("%s: empty sweep order", name)
+	}
+	best, bestPhi := -1, math.Inf(1)
+	for i := 0; i < N; i++ {
+		phi := g.Conductance(res.Order[:i+1])
+		if phi != res.PrefixConductance[i] {
+			t.Fatalf("%s: prefix %d: sweep says phi=%v, brute force says %v", name, i, res.PrefixConductance[i], phi)
+		}
+		if phi < bestPhi {
+			best, bestPhi = i, phi
+		}
+	}
+	if bestPhi != res.Conductance {
+		t.Fatalf("%s: best conductance %v != brute-force min %v (at prefix %d)", name, res.Conductance, bestPhi, best)
+	}
+	if len(res.Cluster) != best+1 {
+		t.Fatalf("%s: cluster size %d, brute-force argmin prefix %d", name, len(res.Cluster), best+1)
+	}
+	if vol := g.Volume(res.Cluster); vol != res.Volume {
+		t.Fatalf("%s: cluster volume %d != brute-force %d", name, res.Volume, vol)
+	}
+	if cut := g.Boundary(res.Cluster); cut != res.Cut {
+		t.Fatalf("%s: cluster cut %d != brute-force %d", name, res.Cut, cut)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"parcluster/internal/graph"
@@ -17,25 +19,30 @@ import (
 // Two implementations:
 //
 //   - SweepCut: the sweep every caller runs. With one worker it is the
-//     standard sequential sweep (sort + incremental boundary maintenance),
-//     O(N log N + vol(S_N)) work, which measured faster than the parallel
-//     loop at one worker (DESIGN.md §7). With more, per-rank crossing-edge
-//     deltas are accumulated with fetch-and-add into a rank-indexed array
-//     and prefix-summed — the same work and O(log vol) depth as Theorem 1,
-//     with the integer sort replaced by direct bucket accumulation.
+//     standard sequential sweep, O(N + vol(S_N)) work: one pass over the
+//     sweep order that maintains the boundary incrementally and keeps only
+//     a key-only set of the prefix (prefixSet). With more, ranks go into a
+//     concurrent rank table, and per-rank crossing-edge deltas are
+//     accumulated with fetch-and-add into a rank-indexed array and
+//     prefix-summed — the same work and O(log vol) depth as Theorem 1's
+//     crossing counts, with the integer sort replaced by direct bucket
+//     accumulation.
 //   - SweepCutParSort: the faithful Theorem 1 algorithm, building the
 //     (±1, rank) pair array Z, integer-sorting it by rank, and recovering
 //     per-rank crossing counts with prefix sums — including the worked
 //     example of §3.1, which the tests reproduce exactly (ablation A2
 //     compares it with SweepCut).
 //
-// Both order ties (equal p[v]/d(v)) by ascending vertex ID, making the
-// sweep order — and therefore the returned cluster — identical across
-// implementations, worker counts and the order the vector lists its entries
-// in. Every piece of a sweep's result and scratch is support-sized
-// (volume-sized for the sort-based sweep's Z) and allocated per call; the
-// returned Cluster, Order and PrefixConductance belong to the caller
-// (DESIGN.md §6).
+// Both take their sweep order from sweepOrder, which radix-sorts the
+// (score, vertex) pairs on one goroutine at every worker count: O(N) work
+// but O(N) depth, measured faster than the parallel merge sort it replaced
+// up to a 60k-vertex support on two cores (DESIGN.md §4). Ties (equal
+// p[v]/d(v)) go by ascending vertex ID, making the sweep order — and
+// therefore the returned cluster — identical across implementations,
+// worker counts and the order the vector lists its entries in. Every piece
+// of a sweep's result and scratch is support-sized (volume-sized for the
+// sort-based sweep's Z) and allocated per call; the returned Cluster, Order
+// and PrefixConductance belong to the caller (DESIGN.md §6).
 
 // SweepResult is the outcome of a sweep cut.
 type SweepResult struct {
@@ -58,9 +65,9 @@ type SweepResult struct {
 // order, so every implementation produces the same permutation).
 // Zero-degree vertices sort first (infinite normalized mass) and can never
 // win: every prefix they head has zero volume and conductance 1. Each score
-// is computed once, and what is sorted is (score, vertex) pairs, so a
-// comparison reads two pairs and nothing else.
-func sweepOrder(procs int, g graph.Graph, vec *sparse.Vector) []uint32 {
+// is computed once, and what radixSortScored sorts is (score key, vertex)
+// pairs, so no digit needs a lookup.
+func sweepOrder(g graph.Graph, vec *sparse.Vector) []uint32 {
 	ids, masses := vec.Entries()
 	pairs := make([]scored, 0, len(ids))
 	for i, v := range ids {
@@ -69,19 +76,10 @@ func sweepOrder(procs int, g graph.Graph, vec *sparse.Vector) []uint32 {
 			if d := g.Degree(v); d > 0 {
 				score = mass / float64(d)
 			}
-			pairs = append(pairs, scored{score: score, id: v})
+			pairs = append(pairs, scored{key: ^math.Float64bits(score), id: v})
 		}
 	}
-	var scratch []scored
-	if n := parallel.SortScratchLen(procs, len(pairs)); n > 0 {
-		scratch = make([]scored, n)
-	}
-	parallel.SortScratch(procs, pairs, scratch, func(a, b scored) bool {
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		return a.id < b.id
-	})
+	pairs = radixSortScored(pairs)
 	order := make([]uint32, len(pairs))
 	for i, p := range pairs {
 		order[i] = p.id
@@ -89,11 +87,61 @@ func sweepOrder(procs int, g graph.Graph, vec *sparse.Vector) []uint32 {
 	return order
 }
 
-// scored is a vertex with its sweep score p[v]/d(v): what sweepOrder sorts,
-// so that a comparison needs no lookup.
+// scored is a vertex with its sweep score p[v]/d(v): what sweepOrder sorts.
+// The score is kept as the complement of its bits: scores are never
+// negative or NaN, so ascending keys are descending scores and equal keys
+// are equal scores.
 type scored struct {
-	score float64
-	id    uint32
+	key uint64
+	id  uint32
+}
+
+// radixSortScored sorts pairs by key, then by ID, and returns them sorted
+// (in pairs' memory or in a buffer of its own): a stable LSD radix sort over
+// 8-bit digits, the ID's four bytes first, then the key's eight. One pass
+// histograms all twelve (written out: a loop measured 20% slower), and a
+// digit every pair shares takes no pass.
+func radixSortScored(pairs []scored) []scored {
+	var counts [12][256]uint32
+	for _, p := range pairs {
+		id, k := p.id, p.key
+		counts[0][byte(id)]++
+		counts[1][byte(id>>8)]++
+		counts[2][byte(id>>16)]++
+		counts[3][byte(id>>24)]++
+		counts[4][byte(k)]++
+		counts[5][byte(k>>8)]++
+		counts[6][byte(k>>16)]++
+		counts[7][byte(k>>24)]++
+		counts[8][byte(k>>32)]++
+		counts[9][byte(k>>40)]++
+		counts[10][byte(k>>48)]++
+		counts[11][byte(k>>56)]++
+	}
+	src, dst := pairs, make([]scored, len(pairs))
+	for d := range counts {
+		c := &counts[d]
+		if slices.Contains(c[:], uint32(len(src))) {
+			continue
+		}
+		digit := func(p scored) byte {
+			if d < 4 {
+				return byte(p.id >> (8 * d))
+			}
+			return byte(p.key >> (8 * (d - 4)))
+		}
+		var sum uint32
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, p := range src {
+			b := digit(p)
+			dst[c[b]] = p
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 func emptySweep() SweepResult { return SweepResult{Conductance: 1} }
@@ -106,7 +154,7 @@ func emptySweep() SweepResult { return SweepResult{Conductance: 1} }
 // rank-indexed array, then prefix-summing. Both return the same result.
 func SweepCut(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 	procs = parallel.ResolveProcs(procs)
-	order := sweepOrder(procs, g, vec)
+	order := sweepOrder(g, vec)
 	N := len(order)
 	if N == 0 {
 		return emptySweep()
@@ -149,11 +197,10 @@ func SweepCut(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 }
 
 // sweepSerial is SweepCut's one-worker pass over a nonempty sweep order.
+// A neighbour is inside the prefix when it is in the prefix set, which a
+// vertex joins once its own edges are counted.
 func sweepSerial(g graph.Graph, order []uint32) SweepResult {
-	rank := sparse.NewConcurrent(len(order)) // rank+1, as in SweepCut
-	for i, v := range order {
-		rank.AddSerial(v, float64(i+1))
-	}
+	inside := newPrefixSet(len(order))
 	totalVol := g.TotalVolume()
 	prefix := make([]float64, len(order))
 	var vol uint64
@@ -166,12 +213,13 @@ func sweepSerial(g graph.Graph, order []uint32) SweepResult {
 		ns := g.NeighborsInto(adj, v)
 		adj = ns
 		for _, w := range ns {
-			if rw := int(rank.Get(w)) - 1; rw >= 0 && rw < i {
+			if inside.has(w) {
 				cut-- // edge became internal
 			} else {
 				cut++ // edge leaves the growing set
 			}
 		}
+		inside.add(v)
 		phi := graph.ConductanceFrom(totalVol, vol, uint64(cut))
 		prefix[i] = phi
 		if phi < bestPhi {
@@ -181,6 +229,38 @@ func sweepSerial(g graph.Graph, order []uint32) SweepResult {
 	}
 	return finishSweep(order, prefix, best, bestVol, bestCut)
 }
+
+// prefixSet is the one-worker sweep's set of the vertices its prefix holds:
+// open addressing over vertex+1 (0 = free slot), Fibonacci home positions
+// as in sparse.Index, linear probing. Its size is the power of two at or
+// above twice the support, so it never passes 50% load.
+type prefixSet struct {
+	tab   []uint32
+	mask  uint32
+	shift uint32 // 32 - log2(len(tab))
+}
+
+func newPrefixSet(n int) prefixSet {
+	k := uint32(bits.Len(uint(2*n - 1)))
+	return prefixSet{tab: make([]uint32, 1<<k), mask: 1<<k - 1, shift: 32 - k}
+}
+
+// home returns v's home position: the top bits of a Fibonacci product.
+func (s *prefixSet) home(v uint32) uint32 { return v * 0x9E3779B1 >> s.shift }
+
+// slot returns v's slot if v is in the set, else the free slot ending its
+// probe chain, where v would go.
+func (s *prefixSet) slot(v uint32) *uint32 {
+	i := s.home(v)
+	for s.tab[i] != 0 && s.tab[i] != v+1 {
+		i = (i + 1) & s.mask
+	}
+	return &s.tab[i]
+}
+
+func (s *prefixSet) has(v uint32) bool { return *s.slot(v) != 0 }
+
+func (s *prefixSet) add(v uint32) { *s.slot(v) = v + 1 }
 
 // SweepZPair is one (value, rank) pair of the Theorem-1 Z array, using the
 // paper's conventions: ranks are 1-based over the support and N+1 for
@@ -230,7 +310,7 @@ func BuildSweepZ(g graph.Graph, order []uint32) []SweepZPair {
 // volume-sized: two pairs per support edge.
 func SweepCutParSort(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 	procs = parallel.ResolveProcs(procs)
-	order := sweepOrder(procs, g, vec)
+	order := sweepOrder(g, vec)
 	N := len(order)
 	if N == 0 {
 		return emptySweep()

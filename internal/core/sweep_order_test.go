@@ -45,43 +45,56 @@ func tiedSweepInput(n int) (*graph.CSR, *sparse.Vector) {
 	return g, sparse.Snapshot(vec, 1)
 }
 
+// refScored is one entry of referenceSweepOrder: a vertex and p[v]/d(v).
+type refScored struct {
+	score float64
+	id    uint32
+}
+
+// referenceSweepOrder is the sweep order by its definition, from an
+// independent stable sort: vec's positive entries by p[v]/d(v) descending
+// (+Inf at degree zero), ties by ascending vertex ID.
+func referenceSweepOrder(g graph.Graph, vec *sparse.Vector) []refScored {
+	var want []refScored
+	vec.ForEach(func(v uint32, mass float64) {
+		if mass <= 0 {
+			return
+		}
+		s := refScored{math.Inf(1), v}
+		if d := g.Degree(v); d > 0 {
+			s.score = mass / float64(d)
+		}
+		want = append(want, s)
+	})
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].score != want[j].score {
+			return want[i].score > want[j].score
+		}
+		return want[i].id < want[j].id
+	})
+	return want
+}
+
 // TestSweepOrderUnderTies pins the sweep's total order directly — score
 // descending, vertex ID ascending, zero-degree vertices first, non-positive
 // entries dropped — against an independent sort, and both sweeps to it and
 // to one another at every worker count: same Order, Cluster, Volume and
 // Cut, bit-identical prefix conductances, and (at the size where that is
-// affordable) the brute-force conductance of every prefix. The larger size
-// is past the sequential cut-off of the parallel merge sort.
+// affordable) the brute-force conductance of every prefix. At the larger
+// size the parallel sweeps split their passes into many chunks.
 func TestSweepOrderUnderTies(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
 		brute bool
 	}{{400, true}, {40_000, false}} {
 		g, vec := tiedSweepInput(tc.n)
-		type scored struct {
-			score float64
-			id    uint32
-		}
-		var want []scored
+		want := referenceSweepOrder(g, vec)
 		zeroDeg := 0
-		vec.ForEach(func(v uint32, mass float64) {
-			if mass <= 0 {
-				return
-			}
-			s := scored{math.Inf(1), v}
-			if d := g.Degree(v); d > 0 {
-				s.score = mass / float64(d)
-			} else {
+		for _, w := range want {
+			if math.IsInf(w.score, 1) {
 				zeroDeg++
 			}
-			want = append(want, s)
-		})
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].score != want[j].score {
-				return want[i].score > want[j].score
-			}
-			return want[i].id < want[j].id
-		})
+		}
 		if zeroDeg == 0 || len(want) < tc.n/2 {
 			t.Fatalf("n=%d: fixture has %d zero-degree entries in a support of %d", tc.n, zeroDeg, len(want))
 		}

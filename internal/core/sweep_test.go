@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -31,7 +32,7 @@ func figure1Vector() *sparse.Vector {
 func TestSweepOrderFigure1(t *testing.T) {
 	g := gen.Figure1()
 	vec := figure1Vector()
-	order := sweepOrder(1, g, vec)
+	order := sweepOrder(g, vec)
 	if !reflect.DeepEqual(order, []uint32{0, 1, 2, 3}) {
 		t.Fatalf("order = %v, want [0 1 2 3]", order)
 	}
@@ -328,6 +329,120 @@ func TestSweepPooledMatchesUnpooled(t *testing.T) {
 		}
 		if again := v.sweep(vec); !reflect.DeepEqual(again, snap[i]) {
 			t.Fatalf("%s: sweeping the same vector again gave a different result", v.name)
+		}
+	}
+}
+
+// TestSweepOrderAcrossIDBytes pins the order the radix sort has to
+// reproduce: that of a stable reference sort, score descending and ID
+// ascending, at every worker count. The IDs span three bytes; blocks of
+// vertices share a score while their IDs differ in the high bytes; isolated
+// vertices score +Inf; and runs of scores sit one ULP apart (on
+// tiedSweepInput's ring every connected vertex has degree 4, so mass/4 is
+// exact). The support is large enough that the parallel sweep splits its
+// rank-table and edge passes into many chunks.
+func TestSweepOrderAcrossIDBytes(t *testing.T) {
+	g, _ := tiedSweepInput(200_000)
+	var masses []float64
+	for _, m := range []float64{1e-4, 3e-2, 0.5} {
+		up := math.Nextafter(m, 1)
+		masses = append(masses, m, up, math.Nextafter(up, 1))
+	}
+	rnd := rand.New(rand.NewSource(5))
+	m := sparse.NewMap(16)
+	for _, v := range rnd.Perm(g.NumVertices())[:12_000] {
+		m.Set(uint32(v), masses[rnd.Intn(len(masses))])
+	}
+	vec := vectorOf(m)
+	want := referenceSweepOrder(g, vec)
+	highBytes := map[uint32]bool{}
+	for _, s := range want[:len(want)/2] {
+		if s.score == want[0].score {
+			highBytes[s.id>>16] = true
+		}
+	}
+	if !math.IsInf(want[0].score, 1) || len(highBytes) < 3 {
+		t.Fatalf("fixture: the +Inf block leads with %v and spans %d high bytes", want[0].score, len(highBytes))
+	}
+	ref := SweepCut(g, vec, 1)
+	for i, w := range want {
+		if ref.Order[i] != w.id {
+			t.Fatalf("order[%d] = %d, want %d (score %v)", i, ref.Order[i], w.id, w.score)
+		}
+	}
+	for _, procs := range []int{2, 8} {
+		requireSweepsIdentical(t, fmt.Sprintf("procs=%d", procs), ref, SweepCut(g, vec, procs))
+	}
+}
+
+// TestSweepPrefixSetEdgeCases runs the one-worker sweep where its prefix set
+// is tightest: supports whose vertices share one home position (the last
+// slot, so probe chains wrap around the table) or the slot after it, and
+// supports of 2^k-1, 2^k and 2^k+1 vertices, the middle one filling the set
+// to exactly half. Each sweep must equal SweepCutParSort and the brute-force
+// conductance of every prefix.
+func TestSweepPrefixSetEdgeCases(t *testing.T) {
+	const n = 40_000
+	rnd := rand.New(rand.NewSource(9))
+	randomGraph := func(support []uint32) *graph.CSR {
+		var edges []graph.Edge
+		for _, u := range support {
+			for j := 0; j < 4; j++ {
+				for _, w := range []uint32{support[rnd.Intn(len(support))], uint32(rnd.Intn(n))} {
+					if w != u {
+						edges = append(edges, graph.Edge{U: u, V: w})
+					}
+				}
+			}
+		}
+		return graph.FromEdges(1, n, edges)
+	}
+	check := func(name string, support []uint32) {
+		t.Helper()
+		g := randomGraph(support)
+		m := sparse.NewMap(len(support))
+		for _, v := range support {
+			m.Set(v, rnd.Float64()+1e-3)
+		}
+		vec := vectorOf(m)
+		res := SweepCut(g, vec, 1)
+		if len(res.Order) != len(support) {
+			t.Fatalf("%s: order has %d vertices, want %d", name, len(res.Order), len(support))
+		}
+		for _, procs := range []int{1, 2} {
+			requireSweepsIdentical(t, fmt.Sprintf("%s/parSort procs=%d", name, procs), SweepCutParSort(g, vec, procs), res)
+		}
+		requireSweepMatchesBruteForce(t, name, g, res)
+	}
+
+	// 36 vertices homed at the last of 128 slots and 12 homed at slot 0 end
+	// up in slot 127 and slots 0..46 whatever order the sweep adds them in:
+	// the chains wrap round the table and run through each other.
+	set := newPrefixSet(48)
+	var atLast, atZero []uint32
+	for v := uint32(0); v < n; v++ {
+		switch h := set.home(v); {
+		case h == set.mask && len(atLast) < 36:
+			atLast = append(atLast, v)
+		case h == 0 && len(atZero) < 12:
+			atZero = append(atZero, v)
+		}
+	}
+	if len(atLast) != 36 || len(atZero) != 12 {
+		t.Fatalf("found %d vertices homed at slot %d and %d at slot 0", len(atLast), set.mask, len(atZero))
+	}
+	check("shared home", append(atLast, atZero...))
+
+	for _, k := range []int{6, 10} {
+		for _, size := range []int{1<<k - 1, 1 << k, 1<<k + 1} {
+			if got, want := len(newPrefixSet(size).tab), 2<<k; size <= 1<<k && got != want {
+				t.Fatalf("a set for %d vertices has %d slots, want %d", size, got, want)
+			}
+			support := make([]uint32, size)
+			for i, v := range rnd.Perm(n)[:size] {
+				support[i] = uint32(v)
+			}
+			check(fmt.Sprintf("support %d", size), support)
 		}
 	}
 }

@@ -96,9 +96,9 @@ func (m *Map) ForEach(fn func(k uint32, v float64)) {
 	}
 }
 
-// ConcurrentMap is the lock-free sparse set of the sweep's rank table and
-// rand-HK-PR's walk counts. Construct with NewConcurrent, sized for
-// everything it will hold; the zero value is not usable.
+// ConcurrentMap is the lock-free sparse set of the parallel sweeps' rank
+// tables and rand-HK-PR's walk counts. Construct with NewConcurrent, sized
+// for everything it will hold; the zero value is not usable.
 //
 // Besides the open-addressing arrays the table keeps a creation log: the
 // slot of every entry created. Len and ForEach walk the log, so each costs

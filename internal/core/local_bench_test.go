@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"parcluster/internal/gen"
 	"parcluster/internal/graph"
@@ -22,6 +23,7 @@ import (
 //
 //	go test -run '^$' -bench 'LocalQuery|LocalSweep/local/sweep/procs=1' -benchtime 640x ./internal/core
 //	go test -run '^$' -bench 'LocalSweepLGZ' -benchtime 640x ./internal/core
+//	go test -run '^$' -bench 'LocalQueryView' -benchtime 640x -count 5 ./internal/core
 
 const (
 	localAlpha   = 0.01
@@ -114,6 +116,73 @@ func BenchmarkLocalQuery(b *testing.B) {
 func BenchmarkLocalQueryLGZ(b *testing.B) {
 	_, seeds := localBenchGraph()
 	benchLocalQuery(b, localBenchLGZ(b), seeds)
+}
+
+// BenchmarkLocalQueryView is the serving query plus its one-worker sweep
+// on a graph under ingest: the heap serving graph behind a graph.Versioned
+// with 32 batches of 1,024 records pending, drawn as serve-ingest's writer
+// draws them (uniformly random inserts; a fifth of each batch deletes
+// earlier inserts), half its compaction threshold, read through the
+// epoch's view and through the
+// same edge set flattened by Compact. One op runs a query on each, in
+// turns, so both sides see the same host; view-ns/edge and flat-ns/edge
+// divide each side's time by the diffusion's edges.
+//
+//	go test -run '^$' -bench 'LocalQueryView' -benchtime 640x -count 5 ./internal/core
+func BenchmarkLocalQueryView(b *testing.B) {
+	g, seeds := localBenchGraph()
+	n := g.NumVertices()
+	vg := graph.NewVersioned(1, g)
+	r := rng.New(43)
+	var mine []graph.Edge
+	for batch := 0; batch < 32; batch++ {
+		var ins, del []graph.Edge
+		for len(del) < 1024/5 && len(mine) > 0 {
+			i := r.Intn(len(mine))
+			del = append(del, mine[i])
+			mine[i] = mine[len(mine)-1]
+			mine = mine[:len(mine)-1]
+		}
+		for len(ins)+len(del) < 1024 {
+			if e := (graph.Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))}); e.U != e.V {
+				ins = append(ins, e)
+			}
+		}
+		mine = append(mine, ins...)
+		if _, err := vg.Apply(ins, del, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	view := vg.Snapshot()
+	defer view.Release()
+	vg.Compact(0)
+	flat := vg.Snapshot()
+	defer flat.Release()
+	sides := []struct {
+		g       graph.Graph
+		cfg     RunConfig
+		elapsed time.Duration
+		edges   int64
+	}{{g: view.Graph()}, {g: flat.Graph()}}
+	for i := range sides {
+		sides[i].cfg = RunConfig{Procs: 1, Workspace: workspace.NewPool(n)}
+		requireLocalAnswers(b, sides[i].g, seeds, sides[i].cfg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range sides {
+			s := &sides[(i+j)%2]
+			start := time.Now()
+			vec, st := PRNibbleRun(s.g, seeds[i%len(seeds):][:1], localAlpha, localEps, OptimizedRule, 1, s.cfg)
+			SweepCut(s.g, vec, 1)
+			s.elapsed += time.Since(start)
+			s.edges += st.EdgesTouched
+		}
+	}
+	for i, name := range []string{"view", "flat"} {
+		b.ReportMetric(float64(sides[i].elapsed.Nanoseconds())/float64(sides[i].edges), name+"-ns/edge")
+	}
 }
 
 func benchLocalQuery(b *testing.B, g graph.Graph, seeds []uint32) {

@@ -1,17 +1,19 @@
 package core
 
 // mutation_equiv_test.go is the overlay-vs-rebuild kernel equivalence
-// battery: a graph reached through graph.Versioned delta batches and a
-// snapshot freeze must be indistinguishable to the kernels — at the bit
+// battery: a graph reached through graph.Versioned delta batches and read
+// through its snapshot view must be indistinguishable to the kernels — at the bit
 // level — from the same edge set built from scratch with graph.FromEdges.
-// The graph package already proves the two CSRs structurally equal; this
+// The graph package already proves the two structurally equal; this
 // suite proves the property the service actually relies on: ingestion
 // changes what a diffusion computes only through the edge set, never
 // through representation artifacts (ordering, padding, stale maxDeg), for
 // every push kernel, frontier mode, and worker count.
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"parcluster/internal/graph"
@@ -86,6 +88,38 @@ func (m *mutationTracker) step(t *testing.T, r *rng.RNG) {
 	}
 }
 
+// requireFlatEqual flattens g through its own Offsets and NeighborsInto
+// (the buf = ns idiom), requires the copy to pass Validate, and requires g's
+// counts and WriteBinary image to equal want's byte for byte — the same
+// check for a snapshot's view as for a flat CSR.
+func requireFlatEqual(t *testing.T, label string, g graph.Graph, want *graph.CSR) {
+	t.Helper()
+	offs := slices.Clone(g.Offsets())
+	adj := make([]uint32, 0, offs[len(offs)-1])
+	var buf []uint32
+	for v := 0; v < g.NumVertices(); v++ {
+		ns := g.NeighborsInto(buf, uint32(v))
+		buf = ns
+		adj = append(adj, ns...)
+	}
+	if err := graph.FromAdjacency(offs, adj).Validate(); err != nil {
+		t.Fatalf("%s: snapshot invalid: %v", label, err)
+	}
+	if g.NumEdges() != want.NumEdges() || g.MaxDegree() != want.MaxDegree() {
+		t.Fatalf("%s: m=%d maxdeg=%d, want %d %d", label, g.NumEdges(), g.MaxDegree(), want.NumEdges(), want.MaxDegree())
+	}
+	var got, exp bytes.Buffer
+	if err := graph.WriteBinary(&got, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteBinary(&exp, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Fatalf("%s: snapshot differs from the rebuild byte for byte", label)
+	}
+}
+
 // rebuild materializes the ground-truth edge set from scratch.
 func (m *mutationTracker) rebuild() *graph.CSR {
 	edges := make([]graph.Edge, 0, len(m.truth))
@@ -95,8 +129,8 @@ func (m *mutationTracker) rebuild() *graph.CSR {
 	return graph.FromEdges(1, m.n, edges)
 }
 
-// TestPropertyOverlayMatchesRebuild runs each push kernel over the frozen
-// overlay snapshot and over an independent from-scratch rebuild of the same
+// TestPropertyOverlayMatchesRebuild runs each push kernel over the
+// overlay's snapshot view and over an independent from-scratch rebuild of the same
 // edge set, and requires bit-identical diffusion vectors, stats, and sweep
 // cuts across frontier modes and worker counts — after plain batches and
 // after compaction alike.
@@ -129,15 +163,13 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 				}
 				if checkpoint == 1 {
 					// The mid-run fold: kernels must not be able to tell a
-					// merged base from a frozen overlay either.
+					// flattened base from a view over it either.
 					m.vg.Compact(4)
 				}
 				snap := m.vg.Snapshot()
 				overlay := snap.Graph()
 				rebuilt := m.rebuild()
-				if err := overlay.(*graph.CSR).Validate(); err != nil {
-					t.Fatalf("checkpoint %d: snapshot invalid: %v", checkpoint, err)
-				}
+				requireFlatEqual(t, fmt.Sprintf("checkpoint %d", checkpoint), overlay, rebuilt)
 				seed := firstSeed(t, rebuilt)
 				for _, k := range kernels {
 					for _, mode := range modes {

@@ -207,7 +207,7 @@ func sweepSerial(g graph.Graph, order []uint32) SweepResult {
 	var cut int64
 	best, bestPhi := 0, math.Inf(1)
 	var bestVol, bestCut uint64
-	var adj []uint32
+	adj, bp := graph.DecodeBuf(g)
 	for i, v := range order {
 		vol += uint64(g.Degree(v))
 		ns := g.NeighborsInto(adj, v)
@@ -227,6 +227,7 @@ func sweepSerial(g graph.Graph, order []uint32) SweepResult {
 			bestVol, bestCut = vol, uint64(cut)
 		}
 	}
+	graph.ReleaseDecodeBuf(bp, adj)
 	return finishSweep(order, prefix, best, bestVol, bestCut)
 }
 
@@ -283,7 +284,7 @@ func BuildSweepZ(g graph.Graph, order []uint32) []SweepZPair {
 		rank[v] = i + 1
 	}
 	var z []SweepZPair
-	var adj []uint32
+	adj, bp := graph.DecodeBuf(g)
 	for _, v := range order {
 		rv := rank[v]
 		ns := g.NeighborsInto(adj, v)
@@ -300,6 +301,7 @@ func BuildSweepZ(g graph.Graph, order []uint32) []SweepZPair {
 			}
 		}
 	}
+	graph.ReleaseDecodeBuf(bp, adj)
 	return z
 }
 
@@ -326,7 +328,7 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 	// key), value+1 in bits 32..33 riding along.
 	z := make([]uint64, zlen)
 	parallel.ForRange(procs, N, 16, func(lo, hi int) {
-		var adj []uint32
+		adj, bp := graph.DecodeBuf(g)
 		for i := lo; i < hi; i++ {
 			v := order[i]
 			rv := uint64(i + 1)
@@ -348,6 +350,7 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 				o += 2
 			}
 		}
+		graph.ReleaseDecodeBuf(bp, adj)
 	})
 	parallel.RadixSortUint64Scratch(procs, z, make([]uint64, zlen), parallel.KeyBitsFor(uint64(N+1)))
 	// Prefix sums over the pair values.

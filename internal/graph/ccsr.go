@@ -74,7 +74,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 	"unsafe"
 
 	"parcluster/internal/parallel"
@@ -396,10 +395,6 @@ func decodeList(dst []uint32, region []byte, v uint32, n uint64, d int) error {
 	return decodeRegion(dst[:d], region, v, n, d, 0, d)
 }
 
-// adjScratch pools decode buffers for the interface methods that have no
-// caller-provided scratch (Neighbors on cold paths, HasEdge).
-var adjScratch = sync.Pool{New: func() any { b := make([]uint32, 0, 512); return &b }}
-
 // region returns the encoded block bytes of vertex v.
 func (g *CCSR) region(v uint32) []byte {
 	if g.bo32 != nil {
@@ -680,7 +675,7 @@ func (g *CCSR) HasEdge(u, v uint32) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	bp := adjScratch.Get().(*[]uint32)
+	bp := decodeBufs.Get().(*[]uint32)
 	ns := g.NeighborsInto(*bp, u)
 	found := false
 	for lo, hi := 0, len(ns); lo < hi; {
@@ -695,8 +690,7 @@ func (g *CCSR) HasEdge(u, v uint32) bool {
 			hi = mid
 		}
 	}
-	*bp = ns[:0]
-	adjScratch.Put(bp)
+	ReleaseDecodeBuf(bp, ns)
 	return found
 }
 

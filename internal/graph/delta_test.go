@@ -1,38 +1,59 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// asCSR unwraps a snapshot's Graph to the concrete heap CSR the merge
-// machinery builds; the delta tests exercise heap representations only.
-func asCSR(t *testing.T, g Graph) *CSR {
-	t.Helper()
-	c, ok := g.(*CSR)
-	if !ok {
-		t.Fatalf("expected *CSR, got %T", g)
+// flatCopy copies g into a heap CSR through g's own Offsets and
+// NeighborsInto, with the buf = ns idiom the kernels use, so the structural
+// checks below hold for any representation, a snapshot's view included.
+func flatCopy(g Graph) *CSR {
+	offs := slices.Clone(g.Offsets())
+	adj := make([]uint32, 0, offs[len(offs)-1])
+	var buf []uint32
+	for v := 0; v < g.NumVertices(); v++ {
+		ns := g.NeighborsInto(buf, uint32(v))
+		buf = ns
+		adj = append(adj, ns...)
 	}
-	return c
+	return FromAdjacency(offs, adj)
 }
 
-// requireStructurallyEqual asserts two CSRs are byte-for-byte the same
-// representation: same universe, same offsets, same adjacency storage. This
-// is the strong form of equality the delta merge promises — not just the
-// same edge set, the same canonical layout FromEdges would build.
-func requireStructurallyEqual(t *testing.T, gotG, wantG Graph) {
+// binaryBytes returns g's WriteBinary image.
+func binaryBytes(t testing.TB, g Graph) []byte {
 	t.Helper()
-	got, want := asCSR(t, gotG), asCSR(t, wantG)
-	if got.NumVertices() != want.NumVertices() {
-		t.Fatalf("vertices: got %d want %d", got.NumVertices(), want.NumVertices())
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
 	}
-	if got.NumEdges() != want.NumEdges() {
-		t.Fatalf("edges: got %d want %d", got.NumEdges(), want.NumEdges())
+	return buf.Bytes()
+}
+
+// requireStructurallyEqual asserts that got, flattened through its own
+// methods, is a valid CSR byte-for-byte the same as want: same universe,
+// same offsets, same adjacency storage, and the same cached counts. This
+// is the strong form of equality the delta overlay promises — not just the
+// same edge set, the same canonical layout FromEdges would build.
+func requireStructurallyEqual(t testing.TB, gotG, wantG Graph) {
+	t.Helper()
+	got, want := flatCopy(gotG), flatCopy(wantG)
+	if err := got.Validate(); err != nil {
+		t.Fatalf("flattened graph invalid: %v", err)
 	}
-	if got.MaxDegree() != want.MaxDegree() {
-		t.Fatalf("max degree: got %d want %d", got.MaxDegree(), want.MaxDegree())
+	if gotG.NumVertices() != wantG.NumVertices() {
+		t.Fatalf("vertices: got %d want %d", gotG.NumVertices(), wantG.NumVertices())
+	}
+	if gotG.NumEdges() != wantG.NumEdges() || gotG.TotalVolume() != wantG.TotalVolume() {
+		t.Fatalf("edges: got %d (volume %d) want %d (volume %d)",
+			gotG.NumEdges(), gotG.TotalVolume(), wantG.NumEdges(), wantG.TotalVolume())
+	}
+	if gotG.MaxDegree() != wantG.MaxDegree() {
+		t.Fatalf("max degree: got %d want %d", gotG.MaxDegree(), wantG.MaxDegree())
 	}
 	for v := 0; v <= got.NumVertices(); v++ {
 		if got.offsets[v] != want.offsets[v] {
@@ -128,11 +149,7 @@ func TestVersionedMatchesRebuild(t *testing.T) {
 					vg.Compact(2)
 				}
 				snap := vg.Snapshot()
-				want := truth.rebuild()
-				if err := asCSR(t, snap.Graph()).Validate(); err != nil {
-					t.Fatalf("step %d: invalid snapshot: %v", step, err)
-				}
-				requireStructurallyEqual(t, snap.Graph(), want)
+				requireStructurallyEqual(t, snap.Graph(), truth.rebuild())
 				snap.Release()
 			}
 			if p := vg.Pins(); p != 0 {
@@ -170,7 +187,7 @@ func TestVersionedEpochSemantics(t *testing.T) {
 	s1 := vg.Snapshot()
 	s1b := vg.Snapshot()
 	if s1 != s1b {
-		t.Fatal("two snapshots of one epoch should share the frozen view")
+		t.Fatal("two snapshots of one epoch should share the view")
 	}
 	if s1.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", s1.Pending())

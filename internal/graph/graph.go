@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"parcluster/internal/parallel"
@@ -48,7 +49,9 @@ type Graph interface {
 	// scratch when the representation requires it. The returned slice is
 	// valid until the next call that reuses buf; callers keep the loop
 	// idiom ns := g.NeighborsInto(buf, v); buf = ns so scratch growth is
-	// retained across iterations.
+	// retained across iterations. buf must be memory the caller owns: a
+	// heap CSR's list is an alias of its storage, so a buffer that held one
+	// is never handed to a representation that writes into it.
 	NeighborsInto(buf []uint32, v uint32) []uint32
 	// NeighborsTail returns the suffix of v's adjacency list covering at
 	// least indices [j, d(v)), plus the index its first element corresponds
@@ -90,9 +93,45 @@ func NeedsDecode(g Graph) bool {
 	return !heap
 }
 
+// decodeBufs pools list buffers: the traversals' (DecodeBuf) and the
+// package's own scratch for methods that take none (a packed HasEdge, a
+// view's merge of a packed list, a view's NeighborAt).
+var decodeBufs = sync.Pool{New: func() any { b := make([]uint32, 0, 4096); return &b }}
+
+// DecodeBuf hands a traversal a pooled list buffer when g writes its lists
+// into the buffer it is given (NeedsDecode), else (nil, nil): a heap CSR
+// returns aliases of its storage and never touches a buffer. Return it
+// with ReleaseDecodeBuf.
+func DecodeBuf(g Graph) ([]uint32, *[]uint32) {
+	if !NeedsDecode(g) {
+		return nil, nil
+	}
+	bp := decodeBufs.Get().(*[]uint32)
+	return *bp, bp
+}
+
+// ReleaseDecodeBuf returns a DecodeBuf buffer to the pool, keeping last,
+// the slice the traversal's final NeighborsInto or NeighborsTail returned.
+// On a decoding representation that is the pool's buffer or one the
+// representation allocated when it had to grow, never graph storage, so
+// the pool only ever holds its own memory. No-op for the heap CSR's nil bp.
+func ReleaseDecodeBuf(bp *[]uint32, last []uint32) {
+	if bp == nil {
+		return
+	}
+	if cap(last) > 0 {
+		*bp = last[:0]
+	}
+	decodeBufs.Put(bp)
+}
+
 // Format returns a short name for g's representation: "csr" for the heap
-// CSR, "lgz" for the compressed memory-mapped form.
+// CSR, "lgz" for the compressed memory-mapped form. A Versioned snapshot's
+// view is named for the base it reads.
 func Format(g Graph) string {
+	if vw, ok := g.(*view); ok {
+		g = vw.base
+	}
 	if NeedsDecode(g) {
 		return "lgz"
 	}

@@ -33,7 +33,7 @@ func EdgeApplyLanesDense(p int, g graph.Graph, mask []uint64, fn func(src, dst u
 		return
 	}
 	parallel.ForRange(p, total, edgeMapGrain, func(elo, ehi int) {
-		buf, bp := acquireDecodeBuf(g)
+		buf, bp := graph.DecodeBuf(g)
 		// First vertex whose edge range extends past elo (skipping any run
 		// of zero-degree vertices at the boundary).
 		v := sort.Search(n, func(i int) bool { return offs[i+1] > uint64(elo) })
@@ -54,7 +54,7 @@ func EdgeApplyLanesDense(p int, g graph.Graph, mask []uint64, fn func(src, dst u
 				e++
 			}
 		}
-		releaseDecodeBuf(bp, buf)
+		graph.ReleaseDecodeBuf(bp, buf)
 	})
 }
 
@@ -86,7 +86,7 @@ func EdgeApplyLanesSparse(p int, g graph.Graph, ids []uint32, mask []uint64, deg
 		return
 	}
 	parallel.ForRange(p, int(total), edgeMapGrain, func(elo, ehi int) {
-		buf, bp := acquireDecodeBuf(g)
+		buf, bp := graph.DecodeBuf(g)
 		// First frontier index whose edge range contains elo.
 		i := sort.Search(nf, func(i int) bool { return offs[i] > uint64(elo) }) - 1
 		for e := elo; e < ehi; i++ {
@@ -100,6 +100,6 @@ func EdgeApplyLanesSparse(p int, g graph.Graph, ids []uint32, mask []uint64, deg
 				e++
 			}
 		}
-		releaseDecodeBuf(bp, buf)
+		graph.ReleaseDecodeBuf(bp, buf)
 	})
 }

@@ -28,39 +28,12 @@ package ligra
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"parcluster/internal/graph"
 	"parcluster/internal/parallel"
 	"parcluster/internal/sparse"
 )
-
-// decodeBufs recycles per-chunk neighbor-decode buffers. A heap CSR's
-// NeighborsTail returns a slice aliasing its adjacency storage and never
-// touches the buffer, so buffers are only acquired when the representation
-// actually decodes (compressed CSR) — the heap hot path stays exactly as
-// allocation-free as before the graph.Graph seam.
-var decodeBufs = sync.Pool{New: func() any { b := make([]uint32, 0, 4096); return &b }}
-
-// acquireDecodeBuf hands a chunk worker a reusable decode buffer when g
-// needs one, else (nil, nil).
-func acquireDecodeBuf(g graph.Graph) ([]uint32, *[]uint32) {
-	if !graph.NeedsDecode(g) {
-		return nil, nil
-	}
-	bp := decodeBufs.Get().(*[]uint32)
-	return *bp, bp
-}
-
-// releaseDecodeBuf returns a buffer to the pool, keeping any growth the
-// chunk's decodes produced. No-op for the heap-CSR (nil) case.
-func releaseDecodeBuf(bp *[]uint32, last []uint32) {
-	if bp != nil {
-		*bp = last[:0]
-		decodeBufs.Put(bp)
-	}
-}
 
 // DenseThresholdFrac is the k in Ligra's direction heuristic: the dense
 // traversal is selected when |F| + vol(F) > (n + 2m)/k. Ligra uses m/20 for
@@ -252,7 +225,7 @@ func EdgeApplyIndexedScratch(p int, g graph.Graph, s VertexSubset, offs []uint64
 		return
 	}
 	parallel.ForRange(p, int(total), edgeMapGrain, func(elo, ehi int) {
-		buf, bp := acquireDecodeBuf(g)
+		buf, bp := graph.DecodeBuf(g)
 		// First frontier index whose edge range contains elo.
 		i := sort.Search(nf, func(i int) bool { return offs[i] > uint64(elo) }) - 1
 		for e := elo; e < ehi; i++ {
@@ -267,7 +240,7 @@ func EdgeApplyIndexedScratch(p int, g graph.Graph, s VertexSubset, offs []uint64
 				e++
 			}
 		}
-		releaseDecodeBuf(bp, buf)
+		graph.ReleaseDecodeBuf(bp, buf)
 	})
 }
 
@@ -311,7 +284,7 @@ func EdgeApplyDense(p int, g graph.Graph, s VertexSubset, fn func(src, dst uint3
 		return
 	}
 	parallel.ForRange(p, total, edgeMapGrain, func(elo, ehi int) {
-		buf, bp := acquireDecodeBuf(g)
+		buf, bp := graph.DecodeBuf(g)
 		// First vertex whose edge range extends past elo (skipping any run
 		// of zero-degree vertices at the boundary).
 		v := sort.Search(n, func(i int) bool { return offs[i+1] > uint64(elo) })
@@ -331,7 +304,7 @@ func EdgeApplyDense(p int, g graph.Graph, s VertexSubset, fn func(src, dst uint3
 				e++
 			}
 		}
-		releaseDecodeBuf(bp, buf)
+		graph.ReleaseDecodeBuf(bp, buf)
 	})
 }
 
@@ -370,7 +343,7 @@ func EdgePull(p int, g graph.Graph, shares []float64, acc *sparse.Dense) {
 	parallel.ForRange(p, int(g.TotalVolume())+1, edgeMapGrain, func(elo, ehi int) {
 		var created [pullTouchBatch]uint32
 		nc := 0
-		buf, bp := acquireDecodeBuf(g)
+		buf, bp := graph.DecodeBuf(g)
 		v := sort.Search(n, func(i int) bool { return offs[i] >= uint64(elo) })
 		for ; v < n && offs[v] < uint64(ehi); v++ {
 			s := acc.Get(uint32(v))
@@ -389,6 +362,6 @@ func EdgePull(p int, g graph.Graph, shares []float64, acc *sparse.Dense) {
 			}
 		}
 		acc.Touch(created[:nc])
-		releaseDecodeBuf(bp, buf)
+		graph.ReleaseDecodeBuf(bp, buf)
 	})
 }

@@ -93,7 +93,10 @@ type Config struct {
 	// MaxDeltaEdges triggers an immediate compaction pass when an ingest
 	// batch leaves a graph with at least this many pending delta records
 	// (0 = 65536, negative = no threshold — timer only). It bounds the
-	// per-query snapshot-freeze cost, which is linear in the delta log.
+	// memory of each epoch's view, whose patch is linear in the delta log,
+	// and the work of the fold that starts each epoch's view from the last
+	// compaction; the per-epoch cost of a view is O(batch + n) whatever the
+	// log holds.
 	MaxDeltaEdges int
 }
 

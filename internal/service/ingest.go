@@ -2,7 +2,7 @@
 // through the registry's graph.Versioned overlays (POST
 // /v1/graphs/{name}/edges), and the background compactor that folds the
 // accumulated delta logs into fresh base CSRs. Queries never see either
-// happen mid-flight — they run against the epoch snapshot pinned at
+// happen mid-flight — they run against the epoch's view pinned at
 // admission (Registry.Acquire), and the epoch is part of every cache key,
 // so a mutation invalidates nothing: stale entries simply stop being
 // addressed and age out of the LRU.
@@ -24,7 +24,8 @@ import (
 // Ingest-size bounds, in the same spirit as the query caps: one batch must
 // not be able to monopolize the server (oversized streams belong in
 // multiple batches), and a hostile vertices value must not allocate an
-// offsets array of arbitrary size on the next snapshot freeze.
+// offsets array of arbitrary size for the next epoch's view, which holds
+// one offset per vertex.
 const (
 	maxIngestRecords  = 1 << 20
 	maxIngestVertices = 1 << 28
@@ -49,7 +50,10 @@ const (
 //
 // A batch that crosses the engine's pending-delta threshold kicks the
 // background compactor instead of folding inline, so ingest latency stays
-// proportional to the batch, not the graph.
+// proportional to the batch, not the graph. So does the first batch that
+// lands on a packed (.lgz) base: a view reads every list of a packed base
+// through the decoder, slower than a heap list, so a written graph is
+// flattened to a heap CSR once and then read as heap base plus patch.
 func (e *Engine) Ingest(ctx context.Context, graphName string, req *api.IngestRequest) (*api.IngestResponse, error) {
 	if graphName == "" {
 		return nil, fmt.Errorf("%w: missing graph name", ErrBadRequest)
@@ -80,7 +84,7 @@ func (e *Engine) Ingest(ctx context.Context, graphName string, req *api.IngestRe
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if e.maxDeltaEdges > 0 && st.Pending >= e.maxDeltaEdges {
+	if st.Packed || e.maxDeltaEdges > 0 && st.Pending >= e.maxDeltaEdges {
 		e.kickCompactor()
 	}
 	// Epoch, Vertices and Pending all come from Apply's own critical

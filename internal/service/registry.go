@@ -285,21 +285,23 @@ var closedChan = func() chan struct{} {
 // necessary. Concurrent calls for the same unloaded name perform one load
 // between them. The context only bounds this caller's wait — an in-flight
 // load itself is never abandoned, since another waiter may still want it.
-// The returned CSR is one immutable epoch snapshot; callers that must hold a
-// single epoch (or its workspace pool) across a whole request use Acquire.
+// The returned graph is one immutable epoch snapshot (the base itself, or a
+// view of base plus the epoch's patch); callers that must hold a single
+// epoch (or its workspace pool) across a whole request use Acquire.
 func (r *Registry) Get(ctx context.Context, name string) (graph.Graph, error) {
 	pin, err := r.Acquire(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	// The CSR outlives the pin (it is immutable); only epoch and pool
-	// accounting need the pin held, and this caller holds neither.
+	// The graph outlives the pin (a snapshot is immutable, and a view keeps
+	// its base reachable); only epoch and pool accounting need the pin
+	// held, and this caller holds neither.
 	pin.Release()
 	return pin.G, nil
 }
 
 // Acquire resolves name and pins its current epoch snapshot: the returned
-// CSR is immutable and stays this epoch's edge set no matter how many
+// graph is immutable and stays this epoch's edge set no matter how many
 // ingest batches or compactions land while the request runs. The caller
 // must Release the pin when done with the graph.
 func (r *Registry) Acquire(ctx context.Context, name string) (*PinnedGraph, error) {

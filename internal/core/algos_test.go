@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"parcluster/internal/gen"
 	"parcluster/internal/graph"
+	"parcluster/internal/rng"
 	"parcluster/internal/sparse"
 )
 
@@ -397,23 +399,68 @@ func TestHKPRNOne(t *testing.T) {
 
 // --- rand-HK-PR ---
 
+// TestRandHKPRSeqParIdentical checks every rand-HK-PR returns the same
+// vector: walk i's randomness comes from Split(seed, i) in every version, so
+// all three are bit-identical at any worker count. The cases cover a
+// destination table filled to its bound, min(N, n) — walks that end on every
+// vertex of a small graph — and fewer walks than vertices. With one worker,
+// RandHKPRRun lists destinations in first-appearance order over the walks.
 func TestRandHKPRSeqParIdentical(t *testing.T) {
-	// Walk i's randomness comes from Split(seed, i) in every version, so
-	// all three implementations return bit-identical vectors.
-	g := gen.Caveman(10, 8)
-	seq, seqSt := RandHKPRSeq(g, []uint32{0}, 5, 10, 5000, 42)
-	for _, p := range procsUnderTest() {
-		par, parSt := RandHKPRRun(g, []uint32{0}, 5, 10, 5000, 42, RunConfig{Procs: p})
-		con, _ := RandHKPRParContended(g, 0, 5, 10, 5000, 42, p)
-		if seq.Len() != par.Len() || seq.Len() != con.Len() {
-			t.Fatalf("p=%d: support sizes %d / %d / %d", p, seq.Len(), par.Len(), con.Len())
-		}
-		requireMapsIdentical(t, fmt.Sprintf("p=%d: par", p), seq, par)
-		requireMapsIdentical(t, fmt.Sprintf("p=%d: contended", p), seq, con)
-		if parSt.EdgesTouched != seqSt.EdgesTouched {
-			t.Fatalf("p=%d: steps %d vs %d", p, parSt.EdgesTouched, seqSt.EdgesTouched)
+	cases := []struct {
+		name     string
+		g        *graph.CSR
+		N        int
+		distinct int // want this many destinations; 0 = any
+	}{
+		{"caveman-10x8", gen.Caveman(10, 8), 5000, 0},
+		// Nine vertices: a bound one short would leave room for eight.
+		{"every-vertex", gen.Clique(9), 2000, 9},
+		{"fewer-walks", gen.Caveman(10, 8), 30, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			seq, seqSt := RandHKPRSeq(c.g, []uint32{0}, 5, 10, c.N, 42)
+			if c.distinct > 0 && seq.Len() != c.distinct {
+				t.Fatalf("walks end on %d vertices, want %d", seq.Len(), c.distinct)
+			}
+			if seq.Len() > min(c.N, c.g.NumVertices()) {
+				t.Fatalf("%d destinations past the bound min(%d, %d)", seq.Len(), c.N, c.g.NumVertices())
+			}
+			for _, p := range []int{1, 2, 8} {
+				par, parSt := RandHKPRRun(c.g, []uint32{0}, 5, 10, c.N, 42, RunConfig{Procs: p})
+				con, _ := RandHKPRParContended(c.g, 0, 5, 10, c.N, 42, p)
+				if seq.Len() != par.Len() || seq.Len() != con.Len() {
+					t.Fatalf("p=%d: support sizes %d / %d / %d", p, seq.Len(), par.Len(), con.Len())
+				}
+				requireMapsIdentical(t, fmt.Sprintf("p=%d: par", p), seq, par)
+				requireMapsIdentical(t, fmt.Sprintf("p=%d: contended", p), seq, con)
+				if parSt.EdgesTouched != seqSt.EdgesTouched {
+					t.Fatalf("p=%d: steps %d vs %d", p, parSt.EdgesTouched, seqSt.EdgesTouched)
+				}
+				if p == 1 {
+					if got, want := listing(par), firstDestinations(c.g, 0, 5, 10, c.N, 42); !slices.Equal(got, want) {
+						t.Fatalf("p=1: lists %v, want first-appearance order %v", got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// firstDestinations returns the distinct final vertices of rand-HK-PR's
+// walks from seed, in the order the walks first end on them.
+func firstDestinations(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64) []uint32 {
+	tp := rng.NewTruncPoisson(t, K)
+	seen := map[uint32]bool{}
+	var out []uint32
+	for i := 0; i < N; i++ {
+		r := rng.Split(walkSeed, uint64(i))
+		if v := walkFrom(g, seed, tp.Sample(&r), &r); !seen[v] {
+			seen[v] = true
+			out = append(out, v)
 		}
 	}
+	return out
 }
 
 func TestRandHKPRDistribution(t *testing.T) {

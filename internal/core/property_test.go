@@ -270,14 +270,16 @@ func requireSweepMatchesBruteForce(t *testing.T, name string, g graph.Graph, res
 
 // relisted returns vec's entries listed in the order perm gives the
 // positions of vec's own listing, through the one constructor a Vector has:
-// a table written by one goroutine lists its entries in creation order.
+// an index's column lists its entries in slot order, and one goroutine
+// claims slots in creation order.
 func relisted(vec *sparse.Vector, perm []int) *sparse.Vector {
 	ids, vals := vec.Entries()
-	table := sparse.NewConcurrent(len(ids))
+	idx := sparse.NewIndex(len(ids))
+	col := idx.Col(0)
 	for _, i := range perm {
-		table.AddSerial(ids[i], vals[i])
+		col[idx.Slot(ids[i])] = vals[i]
 	}
-	return sparse.Snapshot(table, 1)
+	return sparse.Snapshot(idx.View(col, nil), 1)
 }
 
 // listing returns the IDs of vec in the order it lists them.

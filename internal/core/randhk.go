@@ -20,7 +20,9 @@ import (
 // collect destinations in an array, integer-sort it, and count run lengths
 // with prefix sums and filter. Both versions are implemented:
 // RandHKPRRun (sort-based, the paper's choice) and RandHKPRParContended
-// (the negative result, kept as ablation A1).
+// (the negative result, kept as ablation A1). Both key their destinations
+// in one sparse.Index sized min(N, n): N walks end on at most that many
+// distinct vertices, so a claim never outgrows it.
 //
 // Both sequential and parallel versions derive walk i's randomness from
 // rng.Split(seed, i), so all of them return bit-identical vectors — a
@@ -70,9 +72,11 @@ func RandHKPRSeq(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 
 // RandHKPRRun is the paper's parallel rand-HK-PR: all walks run in
 // parallel storing destinations into an array A; destinations are then
-// mapped to dense IDs with a concurrent hash table, integer-sorted with the
+// mapped to dense IDs, the slots of a sparse.Index, integer-sorted with the
 // parallel radix sort, and counted by detecting run boundaries with filter
 // over the sorted array — no contended atomics anywhere on the hot path.
+// With one worker the vector lists each destination where the first walk
+// to end on it puts it: in first-appearance order over the walks.
 // Walk i draws its start from stream Split(walkSeed, i) exactly as the
 // sequential version does, so the bit-identical-output guarantee extends to
 // seed sets.
@@ -116,16 +120,14 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 		cfg.Observer.Round(0, N, st.Pushes, st.EdgesTouched, false)
 	}
 
-	// Map destinations (at most N distinct) to dense IDs so the radix sort
-	// key range is [0, N), as in the paper's O(N)-work integer sort.
-	idm := sparse.NewIDMap(N)
+	// Map destinations to dense IDs, the slots of idx, so the radix sort
+	// key range is [0, distinct), as in the paper's O(N)-work integer sort.
+	idx := sparse.NewIndex(min(N, g.NumVertices()))
 	ids := make([]uint32, N)
 	parallel.For(procs, N, 2048, func(i int) {
-		ids[i] = uint32(idm.Assign(A[i]))
+		ids[i] = idx.Claim(A[i])
 	})
-	distinct := idm.Count()
-	rev := make([]uint32, distinct)
-	idm.ForEach(func(k uint32, id int32) { rev[id] = k })
+	distinct := idx.Len()
 	parallel.RadixSortUint32(procs, ids, uint32(distinct-1))
 
 	// Boundary detection: positions where the sorted value changes give the
@@ -133,35 +135,36 @@ func RandHKPRRun(g graph.Graph, seeds []uint32, t float64, K, N int, walkSeed ui
 	starts := parallel.FilterIndex(procs, N, func(i int) bool {
 		return i == 0 || ids[i] != ids[i-1]
 	})
-	counts := sparse.NewConcurrent(distinct)
+	counts := idx.Col(0)
 	for bi, start := range starts {
 		end := N
 		if bi+1 < len(starts) {
 			end = starts[bi+1]
 		}
-		counts.AddSerial(rev[ids[start]], float64(end-start))
+		counts[ids[start]] = float64(end - start)
 	}
-	return sparse.Snapshot(counts, 1/float64(N)), st
+	return sparse.Snapshot(idx.View(counts, nil), 1/float64(N)), st
 }
 
-// RandHKPRParContended is the naive parallel aggregation (every walk does a
-// fetch-and-add on its destination's table entry). The paper reports this
-// "led to poor speed up since many random walks end up on the same vertex
-// causing high memory contention"; it is retained to reproduce that
-// comparison (ablation A1 in DESIGN.md).
+// RandHKPRParContended is the naive parallel aggregation (every walk claims
+// its destination's slot and does a fetch-and-add on its count). The paper
+// reports this "led to poor speed up since many random walks end up on the
+// same vertex causing high memory contention"; it is retained to reproduce
+// that comparison (ablation A1 in DESIGN.md).
 func RandHKPRParContended(g graph.Graph, seed uint32, t float64, K, N int, walkSeed uint64, procs int) (*sparse.Vector, Stats) {
 	checkSeed(g, seed)
 	procs = parallel.ResolveProcs(procs)
 	var st Stats
 	tp := rng.NewTruncPoisson(t, K)
-	table := sparse.NewConcurrent(N)
+	idx := sparse.NewIndex(min(N, g.NumVertices()))
+	counts := idx.Col(0)
 	steps := make([]int64, (N+4095)/4096)
 	parallel.ForRange(procs, N, 4096, func(lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
 			r := rng.Split(walkSeed, uint64(i))
 			length := tp.Sample(&r)
-			table.Add(walkFrom(g, seed, length, &r), 1)
+			sparse.AtomicAdd(&counts[idx.Claim(walkFrom(g, seed, length, &r))], 1)
 			local += int64(length)
 		}
 		steps[lo/4096] = local
@@ -169,5 +172,5 @@ func RandHKPRParContended(g graph.Graph, seed uint32, t float64, K, N int, walkS
 	st.Pushes = int64(N)
 	st.Iterations = N
 	st.EdgesTouched = parallel.Sum(procs, steps)
-	return sparse.Snapshot(table, 1/float64(N)), st
+	return sparse.Snapshot(idx.View(counts, nil), 1/float64(N)), st
 }

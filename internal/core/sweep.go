@@ -21,8 +21,9 @@ import (
 //   - SweepCut: the sweep every caller runs. With one worker it is the
 //     standard sequential sweep, O(N + vol(S_N)) work: one pass over the
 //     sweep order that maintains the boundary incrementally and keeps only
-//     a key-only set of the prefix (prefixSet). With more, ranks go into a
-//     concurrent rank table, and per-rank crossing-edge deltas are
+//     a key-only set of the prefix (prefixSet). With more, a rank index
+//     (rankIndex: a sparse.Index whose slots are the ranks) answers each
+//     neighbour's rank in one probe, and per-rank crossing-edge deltas are
 //     accumulated with fetch-and-add into a rank-indexed array and
 //     prefix-summed — the same work and O(log vol) depth as Theorem 1's
 //     crossing counts, with the integer sort replaced by direct bucket
@@ -162,11 +163,7 @@ func SweepCut(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 	if procs == 1 {
 		return sweepSerial(g, order)
 	}
-	// rank+1 stored so that Get == 0 means "outside the support".
-	rank := sparse.NewConcurrent(N)
-	parallel.For(procs, N, 1024, func(i int) {
-		rank.Set(order[i], float64(i+1))
-	})
+	rank := rankIndex(order)
 	// Per-edge contributions. Each undirected edge inside the support is
 	// visited twice; only the visit from the lower-ranked endpoint
 	// contributes (+1 at its rank, -1 at the partner's), matching the
@@ -179,8 +176,9 @@ func SweepCut(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 	cutDelta := make([]int64, N)
 	ligra.EdgeApplyIndexedScratch(procs, g, ligra.FromIDs(order), offs,
 		func(rs int, _, d uint32) {
-			rd := int(rank.Get(d)) - 1
-			if rd < 0 {
+			r, ok := rank.Find(d)
+			rd := int(r)
+			if !ok {
 				rd = N // outside the support: rank N+1 in the paper's terms
 			}
 			if rs >= rd {
@@ -194,6 +192,18 @@ func SweepCut(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 	cuts := make([]int64, N)
 	parallel.ScanInclusive(procs, cutDelta, cuts)
 	return sweepFromCuts(g, order, offs[1:], cuts, procs)
+}
+
+// rankIndex returns an index over the sweep order whose slots are the
+// ranks: order[i] holds slot i, so Find reads a vertex's 0-based rank, or
+// reports it outside the support, in one probe. The slots are claimed on
+// one goroutine, in order; the edge passes that read them only Find.
+func rankIndex(order []uint32) *sparse.Index {
+	rank := sparse.NewIndex(len(order))
+	for _, v := range order {
+		rank.Slot(v)
+	}
+	return rank
 }
 
 // sweepSerial is SweepCut's one-worker pass over a nonempty sweep order.
@@ -317,10 +327,7 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 	if N == 0 {
 		return emptySweep()
 	}
-	rank := sparse.NewConcurrent(N)
-	parallel.For(procs, N, 1024, func(i int) {
-		rank.Set(order[i], float64(i+1))
-	})
+	rank := rankIndex(order)
 	// Offsets into Z: vertex at rank i contributes 2*d(v) pairs.
 	offs := make([]uint64, N+1)
 	zlen := 2 * graph.DegreeOffsets(procs, g, order, offs)
@@ -336,8 +343,9 @@ func SweepCutParSort(g graph.Graph, vec *sparse.Vector, procs int) SweepResult {
 			ns := g.NeighborsInto(adj, v)
 			adj = ns
 			for _, w := range ns {
-				rw := uint64(rank.Get(w)) // 0 when absent
-				if rw == 0 {
+				r, ok := rank.Find(w)
+				rw := uint64(r) + 1
+				if !ok {
 					rw = uint64(N + 1)
 				}
 				if rw > rv {

@@ -8,9 +8,9 @@ package sparse
 // O(1) array operations with no hashing or probing, while clearing remains
 // proportional to the number of entries actually touched — the per-iteration
 // locality guarantee the algorithms rely on. The frontier engine promotes a
-// vector from ConcurrentMap to Dense once its support bound crosses a
-// fraction of n (see internal/core), at which point the one-time O(n)
-// allocation is already amortized by the work bound.
+// vector from a column of its run's Index to Dense once its support bound
+// crosses a fraction of n (see internal/core), at which point the one-time
+// O(n) allocation is already amortized by the work bound.
 
 import (
 	"math"
@@ -20,12 +20,12 @@ import (
 )
 
 // Dense is a concurrent sparse vector over a fixed universe [0, n): a flat
-// value array with a touched list. It implements Table with the same
-// phase-concurrency contract as ConcurrentMap: any number of goroutines may
-// Add/Set/Get concurrently; Reset and read-side iteration are phase
-// boundaries. A phase in which every key has a single accessor may use the
-// plain-store operations instead (AddOwned, PutOwned). Construct with
-// NewDense; the zero value is not usable.
+// value array with a touched list. It has the same phase-concurrency
+// contract as an Index: any number of goroutines may Add/Set/Get
+// concurrently; Reset and read-side iteration are phase boundaries. A phase
+// in which every key has a single accessor may use the plain-store
+// operations instead (AddOwned, PutOwned). Construct with NewDense; the
+// zero value is not usable.
 type Dense struct {
 	vals []uint64 // math.Float64bits of the value; CAS loops, or plain stores by a key's owner
 	// present[k] flips absent -> listed exactly once per key via CAS; the
@@ -172,8 +172,7 @@ func (d *Dense) Touch(keys []uint32) {
 }
 
 // Reset clears the vector in O(touched) work using p workers; the capacity
-// argument is accepted for Table compatibility and ignored (the universe is
-// fixed at n). Phase boundary only.
+// argument is ignored (the universe is fixed at n). Phase boundary only.
 func (d *Dense) Reset(p, _ int) {
 	n := int(d.ntouched.Load())
 	touched := d.touched[:n]

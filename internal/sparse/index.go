@@ -249,6 +249,19 @@ func (x *Index) grow(capacity int) {
 	}
 }
 
+// tableSize returns the power-of-two table length that holds capacity
+// entries at no more than 50% load.
+func tableSize(capacity int) int {
+	if capacity < 4 {
+		capacity = 4
+	}
+	size := 8
+	for size < 2*capacity {
+		size <<= 1
+	}
+	return size
+}
+
 // Reset empties the index — table, slots, owner's column, float columns and
 // touched lists — in O(entries), keeping its capacity (phase boundary
 // only). Stamps are not cleared: rounds keep counting across a Reset, so an

@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -126,8 +128,25 @@ func TestIndexResetIsEntryProportional(t *testing.T) {
 // TestIndexConcurrentClaims races eight workers over overlapping vertices:
 // each vertex gets exactly one slot, the slot counter equals the number of
 // distinct vertices, each slot is touched once per round, and the atomic
-// adds lose nothing.
+// adds lose nothing. The gomaxprocs=1 leg pins Claim's publish-wait: a
+// reader that finds a vertex claimed but not yet numbered yields, so the
+// claimer it waits for gets to run on the one processor there is.
 func TestIndexConcurrentClaims(t *testing.T) {
+	for _, procs := range []int{1, 0} {
+		name := "gomaxprocs=default"
+		if procs > 0 {
+			name = fmt.Sprintf("gomaxprocs=%d", procs)
+		}
+		t.Run(name, func(t *testing.T) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
+			requireConcurrentClaims(t)
+		})
+	}
+}
+
+func requireConcurrentClaims(t *testing.T) {
 	const vertices, workers, perWorker = 5000, 8, 20000
 	x := NewIndex(16)
 	x.Reserve(vertices)
@@ -183,6 +202,86 @@ func TestIndexConcurrentClaims(t *testing.T) {
 	slices.Sort(listed)
 	if distinct := slices.Compact(listed); len(x.List(x.Round())) != x.Len() || len(distinct) != x.Len() {
 		t.Fatalf("touched list holds %d entries, %d distinct, of %d slots", len(x.List(x.Round())), len(distinct), x.Len())
+	}
+}
+
+// TestCreationLogUnderConcurrentWriters pins what Len and a column's view
+// rest on under concurrent claims: whatever mix of workers claimed the
+// vertices, at whatever capacity that holds them, each has one slot below
+// Len, Vertices lists each exactly once, and no add is lost.
+func TestCreationLogUnderConcurrentWriters(t *testing.T) {
+	const keys, workers = 3000, 8
+	for round, capacity := range []int{keys, keys / 4, 4 * keys, keys} {
+		x := NewIndex(capacity)
+		col := x.Col(0)
+		n := min(capacity, keys)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(round*workers + w)))
+				for i := 0; i < 4*n; i++ {
+					AtomicAdd(&col[x.Claim(uint32(2*r.Intn(n/2))*7)], 1) // even keys are shared: racing claims
+				}
+				for k := 2*w + 1; k < n; k += 2 * workers {
+					AtomicAdd(&col[x.Claim(uint32(k)*7)], 1) // odd keys have one writer each
+				}
+			}(w)
+		}
+		wg.Wait()
+		if x.Len() != n {
+			t.Fatalf("round %d: Len = %d, want %d", round, x.Len(), n)
+		}
+		got := slices.Clone(x.Vertices()[:x.Len()])
+		slices.Sort(got)
+		for i, k := range got {
+			if k != uint32(i)*7 {
+				t.Fatalf("round %d: entry %d is key %d, want %d", round, i, k, i*7)
+			}
+		}
+		total := 0.0
+		x.View(col, nil).ForEach(func(_ uint32, v float64) { total += v })
+		if want := float64(workers*4*n + n/2); total != want {
+			t.Fatalf("round %d: the column sums to %v, want %v", round, total, want)
+		}
+	}
+}
+
+// TestCreationOrderIgnoresCapacity pins what one writer reads back through
+// a column's view: its entries in the order it created them, whatever the
+// index's capacity — a tight one that grows on the way included.
+func TestCreationOrderIgnoresCapacity(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	var order []uint32
+	seen := map[uint32]bool{}
+	for len(order) < 2000 {
+		if k := uint32(r.Intn(1 << 20)); !seen[k] {
+			seen[k] = true
+			order = append(order, k)
+		}
+	}
+	for _, capacity := range []int{4, len(order), 64 * len(order)} {
+		x := NewIndex(capacity)
+		for i, k := range order {
+			x.Slot(k)
+			x.Slot(order[i/2]) // an existing vertex: claims nothing
+		}
+		col := x.Col(0)
+		for i, k := range order {
+			s, _ := x.Find(k)
+			col[s] = float64(i + 1)
+		}
+		i := 0
+		x.View(col, nil).ForEach(func(k uint32, v float64) {
+			if k != order[i] || v != float64(i+1) {
+				t.Fatalf("cap %d: entry %d is key %d value %v, want key %d value %d", capacity, i, k, v, order[i], i+1)
+			}
+			i++
+		})
+		if i != len(order) {
+			t.Fatalf("cap %d: %d entries, want %d", capacity, i, len(order))
+		}
 	}
 }
 

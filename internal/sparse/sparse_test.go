@@ -3,8 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -42,129 +42,150 @@ func TestMapBasics(t *testing.T) {
 	}
 }
 
+// The TestConcurrent* tests check Index as the phase-concurrent table:
+// Claim, Find and AtomicAdd on one float column, against Map.
+
+// TestConcurrentBasics checks the shared-phase operations on a few keys:
+// Find misses an unclaimed vertex, Claim hands out slots 0, 1, ... once per
+// vertex, and AtomicAdd accumulates into the slot's column.
 func TestConcurrentBasics(t *testing.T) {
-	m := NewConcurrent(10)
-	if m.Get(7) != 0 || m.Len() != 0 {
-		t.Fatal("absent key")
+	x := NewIndex(10)
+	col := x.Col(0)
+	if _, ok := x.Find(7); ok || x.Len() != 0 {
+		t.Fatal("an empty index finds a vertex")
 	}
-	if !m.Add(7, 0.5) {
-		t.Fatal("first Add should create")
+	s := x.Claim(7)
+	if s != 0 || x.Len() != 1 {
+		t.Fatalf("first claim: slot %d, Len %d", s, x.Len())
 	}
-	if m.Add(7, 0.25) {
-		t.Fatal("second Add should not create")
+	if s2 := x.Claim(42); s2 != 1 || x.Len() != 2 {
+		t.Fatalf("second vertex: slot %d, Len %d", s2, x.Len())
 	}
-	if got := m.Get(7); got != 0.75 {
-		t.Fatalf("Get = %v", got)
+	if again := x.Claim(7); again != s || x.Len() != 2 {
+		t.Fatalf("a vertex claimed again moved to slot %d (Len %d)", again, x.Len())
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	m.Set(7, -1)
-	if got := m.Get(7); got != -1 {
-		t.Fatalf("after Set, Get = %v", got)
+	AtomicAdd(&col[s], 0.5)
+	AtomicAdd(&col[s], 0.25)
+	if got, ok := x.Find(7); !ok || got != s || col[got] != 0.75 || x.Vertices()[got] != 7 {
+		t.Fatalf("Find(7) = %d (%t), value %v", got, ok, col[got])
 	}
 }
 
 func TestConcurrentMatchesMapSequentially(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	ref := NewMap(0)
-	m := NewConcurrent(500)
+	x := NewIndex(500)
+	col := x.Col(0)
 	for i := 0; i < 5000; i++ {
 		k := uint32(r.Intn(500))
 		d := r.Float64() - 0.5
 		c1 := ref.Add(k, d)
-		c2 := m.Add(k, d)
-		if c1 != c2 {
+		n := x.Len()
+		AtomicAdd(&col[x.Claim(k)], d)
+		if c2 := x.Len() > n; c1 != c2 {
 			t.Fatalf("created mismatch for key %d", k)
 		}
 	}
-	if ref.Len() != m.Len() {
-		t.Fatalf("Len mismatch: %d vs %d", ref.Len(), m.Len())
+	if ref.Len() != x.Len() {
+		t.Fatalf("Len mismatch: %d vs %d", ref.Len(), x.Len())
 	}
 	ref.ForEach(func(k uint32, v float64) {
-		if got := m.Get(k); math.Abs(got-v) > 1e-12 {
-			t.Fatalf("key %d: %v vs %v", k, got, v)
+		if s, ok := x.Find(k); !ok || math.Abs(col[s]-v) > 1e-12 {
+			t.Fatalf("key %d: %v vs %v", k, col[s], v)
 		}
 	})
 }
 
+// TestConcurrentParallelAdds has many goroutines claim and add to
+// overlapping keys: every worker sees the same slot for a key, the slots
+// are exactly [0, distinct), and the total is exact (each delta is a power
+// of two, so float addition is exact regardless of order).
 func TestConcurrentParallelAdds(t *testing.T) {
-	// Many goroutines hammer overlapping keys; total must be exact (each
-	// delta is a power of two so float addition is exact regardless of
-	// order) and created must fire exactly once per key.
 	const keys = 1000
 	const workers = 16
 	const addsPerWorker = 2000
-	m := NewConcurrent(keys)
-	var createdCount sync.Map
+	x := NewIndex(keys)
+	col := x.Col(0)
+	slots := make([][]uint32, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
+			slots[w] = make([]uint32, keys) // slot+1; 0 = never claimed here
 			for i := 0; i < addsPerWorker; i++ {
-				k := uint32(r.Intn(keys))
-				if m.Add(k, 1.0) {
-					if _, loaded := createdCount.LoadOrStore(k, true); loaded {
-						t.Errorf("key %d created twice", k)
-					}
-				}
+				k := r.Intn(keys)
+				s := x.Claim(uint32(k))
+				slots[w][k] = s + 1
+				AtomicAdd(&col[s], 1.0)
 			}
 		}(w)
 	}
 	wg.Wait()
+	owner := make(map[uint32]uint32)
+	for w := range slots {
+		for k, s := range slots[w] {
+			if s == 0 {
+				continue
+			}
+			if int(s) > x.Len() {
+				t.Fatalf("key %d got slot %d past Len %d", k, s-1, x.Len())
+			}
+			if old, ok := owner[s]; ok && old != uint32(k) {
+				t.Fatalf("slot %d claimed by keys %d and %d", s-1, old, k)
+			}
+			owner[s] = uint32(k)
+		}
+	}
+	if len(owner) != x.Len() {
+		t.Fatalf("%d slots seen, Len = %d", len(owner), x.Len())
+	}
 	total := 0.0
-	m.ForEach(func(_ uint32, v float64) { total += v })
+	Snapshot(x.View(col, nil), 1).ForEach(func(_ uint32, v float64) { total += v })
 	if total != workers*addsPerWorker {
 		t.Fatalf("Sum = %v, want %d", total, workers*addsPerWorker)
 	}
-	created := 0
-	createdCount.Range(func(_, _ any) bool { created++; return true })
-	if created != m.Len() {
-		t.Fatalf("created %d keys but Len = %d", created, m.Len())
-	}
 }
 
+// TestConcurrentKeysAndForEach checks a column viewed as a Source lists
+// every entry once, in slot (creation) order.
 func TestConcurrentKeysAndForEach(t *testing.T) {
-	m := NewConcurrent(64)
-	want := map[uint32]float64{}
+	x := NewIndex(64)
+	col := x.Col(0)
 	for k := uint32(0); k < 64; k++ {
-		m.Add(k*3, float64(k))
-		want[k*3] = float64(k)
+		col[x.Claim(k*3)] = float64(k + 1)
 	}
-	got := map[uint32]float64{}
-	m.ForEach(func(k uint32, v float64) { got[k] = v })
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d: %v vs %v", k, got[k], v)
-		}
+	view := x.View(col, nil)
+	if view.Len() != 64 {
+		t.Fatalf("view lists %d entries, want 64", view.Len())
 	}
 	i := uint32(0)
-	m.ForEach(func(k uint32, _ float64) {
-		if k != i*3 {
-			t.Fatalf("ForEach's entry %d is key %d, want %d: not in creation order", i, k, i*3)
+	view.ForEach(func(k uint32, v float64) {
+		if k != i*3 || v != float64(i+1) {
+			t.Fatalf("entry %d is key %d value %v, want key %d value %d: not in creation order", i, k, v, i*3, i+1)
 		}
 		i++
 	})
+	if i != 64 {
+		t.Fatalf("ForEach visited %d entries, want 64", i)
+	}
 }
 
 func TestConcurrentAdversarialKeys(t *testing.T) {
-	// Keys engineered to collide under the mask exercise linear probing.
-	m := NewConcurrent(256)
+	// Keys that share their low bits, and keys whose Fibonacci products
+	// share their top bits, exercise linear probing.
+	x := NewIndex(256)
 	var ks []uint32
-	for i := 0; i < 200; i++ {
-		ks = append(ks, uint32(i*65536)) // many share low hash bits pre-mix
+	for i := uint32(0); i < 100; i++ {
+		ks = append(ks, i*65536, i<<24|1)
 	}
 	for _, k := range ks {
-		m.Add(k, 1)
+		x.Claim(k)
 	}
-	for _, k := range ks {
-		if m.Get(k) != 1 {
-			t.Fatalf("key %d lost", k)
+	for i, k := range ks {
+		if s, ok := x.Find(k); !ok || s != uint32(i) {
+			t.Fatalf("key %d at slot %d (%t), want %d", k, s, ok, i)
 		}
 	}
 }
@@ -176,7 +197,8 @@ func TestConcurrentQuickAgainstMap(t *testing.T) {
 			n = len(deltas)
 		}
 		ref := NewMap(n)
-		m := NewConcurrent(n + 1)
+		x := NewIndex(n + 1)
+		col := x.Col(0)
 		for i := 0; i < n; i++ {
 			k := keys[i] % 1000
 			d := deltas[i]
@@ -184,87 +206,45 @@ func TestConcurrentQuickAgainstMap(t *testing.T) {
 				d = 1
 			}
 			ref.Add(k, d)
-			m.Add(k, d)
+			AtomicAdd(&col[x.Claim(k)], d)
 		}
 		ok := true
 		ref.ForEach(func(k uint32, v float64) {
-			got := m.Get(k)
-			if math.Abs(got-v) > 1e-9*(1+math.Abs(v)) {
+			s, found := x.Find(k)
+			if !found || math.Abs(col[s]-v) > 1e-9*(1+math.Abs(v)) {
 				ok = false
 			}
 		})
-		return ok && ref.Len() == m.Len()
+		return ok && ref.Len() == x.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestIDMapSequential(t *testing.T) {
-	m := NewIDMap(100)
-	a := m.Assign(42)
-	b := m.Assign(7)
-	c := m.Assign(42)
-	if a != c {
-		t.Fatalf("same key got different IDs: %d vs %d", a, c)
-	}
-	if a == b {
-		t.Fatal("different keys share an ID")
-	}
-	if m.Count() != 2 {
-		t.Fatalf("Count = %d", m.Count())
-	}
-}
-
-func TestIDMapConcurrentDense(t *testing.T) {
-	const distinct = 500
-	const workers = 8
-	m := NewIDMap(distinct)
-	ids := make([][]int32, workers)
+// TestConcurrentOverflowPanics races workers past a shared phase's reserved
+// bound: every one of them fails loudly — the claimer that overflows, and
+// any reader that finds its unpublished entry — and none waits forever.
+func TestConcurrentOverflowPanics(t *testing.T) {
+	const workers = 4
+	x := NewIndex(100)
+	msgs := make([]string, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ids[w] = make([]int32, distinct)
-			for k := 0; k < distinct; k++ {
-				ids[w][k] = m.Assign(uint32(k * 13))
+			defer func() { msgs[w], _ = recover().(string) }()
+			for k := uint32(0); k < 1000; k++ {
+				x.Claim(k)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if m.Count() != distinct {
-		t.Fatalf("Count = %d, want %d", m.Count(), distinct)
-	}
-	// All workers must agree on every key's ID, and IDs must be a
-	// permutation of [0, distinct).
-	seen := make([]bool, distinct)
-	for k := 0; k < distinct; k++ {
-		id := ids[0][k]
-		for w := 1; w < workers; w++ {
-			if ids[w][k] != id {
-				t.Fatalf("key %d: worker 0 got %d, worker %d got %d", k, id, w, ids[w][k])
-			}
+	for w, msg := range msgs {
+		if !strings.Contains(msg, "overflow") {
+			t.Fatalf("worker %d recovered %q, want an overflow panic", w, msg)
 		}
-		if id < 0 || int(id) >= distinct {
-			t.Fatalf("id %d out of range", id)
-		}
-		if seen[id] {
-			t.Fatalf("id %d assigned twice", id)
-		}
-		seen[id] = true
-	}
-}
-
-func TestConcurrentOverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected overflow panic")
-		}
-	}()
-	m := NewConcurrent(4)
-	for k := uint32(0); k < 1000; k++ {
-		m.Add(k, 1)
 	}
 }
 
@@ -280,28 +260,6 @@ func TestSumParallel(t *testing.T) {
 			t.Fatalf("p=%d: Sum = %v, want %v", p, got, want)
 		}
 	}
-}
-
-func BenchmarkConcurrentAddDisjoint(b *testing.B) {
-	m := NewConcurrent(1 << 20)
-	b.RunParallel(func(pb *testing.PB) {
-		r := rand.New(rand.NewSource(rand.Int63()))
-		for pb.Next() {
-			m.Add(uint32(r.Intn(1<<19)), 1)
-		}
-	})
-}
-
-func BenchmarkConcurrentAddContended(b *testing.B) {
-	// All goroutines hit 64 keys: the contention regime the paper calls out
-	// for naive rand-HK-PR aggregation.
-	m := NewConcurrent(1 << 10)
-	b.RunParallel(func(pb *testing.PB) {
-		r := rand.New(rand.NewSource(rand.Int63()))
-		for pb.Next() {
-			m.Add(uint32(r.Intn(64)), 1)
-		}
-	})
 }
 
 func BenchmarkMapAdd(b *testing.B) {
@@ -358,12 +316,12 @@ func TestDenseBasics(t *testing.T) {
 	}
 }
 
-func TestDenseConcurrentAddsMatchConcurrentMap(t *testing.T) {
+func TestDenseConcurrentAddsMatchMap(t *testing.T) {
 	const n = 4096
 	const workers = 8
 	const perWorker = 20000
 	d := NewDense(n)
-	cm := NewConcurrent(n)
+	ref := NewMap(n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -378,24 +336,24 @@ func TestDenseConcurrentAddsMatchConcurrentMap(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Replay sequentially into the hash table and compare.
+	// Replay sequentially into the map and compare.
 	for w := 0; w < workers; w++ {
 		r := uint32(w*2654435761 + 1)
 		for i := 0; i < perWorker; i++ {
 			r = r*1664525 + 1013904223
-			cm.Add(r%n, 1)
+			ref.Add(r%n, 1)
 		}
 	}
-	if d.Len() != cm.Len() {
-		t.Fatalf("support %d != %d", d.Len(), cm.Len())
+	if d.Len() != ref.Len() {
+		t.Fatalf("support %d != %d", d.Len(), ref.Len())
 	}
-	cm.ForEach(func(k uint32, v float64) {
+	ref.ForEach(func(k uint32, v float64) {
 		if d.Get(k) != v {
 			t.Fatalf("d[%d] = %v, want %v", k, d.Get(k), v)
 		}
 	})
 	cs := 0.0
-	cm.ForEach(func(_ uint32, v float64) { cs += v })
+	ref.ForEach(func(_ uint32, v float64) { cs += v })
 	if ds := d.Sum(4); ds != cs {
 		t.Fatalf("sums differ: %v vs %v", ds, cs)
 	}
@@ -410,10 +368,10 @@ func TestDenseConcurrentAddsMatchConcurrentMap(t *testing.T) {
 }
 
 func TestPromoteToDense(t *testing.T) {
-	cm := NewConcurrent(16)
-	cm.Add(1, 0.5)
-	cm.Add(300, 1.5)
-	d := PromoteToDense(1000, cm)
+	m := NewMap(16)
+	m.Add(1, 0.5)
+	m.Add(300, 1.5)
+	d := PromoteToDense(1000, m)
 	if d.Len() != 2 || d.Get(1) != 0.5 || d.Get(300) != 1.5 {
 		t.Fatalf("promotion lost entries: len=%d", d.Len())
 	}
@@ -441,9 +399,6 @@ func TestDenseResetIsTouchedProportional(t *testing.T) {
 	}
 }
 
-// TestIDMapAssignSingleProc exercises the Assign publish-wait under
-// GOMAXPROCS-constrained contention: with the Gosched in the spin loop the
-// waiters always let the claimer publish.
 // TestOwnedOpsMatchAtomicOps drives Dense's single-accessor operations the
 // way a pull round does — each key owned by exactly one of several
 // goroutines — and checks them against the atomic ones: same values to the
@@ -521,35 +476,5 @@ func TestDenseDeferredListing(t *testing.T) {
 	d.AddOwned(2, 1) // listing is back on
 	if d.Len() != 1 || d.Has(1) || d.Has(4) || d.Get(2) != 1 {
 		t.Fatalf("after Reset: len=%d has(1)=%t has(4)=%t v2=%v", d.Len(), d.Has(1), d.Has(4), d.Get(2))
-	}
-}
-
-func TestIDMapAssignSingleProc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	m := NewIDMap(256)
-	var wg sync.WaitGroup
-	ids := make([][]int32, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out := make([]int32, 128)
-			for k := uint32(0); k < 128; k++ {
-				out[k] = m.Assign(k)
-			}
-			ids[w] = out
-		}(w)
-	}
-	wg.Wait()
-	if m.Count() != 128 {
-		t.Fatalf("Count = %d, want 128", m.Count())
-	}
-	for w := 1; w < 4; w++ {
-		for k := range ids[0] {
-			if ids[w][k] != ids[0][k] {
-				t.Fatalf("worker %d got id %d for key %d, worker 0 got %d",
-					w, ids[w][k], k, ids[0][k])
-			}
-		}
 	}
 }

@@ -29,9 +29,9 @@ func (v *Vector) ForEach(fn func(k uint32, x float64)) {
 // that scan them directly (the sweep). The slices must not be modified.
 func (v *Vector) Entries() (ids []uint32, vals []float64) { return v.ids, v.vals }
 
-// Source is a table Snapshot reads: a Map, a ConcurrentMap, a Dense, or one
-// lane of a Lanes bank (Lanes.Lane). Each lists every key it holds exactly
-// once; the unexported method keeps the set closed.
+// Source is a table Snapshot reads: a Map, a Dense, a column of an Index
+// (Index.View), or one lane of a Lanes bank (Lanes.Lane). Each lists every
+// key it holds exactly once; the unexported method keeps the set closed.
 type Source interface {
 	// Len returns the number of entries.
 	Len() int
@@ -41,10 +41,9 @@ type Source interface {
 	listsKeysOnce()
 }
 
-func (*Map) listsKeysOnce()           {}
-func (*ConcurrentMap) listsKeysOnce() {}
-func (*Dense) listsKeysOnce()         {}
-func (laneView) listsKeysOnce()       {}
+func (*Map) listsKeysOnce()     {}
+func (*Dense) listsKeysOnce()   {}
+func (laneView) listsKeysOnce() {}
 
 // Snapshot copies t's entries, each multiplied by scale, into a new Vector
 // the caller owns, in t's listing order, dropping the ones that are zero

@@ -15,18 +15,27 @@ func listing(v *Vector) (ids []uint32, vals []float64) {
 	return ids, vals
 }
 
-// TestSnapshotFromConcurrentMap pins the snapshot of a table one goroutine
-// wrote: its entries in creation order, explicit zeros dropped, every value
-// scaled, and a copy that later writes to the table do not reach.
-func TestSnapshotFromConcurrentMap(t *testing.T) {
-	m := NewConcurrent(10)
-	m.AddSerial(9, 1.5)
-	m.Add(1, 0.5)
-	m.Set(4, 0) // explicit zero
-	m.AddSerial(7, 2)
-	m.AddSerial(7, -2) // cancels exactly
-	m.AddSerial(3, -1)
-	v := Snapshot(m, 1)
+// TestSnapshotFromIndexView pins the snapshot of an index column one
+// goroutine wrote: its entries in slot (creation) order, or in the order of
+// the list it is viewed through, explicit zeros dropped, every value scaled,
+// and a copy that later column writes do not reach.
+func TestSnapshotFromIndexView(t *testing.T) {
+	x := NewIndex(4) // grows past its capacity: columns are fetched again
+	for _, v := range []uint32{9, 1, 4, 7, 3, 12, 30, 31} {
+		x.Slot(v)
+	}
+	col := x.Col(0)
+	add := func(v uint32, d float64) {
+		s, _ := x.Find(v)
+		col[s] += d
+	}
+	add(9, 1.5)
+	add(1, 0.5)
+	// 4 keeps an explicit zero
+	add(7, 2)
+	add(7, -2) // cancels exactly
+	add(3, -1)
+	v := Snapshot(x.View(col, nil), 1)
 	ids, vals := listing(v)
 	if !slices.Equal(ids, []uint32{9, 1, 3}) || !slices.Equal(vals, []float64{1.5, 0.5, -1}) {
 		t.Fatalf("snapshot lists %v %v, want [9 1 3] [1.5 0.5 -1]", ids, vals)
@@ -37,14 +46,19 @@ func TestSnapshotFromConcurrentMap(t *testing.T) {
 	if eids, evals := v.Entries(); !slices.Equal(eids, ids) || !slices.Equal(evals, vals) {
 		t.Fatalf("Entries = %v %v, ForEach lists %v %v", eids, evals, ids, vals)
 	}
-	m.Set(9, 100)
-	if ids2, vals2 := listing(v); !slices.Equal(ids2, ids) || !slices.Equal(vals2, vals) {
-		t.Fatal("writes to the table after the snapshot reached it")
+	// Through a list: the list's order, its zero-valued slots dropped.
+	if ids, vals := listing(Snapshot(x.View(col, []uint32{4, 2, 0, 3}), 1)); !slices.Equal(ids, []uint32{3, 9}) || !slices.Equal(vals, []float64{-1, 1.5}) {
+		t.Fatalf("listed snapshot lists %v %v, want [3 9] [-1 1.5]", ids, vals)
 	}
-	m = NewConcurrent(8)
-	m.AddSerial(2, 3)
-	m.AddSerial(5, math.SmallestNonzeroFloat64)
-	if ids, vals := listing(Snapshot(m, 0.5)); !slices.Equal(ids, []uint32{2}) || !slices.Equal(vals, []float64{1.5}) {
+	col[0] = 100
+	if ids2, vals2 := listing(v); !slices.Equal(ids2, ids) || !slices.Equal(vals2, vals) {
+		t.Fatal("writes to the column after the snapshot reached it")
+	}
+	x = NewIndex(8)
+	col = x.Col(0)
+	col[x.Slot(2)] = 3
+	col[x.Slot(5)] = math.SmallestNonzeroFloat64
+	if ids, vals := listing(Snapshot(x.View(col, nil), 0.5)); !slices.Equal(ids, []uint32{2}) || !slices.Equal(vals, []float64{1.5}) {
 		t.Fatalf("scaled snapshot lists %v %v, want [2] [1.5] (a value scaled to zero is dropped)", ids, vals)
 	}
 }
